@@ -17,7 +17,7 @@ from .core import (
     VitalsEstimate,
     validate_frame,
 )
-from .dsp import AcSample, contact_state, reject_outliers, remove_dc, smooth
+from .dsp import AcBlock, contact_state
 from .emotion import (
     Certainty,
     EmotionAssessment,
@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADC_MAX",
-    "AcSample",
+    "AcBlock",
     "ArtifactKind",
     "BeatDetectorState",
     "BeatEvent",
@@ -83,11 +83,8 @@ __all__ = [
     "inject_artifacts",
     "instantaneous_bpm",
     "process_tick",
-    "reject_outliers",
-    "remove_dc",
     "resync",
     "rolling_average_bpm",
-    "smooth",
     "spo2_estimate",
     "validate_frame",
 ]

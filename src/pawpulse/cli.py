@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 
 from .core import ContactState, PipelineConfig, SampleFrame
 from .emotion import (
@@ -42,7 +43,7 @@ from .session import (
     summarize,
 )
 from .synth import SynthProfile, generate
-from .vitals import VitalsPipeline, fit_calibration, fit_residual_rms
+from .vitals import VitalsPipeline, fit_calibration, fit_residual_rms, tick_chunks
 from .wire import encode_frame, resync
 
 
@@ -50,15 +51,9 @@ class UsageError(Exception):
     """Operator mistake: reported on stderr, exit code 2."""
 
 
-_INT_KEYS = {
-    "avg_window_beats",
-    "contact_ir_threshold",
-    "tick_interval_ms",
-    "smooth_kernel",
-    "refractory_ms",
-    "ratio_window_ms",
-}
-_OPTIONAL_FLOAT_KEYS = {"outlier_z"}
+_CONFIG_HINTS = typing.get_type_hints(PipelineConfig)
+_INT_KEYS = {key for key, hint in _CONFIG_HINTS.items() if hint is int}
+_OPTIONAL_FLOAT_KEYS = {key for key, hint in _CONFIG_HINTS.items() if hint == float | None}
 
 
 def _parse_config_value(key: str, raw: str):
@@ -263,18 +258,10 @@ def cmd_process(args) -> int:
     if args.session_out:
         writer = SessionWriter(args.session_out, config, start_utc=args.start_utc)
     pipeline = VitalsPipeline(config)
-    interval = config.tick_interval_ms
-    n_ticks = frames[-1].timestamp_ms // interval + 1
-    pos = 0
     seq = 0
     last_temp: float | None = None
     try:
-        for k in range(n_ticks):
-            end = (k + 1) * interval
-            chunk: list[SampleFrame] = []
-            while pos < len(frames) and frames[pos].timestamp_ms < end:
-                chunk.append(frames[pos])
-                pos += 1
+        for chunk in tick_chunks(frames, config.tick_interval_ms):
             estimate = pipeline.tick(chunk)
             for frame in chunk:
                 if frame.temperature_c is not None:

@@ -4,156 +4,121 @@ The baseline (DC) of each optical channel is tracked with a trailing
 moving average; subtracting it leaves the pulsatile AC component that
 beat detection consumes. Outliers are flagged, never deleted, so
 timestamps stay intact for interval math.
+
+Every step works on numpy columns: the helpers below take an array whose
+first ``start`` values are carried history and return one value per
+remaining position, so a stream fed in chunks sees the same windows it
+would see in one piece.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ContactState, SampleFrame
-from .errors import ConfigError, EmptyStreamError
+from .errors import ConfigError
 
 #: Robust-sigma factor: MAD * 1.4826 estimates a Gaussian standard deviation.
 MAD_SIGMA = 1.4826
 
 
-@dataclass(frozen=True)
-class AcSample:
-    """A frame split into pulsatile (ac) and baseline (dc) parts."""
+@dataclass(frozen=True, eq=False)
+class AcBlock:
+    """Consecutive samples split into pulsatile (ac) and baseline (dc) parts.
 
-    timestamp_ms: int
-    ac_red: float
-    ac_ir: float
-    dc_red: float
-    dc_ir: float
-    outlier: bool = False
+    Equal-length columns: ``t`` (int64 ms), ``ac_red``, ``ac_ir``,
+    ``dc_red``, ``dc_ir`` (float64) and ``outlier`` (bool). Slicing with
+    ``block[a:b]`` slices every column.
+    """
+
+    t: np.ndarray
+    ac_red: np.ndarray
+    ac_ir: np.ndarray
+    dc_red: np.ndarray
+    dc_ir: np.ndarray
+    outlier: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index: slice) -> "AcBlock":
+        return AcBlock(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _infer_step_ms(timestamps: Sequence[int]) -> float:
-    if len(timestamps) < 2:
-        return 1.0
-    diffs = np.diff(np.asarray(timestamps, dtype=np.int64))
-    return float(np.median(diffs))
+def _concat(a: AcBlock, b: AcBlock) -> AcBlock:
+    return AcBlock(
+        *(np.concatenate((getattr(a, f.name), getattr(b, f.name))) for f in fields(AcBlock))
+    )
+
+
+_EMPTY_BLOCK = AcBlock(
+    t=np.empty(0, dtype=np.int64),
+    ac_red=np.empty(0),
+    ac_ir=np.empty(0),
+    dc_red=np.empty(0),
+    dc_ir=np.empty(0),
+    outlier=np.empty(0, dtype=bool),
+)
 
 
 def _window_samples(window_s: float, step_ms: float) -> int:
     return max(1, int(round(window_s * 1000.0 / step_ms)))
 
 
-def _trailing_mean(values: np.ndarray, width: int) -> np.ndarray:
-    """Trailing moving average; the first ``width`` samples use the
-    running mean of whatever is available (warm-up)."""
-    csum = np.cumsum(np.concatenate(([0.0], values)))
-    idx = np.arange(1, len(values) + 1)
-    lo = np.maximum(0, idx - width)
-    return (csum[idx] - csum[lo]) / (idx - lo)
+def _tail(x: np.ndarray, keep: int) -> np.ndarray:
+    # a bare x[-keep:] would return all of x for keep == 0
+    return x[max(0, len(x) - keep) :]
 
 
-def remove_dc(
-    frames: Sequence[SampleFrame], window_s: float, fs_hz: float | None = None
-) -> list[AcSample]:
-    """Split frames into AC + DC using a trailing moving average.
+def trailing_mean(x: np.ndarray, width: int, start: int = 0) -> np.ndarray:
+    """Mean of ``x[max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
 
-    ``fs_hz`` overrides the sample rate; by default it is inferred from
-    the frame timestamps. A single frame degenerates to dc = raw, ac = 0.
+    Before ``width`` values exist the window is whatever is available.
     """
-    if not frames:
-        raise EmptyStreamError("remove_dc needs at least one frame")
-    if window_s <= 0:
-        raise ConfigError("window_s must be positive")
-    ts = [f.timestamp_ms for f in frames]
-    step_ms = 1000.0 / fs_hz if fs_hz else _infer_step_ms(ts)
-    width = _window_samples(window_s, step_ms)
-    red = np.array([f.red for f in frames], dtype=float)
-    ir = np.array([f.ir for f in frames], dtype=float)
-    dc_red = _trailing_mean(red, width)
-    dc_ir = _trailing_mean(ir, width)
-    return [
-        AcSample(
-            timestamp_ms=t,
-            ac_red=float(red[i] - dc_red[i]),
-            ac_ir=float(ir[i] - dc_ir[i]),
-            dc_red=float(dc_red[i]),
-            dc_ir=float(dc_ir[i]),
-        )
-        for i, t in enumerate(ts)
-    ]
-
-
-def _centered_mean(values: np.ndarray, kernel_width: int) -> np.ndarray:
-    """Centered moving average with edge truncation (unit-sum kernel)."""
-    n = len(values)
-    half = kernel_width // 2
-    csum = np.cumsum(np.concatenate(([0.0], values)))
-    lo = np.maximum(0, np.arange(n) - half)
-    hi = np.minimum(n, np.arange(n) + half + 1)
+    csum = np.cumsum(np.concatenate(([0.0], x)))
+    hi = np.arange(start + 1, len(x) + 1)
+    lo = np.maximum(0, hi - width)
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def smooth(samples: Sequence[AcSample], kernel_width: int) -> list[AcSample]:
-    """Centered moving average over the AC components.
+def centered_mean(x: np.ndarray, half: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Mean of ``x[max(0, i - half) : i + half + 1]`` for ``start <= i < stop``.
 
-    The kernel truncates at the sequence edges; dc fields and outlier
-    flags pass through unchanged. ``kernel_width`` must be odd.
+    The window is truncated at both ends of ``x`` (unit-sum kernel of
+    width ``2 * half + 1``).
     """
-    if kernel_width < 1 or kernel_width % 2 == 0:
-        raise ConfigError(f"kernel_width must be an odd positive integer, got {kernel_width}")
-    if kernel_width == 1 or not samples:
-        return list(samples)
-    ac_red = _centered_mean(np.array([s.ac_red for s in samples]), kernel_width)
-    ac_ir = _centered_mean(np.array([s.ac_ir for s in samples]), kernel_width)
-    return [
-        replace(s, ac_red=float(ac_red[i]), ac_ir=float(ac_ir[i]))
-        for i, s in enumerate(samples)
-    ]
+    stop = len(x) if stop is None else stop
+    csum = np.cumsum(np.concatenate(([0.0], x)))
+    i = np.arange(start, stop)
+    lo = np.maximum(0, i - half)
+    hi = np.minimum(len(x), i + half + 1)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def _trailing_median_mad(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Median and MAD over a trailing window (expanding during warm-up)."""
-    n = len(values)
-    med = np.empty(n)
-    mad = np.empty(n)
-    head = min(width, n)
-    for i in range(head):
-        window = values[: i + 1]
-        med[i] = np.median(window)
-        mad[i] = np.median(np.abs(window - med[i]))
-    if n > width:
-        windows = sliding_window_view(values, width)[1:]
-        m = np.median(windows, axis=1)
-        med[width:] = m
-        mad[width:] = np.median(np.abs(windows - m[:, None]), axis=1)
+def _padded_median(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Median of the first ``sizes[r]`` sorted values of each row; the
+    rest of a row is +inf padding, which sorts last."""
+    s = np.sort(rows, axis=1)
+    r = np.arange(len(s))
+    return (s[r, (sizes - 1) // 2] + s[r, sizes // 2]) / 2
+
+
+def trailing_median_mad(
+    x: np.ndarray, width: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Median and MAD of ``x[max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
+
+    The window expands during warm-up exactly as ``trailing_mean``'s does.
+    """
+    padded = np.concatenate((np.full(width - 1, np.inf), x))
+    windows = sliding_window_view(padded, width)[start:]
+    sizes = np.minimum(np.arange(start, len(x)) + 1, width)
+    med = _padded_median(windows, sizes)
+    mad = _padded_median(np.abs(windows - med[:, None]), sizes)
     return med, mad
-
-
-def reject_outliers(
-    samples: Sequence[AcSample], z_threshold: float, window_s: float = 3.0
-) -> list[AcSample]:
-    """Flag samples whose AC IR deviates from the rolling median.
-
-    A sample is flagged when |ac_ir - median| exceeds
-    ``z_threshold * MAD * 1.4826`` over a trailing ``window_s`` window.
-    Values are never modified, only the ``outlier`` flag is set; a
-    degenerate window (MAD = 0) flags nothing.
-    """
-    if z_threshold <= 0:
-        raise ConfigError("z_threshold must be positive")
-    if not samples:
-        return []
-    ts = [s.timestamp_ms for s in samples]
-    width = _window_samples(window_s, _infer_step_ms(ts))
-    ac_ir = np.array([s.ac_ir for s in samples])
-    med, mad = _trailing_median_mad(ac_ir, width)
-    limit = z_threshold * MAD_SIGMA * mad
-    flagged = (mad > 0) & (np.abs(ac_ir - med) > limit)
-    return [
-        replace(sample, outlier=bool(flagged[i])) if flagged[i] != sample.outlier else sample
-        for i, sample in enumerate(samples)
-    ]
 
 
 def contact_state(dc_ir: float, threshold: float) -> ContactState:
@@ -162,15 +127,20 @@ def contact_state(dc_ir: float, threshold: float) -> ContactState:
 
 
 class StreamingPreprocessor:
-    """Incremental remove_dc + smooth (+ optional outlier flags) for the
-    tick loop.
+    """DC/AC split, centered smoothing and optional outlier flags for the
+    tick loop, one ``AcBlock`` per ``push``.
 
-    Matches the batch operators sample-for-sample: the trailing DC mean
-    and trailing outlier window see the same history they would in a
-    single batch run. Flags are computed on the unsmoothed AC (spikes
-    blur under the kernel). Centered smoothing needs future samples, so
-    the last ``kernel // 2`` samples are held back and released on the
-    next push (a fixed lag of a few samples, not a semantic difference).
+    Each push splits the new frames against the trailing DC mean of the
+    raw values carried from earlier pushes, and (with ``outlier_z`` set)
+    flags samples whose unsmoothed AC IR lies more than
+    ``outlier_z * MAD * 1.4826`` from the trailing median; values are
+    never modified, and a window with MAD = 0 flags nothing. Smoothing
+    is a centered mean over the AC columns, truncated only at the start
+    of the stream. It needs ``kernel_width // 2`` samples of right
+    context, so that many samples are held back and released by the
+    next push. How the stream is chunked changes neither the timestamps,
+    the DC columns nor the flags; the smoothed AC comes from one cumsum
+    per push and may differ in its last bits.
 
     Single-consumer per stream; create one instance per stream.
     """
@@ -185,109 +155,68 @@ class StreamingPreprocessor:
     ):
         if kernel_width < 1 or kernel_width % 2 == 0:
             raise ConfigError("kernel_width must be an odd positive integer")
+        if outlier_z is not None and outlier_z <= 0:
+            raise ConfigError("outlier_z must be positive or None")
         step_ms = 1000.0 / sample_rate_hz
         self._dc_width = _window_samples(dc_window_s, step_ms)
         self._half = kernel_width // 2
         self._outlier_z = outlier_z
         self._out_width = _window_samples(outlier_window_s, step_ms)
-        self._dc_sum_red = 0.0
-        self._dc_sum_ir = 0.0
-        self._raw_tail: deque[tuple[float, float]] = deque()  # last dc_width raw values
-        self._ac_tail: list[float] = []  # last out_width-1 raw ac_ir values
-        self._pending: list[AcSample] = []  # unsmoothed, awaiting right context
-        self._left_ac_red: list[float] = []  # smoothing context, last `half` released
-        self._left_ac_ir: list[float] = []
+        self._raw_red = np.empty(0)  # last dc_width - 1 raw values
+        self._raw_ir = np.empty(0)
+        self._ac_tail = np.empty(0)  # last out_width - 1 unsmoothed ac_ir values
+        # unsmoothed samples: up to `half` released ones (left smoothing
+        # context), then the ones held back for right context
+        self._carry = _EMPTY_BLOCK
+        self._n_left = 0
         self.last_dc_ir: float | None = None
 
-    def push(self, frames: Iterable[SampleFrame]) -> list[AcSample]:
+    def push(self, frames: Iterable[SampleFrame]) -> AcBlock:
         """Feed new frames; returns the samples whose smoothing window is
         complete (everything except the trailing hold-back)."""
         new = list(frames)
-        if new:
-            self._pending.extend(self._split(new))
-        if not self._pending:
-            return []
-        release = len(self._pending) - self._half
-        if release <= 0:
-            return []
-        released, self._pending = self._pending[:release], self._pending[release:]
-        return self._smooth_released(released)
-
-    def _split(self, frames: list[SampleFrame]) -> list[AcSample]:
-        red = np.array([f.red for f in frames], dtype=float)
-        ir = np.array([f.ir for f in frames], dtype=float)
-        out: list[AcSample] = []
-        tail = self._raw_tail
-        for i, frame in enumerate(frames):
-            tail.append((red[i], ir[i]))
-            self._dc_sum_red += red[i]
-            self._dc_sum_ir += ir[i]
-            if len(tail) > self._dc_width:
-                old_red, old_ir = tail.popleft()
-                self._dc_sum_red -= old_red
-                self._dc_sum_ir -= old_ir
-            count = len(tail)
-            dc_red = self._dc_sum_red / count
-            dc_ir = self._dc_sum_ir / count
-            out.append(
-                AcSample(
-                    timestamp_ms=frame.timestamp_ms,
-                    ac_red=float(red[i] - dc_red),
-                    ac_ir=float(ir[i] - dc_ir),
-                    dc_red=float(dc_red),
-                    dc_ir=float(dc_ir),
-                )
+        ctx = _concat(self._carry, self._split(new)) if new else self._carry
+        left, half = self._n_left, self._half
+        stop = len(ctx) - half
+        if stop <= left:
+            self._carry = ctx
+            return ctx[:0]
+        released = ctx[left:stop]
+        if half:
+            released = AcBlock(
+                t=released.t,
+                ac_red=centered_mean(ctx.ac_red, half, left, stop),
+                ac_ir=centered_mean(ctx.ac_ir, half, left, stop),
+                dc_red=released.dc_red,
+                dc_ir=released.dc_ir,
+                outlier=released.outlier,
             )
-        self.last_dc_ir = out[-1].dc_ir
-        if self._outlier_z is not None:
-            out = self._flag(out)
-        return out
+        keep_from = max(0, stop - half)
+        self._carry = ctx[keep_from:]
+        self._n_left = stop - keep_from
+        return released
 
-    def _flag(self, samples: list[AcSample]) -> list[AcSample]:
-        history = np.array(self._ac_tail + [s.ac_ir for s in samples])
-        offset = len(self._ac_tail)
-        flagged = []
-        for i, s in enumerate(samples):
-            j = offset + i
-            window = history[max(0, j - self._out_width + 1) : j + 1]
-            med = np.median(window)
-            mad = np.median(np.abs(window - med))
-            is_out = mad > 0 and abs(s.ac_ir - med) > self._outlier_z * MAD_SIGMA * mad
-            flagged.append(replace(s, outlier=bool(is_out)) if is_out else s)
-        keep = self._out_width - 1
-        self._ac_tail = list(history[-keep:]) if keep > 0 else []
-        return flagged
+    def _split(self, frames: list[SampleFrame]) -> AcBlock:
+        t = np.array([f.timestamp_ms for f in frames], dtype=np.int64)
+        raw = np.array([(f.red, f.ir) for f in frames], dtype=float)
+        width = self._dc_width
+        hist_red = np.concatenate((self._raw_red, raw[:, 0]))
+        hist_ir = np.concatenate((self._raw_ir, raw[:, 1]))
+        start = len(self._raw_red)
+        # exact: the sums add integer ADC counts, far below 2**53
+        dc_red = trailing_mean(hist_red, width, start)
+        dc_ir = trailing_mean(hist_ir, width, start)
+        self._raw_red = _tail(hist_red, width - 1)
+        self._raw_ir = _tail(hist_ir, width - 1)
+        self.last_dc_ir = float(dc_ir[-1])
+        ac_red = raw[:, 0] - dc_red
+        ac_ir = raw[:, 1] - dc_ir
+        return AcBlock(t, ac_red, ac_ir, dc_red, dc_ir, self._flag(ac_ir))
 
-    def _smooth_released(self, released: list[AcSample]) -> list[AcSample]:
-        if self._half == 0:
-            return released
-        ctx_red = np.array(
-            self._left_ac_red
-            + [s.ac_red for s in released]
-            + [s.ac_red for s in self._pending]
-        )
-        ctx_ir = np.array(
-            self._left_ac_ir
-            + [s.ac_ir for s in released]
-            + [s.ac_ir for s in self._pending]
-        )
-        left = len(self._left_ac_red)
-        csum_red = np.cumsum(np.concatenate(([0.0], ctx_red)))
-        csum_ir = np.cumsum(np.concatenate(([0.0], ctx_ir)))
-        out = []
-        for i, s in enumerate(released):
-            j = left + i
-            lo = max(0, j - self._half)
-            hi = j + self._half + 1  # right context always present by construction
-            out.append(
-                replace(
-                    s,
-                    ac_red=float((csum_red[hi] - csum_red[lo]) / (hi - lo)),
-                    ac_ir=float((csum_ir[hi] - csum_ir[lo]) / (hi - lo)),
-                )
-            )
-        raw_tail_red = [s.ac_red for s in released[-self._half :]]
-        raw_tail_ir = [s.ac_ir for s in released[-self._half :]]
-        self._left_ac_red = (self._left_ac_red + raw_tail_red)[-self._half :]
-        self._left_ac_ir = (self._left_ac_ir + raw_tail_ir)[-self._half :]
-        return out
+    def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
+        if self._outlier_z is None:
+            return np.zeros(len(ac_ir), dtype=bool)
+        history = np.concatenate((self._ac_tail, ac_ir))
+        med, mad = trailing_median_mad(history, self._out_width, len(self._ac_tail))
+        self._ac_tail = _tail(history, self._out_width - 1)
+        return (mad > 0) & (np.abs(ac_ir - med) > self._outlier_z * MAD_SIGMA * mad)

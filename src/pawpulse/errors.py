@@ -25,10 +25,6 @@ class DomainError(PawpulseError, ValueError):
     """A formula argument is outside the formula's domain."""
 
 
-class EmptyStreamError(PawpulseError, ValueError):
-    """An operation that needs at least one sample got none."""
-
-
 class EmptyWindowError(PawpulseError, ValueError):
     """A ratio window contains no samples."""
 

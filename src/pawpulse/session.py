@@ -20,7 +20,7 @@ Record lines (``seq`` strictly increasing across all kinds)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Union
 
@@ -120,6 +120,8 @@ def _record_from_obj(obj: dict, lineno: int) -> SessionRecord:
     try:
         kind = RecordKind(obj["kind"])
         seq = obj["seq"]
+        if type(seq) is not int:
+            raise TypeError(f"seq must be an integer, got {seq!r}")
         if kind is RecordKind.RAW:
             payload: Payload = SampleFrame(
                 timestamp_ms=obj["t"],
@@ -150,23 +152,15 @@ def _record_from_obj(obj: dict, lineno: int) -> SessionRecord:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "sample_rate_hz": config.sample_rate_hz,
-        "bpm_valid_min": config.bpm_valid_min,
-        "bpm_valid_max": config.bpm_valid_max,
-        "avg_window_beats": config.avg_window_beats,
-        "contact_ir_threshold": config.contact_ir_threshold,
-        "coeff_a": config.coeffs.a,
-        "coeff_b": config.coeffs.b,
-        "tick_interval_ms": config.tick_interval_ms,
-        "dc_window_s": config.dc_window_s,
-        "smooth_kernel": config.smooth_kernel,
-        "outlier_z": config.outlier_z,
-        "refractory_ms": config.refractory_ms,
-        "peak_threshold_fraction": config.peak_threshold_fraction,
-        "peak_decay_half_life_s": config.peak_decay_half_life_s,
-        "ratio_window_ms": config.ratio_window_ms,
-    }
+    """Flat key -> value view in field order, ``coeffs`` as ``coeff_a``, ``coeff_b``."""
+    out: dict = {}
+    for f in fields(PipelineConfig):
+        value = getattr(config, f.name)
+        if f.name == "coeffs":
+            out["coeff_a"], out["coeff_b"] = value.a, value.b
+        else:
+            out[f.name] = value
+    return out
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -230,8 +224,11 @@ def replay(path) -> Iterator[SessionRecord]:
     """Yield records in stored order.
 
     Raises SessionParseError (carrying the 1-based line number) at the
-    first malformed line; records before it are yielded intact.
+    first malformed line, and SeqError naming the line at the first
+    ``seq`` not greater than its predecessor's; records before it are
+    yielded intact.
     """
+    last_seq: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1:
@@ -242,7 +239,13 @@ def replay(path) -> Iterator[SessionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-            yield _record_from_obj(obj, lineno)
+            record = _record_from_obj(obj, lineno)
+            if last_seq is not None and record.seq <= last_seq:
+                raise SeqError(
+                    f"line {lineno}: seq {record.seq} not greater than previous {last_seq}"
+                )
+            last_seq = record.seq
+            yield record
 
 
 def summarize(path) -> SessionSummary:

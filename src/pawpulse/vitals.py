@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     VitalsEstimate,
     validate_frame,
 )
-from .dsp import AcSample, StreamingPreprocessor, contact_state
+from .dsp import AcBlock, StreamingPreprocessor, contact_state
 from .errors import (
     DegenerateFitError,
     DivisionGuardError,
@@ -98,22 +98,19 @@ def _finalize_pending(
 
 
 def detect_beats(
-    samples: Sequence[AcSample], state: BeatDetectorState, config: PipelineConfig
+    block: AcBlock, state: BeatDetectorState, config: PipelineConfig
 ) -> tuple[list[BeatEvent], BeatDetectorState]:
-    """Detect beats in smoothed AC samples, carrying state across calls.
+    """Detect beats in a block of smoothed AC samples, carrying state across calls.
 
     Emits one BeatEvent per accepted peak; outlier-flagged samples are
     ineligible. The state is updated in place and returned. Quiescent
     input (no positive local maxima) emits nothing.
     """
     events: list[BeatEvent] = []
-    if not samples:
+    if not len(block):
         return events, state
     half_life_ms = config.peak_decay_half_life_s * 1000.0
-
-    ac = np.array([s.ac_ir for s in samples])
-    ts = np.array([s.timestamp_ms for s in samples], dtype=np.int64)
-    flags = np.array([s.outlier for s in samples], dtype=bool)
+    ac, ts, flags = block.ac_ir, block.t, block.outlier
 
     left_vals: list[float] = []
     left_ts: list[int] = []
@@ -381,6 +378,26 @@ def process_tick(
     return state, estimate
 
 
+def tick_chunks(
+    frames: Sequence[SampleFrame], interval_ms: int
+) -> Iterator[Sequence[SampleFrame]]:
+    """Split a time-ordered stream into signal-time ticks.
+
+    Tick k holds the frames with ``k * interval_ms <= timestamp_ms <
+    (k + 1) * interval_ms``. Every tick up to the one holding the last
+    frame is yielded, empty ones included; an empty stream yields none.
+    """
+    if not frames:
+        return
+    pos = 0
+    for k in range(frames[-1].timestamp_ms // interval_ms + 1):
+        end = (k + 1) * interval_ms
+        start = pos
+        while pos < len(frames) and frames[pos].timestamp_ms < end:
+            pos += 1
+        yield frames[start:pos]
+
+
 class VitalsPipeline:
     """Convenience wrapper: owns a config plus mutable pipeline state."""
 
@@ -394,16 +411,4 @@ class VitalsPipeline:
 
     def run(self, frames: Sequence[SampleFrame]) -> list[VitalsEstimate]:
         """Process a whole stream, chunking frames into signal-time ticks."""
-        if not frames:
-            return []
-        interval = self.config.tick_interval_ms
-        n_ticks = frames[-1].timestamp_ms // interval + 1
-        estimates = []
-        pos = 0
-        for k in range(n_ticks):
-            end = (k + 1) * interval
-            start_pos = pos
-            while pos < len(frames) and frames[pos].timestamp_ms < end:
-                pos += 1
-            estimates.append(self.tick(frames[start_pos:pos]))
-        return estimates
+        return [self.tick(chunk) for chunk in tick_chunks(frames, self.config.tick_interval_ms)]

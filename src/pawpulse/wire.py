@@ -19,6 +19,7 @@ two-byte pattern and let the checksum arbitrate false positives.
 """
 from __future__ import annotations
 
+import binascii
 import struct
 
 from .core import ADC_MAX, SampleFrame, validate_frame
@@ -37,22 +38,13 @@ FLAG_TEMPERATURE = 0x01
 _FIXED_LEN = 18
 _TEMP_LEN = 20
 
-# CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xorout.
-# Table-driven so the 10^5-frame round-trip suite stays fast.
-_CRC_TABLE = []
-for _byte in range(256):
-    _crc = _byte << 8
-    for _ in range(8):
-        _crc = ((_crc << 1) ^ 0x1021) if _crc & 0x8000 else (_crc << 1)
-    _CRC_TABLE.append(_crc & 0xFFFF)
-
-
 def crc16_ccitt_false(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE of ``data`` (check value: b"123456789" -> 0x29B1)."""
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE of ``data`` (check value: b"123456789" -> 0x29B1).
+
+    Poly 0x1021, init 0xFFFF, no reflection, no xorout: the stdlib's
+    XMODEM-style ``crc_hqx`` started from 0xFFFF.
+    """
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def encode_frame(frame: SampleFrame) -> bytes:

@@ -20,7 +20,7 @@ from pawpulse.core import (
     PipelineConfig,
     SampleFrame,
 )
-from pawpulse.dsp import AcSample
+from pawpulse.dsp import AcBlock
 from pawpulse.emotion import (
     Certainty,
     DEFAULT_BANDS,
@@ -122,7 +122,8 @@ def test_criterion_5_valid_range_gate():
     for bt in beat_times:
         ac[bt // 10] = 100.0
     ac[spike_time // 10] = 60.0
-    samples = [AcSample(i * 10, v, v, 80_000.0, 80_000.0) for i, v in enumerate(ac)]
+    dc = np.full(len(ac), 80_000.0)
+    samples = AcBlock(np.arange(len(ac)) * 10, ac, ac, dc, dc, np.zeros(len(ac), dtype=bool))
 
     for config in (PipelineConfig(), PipelineConfig(refractory_ms=50)):
         state = BeatDetectorState()

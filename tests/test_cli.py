@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from pawpulse.cli import main
+from pawpulse.cli import build_config, main
+from pawpulse.core import PipelineConfig
+from pawpulse.session import config_to_dict
 
 
 def run_cli(*argv):
@@ -165,6 +168,24 @@ class TestReplayCommand:
         session.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("replay", "--in", str(session), "--verify") == 3
+
+    def test_verify_rejects_duplicated_seq(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, seconds=3.0)
+        session = tmp_path / "s.ndjson"
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+        lines = session.read_text().splitlines()
+        lines.insert(3, lines[2])  # the second record, stored twice
+        session.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("replay", "--in", str(session), "--verify") == 3
+        assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", list(config_to_dict(PipelineConfig()).items()))
+def test_config_key_round_trips_through_set(key, value):
+    parsed = config_to_dict(build_config(None, [f"{key}={value}"]))[key]
+    assert parsed == value
+    assert type(parsed) is type(value)
 
 
 class TestCalibrate:

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pawpulse.core import ContactState, SampleFrame
 from pawpulse.dsp import (
-    AcSample,
+    AcBlock,
     StreamingPreprocessor,
+    centered_mean,
     contact_state,
-    reject_outliers,
-    remove_dc,
-    smooth,
+    trailing_median_mad,
 )
-from pawpulse.errors import ConfigError, EmptyStreamError
+from pawpulse.errors import ConfigError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
 
 
@@ -23,134 +24,143 @@ def frames_from(values, step_ms=10):
     ]
 
 
-def ac_samples_from(values, step_ms=10):
-    return [
-        AcSample(timestamp_ms=i * step_ms, ac_red=float(v), ac_ir=float(v), dc_red=0.0, dc_ir=0.0)
-        for i, v in enumerate(values)
-    ]
+def push_all(frames, kernel_width=1, **kwargs) -> AcBlock:
+    """One push of the whole stream at 100 Hz (kernel 1: nothing held back)."""
+    pre = StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=kernel_width, **kwargs)
+    return pre.push(frames)
+
+
+def noise_frames(seed, n, spike_at=None):
+    rng = np.random.default_rng(seed)
+    values = 1000 + np.round(rng.normal(0, 10, n))
+    if spike_at is not None:
+        values[spike_at] = 200_000
+    return frames_from(values)
 
 
 class TestRemoveDc:
     def test_constant_signal(self):
-        out = remove_dc(frames_from([1000] * 600), window_s=3.0)
-        assert all(abs(s.ac_ir) < 1e-9 for s in out)
-        assert all(abs(s.ac_red) < 1e-9 for s in out)
-        assert all(s.dc_ir == pytest.approx(1000.0) for s in out)
+        out = push_all(frames_from([1000] * 600))
+        assert np.all(np.abs(out.ac_ir) < 1e-9)
+        assert np.all(np.abs(out.ac_red) < 1e-9)
+        assert np.allclose(out.dc_ir, 1000.0)
 
     def test_sinusoid_splits_cleanly(self):
         fs = 100.0
         t = np.arange(0, 12.0, 1 / fs)
         values = 1000.0 + 100.0 * np.sin(2 * np.pi * 1.0 * t)
-        out = remove_dc(frames_from(np.round(values)), window_s=3.0)
+        out = push_all(frames_from(np.round(values)))
         settled = out[int(3.5 * fs) :]
-        assert all(abs(s.dc_ir - 1000.0) <= 5.0 for s in settled)
-        ac = np.array([s.ac_ir for s in settled])
-        assert 95.0 <= ac.max() <= 105.0
-        assert -105.0 <= ac.min() <= -95.0
+        assert np.all(np.abs(settled.dc_ir - 1000.0) <= 5.0)
+        assert 95.0 <= settled.ac_ir.max() <= 105.0
+        assert -105.0 <= settled.ac_ir.min() <= -95.0
 
     def test_single_frame(self):
-        out = remove_dc([SampleFrame(0, 500, 700)], window_s=3.0)
-        assert out[0].dc_red == 500.0 and out[0].dc_ir == 700.0
-        assert out[0].ac_red == 0.0 and out[0].ac_ir == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyStreamError):
-            remove_dc([], window_s=3.0)
+        out = push_all([SampleFrame(0, 500, 700)])
+        assert out.dc_red[0] == 500.0 and out.dc_ir[0] == 700.0
+        assert out.ac_red[0] == 0.0 and out.ac_ir[0] == 0.0
 
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(3)
         values = rng.integers(100, 5000, size=800)
-        frames = frames_from(values)
-        out = remove_dc(frames, window_s=3.0)
-        for frame, s in zip(frames, out):
-            assert s.ac_ir + s.dc_ir == pytest.approx(frame.ir, abs=1e-9)
-            assert s.ac_red + s.dc_red == pytest.approx(frame.red, abs=1e-9)
+        out = push_all(frames_from(values))
+        np.testing.assert_allclose(out.ac_ir + out.dc_ir, values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.ac_red + out.dc_red, values, rtol=0, atol=1e-9)
 
     def test_explicit_fs_override(self):
+        """The window width comes from the sample rate, not the timestamps."""
         values = [100.0, 200.0, 300.0, 400.0]
-        out = remove_dc(frames_from(values), window_s=0.02, fs_hz=100.0)
+        pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=0.02, kernel_width=1)
+        out = pre.push(frames_from(values, step_ms=20))
         # window of 2 samples: dc[i] = mean(raw[i-1:i+1])
-        assert out[2].dc_ir == pytest.approx(250.0)
+        assert out.dc_ir[2] == pytest.approx(250.0)
 
 
 class TestSmooth:
     def test_kernel_one_is_identity(self):
-        samples = ac_samples_from([1.0, -2.0, 3.0, 0.5])
-        assert smooth(samples, 1) == samples
+        frames = noise_frames(1, 50)
+        out = push_all(frames)
+        assert len(out) == len(frames)  # nothing held back
+        ir = np.array([f.ir for f in frames], dtype=float)
+        assert np.array_equal(out.ac_ir, ir - out.dc_ir)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            smooth(ac_samples_from([1.0, 2.0]), 4)
+            StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=4)
 
     def test_impulse_energy_preserved(self):
-        values = [0.0] * 21
+        values = np.zeros(21)
         values[10] = 1.0
-        out = smooth(ac_samples_from(values), 5)
-        ac = [s.ac_ir for s in out]
-        assert sum(1 for v in ac if v != 0.0) == 5
+        ac = centered_mean(values, 2)
+        assert np.count_nonzero(ac) == 5
         assert math.fsum(ac) == pytest.approx(1.0, abs=1e-9)
 
     def test_noise_reduction(self):
         rng = np.random.default_rng(17)
         sigma = 10.0
         noise = rng.normal(0.0, sigma, size=4000)
-        out = smooth(ac_samples_from(noise), 9)
-        assert np.std([s.ac_ir for s in out]) <= 0.45 * sigma
+        assert np.std(centered_mean(noise, 4)) <= 0.45 * sigma
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=300)
         y = rng.normal(size=300)
         a, b = 2.5, -1.25
-        sx = np.array([s.ac_ir for s in smooth(ac_samples_from(x), 7)])
-        sy = np.array([s.ac_ir for s in smooth(ac_samples_from(y), 7)])
-        sxy = np.array([s.ac_ir for s in smooth(ac_samples_from(a * x + b * y), 7)])
+        sx, sy, sxy = (centered_mean(v, 3) for v in (x, y, a * x + b * y))
         assert np.max(np.abs(sxy - (a * sx + b * sy))) < 1e-9
 
     def test_dc_and_flags_unchanged(self):
-        samples = [
-            AcSample(timestamp_ms=i * 10, ac_red=float(i), ac_ir=float(i), dc_red=500.0, dc_ir=600.0, outlier=(i == 2))
-            for i in range(6)
-        ]
-        out = smooth(samples, 3)
-        assert [s.dc_red for s in out] == [500.0] * 6
-        assert [s.outlier for s in out] == [False, False, True, False, False, False]
+        frames = noise_frames(2, 400, spike_at=200)
+        raw = push_all(frames, outlier_z=4.0)
+        smoothed = push_all(frames, kernel_width=3, outlier_z=4.0)
+        assert len(smoothed) == len(frames) - 1
+        for name in ("t", "dc_red", "dc_ir", "outlier"):
+            assert np.array_equal(getattr(smoothed, name), getattr(raw, name)[:-1])
+        assert smoothed.outlier[200]
 
 
 class TestRejectOutliers:
     def test_clean_sinusoid_no_flags(self):
         t = np.arange(0, 20.0, 0.01)
-        samples = ac_samples_from(100.0 * np.sin(2 * np.pi * 1.2 * t))
-        out = reject_outliers(samples, z_threshold=6.0)
-        assert not any(s.outlier for s in out)
+        out = push_all(frames_from(np.round(1000.0 + 100.0 * np.sin(2 * np.pi * 1.2 * t))), outlier_z=6.0)
+        assert not out.outlier.any()
 
     def test_constant_signal_degenerate_mad(self):
-        out = reject_outliers(ac_samples_from([5.0] * 500), z_threshold=6.0)
-        assert not any(s.outlier for s in out)
+        out = push_all(frames_from([1005] * 500), outlier_z=6.0)
+        assert not out.outlier.any()
 
     def test_motion_spike_mostly_flagged(self):
         frames, _ = generate(SynthProfile(true_bpm=60.0, seed=2), 30.0, 100.0)
         spiked = inject_artifacts(frames, ArtifactKind.MOTION_SPIKE, 15_000, 250, seed=4)
-        samples = remove_dc(spiked, window_s=3.0)
-        flagged = reject_outliers(samples, z_threshold=6.0)
-        in_window = [s for s in flagged if 15_000 <= s.timestamp_ms < 15_250]
-        hit = sum(1 for s in in_window if s.outlier)
-        assert hit / len(in_window) >= 0.8
+        out = push_all(spiked, outlier_z=6.0)
+        in_window = (out.t >= 15_000) & (out.t < 15_250)
+        assert out.outlier[in_window].mean() >= 0.8
 
     def test_values_never_modified(self):
-        rng = np.random.default_rng(12)
-        samples = ac_samples_from(rng.normal(0, 10, 400))
-        samples[200] = AcSample(2000, 1e6, 1e6, 0.0, 0.0)
-        out = reject_outliers(samples, z_threshold=4.0)
-        for before, after in zip(samples, out):
-            assert before.ac_ir == after.ac_ir
-            assert before.ac_red == after.ac_red
-            assert before.dc_ir == after.dc_ir
-        assert out[200].outlier
+        frames = noise_frames(12, 400, spike_at=200)
+        plain = push_all(frames, kernel_width=5)
+        gated = push_all(frames, kernel_width=5, outlier_z=4.0)
+        for name in ("t", "ac_red", "ac_ir", "dc_red", "dc_ir"):
+            assert np.array_equal(getattr(gated, name), getattr(plain, name))
+        assert not plain.outlier.any()
+        assert gated.outlier[200]
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ConfigError):
-            reject_outliers(ac_samples_from([1.0]), z_threshold=0.0)
+            StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=0.0)
+
+
+class TestTrailingMedianMad:
+    @pytest.mark.parametrize("width,start", [(1, 0), (4, 0), (7, 0), (7, 5), (30, 12)])
+    def test_matches_loop_reference(self, width, start):
+        x = np.random.default_rng(width).normal(0, 10, 60)
+        x[20] = 1e4
+        med, mad = trailing_median_mad(x, width, start)
+        for k, i in enumerate(range(start, len(x))):
+            window = x[max(0, i - width + 1) : i + 1]
+            want = np.median(window)
+            assert med[k] == want
+            assert mad[k] == np.median(np.abs(window - want))
 
 
 class TestContactState:
@@ -173,30 +183,53 @@ class TestContactState:
             previous = state
 
 
+SPIKED = inject_artifacts(
+    generate(SynthProfile(true_bpm=80.0, noise_std_counts=60.0, seed=7), 10.0, 100.0)[0],
+    ArtifactKind.MOTION_SPIKE,
+    5_000,
+    250,
+    seed=3,
+)
+COLUMNS = ("t", "ac_red", "ac_ir", "dc_red", "dc_ir", "outlier")
+
+
 class TestStreamingPreprocessor:
     def test_matches_batch_operators(self):
-        """Chunked streaming equals remove_dc + smooth on the full stream
+        """Chunked streaming equals an independent convolution reference
         (up to the trailing hold-back, which is never released)."""
         frames, _ = generate(SynthProfile(true_bpm=70.0, noise_std_counts=80.0, seed=5), 8.0, 100.0)
-        batch = smooth(remove_dc(frames, window_s=3.0, fs_hz=100.0), 5)
+        n, width, kernel = len(frames), 300, 5
 
-        pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=3.0, kernel_width=5)
-        released = []
+        def reference(raw):
+            dc = np.convolve(raw, np.ones(width))[:n] / np.minimum(np.arange(1, n + 1), width)
+            ac = raw - dc
+            norm = np.convolve(np.ones(n), np.ones(kernel), "same")
+            return np.convolve(ac, np.ones(kernel), "same") / norm, dc
+
+        pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=3.0, kernel_width=kernel)
+        blocks = []
         pos = 0
         rng = np.random.default_rng(0)
-        while pos < len(frames):
+        while pos < n:
             size = int(rng.integers(1, 120))
-            released.extend(pre.push(frames[pos : pos + size]))
+            blocks.append(pre.push(frames[pos : pos + size]))
             pos += size
-        assert len(released) == len(frames) - 2  # half-kernel hold-back
-        for got, want in zip(released, batch):
-            assert got.timestamp_ms == want.timestamp_ms
-            assert got.ac_ir == pytest.approx(want.ac_ir, abs=1e-6)
-            assert got.dc_ir == pytest.approx(want.dc_ir, abs=1e-6)
+        released = n - kernel // 2  # half-kernel hold-back
+        assert sum(len(b) for b in blocks) == released
+        for channel in ("red", "ir"):
+            ac_ref, dc_ref = reference(np.array([getattr(f, channel) for f in frames], dtype=float))
+            ac = np.concatenate([getattr(b, f"ac_{channel}") for b in blocks])
+            dc = np.concatenate([getattr(b, f"dc_{channel}") for b in blocks])
+            np.testing.assert_allclose(ac, ac_ref[:released], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(dc, dc_ref[:released], rtol=0, atol=1e-6)
+        t = np.concatenate([b.t for b in blocks])
+        assert np.array_equal(t, [f.timestamp_ms for f in frames[:released]])
 
     def test_empty_push(self):
         pre = StreamingPreprocessor(sample_rate_hz=100.0)
-        assert pre.push([]) == []
+        out = pre.push([])
+        assert len(out) == 0
+        assert all(len(getattr(out, name)) == 0 for name in COLUMNS)
         assert pre.last_dc_ir is None
 
     def test_outlier_flagging_enabled(self):
@@ -204,5 +237,34 @@ class TestStreamingPreprocessor:
         spiked = inject_artifacts(frames, ArtifactKind.MOTION_SPIKE, 10_000, 250, seed=4)
         pre = StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=6.0)
         released = pre.push(spiked)
-        in_window = [s for s in released if 10_000 <= s.timestamp_ms < 10_250]
-        assert sum(1 for s in in_window if s.outlier) / len(in_window) >= 0.5
+        in_window = (released.t >= 10_000) & (released.t < 10_250)
+        assert released.outlier[in_window].mean() >= 0.5
+
+    @pytest.mark.parametrize("kernel_width", [1, 5])
+    @pytest.mark.parametrize("outlier_z", [None, 5.0])
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 250), min_size=1, max_size=30))
+    def test_chunking_invariance(self, outlier_z, kernel_width, sizes):
+        """Any chunking releases the same columns as one whole push.
+
+        Bit-identical, except that the smoothed AC columns come from one
+        cumsum per push, so they may differ from the whole push in the
+        last bits.
+        """
+        kwargs = dict(sample_rate_hz=100.0, kernel_width=kernel_width, outlier_z=outlier_z)
+        whole_pre = StreamingPreprocessor(**kwargs)
+        whole = whole_pre.push(SPIKED)
+        pre = StreamingPreprocessor(**kwargs)
+        blocks = []
+        pos = 0
+        for size in sizes:
+            blocks.append(pre.push(SPIKED[pos : pos + size]))
+            pos += size
+        blocks.append(pre.push(SPIKED[pos:]))
+        for name in COLUMNS:
+            got = np.concatenate([getattr(b, name) for b in blocks])
+            if kernel_width > 1 and name.startswith("ac_"):
+                np.testing.assert_allclose(got, getattr(whole, name), rtol=0, atol=1e-8)
+            else:
+                assert np.array_equal(got, getattr(whole, name)), name
+        assert pre.last_dc_ir == whole_pre.last_dc_ir

@@ -149,6 +149,28 @@ class TestReplay:
         with pytest.raises(SessionParseError):
             list(replay(path))
 
+    @pytest.mark.parametrize("bad_seq", [4, 2])
+    def test_non_increasing_seq_rejected(self, tmp_path, bad_seq):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for i in range(5):
+                writer.append_record(raw(i, i * 10))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"seq":{bad_seq},"kind":"raw","t":50,"red":1,"ir":2,"temp":null}}\n')
+        collected = []
+        with pytest.raises(SeqError, match="line 7"):
+            for record in replay(path):
+                collected.append(record)
+        assert len(collected) == 5
+
+    def test_non_integer_seq_rejected(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, PipelineConfig()).close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"seq":"0","kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n')
+        with pytest.raises(SessionParseError):
+            list(replay(path))
+
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
         path = tmp_path / "s.ndjson"

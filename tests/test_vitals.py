@@ -9,7 +9,7 @@ from pawpulse.core import (
     PipelineConfig,
     SampleFrame,
 )
-from pawpulse.dsp import AcSample, remove_dc, smooth
+from pawpulse.dsp import AcBlock, StreamingPreprocessor
 from pawpulse.errors import (
     ConfigError,
     DegenerateFitError,
@@ -33,6 +33,7 @@ from pawpulse.vitals import (
     instantaneous_bpm,
     rolling_average_bpm,
     spo2_estimate,
+    tick_chunks,
 )
 
 
@@ -214,11 +215,20 @@ class TestFitCalibration:
 
 
 def preprocessed(frames, config=None):
+    """One push through the pipeline's preprocessor (the hold-back is dropped)."""
     config = config or PipelineConfig()
-    return smooth(
-        remove_dc(frames, config.dc_window_s, fs_hz=config.sample_rate_hz),
-        config.smooth_kernel,
-    )
+    pre = StreamingPreprocessor(config.sample_rate_hz, config.dc_window_s, config.smooth_kernel)
+    return pre.push(frames)
+
+
+def ac_block(ac, dc=1000.0, outlier_at=None):
+    """Samples 10 ms apart with ac_red = ac_ir = ``ac`` and a constant dc."""
+    ac = np.asarray(ac, dtype=float)
+    outlier = np.zeros(len(ac), dtype=bool)
+    if outlier_at is not None:
+        outlier[outlier_at] = True
+    dc = np.full(len(ac), dc)
+    return AcBlock(np.arange(len(ac), dtype=np.int64) * 10, ac, ac, dc, dc, outlier)
 
 
 class TestDetectBeats:
@@ -232,7 +242,7 @@ class TestDetectBeats:
             assert np.min(np.abs(truth_arr - event.beat_time_ms)) <= 100
 
     def test_all_zero_input(self):
-        samples = [AcSample(i * 10, 0.0, 0.0, 1000.0, 1000.0) for i in range(500)]
+        samples = ac_block(np.zeros(500))
         events, _ = detect_beats(samples, BeatDetectorState(), PipelineConfig())
         assert events == []
 
@@ -241,7 +251,7 @@ class TestDetectBeats:
         ac = [0.0] * 100
         ac[30] = 100.0
         ac[40] = 80.0
-        samples = [AcSample(i * 10, v, v, 1000.0, 1000.0) for i, v in enumerate(ac)]
+        samples = ac_block(ac)
         events, _ = detect_beats(samples, BeatDetectorState(), PipelineConfig())
         assert len(events) == 1
         assert events[0].beat_time_ms == 300
@@ -250,7 +260,7 @@ class TestDetectBeats:
         ac = [0.0] * 100
         ac[30] = 80.0
         ac[40] = 100.0
-        samples = [AcSample(i * 10, v, v, 1000.0, 1000.0) for i, v in enumerate(ac)]
+        samples = ac_block(ac)
         events, _ = detect_beats(samples, BeatDetectorState(), PipelineConfig())
         assert len(events) == 1
         assert events[0].beat_time_ms == 400
@@ -258,10 +268,7 @@ class TestDetectBeats:
     def test_outlier_flagged_peak_ineligible(self):
         ac = [0.0] * 100
         ac[30] = 100.0
-        samples = [
-            AcSample(i * 10, v, v, 1000.0, 1000.0, outlier=(i == 30))
-            for i, v in enumerate(ac)
-        ]
+        samples = ac_block(ac, outlier_at=30)
         events, _ = detect_beats(samples, BeatDetectorState(), PipelineConfig())
         assert events == []
 
@@ -295,6 +302,16 @@ class TestDetectBeats:
         _, state = detect_beats(preprocessed(frames), BeatDetectorState(), PipelineConfig())
         assert state.adaptive_threshold > 0
         assert state.last_beat_time_ms is not None
+
+
+class TestTickChunks:
+    def test_empty_ticks_yielded(self):
+        frames = [SampleFrame(t, 100, 100) for t in (0, 10, 999, 2500)]
+        chunks = list(tick_chunks(frames, 1000))
+        assert [[f.timestamp_ms for f in c] for c in chunks] == [[0, 10, 999], [], [2500]]
+
+    def test_empty_stream_yields_nothing(self):
+        assert list(tick_chunks([], 1000)) == []
 
 
 class TestProcessTick:
@@ -336,7 +353,7 @@ class TestProcessTick:
         for bt in beat_times:
             ac[bt // 10] = 100.0
         ac[spike_time // 10] = 60.0
-        samples = [AcSample(i * 10, v, v, 80_000.0, 80_000.0) for i, v in enumerate(ac)]
+        samples = ac_block(ac, dc=80_000.0)
 
         for config in (PipelineConfig(), PipelineConfig(refractory_ms=50)):
             state = BeatDetectorState()
