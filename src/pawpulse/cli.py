@@ -456,15 +456,14 @@ def _render_svg_report(summary: SessionSummary, vitals) -> str:
 
 
 def cmd_report(args) -> int:
-    summary = summarize(args.in_path)
+    read_header(args.in_path)
+    # one pass over the file, keeping only the vitals and emotion records
+    kept = [record for record in replay(args.in_path) if record.kind is not RecordKind.RAW]
+    summary = summarize(kept)
     if args.format == "text":
         output = _render_text_report(summary)
     else:
-        vitals = [
-            record.payload
-            for record in replay(args.in_path)
-            if record.kind is RecordKind.VITALS
-        ]
+        vitals = [record.payload for record in kept if record.kind is RecordKind.VITALS]
         output = _render_svg_report(summary, vitals)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

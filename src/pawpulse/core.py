@@ -6,8 +6,10 @@ threads and cheap to copy. Optical samples are raw ADC counts from an
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 
 from .errors import ConfigError, OrderError, RangeError
 
@@ -154,19 +156,30 @@ class PipelineConfig:
 def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> SampleFrame:
     """Check a frame's field invariants and return it unchanged.
 
-    Raises RangeError when a channel exceeds 18 bits or the timestamp is
-    negative, and OrderError when ``prev`` is given and the timestamp
-    does not strictly increase.
+    Raises RangeError when the timestamp or a channel is not an integer,
+    a channel exceeds 18 bits, the timestamp is negative or the
+    temperature is not a finite number that fits the wire, and
+    OrderError when ``prev`` is given and the timestamp does not strictly
+    increase.
     """
+    # plain ints skip the ABC check, which is slow
+    if not (type(frame.timestamp_ms) is int and type(frame.red) is int and type(frame.ir) is int):
+        for name in ("timestamp_ms", "red", "ir"):
+            value = getattr(frame, name)
+            if not isinstance(value, Integral):
+                raise RangeError(f"{name}={value!r} is not an integer")
     if frame.timestamp_ms < 0:
         raise RangeError(f"timestamp_ms must be >= 0, got {frame.timestamp_ms}")
     for name, value in (("red", frame.red), ("ir", frame.ir)):
         if not 0 <= value <= ADC_MAX:
             raise RangeError(f"{name}={value} outside 18-bit range [0, {ADC_MAX}]")
     if frame.temperature_c is not None:
-        deci = round(frame.temperature_c * 10)
+        temp = frame.temperature_c
+        if (type(temp) is not float and not isinstance(temp, Real)) or not math.isfinite(temp):
+            raise RangeError(f"temperature_c={temp!r} is not a finite number")
+        deci = round(temp * 10)
         if not -(1 << 15) <= deci <= (1 << 15) - 1:
-            raise RangeError(f"temperature_c={frame.temperature_c} outside wire range")
+            raise RangeError(f"temperature_c={temp} outside wire range")
     if prev is not None and frame.timestamp_ms <= prev.timestamp_ms:
         raise OrderError(
             f"timestamp {frame.timestamp_ms} not after predecessor {prev.timestamp_ms}"

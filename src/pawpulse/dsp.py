@@ -13,7 +13,7 @@ would see in one piece.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,12 +48,6 @@ class AcBlock:
         return AcBlock(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _concat(a: AcBlock, b: AcBlock) -> AcBlock:
-    return AcBlock(
-        *(np.concatenate((getattr(a, f.name), getattr(b, f.name))) for f in fields(AcBlock))
-    )
-
-
 _EMPTY_BLOCK = AcBlock(
     t=np.empty(0, dtype=np.int64),
     ac_red=np.empty(0),
@@ -64,44 +58,58 @@ _EMPTY_BLOCK = AcBlock(
 )
 
 
+def frame_columns(frames: Sequence[SampleFrame]) -> np.ndarray:
+    """int64 ``(3, n)`` array of the frames' ``timestamp_ms``, ``red`` and ``ir``."""
+    return np.array(
+        [[f.timestamp_ms for f in frames], [f.red for f in frames], [f.ir for f in frames]],
+        dtype=np.int64,
+    )
+
+
 def _window_samples(window_s: float, step_ms: float) -> int:
     return max(1, int(round(window_s * 1000.0 / step_ms)))
 
 
 def _tail(x: np.ndarray, keep: int) -> np.ndarray:
-    # a bare x[-keep:] would return all of x for keep == 0
-    return x[max(0, len(x) - keep) :]
+    # a bare x[..., -keep:] would return all of x for keep == 0
+    return x[..., max(0, x.shape[-1] - keep) :]
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, starting from a 0."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate((zero, x), axis=-1), axis=-1)
 
 
 def trailing_mean(x: np.ndarray, width: int, start: int = 0) -> np.ndarray:
-    """Mean of ``x[max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
+    """Mean of ``x[..., max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
 
-    Before ``width`` values exist the window is whatever is available.
+    Works along the last axis; before ``width`` values exist the window
+    is whatever is available.
     """
-    csum = np.cumsum(np.concatenate(([0.0], x)))
-    hi = np.arange(start + 1, len(x) + 1)
+    csum = _prefix_sums(np.asarray(x, dtype=float))
+    hi = np.arange(start + 1, csum.shape[-1])
     lo = np.maximum(0, hi - width)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
 def centered_mean(x: np.ndarray, half: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Mean of ``x[max(0, i - half) : i + half + 1]`` for ``start <= i < stop``.
+    """Mean of ``x[..., max(0, i - half) : i + half + 1]`` for ``start <= i < stop``.
 
-    The window is truncated at both ends of ``x`` (unit-sum kernel of
-    width ``2 * half + 1``).
+    Works along the last axis; the window is truncated at both ends of
+    ``x`` (unit-sum kernel of width ``2 * half + 1``).
     """
-    stop = len(x) if stop is None else stop
-    csum = np.cumsum(np.concatenate(([0.0], x)))
-    i = np.arange(start, stop)
+    csum = _prefix_sums(np.asarray(x, dtype=float))
+    n = csum.shape[-1] - 1
+    i = np.arange(start, n if stop is None else stop)
     lo = np.maximum(0, i - half)
-    hi = np.minimum(len(x), i + half + 1)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    hi = np.minimum(n, i + half + 1)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
-def _padded_median(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Median of the first ``sizes[r]`` sorted values of each row; the
-    rest of a row is +inf padding, which sorts last."""
-    s = np.sort(rows, axis=1)
+def _padded_median(s: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Median of the first ``sizes[r]`` values of each sorted row ``s[r]``;
+    the rest of a row is +inf padding, which sorts last."""
     r = np.arange(len(s))
     return (s[r, (sizes - 1) // 2] + s[r, sizes // 2]) / 2
 
@@ -114,11 +122,16 @@ def trailing_median_mad(
     The window expands during warm-up exactly as ``trailing_mean``'s does.
     """
     padded = np.concatenate((np.full(width - 1, np.inf), x))
-    windows = sliding_window_view(padded, width)[start:]
+    windows = sliding_window_view(padded, width)[start:].copy()
+    windows.sort(axis=1)
     sizes = np.minimum(np.arange(start, len(x)) + 1, width)
     med = _padded_median(windows, sizes)
-    mad = _padded_median(np.abs(windows - med[:, None]), sizes)
-    return med, mad
+    # the deviations of a window are the same values whatever its order,
+    # so they are taken from the sorted copy, in place
+    np.subtract(windows, med[:, None], out=windows)
+    np.abs(windows, out=windows)
+    windows.sort(axis=1)
+    return med, _padded_median(windows, sizes)
 
 
 def contact_state(dc_ir: float, threshold: float) -> ContactState:
@@ -162,56 +175,49 @@ class StreamingPreprocessor:
         self._half = kernel_width // 2
         self._outlier_z = outlier_z
         self._out_width = _window_samples(outlier_window_s, step_ms)
-        self._raw_red = np.empty(0)  # last dc_width - 1 raw values
-        self._raw_ir = np.empty(0)
+        self._raw = np.empty((2, 0))  # last dc_width - 1 raw red/IR values
         self._ac_tail = np.empty(0)  # last out_width - 1 unsmoothed ac_ir values
         # unsmoothed samples: up to `half` released ones (left smoothing
-        # context), then the ones held back for right context
-        self._carry = _EMPTY_BLOCK
+        # context), then the ones held back for right context, as t, the
+        # rows ac_red, ac_ir, dc_red, dc_ir, and the outlier flags
+        self._carry = (np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
         self._n_left = 0
         self.last_dc_ir: float | None = None
 
-    def push(self, frames: Iterable[SampleFrame]) -> AcBlock:
-        """Feed new frames; returns the samples whose smoothing window is
-        complete (everything except the trailing hold-back)."""
-        new = list(frames)
-        ctx = _concat(self._carry, self._split(new)) if new else self._carry
+    def push(self, cols: np.ndarray) -> AcBlock:
+        """Feed new samples, the int64 ``(3, n)`` timestamp/red/IR columns
+        that ``frame_columns`` builds; returns the samples whose smoothing
+        window is complete (everything except the trailing hold-back).
+        """
+        t, acdc, outlier = self._carry
+        if cols.shape[1]:
+            new, flags = self._split(cols[1:])
+            t = np.concatenate((t, cols[0]))
+            acdc = np.concatenate((acdc, new), axis=1)
+            outlier = np.concatenate((outlier, flags))
         left, half = self._n_left, self._half
-        stop = len(ctx) - half
+        stop = len(t) - half
         if stop <= left:
-            self._carry = ctx
-            return ctx[:0]
-        released = ctx[left:stop]
-        if half:
-            released = AcBlock(
-                t=released.t,
-                ac_red=centered_mean(ctx.ac_red, half, left, stop),
-                ac_ir=centered_mean(ctx.ac_ir, half, left, stop),
-                dc_red=released.dc_red,
-                dc_ir=released.dc_ir,
-                outlier=released.outlier,
-            )
+            self._carry = (t, acdc, outlier)
+            return _EMPTY_BLOCK
+        ac = centered_mean(acdc[:2], half, left, stop) if half else acdc[:2, left:stop]
         keep_from = max(0, stop - half)
-        self._carry = ctx[keep_from:]
+        self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
         self._n_left = stop - keep_from
-        return released
+        return AcBlock(
+            t[left:stop], ac[0], ac[1], acdc[2, left:stop], acdc[3, left:stop], outlier[left:stop]
+        )
 
-    def _split(self, frames: list[SampleFrame]) -> AcBlock:
-        t = np.array([f.timestamp_ms for f in frames], dtype=np.int64)
-        raw = np.array([(f.red, f.ir) for f in frames], dtype=float)
-        width = self._dc_width
-        hist_red = np.concatenate((self._raw_red, raw[:, 0]))
-        hist_ir = np.concatenate((self._raw_ir, raw[:, 1]))
-        start = len(self._raw_red)
+    def _split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ac_red, ac_ir, dc_red, dc_ir and the outlier flags of new
+        raw red/IR rows."""
+        hist = np.concatenate((self._raw, raw), axis=1)
         # exact: the sums add integer ADC counts, far below 2**53
-        dc_red = trailing_mean(hist_red, width, start)
-        dc_ir = trailing_mean(hist_ir, width, start)
-        self._raw_red = _tail(hist_red, width - 1)
-        self._raw_ir = _tail(hist_ir, width - 1)
-        self.last_dc_ir = float(dc_ir[-1])
-        ac_red = raw[:, 0] - dc_red
-        ac_ir = raw[:, 1] - dc_ir
-        return AcBlock(t, ac_red, ac_ir, dc_red, dc_ir, self._flag(ac_ir))
+        dc = trailing_mean(hist, self._dc_width, self._raw.shape[1])
+        self._raw = _tail(hist, self._dc_width - 1)
+        self.last_dc_ir = float(dc[1, -1])
+        ac = raw - dc
+        return np.concatenate((ac, dc)), self._flag(ac[1])
 
     def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
         if self._outlier_z is None:

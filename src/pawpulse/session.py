@@ -20,6 +20,7 @@ Record lines (``seq`` strictly increasing across all kinds)::
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Union
@@ -30,9 +31,10 @@ from .core import (
     PipelineConfig,
     SampleFrame,
     VitalsEstimate,
+    validate_frame,
 )
 from .emotion import Certainty, EmotionAssessment, EmotionState
-from .errors import EmptySessionError, SeqError, SessionParseError
+from .errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 
 FORMAT_VERSION = 1
 
@@ -224,11 +226,13 @@ def replay(path) -> Iterator[SessionRecord]:
     """Yield records in stored order.
 
     Raises SessionParseError (carrying the 1-based line number) at the
-    first malformed line, and SeqError naming the line at the first
-    ``seq`` not greater than its predecessor's; records before it are
-    yielded intact.
+    first malformed line, including a raw frame that ``validate_frame``
+    rejects against the previous raw frame, and SeqError naming the line
+    at the first ``seq`` not greater than its predecessor's; records
+    before it are yielded intact.
     """
     last_seq: int | None = None
+    last_raw: SampleFrame | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1:
@@ -245,20 +249,29 @@ def replay(path) -> Iterator[SessionRecord]:
                     f"line {lineno}: seq {record.seq} not greater than previous {last_seq}"
                 )
             last_seq = record.seq
+            if record.kind is RecordKind.RAW:
+                try:
+                    last_raw = validate_frame(record.payload, prev=last_raw)
+                except (RangeError, OrderError) as exc:
+                    raise SessionParseError(lineno, str(exc)) from exc
             yield record
 
 
-def summarize(path) -> SessionSummary:
-    """Deterministic statistics over the session's Contact ticks.
+def summarize(source) -> SessionSummary:
+    """Deterministic statistics over a session's Contact ticks.
 
-    Raises EmptySessionError when the file has no vitals records or no
+    ``source`` is a session path, or the session's records as ``replay``
+    yields them (raw records may be left out), read in one pass.
+    Raises EmptySessionError when there are no vitals records or no
     Contact ticks. The emotion histogram buckets every vitals tick;
     ticks without an assessment count under ``"none"``.
     """
-    read_header(path)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        read_header(source)
+        source = replay(source)
     vitals: list[VitalsEstimate] = []
     emotions: dict[int, str] = {}
-    for record in replay(path):
+    for record in source:
         if record.kind is RecordKind.VITALS:
             assert isinstance(record.payload, VitalsEstimate)
             vitals.append(record.payload)

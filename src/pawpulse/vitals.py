@@ -17,7 +17,6 @@ emitted beats at least one refractory apart.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +31,7 @@ from .core import (
     VitalsEstimate,
     validate_frame,
 )
-from .dsp import AcBlock, StreamingPreprocessor, contact_state
+from .dsp import AcBlock, StreamingPreprocessor, contact_state, frame_columns
 from .errors import (
     DegenerateFitError,
     DivisionGuardError,
@@ -290,14 +289,16 @@ def fit_residual_rms(
 class PipelineState:
     """Everything the per-tick loop carries between ticks.
 
-    Single-owner: one stream, one processor. The tick transition is
-    deterministic, so replaying the same frames from a fresh state
-    reproduces identical estimates.
+    ``ratio_window`` holds the int64 ``(3, n)`` timestamp/red/IR columns
+    of the frames inside the SpO2 ratio window. Single-owner: one
+    stream, one processor. The tick transition is deterministic, so
+    replaying the same frames from a fresh state reproduces identical
+    estimates.
     """
 
     preprocessor: StreamingPreprocessor
     detector: BeatDetectorState
-    ratio_frames: deque
+    ratio_window: np.ndarray
     tick_index: int = 0
     last_frame: SampleFrame | None = None
 
@@ -311,7 +312,7 @@ def new_pipeline_state(config: PipelineConfig) -> PipelineState:
             outlier_z=config.outlier_z,
         ),
         detector=BeatDetectorState(),
-        ratio_frames=deque(),
+        ratio_window=np.empty((3, 0), dtype=np.int64),
     )
 
 
@@ -330,18 +331,17 @@ def process_tick(
     for frame in frames:
         validate_frame(frame, prev=state.last_frame)
         state.last_frame = frame
+    cols = frame_columns(frames)
 
-    released = state.preprocessor.push(frames)
+    released = state.preprocessor.push(cols)
     events, _ = detect_beats(released, state.detector, config)
     for event in events:
         if event.delta_t_s is not None:
             accept_bpm(instantaneous_bpm(event.delta_t_s), state.detector, config)
 
-    for frame in frames:
-        state.ratio_frames.append((frame.timestamp_ms, frame.red, frame.ir))
+    ratio = np.concatenate((state.ratio_window, cols), axis=1)
     cutoff = tick_time_ms - config.ratio_window_ms
-    while state.ratio_frames and state.ratio_frames[0][0] <= cutoff:
-        state.ratio_frames.popleft()
+    state.ratio_window = ratio[:, np.searchsorted(ratio[0], cutoff, side="right") :]
 
     dc_ir = state.preprocessor.last_dc_ir
     contact = (
@@ -355,14 +355,15 @@ def process_tick(
         return state, VitalsEstimate(tick_time_ms=tick_time_ms, contact=contact)
 
     spo2 = None
-    count = len(state.ratio_frames)
+    count = state.ratio_window.shape[1]
     if count:
-        mean_ir = sum(f[2] for f in state.ratio_frames) / count
+        # exact integer sums, so the means are the correctly rounded quotients
+        sum_red, sum_ir = state.ratio_window[1:].sum(axis=1).tolist()
+        mean_ir = sum_ir / count
         if mean_ir > 0:
-            mean_red = sum(f[1] for f in state.ratio_frames) / count
             window = RatioWindow(
                 window_ms=config.ratio_window_ms,
-                mean_red=mean_red,
+                mean_red=sum_red / count,
                 mean_ir=mean_ir,
                 sample_count=count,
             )

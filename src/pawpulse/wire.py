@@ -35,8 +35,6 @@ SYNC = b"\xa5\x5a"
 VERSION = 0x01
 FLAG_TEMPERATURE = 0x01
 
-_FIXED_LEN = 18
-_TEMP_LEN = 20
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE of ``data`` (check value: b"123456789" -> 0x29B1).
@@ -69,85 +67,103 @@ def encode_frame(frame: SampleFrame) -> bytes:
     return SYNC + body + struct.pack("<H", crc16_ccitt_false(body))
 
 
+_SYNC_0, _SYNC_1 = SYNC  # compared byte by byte, with no slice per frame
+# everything after the sync pattern: version, flags, timestamp, red, ir,
+# [temperature,] crc
+_FRAME = struct.Struct("<BBIIIH")
+_FRAME_TEMP = struct.Struct("<BBIIIhH")
+_FIXED_LEN = 2 + _FRAME.size
+_TEMP_LEN = 2 + _FRAME_TEMP.size
+
+
+def _decode(data, pos: int):
+    """Decode the frame at ``pos`` without raising.
+
+    Returns ``(frame, end)`` with ``end`` the offset just past the frame,
+    or ``(None, error)`` with the typed error ``decode_frame`` raises.
+    This is the one place that checks sync, version, length, CRC and the
+    18-bit range.
+    """
+    have = len(data) - pos
+    if have < 4:
+        return None, TruncatedError(f"need at least 4 bytes, have {max(0, have)}")
+    if data[pos] != _SYNC_0 or data[pos + 1] != _SYNC_1:
+        return None, BadSyncError(
+            f"expected sync {SYNC.hex()} at offset {pos}, got {bytes(data[pos : pos + 2]).hex()}"
+        )
+    version = data[pos + 2]
+    if version != VERSION:
+        return None, BadVersionError(f"unsupported version 0x{version:02x}")
+    if data[pos + 3] & FLAG_TEMPERATURE:
+        end = pos + _TEMP_LEN
+        if have < _TEMP_LEN:
+            return None, TruncatedError(f"frame needs {_TEMP_LEN} bytes, have {have}")
+        _, _, timestamp_ms, red, ir, deci, crc_stored = _FRAME_TEMP.unpack_from(data, pos + 2)
+        temperature_c = deci / 10.0
+    else:
+        end = pos + _FIXED_LEN
+        if have < _FIXED_LEN:
+            return None, TruncatedError(f"frame needs {_FIXED_LEN} bytes, have {have}")
+        _, _, timestamp_ms, red, ir, crc_stored = _FRAME.unpack_from(data, pos + 2)
+        temperature_c = None
+    crc_actual = crc16_ccitt_false(data[pos + 2 : end - 2])
+    if crc_stored != crc_actual:
+        return None, BadCrcError(
+            f"crc mismatch: stored 0x{crc_stored:04x}, computed 0x{crc_actual:04x}"
+        )
+    if red > ADC_MAX or ir > ADC_MAX:
+        return None, RangeError(f"decoded channel exceeds 18 bits: red={red} ir={ir}")
+    return SampleFrame(timestamp_ms, red, ir, temperature_c), end
+
+
 def decode_frame(data: bytes, offset: int = 0) -> tuple[SampleFrame, int]:
     """Decode one frame starting at ``offset``.
 
     Returns the frame and the number of bytes consumed. Raises
-    BadSyncError, BadVersionError, BadCrcError or TruncatedError; the
-    CRC guarantees any single-byte corruption is caught rather than
-    decoded into a silently different frame.
+    BadSyncError, BadVersionError, BadCrcError, TruncatedError or
+    RangeError; the CRC guarantees any single-byte corruption is caught
+    rather than decoded into a silently different frame.
     """
-    view = memoryview(data)[offset:]
-    if len(view) < 4:
-        raise TruncatedError(f"need at least 4 bytes, have {len(view)}")
-    if view[0:2] != SYNC:
-        raise BadSyncError(
-            f"expected sync {SYNC.hex()} at offset {offset}, got {bytes(view[0:2]).hex()}"
-        )
-    version = view[2]
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version 0x{version:02x}")
-    flags = view[3]
-    total = _TEMP_LEN if flags & FLAG_TEMPERATURE else _FIXED_LEN
-    if len(view) < total:
-        raise TruncatedError(f"frame needs {total} bytes, have {len(view)}")
-    body = bytes(view[2 : total - 2])
-    (crc_stored,) = struct.unpack_from("<H", view, total - 2)
-    crc_actual = crc16_ccitt_false(body)
-    if crc_stored != crc_actual:
-        raise BadCrcError(
-            f"crc mismatch: stored 0x{crc_stored:04x}, computed 0x{crc_actual:04x}"
-        )
-    timestamp_ms, red, ir = struct.unpack_from("<III", body, 2)
-    temperature_c: float | None = None
-    if flags & FLAG_TEMPERATURE:
-        (deci,) = struct.unpack_from("<h", body, 14)
-        temperature_c = deci / 10.0
-    if red > ADC_MAX or ir > ADC_MAX:
-        raise RangeError(f"decoded channel exceeds 18 bits: red={red} ir={ir}")
-    frame = SampleFrame(
-        timestamp_ms=timestamp_ms, red=red, ir=ir, temperature_c=temperature_c
-    )
-    return frame, total
+    frame, result = _decode(memoryview(data), offset)
+    if frame is None:
+        raise result
+    return frame, result - offset
 
 
 def resync(data: bytes, on_skip=None) -> tuple[list[SampleFrame], int]:
     """Scan a byte stream, decoding every complete frame in it.
 
-    Hunts for the sync pattern, tries a decode, and on any failure skips
-    forward one byte. Returns the decoded frames plus the count of bytes
-    that were not part of a successfully decoded frame. A valid frame
-    that is fully present is never lost. ``on_skip``, when given, is
-    called with (offset, length) for every contiguous run of skipped
+    Decodes frame after frame; where no frame decodes, skips that byte
+    and hunts with ``bytes.find`` for the next sync pattern, the only
+    place a frame can start. Returns the decoded frames plus the count
+    of bytes that were not part of a successfully decoded frame. A valid
+    frame that is fully present is never lost. ``on_skip``, when given,
+    is called with (offset, length) for every contiguous run of skipped
     bytes.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        data = bytes(data)
     frames: list[SampleFrame] = []
     skipped = 0
     run_start: int | None = None
     pos = 0
     end = len(data)
-
-    def _flush_run(upto: int) -> None:
-        nonlocal run_start
-        if run_start is not None and on_skip is not None:
-            on_skip(run_start, upto - run_start)
-        run_start = None
-
     while pos < end:
-        if data[pos] != SYNC[0]:
-            skipped += 1
-            run_start = pos if run_start is None else run_start
-            pos += 1
+        frame, after = _decode(data, pos)
+        if frame is not None:
+            if run_start is not None:
+                if on_skip is not None:
+                    on_skip(run_start, pos - run_start)
+                run_start = None
+            frames.append(frame)
+            pos = after
             continue
-        try:
-            frame, consumed = decode_frame(data, pos)
-        except (BadSyncError, BadVersionError, BadCrcError, TruncatedError, RangeError):
-            skipped += 1
-            run_start = pos if run_start is None else run_start
-            pos += 1
-            continue
-        _flush_run(pos)
-        frames.append(frame)
-        pos += consumed
-    _flush_run(end)
+        if run_start is None:
+            run_start = pos
+        nxt = data.find(SYNC, pos + 1)
+        nxt = end if nxt < 0 else nxt
+        skipped += nxt - pos
+        pos = nxt
+    if run_start is not None and on_skip is not None:
+        on_skip(run_start, end - run_start)
     return frames, skipped

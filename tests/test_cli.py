@@ -1,10 +1,14 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pawpulse
 from pawpulse.cli import build_config, main
 from pawpulse.core import PipelineConfig
 from pawpulse.session import config_to_dict
@@ -181,6 +185,26 @@ class TestReplayCommand:
         assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["report"], ["report", "--format", "svg"], ["replay", "--verify"], ["process"]],
+)
+def test_out_of_range_raw_record_is_data_error(tmp_path, capsys, command):
+    path = simulate_file(tmp_path, seconds=6.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    lines = session.read_text().splitlines()
+    lineno = 402  # a raw record late in the file, after several ticks
+    assert '"kind":"raw"' in lines[lineno - 1]
+    lines[lineno - 1] = re.sub(r'"ir":\d+', '"ir":999999', lines[lineno - 1])
+    session.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert f"error: line {lineno}: ir=999999 outside 18-bit range" in err
+    assert out == ""  # nothing printed before the error, not even a tick line
+
+
 @pytest.mark.parametrize("key,value", list(config_to_dict(PipelineConfig()).items()))
 def test_config_key_round_trips_through_set(key, value):
     parsed = config_to_dict(build_config(None, [f"{key}={value}"]))[key]
@@ -267,16 +291,22 @@ class TestReport:
 
 class TestEntryPointAndFuzz:
     def test_console_script_pipe(self):
+        # the child processes import the same package this test imported
+        package_root = str(Path(pawpulse.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         simulate = subprocess.Popen(
             [sys.executable, "-m", "pawpulse.cli", "simulate", "--bpm", "80",
              "--seconds", "6", "--out", "-"],
             stdout=subprocess.PIPE,
+            env=env,
         )
         result = subprocess.run(
             [sys.executable, "-m", "pawpulse.cli", "process", "--in", "-"],
             stdin=simulate.stdout,
             capture_output=True,
             text=True,
+            env=env,
         )
         simulate.stdout.close()
         assert simulate.wait() == 0

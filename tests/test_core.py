@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from pawpulse.core import (
@@ -10,6 +13,7 @@ from pawpulse.core import (
     validate_frame,
 )
 from pawpulse.errors import ConfigError, OrderError, RangeError
+from pawpulse.wire import encode_frame
 
 
 class TestValidateFrame:
@@ -48,6 +52,20 @@ class TestValidateFrame:
     def test_temperature_outside_wire_range_rejected(self):
         with pytest.raises(RangeError):
             validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=4000.0))
+
+    @pytest.mark.parametrize("field", ["timestamp_ms", "red", "ir"])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, "1000", None])
+    def test_non_integral_field_rejected(self, field, value):
+        frame = replace(SampleFrame(timestamp_ms=0, red=1000, ir=2000), **{field: value})
+        with pytest.raises(RangeError, match=f"{field}=.* is not an integer"):
+            validate_frame(frame)
+        with pytest.raises(RangeError):
+            encode_frame(frame)
+
+    @pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf, "38.5"])
+    def test_non_finite_temperature_rejected(self, temp):
+        with pytest.raises(RangeError, match="not a finite number"):
+            validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=temp))
 
 
 class TestVitalsEstimate:

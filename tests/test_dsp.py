@@ -11,6 +11,7 @@ from pawpulse.dsp import (
     StreamingPreprocessor,
     centered_mean,
     contact_state,
+    frame_columns,
     trailing_median_mad,
 )
 from pawpulse.errors import ConfigError
@@ -27,7 +28,7 @@ def frames_from(values, step_ms=10):
 def push_all(frames, kernel_width=1, **kwargs) -> AcBlock:
     """One push of the whole stream at 100 Hz (kernel 1: nothing held back)."""
     pre = StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=kernel_width, **kwargs)
-    return pre.push(frames)
+    return pre.push(frame_columns(frames))
 
 
 def noise_frames(seed, n, spike_at=None):
@@ -71,7 +72,7 @@ class TestRemoveDc:
         """The window width comes from the sample rate, not the timestamps."""
         values = [100.0, 200.0, 300.0, 400.0]
         pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=0.02, kernel_width=1)
-        out = pre.push(frames_from(values, step_ms=20))
+        out = pre.push(frame_columns(frames_from(values, step_ms=20)))
         # window of 2 samples: dc[i] = mean(raw[i-1:i+1])
         assert out.dc_ir[2] == pytest.approx(250.0)
 
@@ -212,7 +213,7 @@ class TestStreamingPreprocessor:
         rng = np.random.default_rng(0)
         while pos < n:
             size = int(rng.integers(1, 120))
-            blocks.append(pre.push(frames[pos : pos + size]))
+            blocks.append(pre.push(frame_columns(frames[pos : pos + size])))
             pos += size
         released = n - kernel // 2  # half-kernel hold-back
         assert sum(len(b) for b in blocks) == released
@@ -227,7 +228,7 @@ class TestStreamingPreprocessor:
 
     def test_empty_push(self):
         pre = StreamingPreprocessor(sample_rate_hz=100.0)
-        out = pre.push([])
+        out = pre.push(frame_columns([]))
         assert len(out) == 0
         assert all(len(getattr(out, name)) == 0 for name in COLUMNS)
         assert pre.last_dc_ir is None
@@ -236,7 +237,7 @@ class TestStreamingPreprocessor:
         frames, _ = generate(SynthProfile(true_bpm=60.0, seed=2), 20.0, 100.0)
         spiked = inject_artifacts(frames, ArtifactKind.MOTION_SPIKE, 10_000, 250, seed=4)
         pre = StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=6.0)
-        released = pre.push(spiked)
+        released = pre.push(frame_columns(spiked))
         in_window = (released.t >= 10_000) & (released.t < 10_250)
         assert released.outlier[in_window].mean() >= 0.5
 
@@ -253,14 +254,14 @@ class TestStreamingPreprocessor:
         """
         kwargs = dict(sample_rate_hz=100.0, kernel_width=kernel_width, outlier_z=outlier_z)
         whole_pre = StreamingPreprocessor(**kwargs)
-        whole = whole_pre.push(SPIKED)
+        whole = whole_pre.push(frame_columns(SPIKED))
         pre = StreamingPreprocessor(**kwargs)
         blocks = []
         pos = 0
         for size in sizes:
-            blocks.append(pre.push(SPIKED[pos : pos + size]))
+            blocks.append(pre.push(frame_columns(SPIKED[pos : pos + size])))
             pos += size
-        blocks.append(pre.push(SPIKED[pos:]))
+        blocks.append(pre.push(frame_columns(SPIKED[pos:])))
         for name in COLUMNS:
             got = np.concatenate([getattr(b, name) for b in blocks])
             if kernel_width > 1 and name.startswith("ac_"):

@@ -171,6 +171,29 @@ class TestReplay:
         with pytest.raises(SessionParseError):
             list(replay(path))
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ('"t":50,"red":1,"ir":999999', "ir=999999 outside 18-bit range"),
+            ('"t":40,"red":1,"ir":2', "timestamp 40 not after predecessor 40"),
+            ('"t":50,"red":1.5,"ir":2', "red=1.5 is not an integer"),
+        ],
+    )
+    def test_invalid_raw_frame_rejected(self, tmp_path, bad, message):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for i in range(5):
+                writer.append_record(raw(i, i * 10))
+            writer.append_record(vit(5, 1000))  # order is checked against raw frames only
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"seq":6,"kind":"raw",{bad},"temp":null}}\n')
+        collected = []
+        with pytest.raises(SessionParseError, match=f"line 8: {message}") as err:
+            for record in replay(path):
+                collected.append(record)
+        assert len(collected) == 6
+        assert err.value.line == 8
+
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
         path = tmp_path / "s.ndjson"
@@ -210,6 +233,17 @@ class TestSummarize:
             writer.append_record(raw(0, 0))
         with pytest.raises(EmptySessionError):
             summarize(path)
+
+    def test_records_and_path_agree(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for i in range(6):
+                writer.append_record(raw(3 * i, i * 1000))
+                writer.append_record(vit(3 * i + 1, (i + 1) * 1000, avg=70.0 + i))
+                writer.append_record(emo(3 * i + 2, (i + 1) * 1000))
+        kept = [r for r in replay(path) if r.kind is not RecordKind.RAW]
+        assert summarize(kept) == summarize(replay(path)) == summarize(path)
+        assert summarize(kept).emotion_counts == {"Calm": 6}
 
     def test_matches_brute_force(self, tmp_path):
         rng = np.random.default_rng(21)

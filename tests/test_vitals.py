@@ -9,7 +9,7 @@ from pawpulse.core import (
     PipelineConfig,
     SampleFrame,
 )
-from pawpulse.dsp import AcBlock, StreamingPreprocessor
+from pawpulse.dsp import AcBlock, StreamingPreprocessor, frame_columns
 from pawpulse.errors import (
     ConfigError,
     DegenerateFitError,
@@ -18,6 +18,7 @@ from pawpulse.errors import (
     EmptyWindowError,
     InsufficientDataError,
     OrderError,
+    RangeError,
 )
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import (
@@ -218,7 +219,7 @@ def preprocessed(frames, config=None):
     """One push through the pipeline's preprocessor (the hold-back is dropped)."""
     config = config or PipelineConfig()
     pre = StreamingPreprocessor(config.sample_rate_hz, config.dc_window_s, config.smooth_kernel)
-    return pre.push(frames)
+    return pre.push(frame_columns(frames))
 
 
 def ac_block(ac, dc=1000.0, outlier_at=None):
@@ -315,6 +316,25 @@ class TestTickChunks:
 
 
 class TestProcessTick:
+    def test_non_integral_channel_rejected(self):
+        pipeline = VitalsPipeline()
+        good = SampleFrame(0, 1000, 2000)
+        with pytest.raises(RangeError, match="red=1000.5 is not an integer"):
+            pipeline.tick([good, SampleFrame(10, 1000.5, 2000)])
+        assert pipeline.state.last_frame is good
+
+    def test_spo2_matches_ratio_window_reference(self):
+        """The carried window's integer sums give exactly the SpO2 that
+        ``RatioWindow.from_frames`` over the whole stream gives."""
+        config = PipelineConfig(ratio_window_ms=1500, tick_interval_ms=400)
+        frames, _ = generate(SynthProfile(true_bpm=80.0, true_spo2_pct=93.0, seed=6), 6.0, 100.0)
+        estimates = VitalsPipeline(config).run(frames)
+        for est in estimates:
+            arrived = [f for f in frames if f.timestamp_ms < est.tick_time_ms]
+            window = RatioWindow.from_frames(arrived, config.ratio_window_ms, end_ms=est.tick_time_ms)
+            want = clamp_spo2(spo2_estimate(compute_ratio(window), config.coeffs))
+            assert est.spo2_pct == want
+
     def test_oracle_90bpm_tick10(self):
         frames, _ = generate(SynthProfile(true_bpm=90.0, seed=1), 10.0, 100.0)
         estimates = VitalsPipeline().run(frames)

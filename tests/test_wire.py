@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pawpulse.core import ADC_MAX, SampleFrame, validate_frame
 from pawpulse.errors import (
@@ -132,7 +134,77 @@ class TestDecode:
                     decode_frame(bytes(corrupted))
 
 
+def resync_reference(data: bytes, on_skip=None) -> tuple[list[SampleFrame], int]:
+    """The byte-at-a-time scan ``resync`` replaced: try a decode at every
+    0xA5 byte, skip one byte on any failure."""
+    frames: list[SampleFrame] = []
+    skipped = 0
+    run_start = None
+    pos = 0
+    end = len(data)
+
+    def _flush_run(upto: int) -> None:
+        nonlocal run_start
+        if run_start is not None and on_skip is not None:
+            on_skip(run_start, upto - run_start)
+        run_start = None
+
+    while pos < end:
+        if data[pos] != SYNC[0]:
+            skipped += 1
+            run_start = pos if run_start is None else run_start
+            pos += 1
+            continue
+        try:
+            frame, consumed = decode_frame(data, pos)
+        except (WireError, RangeError):
+            skipped += 1
+            run_start = pos if run_start is None else run_start
+            pos += 1
+            continue
+        _flush_run(pos)
+        frames.append(frame)
+        pos += consumed
+    _flush_run(end)
+    return frames, skipped
+
+
+wire_frames = st.builds(
+    SampleFrame,
+    timestamp_ms=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0x5AA5, 0xA55A5AA5])),
+    red=st.integers(0, ADC_MAX),
+    ir=st.integers(0, ADC_MAX),
+    temperature_c=st.one_of(st.none(), st.integers(-400, 500).map(lambda d: d / 10)),
+)
+stream_pieces = st.one_of(
+    wire_frames.map(encode_frame),
+    wire_frames.map(encode_frame),
+    st.binary(max_size=40),  # garbage burst
+    st.binary(max_size=8).map(lambda tail: SYNC + tail),  # stray sync pair
+    st.tuples(wire_frames, st.integers(1, 17)).map(lambda fc: encode_frame(fc[0])[: -fc[1]]),
+)
+
+
 class TestResync:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(stream_pieces, max_size=25),
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=6),
+        cut=st.integers(0, 30),
+    )
+    def test_matches_byte_at_a_time_reference(self, pieces, flips, cut):
+        blob = bytearray(b"".join(pieces))
+        for pos, mask in flips:
+            if blob:
+                blob[pos % len(blob)] ^= mask
+        data = bytes(blob[: max(0, len(blob) - cut)])
+        got_runs, want_runs = [], []
+        got = resync(data, on_skip=lambda off, n: got_runs.append((off, n)))
+        want = resync_reference(data, on_skip=lambda off, n: want_runs.append((off, n)))
+        assert got == want
+        assert got_runs == want_runs
+
+
     def test_garbage_prefix(self):
         frames = [SampleFrame(i * 10, i, i * 2) for i in range(1, 4)]
         blob = b"\x01\x02\x03\x04\x05\x06\x07" + b"".join(encode_frame(f) for f in frames)
