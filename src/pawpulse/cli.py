@@ -10,6 +10,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import typing
@@ -198,25 +199,9 @@ def _read_input_bytes(path: str) -> bytes:
         raise UsageError(f"cannot read --in: {exc}")
 
 
-def _frames_from_session_bytes(path_or_data, is_path: bool) -> list[SampleFrame]:
-    if not is_path:
-        import os
-        import tempfile
-
-        # replay() works on paths; spool stdin input to a temp file
-        with tempfile.NamedTemporaryFile("wb", suffix=".ndjson", delete=False) as tmp:
-            tmp.write(path_or_data)
-            path = tmp.name
-        try:
-            return _frames_from_session_bytes(path, is_path=True)
-        finally:
-            os.unlink(path)
-    read_header(path_or_data)
-    return [
-        record.payload
-        for record in replay(path_or_data)
-        if record.kind is RecordKind.RAW and isinstance(record.payload, SampleFrame)
-    ]
+def _frames_from_session(source) -> list[SampleFrame]:
+    """The raw frames of a session path or text stream."""
+    return [record.payload for record in replay(source) if record.kind is RecordKind.RAW]
 
 
 def _load_frames(args) -> list[SampleFrame]:
@@ -243,8 +228,8 @@ def _load_frames(args) -> list[SampleFrame]:
             print(f"warning: {skipped} bytes total were not decodable", file=sys.stderr)
         return frames
     if data is not None:
-        return _frames_from_session_bytes(data, is_path=False)
-    return _frames_from_session_bytes(args.in_path, is_path=True)
+        return _frames_from_session(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    return _frames_from_session(args.in_path)
 
 
 def cmd_process(args) -> int:
@@ -263,18 +248,17 @@ def cmd_process(args) -> int:
     try:
         for chunk in tick_chunks(frames, config.tick_interval_ms):
             estimate = pipeline.tick(chunk)
-            for frame in chunk:
-                if frame.temperature_c is not None:
-                    last_temp = frame.temperature_c
-                if writer:
-                    writer.append_record(SessionRecord(seq, RecordKind.RAW, frame))
-                    seq += 1
+            last_temp = next(
+                (f.temperature_c for f in reversed(chunk) if f.temperature_c is not None), last_temp
+            )
             assessment = None
             if estimate.contact is ContactState.CONTACT and estimate.bpm_avg is not None:
                 labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
                 assessment = classify(labels, rules)
-            print(render_tick_line(estimate, assessment))
             if writer:
+                for frame in chunk:
+                    writer.append_record(SessionRecord(seq, RecordKind.RAW, frame))
+                    seq += 1
                 writer.append_record(SessionRecord(seq, RecordKind.VITALS, estimate))
                 seq += 1
                 if assessment is not None:
@@ -286,6 +270,9 @@ def cmd_process(args) -> int:
                         )
                     )
                     seq += 1
+                # every tick whose status line is printed is in the file
+                writer.flush()
+            print(render_tick_line(estimate, assessment))
     finally:
         if writer:
             writer.close()
@@ -456,7 +443,6 @@ def _render_svg_report(summary: SessionSummary, vitals) -> str:
 
 
 def cmd_report(args) -> int:
-    read_header(args.in_path)
     # one pass over the file, keeping only the vitals and emotion records
     kept = [record for record in replay(args.in_path) if record.kind is not RecordKind.RAW]
     summary = summarize(kept)

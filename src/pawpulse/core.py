@@ -156,9 +156,10 @@ class PipelineConfig:
 def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> SampleFrame:
     """Check a frame's field invariants and return it unchanged.
 
-    Raises RangeError when the timestamp or a channel is not an integer,
-    a channel exceeds 18 bits, the timestamp is negative or the
-    temperature is not a finite number that fits the wire, and
+    Raises RangeError when the timestamp or a channel is not an integer
+    (a bool is not one), a channel exceeds 18 bits, the timestamp is
+    negative or the temperature is not a finite number that fits the
+    wire, and
     OrderError when ``prev`` is given and the timestamp does not strictly
     increase.
     """
@@ -166,7 +167,7 @@ def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> Sampl
     if not (type(frame.timestamp_ms) is int and type(frame.red) is int and type(frame.ir) is int):
         for name in ("timestamp_ms", "red", "ir"):
             value = getattr(frame, name)
-            if not isinstance(value, Integral):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise RangeError(f"{name}={value!r} is not an integer")
     if frame.timestamp_ms < 0:
         raise RangeError(f"timestamp_ms must be >= 0, got {frame.timestamp_ms}")
@@ -175,7 +176,8 @@ def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> Sampl
             raise RangeError(f"{name}={value} outside 18-bit range [0, {ADC_MAX}]")
     if frame.temperature_c is not None:
         temp = frame.temperature_c
-        if (type(temp) is not float and not isinstance(temp, Real)) or not math.isfinite(temp):
+        is_real = type(temp) is float or (isinstance(temp, Real) and not isinstance(temp, bool))
+        if not is_real or not math.isfinite(temp):
             raise RangeError(f"temperature_c={temp!r} is not a finite number")
         deci = round(temp * 10)
         if not -(1 << 15) <= deci <= (1 << 15) - 1:

@@ -16,11 +16,24 @@ Record lines (``seq`` strictly increasing across all kinds)::
      "bpm_avg": x|null, "spo2": x|null}
     {"seq": n, "kind": "emotion", "t": ms, "state": "...", "certainty": "...",
      "rules": [...]}
+
+A record holds exactly its kind's keys. ``replay`` rejects anything
+else, as it rejects a raw frame that ``validate_frame`` refuses, a
+vitals number that is not finite and a ``t`` that is not an integer;
+``SessionWriter`` refuses to write a raw frame or ``seq`` that reading
+would reject.
+
+Crash contract: records are written a tick at a time. ``SessionWriter``
+buffers the lines it is given and ``SessionWriter.flush`` hands them to
+the operating system; the CLI flushes once per tick, before it prints
+that tick's status line. A crash therefore loses at most the tick being
+written, and every tick already printed is in the file.
 """
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Union
@@ -78,23 +91,31 @@ class SessionSummary:
     emotion_counts: dict[str, int]
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+#: Vitals, emotion and header lines; raw records are encoded directly.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
+
+
+def _raw_json(seq: int, frame: SampleFrame) -> str:
+    """The raw record's JSON: the bytes ``_ENCODER`` makes of its body,
+    for a frame ``validate_frame`` accepted (integer fields, a finite or
+    absent temperature), without building the body."""
+    temp = frame.temperature_c
+    if temp is None:
+        temp_text = "null"
+    elif type(temp) is float:
+        temp_text = float.__repr__(temp)
+    else:
+        temp_text = _ENCODER.encode(temp)
+    return _RAW_JSON % (seq, frame.timestamp_ms, frame.red, frame.ir, temp_text)
 
 
 def _record_to_json(record: SessionRecord) -> str:
     p = record.payload
     if record.kind is RecordKind.RAW:
         assert isinstance(p, SampleFrame)
-        body = {
-            "seq": record.seq,
-            "kind": "raw",
-            "t": p.timestamp_ms,
-            "red": p.red,
-            "ir": p.ir,
-            "temp": p.temperature_c,
-        }
-    elif record.kind is RecordKind.VITALS:
+        return _raw_json(record.seq, p)
+    if record.kind is RecordKind.VITALS:
         assert isinstance(p, VitalsEstimate)
         body = {
             "seq": record.seq,
@@ -115,42 +136,69 @@ def _record_to_json(record: SessionRecord) -> str:
             "certainty": p.assessment.certainty.value,
             "rules": list(p.assessment.fired_rules),
         }
-    return _dump(body)
+    return _ENCODER.encode(body)
 
 
-def _record_from_obj(obj: dict, lineno: int) -> SessionRecord:
+_DECODER = json.JSONDecoder()
+_scan_once = _DECODER.scan_once
+#: Each kind's name -> the kind and the keys its records hold.
+_KINDS = {
+    "raw": (RecordKind.RAW, ("seq", "kind", "t", "red", "ir", "temp")),
+    "vitals": (RecordKind.VITALS, ("seq", "kind", "t", "contact", "bpm", "bpm_avg", "spo2")),
+    "emotion": (RecordKind.EMOTION, ("seq", "kind", "t", "state", "certainty", "rules")),
+}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _optional_real(name: str, value):
+    """``value`` when it is None or a finite int or float (not a bool)."""
+    if value is None or (
+        (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    ):
+        return value
+    raise ValueError(f"{name}={value!r} is not a finite number")
+
+
+def _record_from_obj(obj, lineno: int) -> SessionRecord:
     try:
-        kind = RecordKind(obj["kind"])
+        kind, keys = _KINDS.get(obj["kind"], (None, ()))
         seq = obj["seq"]
+        t = obj["t"]
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if kind is RecordKind.RAW:
-            payload: Payload = SampleFrame(
-                timestamp_ms=obj["t"],
-                red=obj["red"],
-                ir=obj["ir"],
-                temperature_c=obj["temp"],
-            )
+            # the fields are checked by validate_frame, against the previous frame
+            payload: Payload = SampleFrame(t, obj["red"], obj["ir"], obj["temp"])
+        elif kind is None:
+            raise ValueError(f"unknown kind {obj['kind']!r}")
+        elif type(t) is not int:
+            raise TypeError(f"t must be an integer, got {t!r}")
         elif kind is RecordKind.VITALS:
             payload = VitalsEstimate(
-                tick_time_ms=obj["t"],
-                contact=ContactState(obj["contact"]),
-                bpm_instant=obj["bpm"],
-                bpm_avg=obj["bpm_avg"],
-                spo2_pct=obj["spo2"],
+                t,
+                ContactState(obj["contact"]),
+                _optional_real("bpm", obj["bpm"]),
+                _optional_real("bpm_avg", obj["bpm_avg"]),
+                _optional_real("spo2", obj["spo2"]),
             )
         else:
+            rules = obj["rules"]
+            if type(rules) is not list or not all(type(rule) is str for rule in rules):
+                raise TypeError(f"rules must be a list of strings, got {rules!r}")
             payload = TickEmotion(
-                tick_time_ms=obj["t"],
-                assessment=EmotionAssessment(
-                    state=EmotionState(obj["state"]),
-                    certainty=Certainty(obj["certainty"]),
-                    fired_rules=tuple(obj["rules"]),
+                t,
+                EmotionAssessment(
+                    EmotionState(obj["state"]),
+                    Certainty(obj["certainty"]),
+                    tuple(rules),
                 ),
             )
+        # every key of the kind was read above, so a longer object has extra keys
+        if len(obj) != len(keys):
+            raise ValueError(f"unexpected keys {sorted(set(obj) - set(keys))}")
     except (KeyError, ValueError, TypeError) as exc:
         raise SessionParseError(lineno, f"bad record: {exc}") from exc
-    return SessionRecord(seq=seq, kind=kind, payload=payload)
+    return SessionRecord(seq, kind, payload)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -174,29 +222,48 @@ def config_from_dict(data: dict) -> PipelineConfig:
 class SessionWriter:
     """Appends records to a session file; one writer per file.
 
-    Enforces strictly increasing ``seq`` and flushes every line so a
-    crash loses at most the line being written.
+    ``append_record`` only buffers its line; ``flush`` is the durability
+    point, which hands every buffered line to the operating system (no
+    fsync). The CLI flushes once per tick, after the tick's raw, vitals
+    and emotion records, so a crash loses at most the tick being
+    written: the file then ends with whole records, possibly followed by
+    one cut line that ``replay`` reports after yielding all before it.
+
+    The writer refuses what ``replay`` would reject: a ``seq`` that is
+    not an int greater than the last written one (SeqError), and a raw
+    frame that ``validate_frame`` rejects against the last raw frame
+    written (RangeError, OrderError). A refused record writes nothing.
     """
 
     def __init__(self, path, config: PipelineConfig, start_utc: str | None = None):
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         self._last_seq: int | None = None
+        self._last_raw: SampleFrame | None = None
         header = {
             "format": FORMAT_VERSION,
             "start_utc": start_utc,
             "config": config_to_dict(config),
         }
-        self._fh.write(_dump(header) + "\n")
+        self._fh.write(_ENCODER.encode(header) + "\n")
         self._fh.flush()
 
     def append_record(self, record: SessionRecord) -> None:
-        if self._last_seq is not None and record.seq <= self._last_seq:
-            raise SeqError(
-                f"seq {record.seq} not greater than last written {self._last_seq}"
-            )
-        self._fh.write(_record_to_json(record) + "\n")
+        seq = record.seq
+        if type(seq) is not int:
+            raise SeqError(f"seq must be an integer, got {seq!r}")
+        if self._last_seq is not None and seq <= self._last_seq:
+            raise SeqError(f"seq {seq} not greater than last written {self._last_seq}")
+        if record.kind is RecordKind.RAW:
+            frame = validate_frame(record.payload, prev=self._last_raw)
+            self._fh.write(_raw_json(seq, frame) + "\n")
+            self._last_raw = frame
+        else:
+            self._fh.write(_record_to_json(record) + "\n")
+        self._last_seq = seq
+
+    def flush(self) -> None:
+        """Hand every line appended so far to the operating system."""
         self._fh.flush()
-        self._last_seq = record.seq
 
     def close(self) -> None:
         self._fh.close()
@@ -208,53 +275,80 @@ class SessionWriter:
         self.close()
 
 
-def read_header(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
+_PATH_TYPES = (str, bytes, os.PathLike)
+
+
+def _header_from_line(line: str) -> dict:
     if not line.strip():
         raise SessionParseError(1, "missing header line")
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SessionParseError(1, f"bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SessionParseError(1, "header is not a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise SessionParseError(1, f"unsupported format {header.get('format')!r}")
     return header
 
 
-def replay(path) -> Iterator[SessionRecord]:
+def read_header(source) -> dict:
+    """The checked header of a session path, or of an open text stream
+    positioned at the session's first line (that line is consumed)."""
+    if isinstance(source, _PATH_TYPES):
+        with open(source, "r", encoding="utf-8") as fh:
+            return _header_from_line(fh.readline())
+    return _header_from_line(source.readline())
+
+
+def replay(source) -> Iterator[SessionRecord]:
     """Yield records in stored order.
 
-    Raises SessionParseError (carrying the 1-based line number) at the
-    first malformed line, including a raw frame that ``validate_frame``
-    rejects against the previous raw frame, and SeqError naming the line
-    at the first ``seq`` not greater than its predecessor's; records
-    before it are yielded intact.
+    ``source`` is a session path, or an open text stream positioned at
+    the session's first line. The header line is checked as
+    ``read_header`` checks it. Raises SessionParseError (carrying the
+    1-based line number) at the first malformed line, including a record
+    whose keys are not exactly its kind's and a raw frame that
+    ``validate_frame`` rejects against the previous raw frame, and
+    SeqError naming the line at the first ``seq`` not greater than its
+    predecessor's; records before it are yielded intact.
     """
+    if isinstance(source, _PATH_TYPES):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from _replay_lines(fh)
+    else:
+        yield from _replay_lines(source)
+
+
+def _replay_lines(lines) -> Iterator[SessionRecord]:
+    _header_from_line(next(lines, ""))
     last_seq: int | None = None
     last_raw: SampleFrame | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                continue  # header, validated by read_header
+    for lineno, line in enumerate(lines, start=2):
+        # json.loads(line), minus its per-call overhead on a well-formed
+        # line; anything else goes to the full decoder, which accepts and
+        # rejects exactly what json.loads does
+        try:
+            obj, end = _scan_once(line, 0)
+            if end != len(line) and line[end:] != "\n":
+                raise ValueError("trailing data")
+        except (StopIteration, ValueError):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-            record = _record_from_obj(obj, lineno)
-            if last_seq is not None and record.seq <= last_seq:
-                raise SeqError(
-                    f"line {lineno}: seq {record.seq} not greater than previous {last_seq}"
-                )
-            last_seq = record.seq
-            if record.kind is RecordKind.RAW:
-                try:
-                    last_raw = validate_frame(record.payload, prev=last_raw)
-                except (RangeError, OrderError) as exc:
-                    raise SessionParseError(lineno, str(exc)) from exc
-            yield record
+        record = _record_from_obj(obj, lineno)
+        if last_seq is not None and record.seq <= last_seq:
+            raise SeqError(f"line {lineno}: seq {record.seq} not greater than previous {last_seq}")
+        last_seq = record.seq
+        if record.kind is RecordKind.RAW:
+            try:
+                last_raw = validate_frame(record.payload, prev=last_raw)
+            except (RangeError, OrderError) as exc:
+                raise SessionParseError(lineno, str(exc)) from exc
+        yield record
 
 
 def summarize(source) -> SessionSummary:
@@ -266,8 +360,7 @@ def summarize(source) -> SessionSummary:
     Contact ticks. The emotion histogram buckets every vitals tick;
     ticks without an assessment count under ``"none"``.
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        read_header(source)
+    if isinstance(source, _PATH_TYPES):
         source = replay(source)
     vitals: list[VitalsEstimate] = []
     emotions: dict[int, str] = {}

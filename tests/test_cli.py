@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -139,6 +140,37 @@ class TestProcess:
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
 
 
+    def test_session_on_stdin_matches_path(self, tmp_path, capsys, monkeypatch):
+        path = simulate_file(tmp_path, seconds=6.0)
+        session = tmp_path / "s.ndjson"
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+        capsys.readouterr()
+        assert run_cli("process", "--in", str(session)) == 0
+        from_path = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(session.read_bytes())))
+        assert run_cli("process", "--in", "-") == 0
+        from_stdin = capsys.readouterr().out
+        assert from_stdin == from_path
+        assert len(from_stdin.splitlines()) == 6
+
+    def test_printed_ticks_are_in_the_session(self, tmp_path, monkeypatch):
+        path = simulate_file(tmp_path, seconds=5.0)
+        session = tmp_path / "s.ndjson"
+        seen = []
+
+        class Stdout(io.StringIO):
+            # at each status line, the session already holds that tick
+            def write(self, text):
+                if text.strip():
+                    kinds = [json.loads(line)["kind"] for line in session.read_text().splitlines()[1:]]
+                    seen.append((text.strip(), kinds.count("vitals"), kinds.count("raw")))
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+        assert [(vitals, raw) for _, vitals, raw in seen] == [(k, 100 * k) for k in range(1, 6)]
+
+
 class TestReplayCommand:
     def test_verify_ok(self, tmp_path, capsys):
         path = simulate_file(tmp_path, seconds=10.0, noise_std=80.0)
@@ -203,6 +235,34 @@ def test_out_of_range_raw_record_is_data_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert f"error: line {lineno}: ir=999999 outside 18-bit range" in err
     assert out == ""  # nothing printed before the error, not even a tick line
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["report"], ["report", "--format", "svg"], ["replay", "--verify"], ["process"]],
+)
+@pytest.mark.parametrize(
+    "kind,edit",
+    [
+        ("vitals", lambda line: re.sub(r'"bpm_avg":[^,]+', '"bpm_avg":"abc"', line)),
+        ("emotion", lambda line: line[:-1] + ',"evil":1}'),
+    ],
+    ids=["vitals-non-numeric-bpm_avg", "emotion-unknown-key"],
+)
+def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit):
+    path = simulate_file(tmp_path, seconds=6.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    lines = session.read_text().splitlines()
+    # the third record of the kind, after several ticks
+    lineno = [n for n, line in enumerate(lines, start=1) if f'"kind":"{kind}"' in line][2]
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    session.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert f"error: line {lineno}: bad record: " in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("key,value", list(config_to_dict(PipelineConfig()).items()))

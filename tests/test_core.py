@@ -54,7 +54,7 @@ class TestValidateFrame:
             validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=4000.0))
 
     @pytest.mark.parametrize("field", ["timestamp_ms", "red", "ir"])
-    @pytest.mark.parametrize("value", [1000.5, 1000.0, "1000", None])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, "1000", None, True])
     def test_non_integral_field_rejected(self, field, value):
         frame = replace(SampleFrame(timestamp_ms=0, red=1000, ir=2000), **{field: value})
         with pytest.raises(RangeError, match=f"{field}=.* is not an integer"):
@@ -62,7 +62,7 @@ class TestValidateFrame:
         with pytest.raises(RangeError):
             encode_frame(frame)
 
-    @pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf, "38.5"])
+    @pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf, "38.5", True])
     def test_non_finite_temperature_rejected(self, temp):
         with pytest.raises(RangeError, match="not a finite number"):
             validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=temp))

@@ -1,5 +1,10 @@
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pawpulse.core import (
     ContactState,
@@ -8,12 +13,13 @@ from pawpulse.core import (
     VitalsEstimate,
 )
 from pawpulse.emotion import Certainty, EmotionAssessment, EmotionState
-from pawpulse.errors import EmptySessionError, SeqError, SessionParseError
+from pawpulse.errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
     RecordKind,
     SessionRecord,
     SessionWriter,
     TickEmotion,
+    _record_to_json,
     config_from_dict,
     config_to_dict,
     read_header,
@@ -72,6 +78,74 @@ class TestWriter:
             writer.append_record(raw(5, 0))
             with pytest.raises(SeqError):
                 writer.append_record(raw(4, 10))
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (raw(3, 20, red=-5), RangeError),
+            (raw(3, 20, ir=1 << 18), RangeError),
+            (raw(3, 20, temp=float("nan")), RangeError),
+            (raw(3, 10), OrderError),
+            (raw(3, 5), OrderError),
+            (SessionRecord("3", RecordKind.RAW, SampleFrame(20, 1, 2)), SeqError),
+        ],
+    )
+    def test_record_replay_would_reject_is_refused(self, tmp_path, bad, error):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(raw(0, 0))
+            writer.append_record(raw(1, 10))
+            writer.append_record(vit(2, 1000))  # order is checked against raw frames only
+            with pytest.raises(error):
+                writer.append_record(bad)
+            writer.append_record(raw(3, 20))  # the writer carries on after a refusal
+        assert list(replay(path)) == [raw(0, 0), raw(1, 10), vit(2, 1000), raw(3, 20)]
+
+    def test_flush_hands_lines_to_the_file(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(raw(0, 0))
+            writer.append_record(vit(1, 1000))
+            writer.flush()
+            assert list(replay(path)) == [raw(0, 0), vit(1, 1000)]
+
+
+# Raw frames as validate_frame accepts them: 18-bit channels, uint32
+# timestamps and deci-Celsius temperatures over the int16 wire range.
+channels = st.integers(0, (1 << 18) - 1)
+temperatures = st.none() | st.integers(-(1 << 15), (1 << 15) - 1).map(lambda deci: deci / 10.0)
+frames = st.builds(SampleFrame, st.integers(0, (1 << 32) - 1), channels, channels, temperatures)
+
+
+class TestRawEncoding:
+    @settings(max_examples=500, deadline=None)
+    @given(seq=st.integers(0, (1 << 63) - 1), frame=frames)
+    def test_matches_json_dumps(self, seq, frame):
+        body = {
+            "seq": seq,
+            "kind": "raw",
+            "t": frame.timestamp_ms,
+            "red": frame.red,
+            "ir": frame.ir,
+            "temp": frame.temperature_c,
+        }
+        expected = json.dumps(body, separators=(",", ":"), allow_nan=False)
+        assert _record_to_json(SessionRecord(seq, RecordKind.RAW, frame)) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=st.lists(frames, max_size=40))
+    def test_write_then_replay_round_trips(self, tmp_path_factory, batch):
+        path = tmp_path_factory.mktemp("s") / "s.ndjson"
+        # distinct, increasing timestamps, as validate_frame requires
+        batch = [
+            SampleFrame(t, f.red, f.ir, f.temperature_c)
+            for t, f in zip(sorted({f.timestamp_ms for f in batch}), batch)
+        ]
+        records = [SessionRecord(seq, RecordKind.RAW, f) for seq, f in enumerate(batch)]
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in records:
+                writer.append_record(record)
+        assert list(replay(path)) == records
 
 
 class TestReplay:
@@ -193,6 +267,98 @@ class TestReplay:
                 collected.append(record)
         assert len(collected) == 6
         assert err.value.line == 8
+
+    @pytest.mark.parametrize("kind", ["raw", "vitals", "emotion"])
+    def test_unknown_key_rejected(self, tmp_path, kind):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in (raw(0, 0), vit(1, 1000), emo(2, 1000)):
+                writer.append_record(record)
+        lines = path.read_text().splitlines()
+        lineno = 2 + ["raw", "vitals", "emotion"].index(kind)
+        lines[lineno - 1] = lines[lineno - 1][:-1] + ',"evil":1}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SessionParseError, match=f"line {lineno}: .*unexpected keys \\['evil'\\]"):
+            list(replay(path))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":80.0,"bpm_avg":"abc","spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":true,"bpm_avg":80.0,"spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":80.0,"bpm_avg":80.0,"spo2":NaN}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":1e999,"bpm_avg":80.0,"spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":[80],"bpm_avg":80.0,"spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"contact","bpm":80.0,"bpm_avg":80.0,"spo2":101.0}',
+            '{"seq":1,"kind":"vitals","t":1000.0,"contact":"contact","bpm":80.0,"bpm_avg":80.0,"spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"on","bpm":80.0,"bpm_avg":80.0,"spo2":97.0}',
+            '{"seq":1,"kind":"vitals","t":1000,"contact":"no_contact","bpm":80.0,"bpm_avg":null,"spo2":null}',
+            '{"seq":1,"kind":"emotion","t":"1000","state":"Calm","certainty":"decided","rules":[]}',
+            '{"seq":1,"kind":"emotion","t":1000,"state":"Calm","certainty":"decided","rules":"R1"}',
+            '{"seq":1,"kind":"emotion","t":1000,"state":"Calm","certainty":"decided","rules":[1]}',
+            '{"seq":1,"kind":"emotion","t":1000,"state":"Sleepy","certainty":"decided","rules":[]}',
+            '{"seq":1,"kind":"emotion","t":1000,"state":"Calm","certainty":["decided"],"rules":[]}',
+            '{"seq":1,"kind":"tick","t":1000}',
+            '{"seq":1,"kind":"raw","t":true,"red":1,"ir":2,"temp":null}',
+            '{"seq":1,"kind":"raw","t":10,"red":1,"ir":2,"temp":false}',
+            '[1,"raw"]',
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, line):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(raw(0, 0))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(SessionParseError) as err:
+            list(replay(path))
+        assert err.value.line == 3
+
+    def test_finite_vitals_numbers_accepted(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, PipelineConfig()).close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"seq":0,"kind":"vitals","t":1000,"contact":"contact","bpm":80,"bpm_avg":null,"spo2":0}\n')
+        assert list(replay(path)) == [vit(0, 1000, bpm=80.0, avg=None, spo2=0.0)]
+
+    def test_json_accepted_as_json_loads_accepts_it(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, PipelineConfig()).close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('  {"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}  \r\n')
+            fh.write("\n \n")
+            fh.write('{ "seq" : 1, "kind" : "raw", "t" : 10, "red" : 1, "ir" : 2, "temp" : 36.6 }\n')
+            fh.write('{"seq":2,"kind":"raw","t":20,"red":1,"ir":2,"temp":null} x\n')
+        collected = []
+        with pytest.raises(SessionParseError, match="line 6: bad JSON: Extra data"):
+            for record in replay(path):
+                collected.append(record)
+        assert collected == [raw(0, 0, red=1, ir=2), raw(1, 10, red=1, ir=2, temp=36.6)]
+
+    def test_text_stream_reads_as_path(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        records = [raw(0, 0, temp=38.5), raw(1, 10), vit(2, 1000), emo(3, 1000)]
+        with SessionWriter(path, PipelineConfig(), start_utc="2026-08-08T00:00:00Z") as writer:
+            for record in records:
+                writer.append_record(record)
+        text = path.read_text()
+        assert read_header(io.StringIO(text)) == read_header(path)
+        assert list(replay(io.StringIO(text))) == list(replay(path)) == records
+        with open(path, encoding="utf-8") as fh:
+            assert list(replay(fh)) == records
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "missing header line"),
+            ('{"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n', "unsupported format None"),
+            ('{"format":2}\n', "unsupported format 2"),
+            ("[1]\n", "header is not a JSON object"),
+        ],
+    )
+    def test_replay_checks_header(self, text, message):
+        with pytest.raises(SessionParseError, match=f"line 1: {message}"):
+            list(replay(io.StringIO(text)))
 
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
