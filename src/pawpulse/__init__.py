@@ -39,7 +39,6 @@ from .vitals import (
     detect_beats,
     fit_calibration,
     instantaneous_bpm,
-    process_tick,
     rolling_average_bpm,
     spo2_estimate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "generate",
     "inject_artifacts",
     "instantaneous_bpm",
-    "process_tick",
     "resync",
     "rolling_average_bpm",
     "spo2_estimate",

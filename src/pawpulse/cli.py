@@ -4,7 +4,8 @@ Every subcommand is deterministic given its inputs, flags and seed.
 
 Exit codes:
     0   success
-    2   usage error (bad flag, unknown config key, malformed pairs file)
+    2   usage error (bad flag, unknown config key, malformed pairs file,
+        a file that cannot be opened or created)
     3   data error (decode failures, empty session, verify mismatch)
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 import typing
 
-from .core import ContactState, PipelineConfig, SampleFrame
+from .core import ContactState, PipelineConfig, SampleFrame, VitalsEstimate
 from .emotion import (
     DEFAULT_BANDS,
     DEFAULT_RULES,
@@ -32,8 +33,6 @@ from .errors import (
     PawpulseError,
 )
 from .session import (
-    RecordKind,
-    SessionRecord,
     SessionSummary,
     SessionWriter,
     TickEmotion,
@@ -74,18 +73,15 @@ def build_config(config_path: str | None, overrides: list[str]) -> PipelineConfi
     values = config_to_dict(PipelineConfig())
     pairs: list[tuple[str, str]] = []
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                for lineno, raw_line in enumerate(fh, start=1):
-                    line = raw_line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise UsageError(f"{config_path}:{lineno}: expected key=value")
-                    key, _, value = line.partition("=")
-                    pairs.append((key.strip(), value))
-        except OSError as exc:
-            raise UsageError(f"cannot read --config file: {exc}")
+        with open(config_path, "r", encoding="utf-8") as fh:
+            for lineno, raw_line in enumerate(fh, start=1):
+                line = raw_line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{config_path}:{lineno}: expected key=value")
+                key, _, value = line.partition("=")
+                pairs.append((key.strip(), value))
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -175,8 +171,8 @@ def cmd_simulate(args) -> int:
         if args.out == "-":
             raise UsageError("--format session needs a real --out path")
         with SessionWriter(args.out, config) as writer:
-            for seq, frame in enumerate(frames):
-                writer.append_record(SessionRecord(seq, RecordKind.RAW, frame))
+            for frame in frames:
+                writer.append_record(frame)
     truth_path = args.truth
     if truth_path is None and args.out != "-":
         truth_path = args.out + ".truth.json"
@@ -192,26 +188,20 @@ def cmd_simulate(args) -> int:
 def _read_input_bytes(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read --in: {exc}")
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _frames_from_session(source) -> list[SampleFrame]:
     """The raw frames of a session path or text stream."""
-    return [record.payload for record in replay(source) if record.kind is RecordKind.RAW]
+    return [record for record in replay(source) if type(record) is SampleFrame]
 
 
 def _load_frames(args) -> list[SampleFrame]:
     fmt = args.format
     if args.in_path != "-" and fmt == "auto":
-        try:
-            with open(args.in_path, "rb") as fh:
-                head = fh.read(2)
-        except OSError as exc:
-            raise UsageError(f"cannot read --in: {exc}")
+        with open(args.in_path, "rb") as fh:
+            head = fh.read(2)
         fmt = "wire" if head == b"\xa5\x5a" else "session"
     data = None
     if args.in_path == "-":
@@ -243,7 +233,6 @@ def cmd_process(args) -> int:
     if args.session_out:
         writer = SessionWriter(args.session_out, config, start_utc=args.start_utc)
     pipeline = VitalsPipeline(config)
-    seq = 0
     last_temp: float | None = None
     try:
         for chunk in tick_chunks(frames, config.tick_interval_ms):
@@ -257,19 +246,10 @@ def cmd_process(args) -> int:
                 assessment = classify(labels, rules)
             if writer:
                 for frame in chunk:
-                    writer.append_record(SessionRecord(seq, RecordKind.RAW, frame))
-                    seq += 1
-                writer.append_record(SessionRecord(seq, RecordKind.VITALS, estimate))
-                seq += 1
+                    writer.append_record(frame)
+                writer.append_record(estimate)
                 if assessment is not None:
-                    writer.append_record(
-                        SessionRecord(
-                            seq,
-                            RecordKind.EMOTION,
-                            TickEmotion(estimate.tick_time_ms, assessment),
-                        )
-                    )
-                    seq += 1
+                    writer.append_record(TickEmotion(estimate.tick_time_ms, assessment))
                 # every tick whose status line is printed is in the file
                 writer.flush()
             print(render_tick_line(estimate, assessment))
@@ -286,18 +266,26 @@ def cmd_replay(args) -> int:
     header = read_header(args.in_path)
     config = config_from_dict(header["config"])
     stored_raw: list[SampleFrame] = []
-    stored_vitals = []
-    emotions: dict[int, EmotionAssessment] = {}
+    stored_vitals: list[VitalsEstimate] = []
+    # the assessment of the emotion record right after each vitals record
+    # of the same tick, as process writes it
+    placed: list[EmotionAssessment | None] = []
+    stray: TickEmotion | None = None  # the first emotion record anywhere else
+    previous = None
     for record in replay(args.in_path):
-        if record.kind is RecordKind.RAW:
-            stored_raw.append(record.payload)
-        elif record.kind is RecordKind.VITALS:
-            stored_vitals.append(record.payload)
-        else:
-            emotions[record.payload.tick_time_ms] = record.payload.assessment
+        if type(record) is SampleFrame:
+            stored_raw.append(record)
+        elif type(record) is VitalsEstimate:
+            stored_vitals.append(record)
+            placed.append(None)
+        elif type(previous) is VitalsEstimate and record.tick_time_ms == previous.tick_time_ms:
+            placed[-1] = record.assessment
+        elif stray is None:
+            stray = record
+        previous = record
 
-    for estimate in stored_vitals:
-        print(render_tick_line(estimate, emotions.get(estimate.tick_time_ms)))
+    for estimate, assessment in zip(stored_vitals, placed):
+        print(render_tick_line(estimate, assessment))
 
     if args.verify:
         if not stored_raw:
@@ -310,7 +298,7 @@ def cmd_replay(args) -> int:
                 file=sys.stderr,
             )
             return 3
-        for fresh, stored in zip(recomputed, stored_vitals):
+        for fresh, stored, assessment in zip(recomputed, stored_vitals, placed):
             if fresh != stored:
                 print(
                     f"verify: MISMATCH at t={stored.tick_time_ms}ms:"
@@ -318,6 +306,21 @@ def cmd_replay(args) -> int:
                     file=sys.stderr,
                 )
                 return 3
+            # process assesses exactly the contact ticks with a BPM average
+            assessed = fresh.contact is ContactState.CONTACT and fresh.bpm_avg is not None
+            if assessed != (assessment is not None):
+                problem = (
+                    "no emotion record" if assessed else "an emotion record for a tick without an assessment"
+                )
+                print(f"verify: MISMATCH at t={stored.tick_time_ms}ms: {problem}", file=sys.stderr)
+                return 3
+        if stray is not None:
+            print(
+                f"verify: MISMATCH at t={stray.tick_time_ms}ms: emotion record"
+                " not right after its tick's vitals record",
+                file=sys.stderr,
+            )
+            return 3
         print(f"verify: OK ({len(recomputed)} ticks reproduced exactly)")
     return 0
 
@@ -327,11 +330,7 @@ def cmd_replay(args) -> int:
 
 def _parse_pairs_file(path: str) -> list[tuple[float, float]]:
     pairs = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read --pairs: {exc}")
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
@@ -444,12 +443,12 @@ def _render_svg_report(summary: SessionSummary, vitals) -> str:
 
 def cmd_report(args) -> int:
     # one pass over the file, keeping only the vitals and emotion records
-    kept = [record for record in replay(args.in_path) if record.kind is not RecordKind.RAW]
+    kept = [record for record in replay(args.in_path) if type(record) is not SampleFrame]
     summary = summarize(kept)
     if args.format == "text":
         output = _render_text_report(summary)
     else:
-        vitals = [record.payload for record in kept if record.kind is RecordKind.VITALS]
+        vitals = [record for record in kept if type(record) is VitalsEstimate]
         output = _render_svg_report(summary, vitals)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -530,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptySessionError as exc:

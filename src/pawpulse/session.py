@@ -9,7 +9,7 @@ Header line::
 
     {"format": 1, "start_utc": <iso string or null>, "config": {...}}
 
-Record lines (``seq`` strictly increasing across all kinds)::
+Record lines (``seq`` numbers the records 0, 1, 2, ... across all kinds)::
 
     {"seq": n, "kind": "raw", "t": ms, "red": int, "ir": int, "temp": x|null}
     {"seq": n, "kind": "vitals", "t": ms, "contact": "...", "bpm": x|null,
@@ -17,11 +17,15 @@ Record lines (``seq`` strictly increasing across all kinds)::
     {"seq": n, "kind": "emotion", "t": ms, "state": "...", "certainty": "...",
      "rules": [...]}
 
-A record holds exactly its kind's keys. ``replay`` rejects anything
-else, as it rejects a raw frame that ``validate_frame`` refuses, a
-vitals number that is not finite and a ``t`` that is not an integer;
-``SessionWriter`` refuses to write a raw frame or ``seq`` that reading
-would reject.
+In memory a record is its payload: a ``SampleFrame`` (raw), a
+``VitalsEstimate`` (vitals) or a ``TickEmotion`` (emotion), and its
+kind is its type. ``SessionWriter`` numbers the records it writes;
+``replay`` yields the payloads and checks the numbering (each ``seq``
+an integer greater than the one before). A record holds exactly its
+kind's keys. ``replay`` rejects anything else, as it rejects a raw
+frame that ``validate_frame`` refuses, a vitals number that is not
+finite and a ``t`` that is not an integer; ``SessionWriter`` refuses to
+write a raw frame that reading would reject.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -35,8 +39,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator
 
 from .core import (
     CalibrationCoeffs,
@@ -52,28 +55,12 @@ from .errors import EmptySessionError, OrderError, RangeError, SeqError, Session
 FORMAT_VERSION = 1
 
 
-class RecordKind(Enum):
-    RAW = "raw"
-    VITALS = "vitals"
-    EMOTION = "emotion"
-
-
 @dataclass(frozen=True)
 class TickEmotion:
     """An emotion assessment pinned to its tick time."""
 
     tick_time_ms: int
     assessment: EmotionAssessment
-
-
-Payload = Union[SampleFrame, VitalsEstimate, TickEmotion]
-
-
-@dataclass(frozen=True)
-class SessionRecord:
-    seq: int
-    kind: RecordKind
-    payload: Payload
 
 
 @dataclass(frozen=True)
@@ -110,42 +97,45 @@ def _raw_json(seq: int, frame: SampleFrame) -> str:
     return _RAW_JSON % (seq, frame.timestamp_ms, frame.red, frame.ir, temp_text)
 
 
-def _record_to_json(record: SessionRecord) -> str:
-    p = record.payload
-    if record.kind is RecordKind.RAW:
-        assert isinstance(p, SampleFrame)
-        return _raw_json(record.seq, p)
-    if record.kind is RecordKind.VITALS:
-        assert isinstance(p, VitalsEstimate)
+def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) -> str:
+    """The record line, without its newline, for ``payload`` numbered ``seq``.
+
+    Raises TypeError when ``payload`` is not one of the three record types.
+    """
+    kind = type(payload)
+    if kind is SampleFrame:
+        return _raw_json(seq, payload)
+    if kind is VitalsEstimate:
         body = {
-            "seq": record.seq,
+            "seq": seq,
             "kind": "vitals",
-            "t": p.tick_time_ms,
-            "contact": p.contact.value,
-            "bpm": p.bpm_instant,
-            "bpm_avg": p.bpm_avg,
-            "spo2": p.spo2_pct,
+            "t": payload.tick_time_ms,
+            "contact": payload.contact.value,
+            "bpm": payload.bpm_instant,
+            "bpm_avg": payload.bpm_avg,
+            "spo2": payload.spo2_pct,
+        }
+    elif kind is TickEmotion:
+        body = {
+            "seq": seq,
+            "kind": "emotion",
+            "t": payload.tick_time_ms,
+            "state": payload.assessment.state.value,
+            "certainty": payload.assessment.certainty.value,
+            "rules": list(payload.assessment.fired_rules),
         }
     else:
-        assert isinstance(p, TickEmotion)
-        body = {
-            "seq": record.seq,
-            "kind": "emotion",
-            "t": p.tick_time_ms,
-            "state": p.assessment.state.value,
-            "certainty": p.assessment.certainty.value,
-            "rules": list(p.assessment.fired_rules),
-        }
+        raise TypeError(f"not a session record: {payload!r}")
     return _ENCODER.encode(body)
 
 
 _DECODER = json.JSONDecoder()
 _scan_once = _DECODER.scan_once
-#: Each kind's name -> the kind and the keys its records hold.
+#: Each kind's name -> the keys its records hold.
 _KINDS = {
-    "raw": (RecordKind.RAW, ("seq", "kind", "t", "red", "ir", "temp")),
-    "vitals": (RecordKind.VITALS, ("seq", "kind", "t", "contact", "bpm", "bpm_avg", "spo2")),
-    "emotion": (RecordKind.EMOTION, ("seq", "kind", "t", "state", "certainty", "rules")),
+    "raw": ("seq", "kind", "t", "red", "ir", "temp"),
+    "vitals": ("seq", "kind", "t", "contact", "bpm", "bpm_avg", "spo2"),
+    "emotion": ("seq", "kind", "t", "state", "certainty", "rules"),
 }
 _FLOAT_MAX = sys.float_info.max
 
@@ -159,21 +149,23 @@ def _optional_real(name: str, value):
     raise ValueError(f"{name}={value!r} is not a finite number")
 
 
-def _record_from_obj(obj, lineno: int) -> SessionRecord:
+def _record_from_obj(obj, lineno: int) -> tuple[int, SampleFrame | VitalsEstimate | TickEmotion]:
+    """The ``seq`` and the payload of a decoded record line."""
     try:
-        kind, keys = _KINDS.get(obj["kind"], (None, ()))
+        kind = obj["kind"]
+        keys = _KINDS.get(kind)
         seq = obj["seq"]
         t = obj["t"]
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
-        if kind is RecordKind.RAW:
+        if kind == "raw":
             # the fields are checked by validate_frame, against the previous frame
-            payload: Payload = SampleFrame(t, obj["red"], obj["ir"], obj["temp"])
-        elif kind is None:
-            raise ValueError(f"unknown kind {obj['kind']!r}")
+            payload = SampleFrame(t, obj["red"], obj["ir"], obj["temp"])
+        elif keys is None:
+            raise ValueError(f"unknown kind {kind!r}")
         elif type(t) is not int:
             raise TypeError(f"t must be an integer, got {t!r}")
-        elif kind is RecordKind.VITALS:
+        elif kind == "vitals":
             payload = VitalsEstimate(
                 t,
                 ContactState(obj["contact"]),
@@ -198,7 +190,7 @@ def _record_from_obj(obj, lineno: int) -> SessionRecord:
             raise ValueError(f"unexpected keys {sorted(set(obj) - set(keys))}")
     except (KeyError, ValueError, TypeError) as exc:
         raise SessionParseError(lineno, f"bad record: {exc}") from exc
-    return SessionRecord(seq, kind, payload)
+    return seq, payload
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -229,15 +221,17 @@ class SessionWriter:
     written: the file then ends with whole records, possibly followed by
     one cut line that ``replay`` reports after yielding all before it.
 
-    The writer refuses what ``replay`` would reject: a ``seq`` that is
-    not an int greater than the last written one (SeqError), and a raw
-    frame that ``validate_frame`` rejects against the last raw frame
-    written (RangeError, OrderError). A refused record writes nothing.
+    A record is its payload: a ``SampleFrame``, ``VitalsEstimate`` or
+    ``TickEmotion``. The writer numbers the records it writes 0, 1, 2, ...
+    in the order they are appended. It refuses a raw frame that
+    ``validate_frame`` rejects against the last raw frame written
+    (RangeError, OrderError), as ``replay`` would, and any other type
+    (TypeError). A refused record writes nothing and uses up no number.
     """
 
     def __init__(self, path, config: PipelineConfig, start_utc: str | None = None):
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._last_seq: int | None = None
+        self._seq = 0
         self._last_raw: SampleFrame | None = None
         header = {
             "format": FORMAT_VERSION,
@@ -247,19 +241,13 @@ class SessionWriter:
         self._fh.write(_ENCODER.encode(header) + "\n")
         self._fh.flush()
 
-    def append_record(self, record: SessionRecord) -> None:
-        seq = record.seq
-        if type(seq) is not int:
-            raise SeqError(f"seq must be an integer, got {seq!r}")
-        if self._last_seq is not None and seq <= self._last_seq:
-            raise SeqError(f"seq {seq} not greater than last written {self._last_seq}")
-        if record.kind is RecordKind.RAW:
-            frame = validate_frame(record.payload, prev=self._last_raw)
-            self._fh.write(_raw_json(seq, frame) + "\n")
-            self._last_raw = frame
+    def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion) -> None:
+        if type(record) is SampleFrame:
+            self._fh.write(_raw_json(self._seq, validate_frame(record, prev=self._last_raw)) + "\n")
+            self._last_raw = record
         else:
-            self._fh.write(_record_to_json(record) + "\n")
-        self._last_seq = seq
+            self._fh.write(_record_json(self._seq, record) + "\n")
+        self._seq += 1
 
     def flush(self) -> None:
         """Hand every line appended so far to the operating system."""
@@ -301,8 +289,8 @@ def read_header(source) -> dict:
     return _header_from_line(source.readline())
 
 
-def replay(source) -> Iterator[SessionRecord]:
-    """Yield records in stored order.
+def replay(source) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]:
+    """Yield the records' payloads in stored order.
 
     ``source`` is a session path, or an open text stream positioned at
     the session's first line. The header line is checked as
@@ -311,7 +299,8 @@ def replay(source) -> Iterator[SessionRecord]:
     whose keys are not exactly its kind's and a raw frame that
     ``validate_frame`` rejects against the previous raw frame, and
     SeqError naming the line at the first ``seq`` not greater than its
-    predecessor's; records before it are yielded intact.
+    predecessor's; records before it are yielded intact. The ``seq``
+    values are checked, not yielded: the payloads come in stored order.
     """
     if isinstance(source, _PATH_TYPES):
         with open(source, "r", encoding="utf-8") as fh:
@@ -320,7 +309,7 @@ def replay(source) -> Iterator[SessionRecord]:
         yield from _replay_lines(source)
 
 
-def _replay_lines(lines) -> Iterator[SessionRecord]:
+def _replay_lines(lines) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]:
     _header_from_line(next(lines, ""))
     last_seq: int | None = None
     last_raw: SampleFrame | None = None
@@ -339,13 +328,13 @@ def _replay_lines(lines) -> Iterator[SessionRecord]:
                 obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-        record = _record_from_obj(obj, lineno)
-        if last_seq is not None and record.seq <= last_seq:
-            raise SeqError(f"line {lineno}: seq {record.seq} not greater than previous {last_seq}")
-        last_seq = record.seq
-        if record.kind is RecordKind.RAW:
+        seq, record = _record_from_obj(obj, lineno)
+        if last_seq is not None and seq <= last_seq:
+            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {last_seq}")
+        last_seq = seq
+        if type(record) is SampleFrame:
             try:
-                last_raw = validate_frame(record.payload, prev=last_raw)
+                last_raw = validate_frame(record, prev=last_raw)
             except (RangeError, OrderError) as exc:
                 raise SessionParseError(lineno, str(exc)) from exc
         yield record
@@ -365,12 +354,10 @@ def summarize(source) -> SessionSummary:
     vitals: list[VitalsEstimate] = []
     emotions: dict[int, str] = {}
     for record in source:
-        if record.kind is RecordKind.VITALS:
-            assert isinstance(record.payload, VitalsEstimate)
-            vitals.append(record.payload)
-        elif record.kind is RecordKind.EMOTION:
-            assert isinstance(record.payload, TickEmotion)
-            emotions[record.payload.tick_time_ms] = record.payload.assessment.state.value
+        if type(record) is VitalsEstimate:
+            vitals.append(record)
+        elif type(record) is TickEmotion:
+            emotions[record.tick_time_ms] = record.assessment.state.value
     if not vitals:
         raise EmptySessionError("session holds no vitals records")
     contact_ticks = [v for v in vitals if v.contact is ContactState.CONTACT]

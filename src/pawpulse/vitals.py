@@ -285,100 +285,6 @@ def fit_residual_rms(
     return float(np.sqrt(np.mean(np.square(res))))
 
 
-@dataclass
-class PipelineState:
-    """Everything the per-tick loop carries between ticks.
-
-    ``ratio_window`` holds the int64 ``(3, n)`` timestamp/red/IR columns
-    of the frames inside the SpO2 ratio window. Single-owner: one
-    stream, one processor. The tick transition is deterministic, so
-    replaying the same frames from a fresh state reproduces identical
-    estimates.
-    """
-
-    preprocessor: StreamingPreprocessor
-    detector: BeatDetectorState
-    ratio_window: np.ndarray
-    tick_index: int = 0
-    last_frame: SampleFrame | None = None
-
-
-def new_pipeline_state(config: PipelineConfig) -> PipelineState:
-    return PipelineState(
-        preprocessor=StreamingPreprocessor(
-            sample_rate_hz=config.sample_rate_hz,
-            dc_window_s=config.dc_window_s,
-            kernel_width=config.smooth_kernel,
-            outlier_z=config.outlier_z,
-        ),
-        detector=BeatDetectorState(),
-        ratio_window=np.empty((3, 0), dtype=np.int64),
-    )
-
-
-def process_tick(
-    state: PipelineState, frames: Sequence[SampleFrame], config: PipelineConfig
-) -> tuple[PipelineState, VitalsEstimate]:
-    """Advance the pipeline by one tick over the frames that arrived.
-
-    Runs preprocessing, beat detection, the valid-range gate, the
-    rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
-    baseline is below the contact threshold the tick reports NO_CONTACT
-    with absent vitals. Deterministic for identical inputs.
-    """
-    tick_time_ms = (state.tick_index + 1) * config.tick_interval_ms
-
-    for frame in frames:
-        validate_frame(frame, prev=state.last_frame)
-        state.last_frame = frame
-    cols = frame_columns(frames)
-
-    released = state.preprocessor.push(cols)
-    events, _ = detect_beats(released, state.detector, config)
-    for event in events:
-        if event.delta_t_s is not None:
-            accept_bpm(instantaneous_bpm(event.delta_t_s), state.detector, config)
-
-    ratio = np.concatenate((state.ratio_window, cols), axis=1)
-    cutoff = tick_time_ms - config.ratio_window_ms
-    state.ratio_window = ratio[:, np.searchsorted(ratio[0], cutoff, side="right") :]
-
-    dc_ir = state.preprocessor.last_dc_ir
-    contact = (
-        contact_state(dc_ir, config.contact_ir_threshold)
-        if dc_ir is not None
-        else ContactState.NO_CONTACT
-    )
-
-    state.tick_index += 1
-    if contact is ContactState.NO_CONTACT:
-        return state, VitalsEstimate(tick_time_ms=tick_time_ms, contact=contact)
-
-    spo2 = None
-    count = state.ratio_window.shape[1]
-    if count:
-        # exact integer sums, so the means are the correctly rounded quotients
-        sum_red, sum_ir = state.ratio_window[1:].sum(axis=1).tolist()
-        mean_ir = sum_ir / count
-        if mean_ir > 0:
-            window = RatioWindow(
-                window_ms=config.ratio_window_ms,
-                mean_red=sum_red / count,
-                mean_ir=mean_ir,
-                sample_count=count,
-            )
-            spo2 = clamp_spo2(spo2_estimate(compute_ratio(window), config.coeffs))
-
-    estimate = VitalsEstimate(
-        tick_time_ms=tick_time_ms,
-        contact=contact,
-        bpm_instant=state.detector.last_accepted_bpm,
-        bpm_avg=rolling_average_bpm(state.detector),
-        spo2_pct=spo2,
-    )
-    return state, estimate
-
-
 def tick_chunks(
     frames: Sequence[SampleFrame], interval_ms: int
 ) -> Iterator[Sequence[SampleFrame]]:
@@ -400,15 +306,90 @@ def tick_chunks(
 
 
 class VitalsPipeline:
-    """Convenience wrapper: owns a config plus mutable pipeline state."""
+    """The per-tick state machine over one stream: owns a config and
+    everything the loop carries between ticks.
+
+    ``ratio_window`` holds the int64 ``(3, n)`` timestamp/red/IR columns
+    of the frames inside the SpO2 ratio window. Single-owner: one
+    stream, one pipeline. The tick transition is deterministic, so
+    replaying the same frames through a fresh pipeline reproduces
+    identical estimates.
+    """
 
     def __init__(self, config: PipelineConfig | None = None):
-        self.config = config if config is not None else PipelineConfig()
-        self.state = new_pipeline_state(self.config)
+        if config is None:
+            config = PipelineConfig()
+        self.config = config
+        self.preprocessor = StreamingPreprocessor(
+            sample_rate_hz=config.sample_rate_hz,
+            dc_window_s=config.dc_window_s,
+            kernel_width=config.smooth_kernel,
+            outlier_z=config.outlier_z,
+        )
+        self.detector = BeatDetectorState()
+        self.ratio_window = np.empty((3, 0), dtype=np.int64)
+        self.tick_index = 0
+        self.last_frame: SampleFrame | None = None
 
     def tick(self, frames: Sequence[SampleFrame]) -> VitalsEstimate:
-        self.state, estimate = process_tick(self.state, frames, self.config)
-        return estimate
+        """Advance the pipeline by one tick over the frames that arrived.
+
+        Runs preprocessing, beat detection, the valid-range gate, the
+        rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
+        baseline is below the contact threshold the tick reports NO_CONTACT
+        with absent vitals. Deterministic for identical inputs.
+        """
+        config = self.config
+        tick_time_ms = (self.tick_index + 1) * config.tick_interval_ms
+
+        for frame in frames:
+            validate_frame(frame, prev=self.last_frame)
+            self.last_frame = frame
+        cols = frame_columns(frames)
+
+        released = self.preprocessor.push(cols)
+        events, _ = detect_beats(released, self.detector, config)
+        for event in events:
+            if event.delta_t_s is not None:
+                accept_bpm(instantaneous_bpm(event.delta_t_s), self.detector, config)
+
+        ratio = np.concatenate((self.ratio_window, cols), axis=1)
+        cutoff = tick_time_ms - config.ratio_window_ms
+        self.ratio_window = ratio[:, np.searchsorted(ratio[0], cutoff, side="right") :]
+
+        dc_ir = self.preprocessor.last_dc_ir
+        contact = (
+            contact_state(dc_ir, config.contact_ir_threshold)
+            if dc_ir is not None
+            else ContactState.NO_CONTACT
+        )
+
+        self.tick_index += 1
+        if contact is ContactState.NO_CONTACT:
+            return VitalsEstimate(tick_time_ms=tick_time_ms, contact=contact)
+
+        spo2 = None
+        count = self.ratio_window.shape[1]
+        if count:
+            # exact integer sums, so the means are the correctly rounded quotients
+            sum_red, sum_ir = self.ratio_window[1:].sum(axis=1).tolist()
+            mean_ir = sum_ir / count
+            if mean_ir > 0:
+                window = RatioWindow(
+                    window_ms=config.ratio_window_ms,
+                    mean_red=sum_red / count,
+                    mean_ir=mean_ir,
+                    sample_count=count,
+                )
+                spo2 = clamp_spo2(spo2_estimate(compute_ratio(window), config.coeffs))
+
+        return VitalsEstimate(
+            tick_time_ms=tick_time_ms,
+            contact=contact,
+            bpm_instant=self.detector.last_accepted_bpm,
+            bpm_avg=rolling_average_bpm(self.detector),
+            spo2_pct=spo2,
+        )
 
     def run(self, frames: Sequence[SampleFrame]) -> list[VitalsEstimate]:
         """Process a whole stream, chunking frames into signal-time ticks."""

@@ -19,6 +19,7 @@ from pawpulse.core import (
     ContactState,
     PipelineConfig,
     SampleFrame,
+    VitalsEstimate,
 )
 from pawpulse.dsp import AcBlock
 from pawpulse.emotion import (
@@ -30,7 +31,7 @@ from pawpulse.emotion import (
     classify,
 )
 from pawpulse.errors import RangeError, WireError
-from pawpulse.session import RecordKind, replay
+from pawpulse.session import replay
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import (
     BeatDetectorState,
@@ -226,17 +227,17 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     stored_raw = []
     stored_vitals = []
     for record in replay(session):
-        if record.kind is RecordKind.RAW:
-            stored_raw.append(record.payload)
-        elif record.kind is RecordKind.VITALS:
-            stored_vitals.append(record.payload)
+        if type(record) is SampleFrame:
+            stored_raw.append(record)
+        elif type(record) is VitalsEstimate:
+            stored_vitals.append(record)
     from pawpulse.session import config_from_dict
 
     recomputed = VitalsPipeline(config_from_dict(header["config"])).run(stored_raw)
     assert recomputed == stored_vitals  # dataclass equality: exact floats
 
     # byte-level: re-serializing recomputed estimates matches the stored lines
-    from pawpulse.session import SessionRecord, _record_to_json
+    from pawpulse.session import _record_json
 
     stored_lines = [
         line for line in session.read_text().splitlines()[1:] if '"kind":"vitals"' in line
@@ -244,7 +245,7 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     reserialized = []
     seq_by_line = [json.loads(line)["seq"] for line in stored_lines]
     for seq, estimate in zip(seq_by_line, recomputed):
-        reserialized.append(_record_to_json(SessionRecord(seq, RecordKind.VITALS, estimate)))
+        reserialized.append(_record_json(seq, estimate))
     assert reserialized == stored_lines
 
     # report output is byte-identical across runs

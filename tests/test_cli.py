@@ -171,6 +171,29 @@ class TestProcess:
         assert [(vitals, raw) for _, vitals, raw in seen] == [(k, 100 * k) for k in range(1, 6)]
 
 
+# Tamperings of the emotion records of a 5-tick session; each returns the
+# records and the tick time that replay --verify must name.
+def duplicate_last_emotion(records):
+    last = max(i for i, r in enumerate(records) if r["kind"] == "emotion")
+    return records[: last + 1] + [dict(records[last])] + records[last + 1 :], 5000
+
+
+def add_orphan_emotion(records):
+    orphan = dict(next(r for r in records if r["kind"] == "emotion"), t=999)
+    return records + [orphan], 999
+
+
+def delete_every_emotion(records):
+    return [r for r in records if r["kind"] != "emotion"], 2000
+
+
+def emotion_for_unassessed_tick(records):
+    # tick 1 has no BPM average yet, so process wrote no emotion record for it
+    at = next(i for i, r in enumerate(records) if r["kind"] == "vitals") + 1
+    forged = dict(next(r for r in records if r["kind"] == "emotion"), t=1000)
+    return records[:at] + [forged] + records[at:], 1000
+
+
 class TestReplayCommand:
     def test_verify_ok(self, tmp_path, capsys):
         path = simulate_file(tmp_path, seconds=10.0, noise_std=80.0)
@@ -215,6 +238,28 @@ class TestReplayCommand:
         capsys.readouterr()
         assert run_cli("replay", "--in", str(session), "--verify") == 3
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [duplicate_last_emotion, add_orphan_emotion, delete_every_emotion, emotion_for_unassessed_tick],
+        ids=lambda tamper: tamper.__name__,
+    )
+    def test_verify_checks_emotion_placement(self, tmp_path, capsys, tamper):
+        path = simulate_file(tmp_path, seconds=5.0)
+        session = tmp_path / "s.ndjson"
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+        header, *lines = session.read_text().splitlines()
+        records, bad_t = tamper([json.loads(line) for line in lines])
+        # renumbered, so that only the placement of the emotion records is wrong
+        for seq, record in enumerate(records):
+            record["seq"] = seq
+        session.write_text("\n".join([header] + [json.dumps(r, separators=(",", ":")) for r in records]) + "\n")
+        capsys.readouterr()
+        assert run_cli("replay", "--in", str(session)) == 0
+        assert run_cli("replay", "--in", str(session), "--verify") == 3
+        out, err = capsys.readouterr()
+        assert "verify: OK" not in out
+        assert f"verify: MISMATCH at t={bad_t}ms" in err
 
 
 @pytest.mark.parametrize(
@@ -263,6 +308,36 @@ def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit):
     out, err = capsys.readouterr()
     assert f"error: line {lineno}: bad record: " in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--in", "{missing}"],
+        ["replay", "--in", "{missing}", "--verify"],
+        ["report", "--in", "{missing}"],
+        ["process", "--in", "{missing}"],
+        ["process", "--in", "{missing}", "--format", "session"],
+        ["process", "--in", "{wire}", "--session-out", "{missing}"],
+        ["process", "--in", "{wire}", "--rules", "{missing}"],
+        ["process", "--in", "{wire}", "--config", "{missing}"],
+        ["report", "--in", "{session}", "--out", "{missing}"],
+        ["simulate", "--seconds", "1", "--out", "{missing}"],
+        ["calibrate", "--pairs", "{missing}"],
+    ],
+    ids=lambda argv: "-".join(a.strip("-{}") for a in argv),
+)
+def test_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
+    wire = simulate_file(tmp_path, seconds=3.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(wire), "--session-out", str(session)) == 0
+    missing = tmp_path / "no-such-dir" / "x"
+    capsys.readouterr()
+    paths = {"wire": str(wire), "session": str(session), "missing": str(missing)}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", list(config_to_dict(PipelineConfig()).items()))

@@ -15,11 +15,9 @@ from pawpulse.core import (
 from pawpulse.emotion import Certainty, EmotionAssessment, EmotionState
 from pawpulse.errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
-    RecordKind,
-    SessionRecord,
     SessionWriter,
     TickEmotion,
-    _record_to_json,
+    _record_json,
     config_from_dict,
     config_to_dict,
     read_header,
@@ -30,26 +28,24 @@ from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import VitalsPipeline
 
 
-def raw(seq, t, red=100, ir=200, temp=None):
-    return SessionRecord(seq, RecordKind.RAW, SampleFrame(t, red, ir, temp))
+def raw(t, red=100, ir=200, temp=None):
+    return SampleFrame(t, red, ir, temp)
 
 
-def vit(seq, t, contact=ContactState.CONTACT, bpm=80.0, avg=80.0, spo2=97.0):
+def vit(t, contact=ContactState.CONTACT, bpm=80.0, avg=80.0, spo2=97.0):
     if contact is ContactState.NO_CONTACT:
-        payload = VitalsEstimate(tick_time_ms=t, contact=contact)
-    else:
-        payload = VitalsEstimate(
-            tick_time_ms=t, contact=contact, bpm_instant=bpm, bpm_avg=avg, spo2_pct=spo2
-        )
-    return SessionRecord(seq, RecordKind.VITALS, payload)
-
-
-def emo(seq, t, state=EmotionState.CALM, certainty=Certainty.DECIDED):
-    return SessionRecord(
-        seq,
-        RecordKind.EMOTION,
-        TickEmotion(t, EmotionAssessment(state, certainty, ("R1",))),
+        return VitalsEstimate(tick_time_ms=t, contact=contact)
+    return VitalsEstimate(
+        tick_time_ms=t, contact=contact, bpm_instant=bpm, bpm_avg=avg, spo2_pct=spo2
     )
+
+
+def emo(t, state=EmotionState.CALM, certainty=Certainty.DECIDED):
+    return TickEmotion(t, EmotionAssessment(state, certainty, ("R1",)))
+
+
+def stored_seqs(path):
+    return [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:]]
 
 
 class TestWriter:
@@ -57,57 +53,59 @@ class TestWriter:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(1000):
-                writer.append_record(raw(i, i * 10))
+                writer.append_record(raw(i * 10))
         assert len(list(replay(path))) == 1000
 
     def test_first_record_seq_zero(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
+            for record in (raw(0), raw(10), vit(1000), emo(1000), raw(1010)):
+                writer.append_record(record)
+        assert stored_seqs(path) == [0, 1, 2, 3, 4]
 
-    def test_duplicate_seq_rejected(self, tmp_path):
+    @pytest.mark.parametrize("bad", [None, "raw", {"t": 10}, (10, 1, 2, None)])
+    def test_non_record_is_refused(self, tmp_path, bad):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(5, 0))
-            with pytest.raises(SeqError):
-                writer.append_record(raw(5, 10))
-
-    def test_decreasing_seq_rejected(self, tmp_path):
-        path = tmp_path / "s.ndjson"
-        with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(5, 0))
-            with pytest.raises(SeqError):
-                writer.append_record(raw(4, 10))
+            writer.append_record(raw(0))
+            writer.flush()
+            size = path.stat().st_size
+            with pytest.raises(TypeError, match="not a session record"):
+                writer.append_record(bad)
+            writer.flush()
+            assert path.stat().st_size == size
+            writer.append_record(vit(1000))
+        assert stored_seqs(path) == [0, 1]
 
     @pytest.mark.parametrize(
         "bad,error",
         [
-            (raw(3, 20, red=-5), RangeError),
-            (raw(3, 20, ir=1 << 18), RangeError),
-            (raw(3, 20, temp=float("nan")), RangeError),
-            (raw(3, 10), OrderError),
-            (raw(3, 5), OrderError),
-            (SessionRecord("3", RecordKind.RAW, SampleFrame(20, 1, 2)), SeqError),
+            (raw(20, red=-5), RangeError),
+            (raw(20, ir=1 << 18), RangeError),
+            (raw(20, temp=float("nan")), RangeError),
+            (raw(10), OrderError),
+            (raw(5), OrderError),
         ],
     )
     def test_record_replay_would_reject_is_refused(self, tmp_path, bad, error):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
-            writer.append_record(raw(1, 10))
-            writer.append_record(vit(2, 1000))  # order is checked against raw frames only
+            writer.append_record(raw(0))
+            writer.append_record(raw(10))
+            writer.append_record(vit(1000))  # order is checked against raw frames only
             with pytest.raises(error):
                 writer.append_record(bad)
-            writer.append_record(raw(3, 20))  # the writer carries on after a refusal
-        assert list(replay(path)) == [raw(0, 0), raw(1, 10), vit(2, 1000), raw(3, 20)]
+            writer.append_record(raw(20))  # the writer carries on after a refusal
+        assert list(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
+        assert stored_seqs(path) == [0, 1, 2, 3]  # the refused frame used up no number
 
     def test_flush_hands_lines_to_the_file(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
-            writer.append_record(vit(1, 1000))
+            writer.append_record(raw(0))
+            writer.append_record(vit(1000))
             writer.flush()
-            assert list(replay(path)) == [raw(0, 0), vit(1, 1000)]
+            assert list(replay(path)) == [raw(0), vit(1000)]
 
 
 # Raw frames as validate_frame accepts them: 18-bit channels, uint32
@@ -130,7 +128,7 @@ class TestRawEncoding:
             "temp": frame.temperature_c,
         }
         expected = json.dumps(body, separators=(",", ":"), allow_nan=False)
-        assert _record_to_json(SessionRecord(seq, RecordKind.RAW, frame)) == expected
+        assert _record_json(seq, frame) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(batch=st.lists(frames, max_size=40))
@@ -141,22 +139,21 @@ class TestRawEncoding:
             SampleFrame(t, f.red, f.ir, f.temperature_c)
             for t, f in zip(sorted({f.timestamp_ms for f in batch}), batch)
         ]
-        records = [SessionRecord(seq, RecordKind.RAW, f) for seq, f in enumerate(batch)]
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in records:
-                writer.append_record(record)
-        assert list(replay(path)) == records
+            for frame in batch:
+                writer.append_record(frame)
+        assert list(replay(path)) == batch
 
 
 class TestReplay:
     def test_round_trip_mixed_kinds(self, tmp_path):
         path = tmp_path / "s.ndjson"
         records = [
-            raw(0, 0, temp=38.5),
-            raw(1, 10),
-            vit(2, 1000),
-            emo(3, 1000),
-            vit(4, 2000, contact=ContactState.NO_CONTACT),
+            raw(0, temp=38.5),
+            raw(10),
+            vit(1000),
+            emo(1000),
+            vit(2000, contact=ContactState.NO_CONTACT),
         ]
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in records:
@@ -167,7 +164,6 @@ class TestReplay:
         rng = np.random.default_rng(13)
         path = tmp_path / "s.ndjson"
         records = []
-        seq = 0
         t = 0
         for _ in range(300):
             t += int(rng.integers(1, 50))
@@ -175,15 +171,14 @@ class TestReplay:
             if kind == 0:
                 temp = None if rng.integers(0, 2) else int(rng.integers(350, 400)) / 10.0
                 records.append(
-                    raw(seq, t, red=int(rng.integers(0, 2**18)), ir=int(rng.integers(0, 2**18)), temp=temp)
+                    raw(t, red=int(rng.integers(0, 2**18)), ir=int(rng.integers(0, 2**18)), temp=temp)
                 )
             elif kind == 1:
                 if rng.integers(0, 4) == 0:
-                    records.append(vit(seq, t, contact=ContactState.NO_CONTACT))
+                    records.append(vit(t, contact=ContactState.NO_CONTACT))
                 else:
                     records.append(
                         vit(
-                            seq,
                             t,
                             bpm=float(rng.uniform(30, 220)),
                             avg=float(rng.uniform(30, 220)),
@@ -193,8 +188,7 @@ class TestReplay:
             else:
                 state = list(EmotionState)[rng.integers(0, 4)]
                 certainty = Certainty.BOUNDARY if rng.integers(0, 2) else Certainty.DECIDED
-                records.append(emo(seq, t, state, certainty))
-            seq += 1
+                records.append(emo(t, state, certainty))
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in records:
                 writer.append_record(record)
@@ -204,7 +198,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i, i * 10))
+                writer.append_record(raw(i * 10))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":5,"kind":"raw","t":50,"red"')  # partial write
         collected = []
@@ -217,7 +211,7 @@ class TestReplay:
     def test_bad_record_fields(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
+            writer.append_record(raw(0))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":1,"kind":"raw","t":10}\n')  # missing channels
         with pytest.raises(SessionParseError):
@@ -228,7 +222,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i, i * 10))
+                writer.append_record(raw(i * 10))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f'{{"seq":{bad_seq},"kind":"raw","t":50,"red":1,"ir":2,"temp":null}}\n')
         collected = []
@@ -257,8 +251,8 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i, i * 10))
-            writer.append_record(vit(5, 1000))  # order is checked against raw frames only
+                writer.append_record(raw(i * 10))
+            writer.append_record(vit(1000))  # order is checked against raw frames only
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f'{{"seq":6,"kind":"raw",{bad},"temp":null}}\n')
         collected = []
@@ -272,7 +266,7 @@ class TestReplay:
     def test_unknown_key_rejected(self, tmp_path, kind):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0, 0), vit(1, 1000), emo(2, 1000)):
+            for record in (raw(0), vit(1000), emo(1000)):
                 writer.append_record(record)
         lines = path.read_text().splitlines()
         lineno = 2 + ["raw", "vitals", "emotion"].index(kind)
@@ -307,7 +301,7 @@ class TestReplay:
     def test_malformed_record_rejected(self, tmp_path, line):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
+            writer.append_record(raw(0))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(SessionParseError) as err:
@@ -319,7 +313,7 @@ class TestReplay:
         SessionWriter(path, PipelineConfig()).close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":0,"kind":"vitals","t":1000,"contact":"contact","bpm":80,"bpm_avg":null,"spo2":0}\n')
-        assert list(replay(path)) == [vit(0, 1000, bpm=80.0, avg=None, spo2=0.0)]
+        assert list(replay(path)) == [vit(1000, bpm=80.0, avg=None, spo2=0.0)]
 
     def test_json_accepted_as_json_loads_accepts_it(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -333,11 +327,11 @@ class TestReplay:
         with pytest.raises(SessionParseError, match="line 6: bad JSON: Extra data"):
             for record in replay(path):
                 collected.append(record)
-        assert collected == [raw(0, 0, red=1, ir=2), raw(1, 10, red=1, ir=2, temp=36.6)]
+        assert collected == [raw(0, red=1, ir=2), raw(10, red=1, ir=2, temp=36.6)]
 
     def test_text_stream_reads_as_path(self, tmp_path):
         path = tmp_path / "s.ndjson"
-        records = [raw(0, 0, temp=38.5), raw(1, 10), vit(2, 1000), emo(3, 1000)]
+        records = [raw(0, temp=38.5), raw(10), vit(1000), emo(1000)]
         with SessionWriter(path, PipelineConfig(), start_utc="2026-08-08T00:00:00Z") as writer:
             for record in records:
                 writer.append_record(record)
@@ -378,7 +372,7 @@ class TestSummarize:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(vit(i, (i + 1) * 1000, bpm=80.0, avg=80.0, spo2=97.0))
+                writer.append_record(vit((i + 1) * 1000, bpm=80.0, avg=80.0, spo2=97.0))
         summary = summarize(path)
         assert summary.bpm_mean == summary.bpm_min == summary.bpm_max == 80.0
         assert summary.contact_uptime == 1.0
@@ -389,14 +383,14 @@ class TestSummarize:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(3):
-                writer.append_record(vit(i, (i + 1) * 1000, contact=ContactState.NO_CONTACT))
+                writer.append_record(vit((i + 1) * 1000, contact=ContactState.NO_CONTACT))
         with pytest.raises(EmptySessionError):
             summarize(path)
 
     def test_no_vitals_is_empty(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0, 0))
+            writer.append_record(raw(0))
         with pytest.raises(EmptySessionError):
             summarize(path)
 
@@ -404,10 +398,10 @@ class TestSummarize:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(6):
-                writer.append_record(raw(3 * i, i * 1000))
-                writer.append_record(vit(3 * i + 1, (i + 1) * 1000, avg=70.0 + i))
-                writer.append_record(emo(3 * i + 2, (i + 1) * 1000))
-        kept = [r for r in replay(path) if r.kind is not RecordKind.RAW]
+                writer.append_record(raw(i * 1000))
+                writer.append_record(vit((i + 1) * 1000, avg=70.0 + i))
+                writer.append_record(emo((i + 1) * 1000))
+        kept = [r for r in replay(path) if type(r) is not SampleFrame]
         assert summarize(kept) == summarize(replay(path)) == summarize(path)
         assert summarize(kept).emotion_counts == {"Calm": 6}
 
@@ -418,16 +412,15 @@ class TestSummarize:
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(60):
                 if rng.integers(0, 3) == 0:
-                    record = vit(i, (i + 1) * 1000, contact=ContactState.NO_CONTACT)
+                    record = vit((i + 1) * 1000, contact=ContactState.NO_CONTACT)
                 else:
                     record = vit(
-                        i,
                         (i + 1) * 1000,
                         bpm=float(rng.uniform(40, 200)),
                         avg=float(rng.uniform(40, 200)),
                         spo2=float(rng.uniform(80, 100)),
                     )
-                payloads.append(record.payload)
+                payloads.append(record)
                 writer.append_record(record)
         summary = summarize(path)
         contact = [p for p in payloads if p.contact is ContactState.CONTACT]
@@ -441,11 +434,11 @@ class TestSummarize:
     def test_emotion_histogram_sums_to_tick_count(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(vit(0, 1000))
-            writer.append_record(emo(1, 1000, EmotionState.CALM))
-            writer.append_record(vit(2, 2000))
-            writer.append_record(emo(3, 2000, EmotionState.ALERT))
-            writer.append_record(vit(4, 3000, contact=ContactState.NO_CONTACT))
+            writer.append_record(vit(1000))
+            writer.append_record(emo(1000, EmotionState.CALM))
+            writer.append_record(vit(2000))
+            writer.append_record(emo(2000, EmotionState.ALERT))
+            writer.append_record(vit(3000, contact=ContactState.NO_CONTACT))
         summary = summarize(path)
         assert summary.emotion_counts == {"Calm": 1, "Alert": 1, "none": 1}
         assert sum(summary.emotion_counts.values()) == 3
@@ -461,21 +454,14 @@ class TestPipelineReplayDeterminism:
         pipeline = VitalsPipeline(config)
         estimates = []
         with SessionWriter(path, config) as writer:
-            seq = 0
             for frame in frames:
-                writer.append_record(SessionRecord(seq, RecordKind.RAW, frame))
-                seq += 1
+                writer.append_record(frame)
             for estimate in pipeline.run(frames):
                 estimates.append(estimate)
-                writer.append_record(SessionRecord(seq, RecordKind.VITALS, estimate))
-                seq += 1
+                writer.append_record(estimate)
 
-        stored_raw = [
-            record.payload for record in replay(path) if record.kind is RecordKind.RAW
-        ]
-        stored_vitals = [
-            record.payload for record in replay(path) if record.kind is RecordKind.VITALS
-        ]
+        stored_raw = [record for record in replay(path) if type(record) is SampleFrame]
+        stored_vitals = [record for record in replay(path) if type(record) is VitalsEstimate]
         assert stored_raw == frames
         recomputed = VitalsPipeline(config).run(stored_raw)
         assert recomputed == stored_vitals == estimates
@@ -486,9 +472,7 @@ class TestPipelineReplayDeterminism:
         paths = [tmp_path / "a.ndjson", tmp_path / "b.ndjson"]
         for path in paths:
             with SessionWriter(path, config) as writer:
-                seq = 0
                 for estimate in VitalsPipeline(config).run(frames):
-                    writer.append_record(SessionRecord(seq, RecordKind.VITALS, estimate))
-                    seq += 1
+                    writer.append_record(estimate)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert summarize(paths[0]) == summarize(paths[1])

@@ -321,7 +321,7 @@ class TestProcessTick:
         good = SampleFrame(0, 1000, 2000)
         with pytest.raises(RangeError, match="red=1000.5 is not an integer"):
             pipeline.tick([good, SampleFrame(10, 1000.5, 2000)])
-        assert pipeline.state.last_frame is good
+        assert pipeline.last_frame is good
 
     def test_spo2_matches_ratio_window_reference(self):
         """The carried window's integer sums give exactly the SpO2 that
