@@ -42,7 +42,7 @@ from .vitals import (
     rolling_average_bpm,
     spo2_estimate,
 )
-from .wire import decode_frame, encode_frame, resync
+from .wire import FrameBlock, decode_frame, encode_frame, resync, validate_block
 
 __version__ = "0.1.0"
 
@@ -58,6 +58,7 @@ __all__ = [
     "DEFAULT_COEFFS",
     "EmotionAssessment",
     "EmotionState",
+    "FrameBlock",
     "GroundTruth",
     "PipelineConfig",
     "RatioWindow",
@@ -84,5 +85,6 @@ __all__ = [
     "resync",
     "rolling_average_bpm",
     "spo2_estimate",
+    "validate_block",
     "validate_frame",
 ]

@@ -44,7 +44,7 @@ from .session import (
 )
 from .synth import SynthProfile, generate
 from .vitals import VitalsPipeline, fit_calibration, fit_residual_rms, tick_chunks
-from .wire import encode_frame, resync
+from .wire import FrameBlock, encode_frame, resync
 
 
 class UsageError(Exception):
@@ -171,8 +171,7 @@ def cmd_simulate(args) -> int:
         if args.out == "-":
             raise UsageError("--format session needs a real --out path")
         with SessionWriter(args.out, config) as writer:
-            for frame in frames:
-                writer.append_record(frame)
+            writer.append_record(FrameBlock.from_frames(frames))
     truth_path = args.truth
     if truth_path is None and args.out != "-":
         truth_path = args.out + ".truth.json"
@@ -197,7 +196,7 @@ def _frames_from_session(source) -> list[SampleFrame]:
     return [record for record in replay(source) if type(record) is SampleFrame]
 
 
-def _load_frames(args) -> list[SampleFrame]:
+def _load_frames(args) -> FrameBlock | list[SampleFrame]:
     fmt = args.format
     if args.in_path != "-" and fmt == "auto":
         with open(args.in_path, "rb") as fh:
@@ -237,16 +236,13 @@ def cmd_process(args) -> int:
     try:
         for chunk in tick_chunks(frames, config.tick_interval_ms):
             estimate = pipeline.tick(chunk)
-            last_temp = next(
-                (f.temperature_c for f in reversed(chunk) if f.temperature_c is not None), last_temp
-            )
+            last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
             assessment = None
             if estimate.contact is ContactState.CONTACT and estimate.bpm_avg is not None:
                 labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
                 assessment = classify(labels, rules)
             if writer:
-                for frame in chunk:
-                    writer.append_record(frame)
+                writer.append_record(chunk)
                 writer.append_record(estimate)
                 if assessment is not None:
                     writer.append_record(TickEmotion(estimate.tick_time_ms, assessment))

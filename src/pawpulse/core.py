@@ -10,11 +10,19 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
+from typing import NamedTuple
 
 from .errors import ConfigError, OrderError, RangeError
 
 #: Largest value an 18-bit optical channel can carry.
 ADC_MAX = (1 << 18) - 1
+
+
+#: A temperature travels as ``round(temp * 10)`` in an int16, so it fits
+#: the wire iff ``temp * 10`` is in [-32768.5, 32767.5) (``round`` takes
+#: halves to even): iff TEMP_MIN_C <= temp < TEMP_MAX_C, the least floats
+#: whose tenfold reaches those bounds.
+TEMP_MIN_C, TEMP_MAX_C = -3276.8500000000004, 3276.75
 
 
 class ContactState(Enum):
@@ -24,12 +32,13 @@ class ContactState(Enum):
     NO_CONTACT = "no_contact"
 
 
-@dataclass(frozen=True)
-class SampleFrame:
+class SampleFrame(NamedTuple):
     """One timestamped red/IR reading, with optional skin temperature.
 
     ``temperature_c`` has 0.1 degC resolution (it travels as deci-Celsius
     on the wire); ``None`` means the sensor did not report temperature.
+    A tuple, so that a row costs one tuple: equality is tuple equality
+    and ``frame._replace(red=...)`` gives a changed copy.
     """
 
     timestamp_ms: int
@@ -153,6 +162,21 @@ class PipelineConfig:
             raise ConfigError("ratio_window_ms must be >= 1")
 
 
+def check_frame_types(frame: SampleFrame) -> None:
+    """The checks of ``validate_frame`` that columns cannot make: raise
+    RangeError unless the timestamp and channels are integers (a bool is
+    not one) and the temperature is None or a real number."""
+    # plain ints skip the ABC check, which is slow
+    if not (type(frame.timestamp_ms) is int and type(frame.red) is int and type(frame.ir) is int):
+        for name in ("timestamp_ms", "red", "ir"):
+            value = getattr(frame, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise RangeError(f"{name}={value!r} is not an integer")
+    temp = frame.temperature_c
+    if not (temp is None or type(temp) is float or (isinstance(temp, Real) and not isinstance(temp, bool))):
+        raise RangeError(f"temperature_c={temp!r} is not a finite number")
+
+
 def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> SampleFrame:
     """Check a frame's field invariants and return it unchanged.
 
@@ -163,24 +187,17 @@ def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> Sampl
     OrderError when ``prev`` is given and the timestamp does not strictly
     increase.
     """
-    # plain ints skip the ABC check, which is slow
-    if not (type(frame.timestamp_ms) is int and type(frame.red) is int and type(frame.ir) is int):
-        for name in ("timestamp_ms", "red", "ir"):
-            value = getattr(frame, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise RangeError(f"{name}={value!r} is not an integer")
+    check_frame_types(frame)
     if frame.timestamp_ms < 0:
         raise RangeError(f"timestamp_ms must be >= 0, got {frame.timestamp_ms}")
     for name, value in (("red", frame.red), ("ir", frame.ir)):
         if not 0 <= value <= ADC_MAX:
             raise RangeError(f"{name}={value} outside 18-bit range [0, {ADC_MAX}]")
-    if frame.temperature_c is not None:
-        temp = frame.temperature_c
-        is_real = type(temp) is float or (isinstance(temp, Real) and not isinstance(temp, bool))
-        if not is_real or not math.isfinite(temp):
+    temp = frame.temperature_c
+    if temp is not None:
+        if not math.isfinite(temp):
             raise RangeError(f"temperature_c={temp!r} is not a finite number")
-        deci = round(temp * 10)
-        if not -(1 << 15) <= deci <= (1 << 15) - 1:
+        if not TEMP_MIN_C <= temp < TEMP_MAX_C:
             raise RangeError(f"temperature_c={temp} outside wire range")
     if prev is not None and frame.timestamp_ms <= prev.timestamp_ms:
         raise OrderError(

@@ -13,12 +13,11 @@ would see in one piece.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ContactState, SampleFrame
+from .core import ContactState
 from .errors import ConfigError
 
 #: Robust-sigma factor: MAD * 1.4826 estimates a Gaussian standard deviation.
@@ -56,14 +55,6 @@ _EMPTY_BLOCK = AcBlock(
     dc_ir=np.empty(0),
     outlier=np.empty(0, dtype=bool),
 )
-
-
-def frame_columns(frames: Sequence[SampleFrame]) -> np.ndarray:
-    """int64 ``(3, n)`` array of the frames' ``timestamp_ms``, ``red`` and ``ir``."""
-    return np.array(
-        [[f.timestamp_ms for f in frames], [f.red for f in frames], [f.ir for f in frames]],
-        dtype=np.int64,
-    )
 
 
 def _window_samples(window_s: float, step_ms: float) -> int:
@@ -186,7 +177,7 @@ class StreamingPreprocessor:
 
     def push(self, cols: np.ndarray) -> AcBlock:
         """Feed new samples, the int64 ``(3, n)`` timestamp/red/IR columns
-        that ``frame_columns`` builds; returns the samples whose smoothing
+        of a ``FrameBlock`` (its ``cols``); returns the samples whose smoothing
         window is complete (everything except the trailing hold-back).
         """
         t, acdc, outlier = self._carry

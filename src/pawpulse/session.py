@@ -51,6 +51,7 @@ from .core import (
 )
 from .emotion import Certainty, EmotionAssessment, EmotionState
 from .errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
+from .wire import FrameBlock, validate_block
 
 FORMAT_VERSION = 1
 
@@ -81,20 +82,18 @@ class SessionSummary:
 #: Vitals, emotion and header lines; raw records are encoded directly.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 _RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
+_RAW_LINE = _RAW_JSON + "\n"
 
 
-def _raw_json(seq: int, frame: SampleFrame) -> str:
-    """The raw record's JSON: the bytes ``_ENCODER`` makes of its body,
-    for a frame ``validate_frame`` accepted (integer fields, a finite or
-    absent temperature), without building the body."""
-    temp = frame.temperature_c
+def _temp_json(temp) -> str:
+    """The JSON ``_ENCODER`` makes of a temperature ``validate_frame``
+    accepted, so that ``_RAW_JSON`` gives the bytes ``_ENCODER`` makes of
+    a raw record's body, without building the body."""
     if temp is None:
-        temp_text = "null"
-    elif type(temp) is float:
-        temp_text = float.__repr__(temp)
-    else:
-        temp_text = _ENCODER.encode(temp)
-    return _RAW_JSON % (seq, frame.timestamp_ms, frame.red, frame.ir, temp_text)
+        return "null"
+    if type(temp) is float:
+        return float.__repr__(temp)
+    return _ENCODER.encode(temp)
 
 
 def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) -> str:
@@ -104,7 +103,7 @@ def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) 
     """
     kind = type(payload)
     if kind is SampleFrame:
-        return _raw_json(seq, payload)
+        return _RAW_JSON % (seq, *payload[:3], _temp_json(payload.temperature_c))
     if kind is VitalsEstimate:
         body = {
             "seq": seq,
@@ -222,11 +221,13 @@ class SessionWriter:
     one cut line that ``replay`` reports after yielding all before it.
 
     A record is its payload: a ``SampleFrame``, ``VitalsEstimate`` or
-    ``TickEmotion``. The writer numbers the records it writes 0, 1, 2, ...
-    in the order they are appended. It refuses a raw frame that
+    ``TickEmotion``; a ``FrameBlock`` appends one raw record per frame,
+    in one call. The writer numbers the records it writes 0, 1, 2, ...
+    in the order they are appended. It refuses raw frames that
     ``validate_frame`` rejects against the last raw frame written
     (RangeError, OrderError), as ``replay`` would, and any other type
-    (TypeError). A refused record writes nothing and uses up no number.
+    (TypeError). A refused record, or block, writes nothing and uses up
+    no number.
     """
 
     def __init__(self, path, config: PipelineConfig, start_utc: str | None = None):
@@ -241,13 +242,19 @@ class SessionWriter:
         self._fh.write(_ENCODER.encode(header) + "\n")
         self._fh.flush()
 
-    def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion) -> None:
+    def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion | FrameBlock) -> None:
         if type(record) is SampleFrame:
-            self._fh.write(_raw_json(self._seq, validate_frame(record, prev=self._last_raw)) + "\n")
-            self._last_raw = record
-        else:
+            record = FrameBlock.from_frames((record,))
+        if type(record) is not FrameBlock:
             self._fh.write(_record_json(self._seq, record) + "\n")
-        self._seq += 1
+            self._seq += 1
+        elif len(validate_block(record, self._last_raw)):
+            seqs = range(self._seq, self._seq + len(record))
+            t, red, ir = record.cols.tolist()
+            temps = map(_temp_json, record.temps.tolist())
+            self._fh.write("".join(map(_RAW_LINE.__mod__, zip(seqs, t, red, ir, temps))))
+            self._last_raw = record[-1]
+            self._seq += len(record)
 
     def flush(self) -> None:
         """Hand every line appended so far to the operating system."""
@@ -346,18 +353,30 @@ def summarize(source) -> SessionSummary:
     ``source`` is a session path, or the session's records as ``replay``
     yields them (raw records may be left out), read in one pass.
     Raises EmptySessionError when there are no vitals records or no
-    Contact ticks. The emotion histogram buckets every vitals tick;
-    ticks without an assessment count under ``"none"``.
+    Contact ticks. The emotion histogram buckets every vitals tick by
+    its assessment, under ``"none"`` for a tick without one. A tick's
+    assessment is the emotion record right after its vitals record, as
+    ``process`` writes it, and only a Contact tick with a BPM average
+    has one; other emotion records are not counted.
     """
     if isinstance(source, _PATH_TYPES):
         source = replay(source)
     vitals: list[VitalsEstimate] = []
-    emotions: dict[int, str] = {}
+    labels: list[str] = []  # one per vitals record
+    previous = None
     for record in source:
         if type(record) is VitalsEstimate:
             vitals.append(record)
-        elif type(record) is TickEmotion:
-            emotions[record.tick_time_ms] = record.assessment.state.value
+            labels.append("none")
+        elif (
+            type(record) is TickEmotion
+            and type(previous) is VitalsEstimate
+            and record.tick_time_ms == previous.tick_time_ms
+            and previous.contact is ContactState.CONTACT
+            and previous.bpm_avg is not None
+        ):
+            labels[-1] = record.assessment.state.value
+        previous = record
     if not vitals:
         raise EmptySessionError("session holds no vitals records")
     contact_ticks = [v for v in vitals if v.contact is ContactState.CONTACT]
@@ -367,8 +386,7 @@ def summarize(source) -> SessionSummary:
     bpm_values = [v.bpm_avg for v in contact_ticks if v.bpm_avg is not None]
     spo2_values = [v.spo2_pct for v in contact_ticks if v.spo2_pct is not None]
     counts: dict[str, int] = {}
-    for v in vitals:
-        label = emotions.get(v.tick_time_ms, "none")
+    for label in labels:
         counts[label] = counts.get(label, 0) + 1
     return SessionSummary(
         duration_s=max(v.tick_time_ms for v in vitals) / 1000.0,

@@ -17,7 +17,9 @@ emitted beats at least one refractory apart.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,9 +31,8 @@ from .core import (
     PipelineConfig,
     SampleFrame,
     VitalsEstimate,
-    validate_frame,
 )
-from .dsp import AcBlock, StreamingPreprocessor, contact_state, frame_columns
+from .dsp import AcBlock, StreamingPreprocessor, contact_state
 from .errors import (
     DegenerateFitError,
     DivisionGuardError,
@@ -40,6 +41,9 @@ from .errors import (
     InsufficientDataError,
     OrderError,
 )
+from .wire import FrameBlock, validate_block
+
+_timestamp = attrgetter("timestamp_ms")
 
 
 @dataclass
@@ -285,24 +289,31 @@ def fit_residual_rms(
     return float(np.sqrt(np.mean(np.square(res))))
 
 
-def tick_chunks(
-    frames: Sequence[SampleFrame], interval_ms: int
-) -> Iterator[Sequence[SampleFrame]]:
+def tick_chunks(frames: Sequence[SampleFrame], interval_ms: int) -> Iterator[FrameBlock]:
     """Split a time-ordered stream into signal-time ticks.
 
     Tick k holds the frames with ``k * interval_ms <= timestamp_ms <
     (k + 1) * interval_ms``. Every tick up to the one holding the last
-    frame is yielded, empty ones included; an empty stream yields none.
+    frame is yielded as a ``FrameBlock``, empty ones included; an empty
+    stream yields none. A list is split first and made a block a tick at
+    a time (``FrameBlock.from_frames``), so no column of the whole
+    stream is built beside it.
     """
-    if not frames:
+    if not len(frames):
         return
-    pos = 0
-    for k in range(frames[-1].timestamp_ms // interval_ms + 1):
-        end = (k + 1) * interval_ms
-        start = pos
-        while pos < len(frames) and frames[pos].timestamp_ms < end:
-            pos += 1
-        yield frames[start:pos]
+    is_block = type(frames) is FrameBlock
+    last = frames[-1].timestamp_ms // interval_ms
+    start = 0
+    for k in range(last + 1):
+        if k == last:
+            stop = len(frames)  # the rest, so that every frame is checked
+        elif is_block:
+            stop = max(start, int(frames.cols[0].searchsorted((k + 1) * interval_ms)))
+        else:
+            stop = bisect_left(frames, (k + 1) * interval_ms, start, key=_timestamp)
+        chunk = frames[start:stop]
+        yield chunk if is_block else FrameBlock.from_frames(chunk)
+        start = stop
 
 
 class VitalsPipeline:
@@ -334,7 +345,10 @@ class VitalsPipeline:
     def tick(self, frames: Sequence[SampleFrame]) -> VitalsEstimate:
         """Advance the pipeline by one tick over the frames that arrived.
 
-        Runs preprocessing, beat detection, the valid-range gate, the
+        ``frames`` is a ``FrameBlock`` or a list of frames. Checks them
+        all with ``validate_block`` against the last frame of the tick
+        before, so a tick that raises leaves the pipeline as it was. Then
+        runs preprocessing, beat detection, the valid-range gate, the
         rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
         baseline is below the contact threshold the tick reports NO_CONTACT
         with absent vitals. Deterministic for identical inputs.
@@ -342,10 +356,11 @@ class VitalsPipeline:
         config = self.config
         tick_time_ms = (self.tick_index + 1) * config.tick_interval_ms
 
-        for frame in frames:
-            validate_frame(frame, prev=self.last_frame)
-            self.last_frame = frame
-        cols = frame_columns(frames)
+        block = frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+        validate_block(block, self.last_frame)
+        if len(block):
+            self.last_frame = block[-1]
+        cols = block.cols
 
         released = self.preprocessor.push(cols)
         events, _ = detect_beats(released, self.detector, config)

@@ -209,7 +209,7 @@ def test_criterion_7_wire_robustness():
     for trial in range(20):
         garbage = bytes(rng.integers(0, 256, size=int(rng.integers(1, 64))).tolist())
         recovered, skipped = resync(garbage + payload)
-        assert recovered[-len(frames):] == frames
+        assert list(recovered[-len(frames):]) == frames
     _report(7, "wire round-trip, corruption detection, resync recovery")
 
 

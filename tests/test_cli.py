@@ -194,6 +194,32 @@ def emotion_for_unassessed_tick(records):
     return records[:at] + [forged] + records[at:], 1000
 
 
+def tampered_session(tmp_path, tamper, state=None):
+    """A processed 5-tick session with its emotion records tampered with,
+    and renumbered, so that only their placement is wrong; ``state``
+    relabels the emotion records at the tick time the tampering names."""
+    path = simulate_file(tmp_path, seconds=5.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    header, *lines = session.read_text().splitlines()
+    records, bad_t = tamper([json.loads(line) for line in lines])
+    for seq, record in enumerate(records):
+        record["seq"] = seq
+        if state and record["kind"] == "emotion" and record["t"] == bad_t:
+            record["state"] = state
+    session.write_text("\n".join([header] + [json.dumps(r, separators=(",", ":")) for r in records]) + "\n")
+    return session, bad_t
+
+
+def test_report_counts_only_placed_emotion_records(tmp_path, capsys):
+    session, _ = tampered_session(tmp_path, emotion_for_unassessed_tick, state="Stressed")
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(session)) == 0
+    out = capsys.readouterr().out
+    # tick 1 has no assessment, whatever record follows it
+    assert "emotion.none=1" in out and "Stressed" not in out
+
+
 class TestReplayCommand:
     def test_verify_ok(self, tmp_path, capsys):
         path = simulate_file(tmp_path, seconds=10.0, noise_std=80.0)
@@ -245,15 +271,7 @@ class TestReplayCommand:
         ids=lambda tamper: tamper.__name__,
     )
     def test_verify_checks_emotion_placement(self, tmp_path, capsys, tamper):
-        path = simulate_file(tmp_path, seconds=5.0)
-        session = tmp_path / "s.ndjson"
-        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
-        header, *lines = session.read_text().splitlines()
-        records, bad_t = tamper([json.loads(line) for line in lines])
-        # renumbered, so that only the placement of the emotion records is wrong
-        for seq, record in enumerate(records):
-            record["seq"] = seq
-        session.write_text("\n".join([header] + [json.dumps(r, separators=(",", ":")) for r in records]) + "\n")
+        session, bad_t = tampered_session(tmp_path, tamper)
         capsys.readouterr()
         assert run_cli("replay", "--in", str(session)) == 0
         assert run_cli("replay", "--in", str(session), "--verify") == 3

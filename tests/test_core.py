@@ -1,10 +1,11 @@
 import math
-from dataclasses import replace
 
 import pytest
 
 from pawpulse.core import (
     ADC_MAX,
+    TEMP_MAX_C,
+    TEMP_MIN_C,
     CalibrationCoeffs,
     ContactState,
     PipelineConfig,
@@ -49,18 +50,30 @@ class TestValidateFrame:
         with pytest.raises(RangeError):
             validate_frame(SampleFrame(timestamp_ms=0, red=-1, ir=0))
 
-    def test_temperature_outside_wire_range_rejected(self):
-        with pytest.raises(RangeError):
-            validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=4000.0))
+    @pytest.mark.parametrize("temp", [4000.0, -4000.0, 1e308])  # 1e308 * 10 overflows to inf
+    def test_temperature_outside_wire_range_rejected(self, temp):
+        with pytest.raises(RangeError, match="outside wire range"):
+            validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=temp))
 
     @pytest.mark.parametrize("field", ["timestamp_ms", "red", "ir"])
     @pytest.mark.parametrize("value", [1000.5, 1000.0, "1000", None, True])
     def test_non_integral_field_rejected(self, field, value):
-        frame = replace(SampleFrame(timestamp_ms=0, red=1000, ir=2000), **{field: value})
+        frame = SampleFrame(timestamp_ms=0, red=1000, ir=2000)._replace(**{field: value})
         with pytest.raises(RangeError, match=f"{field}=.* is not an integer"):
             validate_frame(frame)
         with pytest.raises(RangeError):
             encode_frame(frame)
+
+    def test_wire_range_bounds_are_those_of_round(self):
+        # the float bounds accept exactly the temperatures whose round(temp * 10) fits int16
+        for bound in (TEMP_MIN_C, TEMP_MAX_C):
+            temp = bound
+            for _ in range(20):
+                temp = math.nextafter(temp, -math.inf)
+            for _ in range(40):
+                fits = -(1 << 15) <= round(temp * 10) < 1 << 15
+                assert fits == (TEMP_MIN_C <= temp < TEMP_MAX_C)
+                temp = math.nextafter(temp, math.inf)
 
     @pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf, "38.5", True])
     def test_non_finite_temperature_rejected(self, temp):

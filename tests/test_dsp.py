@@ -11,11 +11,15 @@ from pawpulse.dsp import (
     StreamingPreprocessor,
     centered_mean,
     contact_state,
-    frame_columns,
     trailing_median_mad,
 )
 from pawpulse.errors import ConfigError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
+from pawpulse.wire import FrameBlock
+
+
+def frame_columns(frames):
+    return FrameBlock.from_frames(frames).cols
 
 
 def frames_from(values, step_ms=10):

@@ -26,6 +26,7 @@ from pawpulse.session import (
 )
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import VitalsPipeline
+from pawpulse.wire import FrameBlock
 
 
 def raw(t, red=100, ir=200, temp=None):
@@ -87,14 +88,17 @@ class TestWriter:
             (raw(5), OrderError),
         ],
     )
-    def test_record_replay_would_reject_is_refused(self, tmp_path, bad, error):
+    @pytest.mark.parametrize(
+        "wrap", [lambda bad: bad, lambda bad: FrameBlock.from_frames([raw(15), bad])], ids=["frame", "block"]
+    )
+    def test_record_replay_would_reject_is_refused(self, tmp_path, bad, error, wrap):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             writer.append_record(raw(0))
             writer.append_record(raw(10))
             writer.append_record(vit(1000))  # order is checked against raw frames only
             with pytest.raises(error):
-                writer.append_record(bad)
+                writer.append_record(wrap(bad))  # a block is refused whole
             writer.append_record(raw(20))  # the writer carries on after a refusal
         assert list(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
         assert stored_seqs(path) == [0, 1, 2, 3]  # the refused frame used up no number
@@ -143,6 +147,11 @@ class TestRawEncoding:
             for frame in batch:
                 writer.append_record(frame)
         assert list(replay(path)) == batch
+        block_path = path.with_name("block.ndjson")
+        with SessionWriter(block_path, PipelineConfig()) as writer:
+            writer.append_record(FrameBlock.from_frames(batch[:3]))
+            writer.append_record(FrameBlock.from_frames(batch[3:]))
+        assert block_path.read_bytes() == path.read_bytes()
 
 
 class TestReplay:

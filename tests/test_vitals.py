@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pawpulse.core import (
+    ADC_MAX,
     CalibrationCoeffs,
     ContactState,
     PipelineConfig,
     SampleFrame,
 )
-from pawpulse.dsp import AcBlock, StreamingPreprocessor, frame_columns
+from pawpulse.dsp import AcBlock, StreamingPreprocessor
 from pawpulse.errors import (
     ConfigError,
     DegenerateFitError,
@@ -36,6 +37,7 @@ from pawpulse.vitals import (
     spo2_estimate,
     tick_chunks,
 )
+from pawpulse.wire import FrameBlock
 
 
 class TestBeatInterval:
@@ -219,7 +221,7 @@ def preprocessed(frames, config=None):
     """One push through the pipeline's preprocessor (the hold-back is dropped)."""
     config = config or PipelineConfig()
     pre = StreamingPreprocessor(config.sample_rate_hz, config.dc_window_s, config.smooth_kernel)
-    return pre.push(frame_columns(frames))
+    return pre.push(FrameBlock.from_frames(frames).cols)
 
 
 def ac_block(ac, dc=1000.0, outlier_at=None):
@@ -308,11 +310,21 @@ class TestDetectBeats:
 class TestTickChunks:
     def test_empty_ticks_yielded(self):
         frames = [SampleFrame(t, 100, 100) for t in (0, 10, 999, 2500)]
-        chunks = list(tick_chunks(frames, 1000))
-        assert [[f.timestamp_ms for f in c] for c in chunks] == [[0, 10, 999], [], [2500]]
+        for stream in (frames, FrameBlock.from_frames(frames)):
+            chunks = list(tick_chunks(stream, 1000))
+            assert [[f.timestamp_ms for f in c] for c in chunks] == [[0, 10, 999], [], [2500]]
 
     def test_empty_stream_yields_nothing(self):
         assert list(tick_chunks([], 1000)) == []
+
+    def test_every_frame_reaches_a_tick(self):
+        # out of order: the frames past the last one's tick still land in a
+        # tick, so that validation sees them and refuses the stream
+        frames = [SampleFrame(t, 100, 100) for t in (5, 3000, 7)]
+        for stream in (frames, FrameBlock.from_frames(frames)):
+            assert sum(len(c) for c in tick_chunks(stream, 1000)) == 3
+            with pytest.raises(OrderError):
+                VitalsPipeline().run(stream)
 
 
 class TestProcessTick:
@@ -321,7 +333,21 @@ class TestProcessTick:
         good = SampleFrame(0, 1000, 2000)
         with pytest.raises(RangeError, match="red=1000.5 is not an integer"):
             pipeline.tick([good, SampleFrame(10, 1000.5, 2000)])
-        assert pipeline.last_frame is good
+        # the tick is all or nothing: not even the valid frame before the bad one is taken
+        assert pipeline.last_frame is None
+        assert pipeline.tick_index == 0
+
+    @pytest.mark.parametrize("bad", [SampleFrame(2990, 100, 100), SampleFrame(2995, ADC_MAX + 1, 100)])
+    def test_rejected_tick_leaves_pipeline_as_it_was(self, bad):
+        frames, _ = generate(SynthProfile(true_bpm=80.0, seed=8), 5.0, 100.0)
+        chunks = list(tick_chunks(frames, 1000))
+        clean, tampered = VitalsPipeline(), VitalsPipeline()
+        want = [clean.tick(chunk) for chunk in chunks]
+        got = [tampered.tick(chunk) for chunk in chunks[:3]]
+        with pytest.raises((RangeError, OrderError)):
+            tampered.tick(list(chunks[3]) + [bad])  # valid frames, then one that is not
+        got += [tampered.tick(chunk) for chunk in chunks[3:]]
+        assert got == want
 
     def test_spo2_matches_ratio_window_reference(self):
         """The carried window's integer sums give exactly the SpO2 that

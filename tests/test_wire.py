@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,20 @@ from pawpulse.errors import (
     BadCrcError,
     BadSyncError,
     BadVersionError,
+    OrderError,
     RangeError,
     TruncatedError,
     WireError,
 )
-from pawpulse.wire import SYNC, crc16_ccitt_false, decode_frame, encode_frame, resync
+from pawpulse.wire import (
+    SYNC,
+    FrameBlock,
+    crc16_ccitt_false,
+    decode_frame,
+    encode_frame,
+    resync,
+    validate_block,
+)
 
 
 def crc16_bitwise(data: bytes) -> int:
@@ -199,9 +210,10 @@ class TestResync:
                 blob[pos % len(blob)] ^= mask
         data = bytes(blob[: max(0, len(blob) - cut)])
         got_runs, want_runs = [], []
-        got = resync(data, on_skip=lambda off, n: got_runs.append((off, n)))
-        want = resync_reference(data, on_skip=lambda off, n: want_runs.append((off, n)))
-        assert got == want
+        got, got_skipped = resync(data, on_skip=lambda off, n: got_runs.append((off, n)))
+        want, want_skipped = resync_reference(data, on_skip=lambda off, n: want_runs.append((off, n)))
+        assert list(got) == want
+        assert got_skipped == want_skipped
         assert got_runs == want_runs
 
 
@@ -209,13 +221,13 @@ class TestResync:
         frames = [SampleFrame(i * 10, i, i * 2) for i in range(1, 4)]
         blob = b"\x01\x02\x03\x04\x05\x06\x07" + b"".join(encode_frame(f) for f in frames)
         decoded, skipped = resync(blob)
-        assert decoded == frames
+        assert list(decoded) == frames
         assert skipped == 7
 
     def test_pure_garbage(self):
         blob = bytes(range(1, 100))
         decoded, skipped = resync(blob)
-        assert decoded == []
+        assert list(decoded) == []
         assert skipped == len(blob)
 
     def test_concatenation_no_skips(self):
@@ -228,7 +240,7 @@ class TestResync:
             frames[-1] = SampleFrame(t, frames[-1].red, frames[-1].ir, frames[-1].temperature_c)
         blob = b"".join(encode_frame(f) for f in frames)
         decoded, skipped = resync(blob)
-        assert decoded == frames
+        assert list(decoded) == frames
         assert skipped == 0
 
     def test_sync_pattern_inside_payload(self):
@@ -237,7 +249,7 @@ class TestResync:
         raw = encode_frame(frame)
         assert SYNC in raw[2:]
         decoded, skipped = resync(raw)
-        assert decoded == [frame]
+        assert list(decoded) == [frame]
         assert skipped == 0
 
     def test_skip_run_callback(self):
@@ -245,9 +257,62 @@ class TestResync:
         blob = b"\x00" * 5 + encode_frame(frame) + b"\xff" * 3
         runs = []
         decoded, skipped = resync(blob, on_skip=lambda off, n: runs.append((off, n)))
-        assert decoded == [frame]
+        assert list(decoded) == [frame]
         assert skipped == 8
         assert runs == [(0, 5), (5 + 18, 3)]
+
+    def test_frame_hidden_inside_a_frame_is_skipped(self):
+        # timestamp bytes A5 5A 01 00 start a second frame 4 bytes in; the
+        # 4 bytes after the outer frame end it, with its CRC made valid
+        outer = encode_frame(SampleFrame(int.from_bytes(b"\xa5\x5a\x01\x00", "little"), 7, 9))
+        inner_body = outer[6:] + b"\x00\x00"
+        blob = outer + inner_body[-2:] + crc16_ccitt_false(inner_body).to_bytes(2, "little")
+        assert decode_frame(blob, 4)[1] == 18  # the hidden frame is valid
+        last = SampleFrame(50, 1, 2)
+        blob += encode_frame(last)
+        runs = []
+        decoded, skipped = resync(blob, on_skip=lambda off, n: runs.append((off, n)))
+        assert list(decoded) == [decode_frame(blob)[0], last]
+        assert (skipped, runs) == (4, [(18, 4)])
+        assert (list(decoded), skipped) == resync_reference(blob)
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_frame_cut_where_its_crc_bytes_are_zero_is_not_decoded(self, cut):
+        # the decoder reads past the end of the input as zeros: a frame
+        # whose missing CRC bytes are zeros must still count as cut
+        raw = next(
+            raw
+            for raw in (encode_frame(SampleFrame(7, red, 9)) for red in range(1 << 18))
+            if raw[-cut:] == bytes(cut)
+        )
+        assert resync(raw[:-cut])[1] == 18 - cut
+        assert list(resync(raw[:-cut] + raw)[0]) == [decode_frame(raw)[0]]
+
+    @pytest.mark.parametrize("odd", ["sizes", "flags", "range", "crc", "version"])
+    def test_whole_frame_streams_with_one_odd_frame(self, odd):
+        # streams that split evenly into frames of the first frame's size,
+        # where one frame is not like the others
+        frames = [SampleFrame(10 * i, i, 2 * i) for i in range(20)]
+        raw = [bytearray(encode_frame(f)) for f in frames]
+        if odd == "sizes":  # 18-byte frames, then 20-byte ones: 10 * 18 + 9 * 20 == 20 * 18
+            raw = raw[:10] + [bytearray(encode_frame(f._replace(temperature_c=38.5))) for f in frames[10:19]]
+        else:
+            body = bytearray(raw[7][2:16])
+            if odd == "flags":
+                body[1] = 0x02  # a flag bit the decoder ignores
+            elif odd == "range":
+                body[6:10] = (ADC_MAX + 1).to_bytes(4, "little")
+            elif odd == "version":
+                body[0] = 0x02
+            crc = crc16_ccitt_false(bytes(body)) ^ (odd == "crc")
+            raw[7] = bytearray(SYNC + body + crc.to_bytes(2, "little"))
+        blob = b"".join(raw)
+        runs = []
+        got, skipped = resync(blob, on_skip=lambda off, n: runs.append((off, n)))
+        want_runs = []
+        assert (list(got), skipped) == resync_reference(blob, on_skip=lambda off, n: want_runs.append((off, n)))
+        assert runs == want_runs
+        assert len(got) == (20 if odd == "flags" else 19)
 
     def test_corrupt_frame_between_valid_ones(self):
         frames = [SampleFrame(i * 10, i, i) for i in range(1, 4)]
@@ -258,6 +323,68 @@ class TestResync:
         assert frames[0] in decoded and frames[2] in decoded
         assert frames[1] not in decoded
         assert skipped > 0
+
+
+def first_error(frames, prev):
+    """What checking ``frames`` one by one with ``validate_frame`` raises first."""
+    try:
+        for frame in frames:
+            prev = validate_frame(frame, prev)
+    except (RangeError, OrderError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+near_edges = st.sampled_from([-1, 0, 1, ADC_MAX - 1, ADC_MAX, ADC_MAX + 1])
+column_frames = st.builds(
+    SampleFrame,
+    timestamp_ms=st.integers(-2, 40),  # negative, equal and decreasing timestamps
+    red=near_edges | st.integers(-1, ADC_MAX + 1),
+    ir=near_edges | st.integers(-1, ADC_MAX + 1),
+    temperature_c=st.none()
+    | st.sampled_from([-3276.8, 3276.7, -3276.85, 3276.75, -3276.9, 3276.8, math.nan, math.inf, 38])
+    | st.floats(-3300.0, 3300.0),
+)
+
+
+class TestValidateBlock:
+    @settings(max_examples=500, deadline=None)
+    @given(frames=st.lists(column_frames, max_size=8), prev=st.none() | column_frames)
+    def test_agrees_with_validate_frame(self, frames, prev):
+        try:
+            validate_block(FrameBlock.from_frames(frames), prev)
+            got = None
+        except (RangeError, OrderError) as exc:
+            got = type(exc), str(exc)
+        assert got == first_error(frames, prev)
+
+    def test_wire_temperature_limits(self):
+        for temp in (-3276.8, 3276.7):
+            frame = SampleFrame(0, 0, 0, temp)
+            assert decode_frame(encode_frame(frame))[0] == frame
+            validate_block(FrameBlock.from_frames([frame]))
+        for temp in (-3276.9, 3276.8):
+            with pytest.raises(RangeError, match="outside wire range"):
+                validate_block(FrameBlock.from_frames([SampleFrame(0, 0, 0, temp)]))
+
+
+class TestFrameBlock:
+    def test_rows_slices_and_reversal(self):
+        frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4, 38.5), SampleFrame(30, 5, 6, 38)]
+        block = FrameBlock.from_frames(frames)
+        assert list(block) == frames and len(block) == 3
+        assert list(reversed(block)) == frames[::-1]
+        assert [block[i] for i in range(-3, 3)] == frames * 2
+        assert type(block[1:]) is FrameBlock and list(block[1:]) == frames[1:]
+        assert type(block[2].temperature_c) is int  # values are kept as given
+        with pytest.raises(ValueError):
+            block.cols[0, 0] = 5
+
+    def test_from_frames_checks_types(self):
+        with pytest.raises(RangeError, match="red=1.5 is not an integer"):
+            FrameBlock.from_frames([SampleFrame(0, 1, 2), SampleFrame(10, 1.5, 2)])
+        with pytest.raises(RangeError, match="not a finite number"):
+            FrameBlock.from_frames([SampleFrame(0, 1, 2, "38.5")])
 
 
 class TestCrossModuleRoundTrip:
