@@ -16,7 +16,7 @@ import json
 import sys
 import typing
 
-from .core import ContactState, PipelineConfig, SampleFrame, VitalsEstimate
+from .core import ContactState, PipelineConfig, VitalsEstimate
 from .emotion import (
     DEFAULT_BANDS,
     DEFAULT_RULES,
@@ -191,12 +191,12 @@ def _read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _frames_from_session(source) -> list[SampleFrame]:
-    """The raw frames of a session path or text stream."""
-    return [record for record in replay(source) if type(record) is SampleFrame]
+def _frames_from_session(source) -> FrameBlock:
+    """The raw frames of a session path or text stream, as one block."""
+    return FrameBlock.concat(record for record in replay(source) if type(record) is FrameBlock)
 
 
-def _load_frames(args) -> FrameBlock | list[SampleFrame]:
+def _load_frames(args) -> FrameBlock:
     fmt = args.format
     if args.in_path != "-" and fmt == "auto":
         with open(args.in_path, "rb") as fh:
@@ -261,7 +261,7 @@ def cmd_process(args) -> int:
 def cmd_replay(args) -> int:
     header = read_header(args.in_path)
     config = config_from_dict(header["config"])
-    stored_raw: list[SampleFrame] = []
+    stored_raw: list[FrameBlock] = []
     stored_vitals: list[VitalsEstimate] = []
     # the assessment of the emotion record right after each vitals record
     # of the same tick, as process writes it
@@ -269,7 +269,7 @@ def cmd_replay(args) -> int:
     stray: TickEmotion | None = None  # the first emotion record anywhere else
     previous = None
     for record in replay(args.in_path):
-        if type(record) is SampleFrame:
+        if type(record) is FrameBlock:
             stored_raw.append(record)
         elif type(record) is VitalsEstimate:
             stored_vitals.append(record)
@@ -287,7 +287,7 @@ def cmd_replay(args) -> int:
         if not stored_raw:
             raise EmptySessionError("no raw records to replay")
         pipeline = VitalsPipeline(config)
-        recomputed = pipeline.run(stored_raw)
+        recomputed = pipeline.run(FrameBlock.concat(stored_raw))
         if len(recomputed) != len(stored_vitals):
             print(
                 f"verify: MISMATCH tick count {len(recomputed)} != {len(stored_vitals)}",
@@ -438,13 +438,20 @@ def _render_svg_report(summary: SessionSummary, vitals) -> str:
 
 
 def cmd_report(args) -> int:
-    # one pass over the file, keeping only the vitals and emotion records
-    kept = [record for record in replay(args.in_path) if type(record) is not SampleFrame]
-    summary = summarize(kept)
+    # one pass over the file, keeping only the vitals records; summarize
+    # sees the raw blocks too, which decide where emotion records belong
+    vitals: list[VitalsEstimate] = []
+
+    def records():
+        for record in replay(args.in_path):
+            if type(record) is VitalsEstimate:
+                vitals.append(record)
+            yield record
+
+    summary = summarize(records())
     if args.format == "text":
         output = _render_text_report(summary)
     else:
-        vitals = [record for record in kept if type(record) is VitalsEstimate]
         output = _render_svg_report(summary, vitals)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -16,6 +16,8 @@ from .errors import ConfigError, OrderError, RangeError
 
 #: Largest value an 18-bit optical channel can carry.
 ADC_MAX = (1 << 18) - 1
+#: Largest timestamp a frame may carry: frames are stored as int64 columns.
+TIMESTAMP_MAX = (1 << 63) - 1
 
 
 #: A temperature travels as ``round(temp * 10)`` in an int16, so it fits
@@ -182,20 +184,23 @@ def validate_frame(frame: SampleFrame, prev: SampleFrame | None = None) -> Sampl
 
     Raises RangeError when the timestamp or a channel is not an integer
     (a bool is not one), a channel exceeds 18 bits, the timestamp is
-    negative or the temperature is not a finite number that fits the
-    wire, and
+    negative or does not fit 64 bits or the temperature is not a finite
+    number that fits the wire, and
     OrderError when ``prev`` is given and the timestamp does not strictly
     increase.
     """
     check_frame_types(frame)
     if frame.timestamp_ms < 0:
         raise RangeError(f"timestamp_ms must be >= 0, got {frame.timestamp_ms}")
+    if frame.timestamp_ms > TIMESTAMP_MAX:
+        raise RangeError(f"timestamp_ms={frame.timestamp_ms} does not fit 64 bits")
     for name, value in (("red", frame.red), ("ir", frame.ir)):
         if not 0 <= value <= ADC_MAX:
             raise RangeError(f"{name}={value} outside 18-bit range [0, {ADC_MAX}]")
     temp = frame.temperature_c
     if temp is not None:
-        if not math.isfinite(temp):
+        # an int is finite, and may be too large for a float
+        if type(temp) is not int and not math.isfinite(temp):
             raise RangeError(f"temperature_c={temp!r} is not a finite number")
         if not TEMP_MIN_C <= temp < TEMP_MAX_C:
             raise RangeError(f"temperature_c={temp} outside wire range")

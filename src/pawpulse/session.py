@@ -17,15 +17,30 @@ Record lines (``seq`` numbers the records 0, 1, 2, ... across all kinds)::
     {"seq": n, "kind": "emotion", "t": ms, "state": "...", "certainty": "...",
      "rules": [...]}
 
-In memory a record is its payload: a ``SampleFrame`` (raw), a
-``VitalsEstimate`` (vitals) or a ``TickEmotion`` (emotion), and its
-kind is its type. ``SessionWriter`` numbers the records it writes;
-``replay`` yields the payloads and checks the numbering (each ``seq``
-an integer greater than the one before). A record holds exactly its
-kind's keys. ``replay`` rejects anything else, as it rejects a raw
-frame that ``validate_frame`` refuses, a vitals number that is not
-finite and a ``t`` that is not an integer; ``SessionWriter`` refuses to
-write a raw frame that reading would reject.
+In memory a vitals record is a ``VitalsEstimate`` and an emotion
+record a ``TickEmotion``; raw records are frames. ``SessionWriter``
+takes a ``SampleFrame`` or a ``FrameBlock`` of them, and ``replay``
+yields one read-only ``FrameBlock`` for each run of consecutive raw
+lines, so a record's kind is its type. ``SessionWriter`` numbers the
+records it writes; ``replay`` checks the numbering (each ``seq`` an
+integer that fits 64 bits and is greater than the one before). A record
+holds exactly its kind's keys. ``replay`` rejects anything else, as it
+rejects a raw frame that ``validate_frame`` refuses, a vitals number
+that is not finite and a ``t`` that is not an integer;
+``SessionWriter`` refuses to write a raw frame that reading would
+reject. The header must hold ``format`` 1, an integer, and a ``config``
+with exactly the keys of ``config_to_dict``, each a finite number of its
+key's type that ``PipelineConfig`` accepts.
+
+Reading: raw lines spelled exactly as ``SessionWriter`` writes them are
+parsed without ``json``, a run of them at a time, straight into int64
+columns. Any other line goes through ``json``; a raw record spelled
+another way gives the same frame and joins the run around it, and a
+blank line ends a run. Each run is checked once, when it ends: its
+``seq`` values, then ``first_invalid`` against the last raw frame
+before it. At a bad line ``replay`` yields what comes before it (its
+run's good prefix as one block) and raises the error that line gives
+when read by itself.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -36,10 +51,15 @@ written, and every tick already printed is in the file.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import sys
+import typing
 from dataclasses import dataclass, fields
 from typing import Iterator
+
+import numpy as np
 
 from .core import (
     CalibrationCoeffs,
@@ -47,11 +67,19 @@ from .core import (
     PipelineConfig,
     SampleFrame,
     VitalsEstimate,
+    check_frame_types,
     validate_frame,
 )
 from .emotion import Certainty, EmotionAssessment, EmotionState
-from .errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
-from .wire import FrameBlock, validate_block
+from .errors import (
+    ConfigError,
+    EmptySessionError,
+    OrderError,
+    RangeError,
+    SeqError,
+    SessionParseError,
+)
+from .wire import FrameBlock, first_invalid, validate_block
 
 FORMAT_VERSION = 1
 
@@ -157,6 +185,8 @@ def _record_from_obj(obj, lineno: int) -> tuple[int, SampleFrame | VitalsEstimat
         t = obj["t"]
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
+        if not -(1 << 63) <= seq < 1 << 63:
+            raise ValueError(f"seq {seq} does not fit 64 bits")
         if kind == "raw":
             # the fields are checked by validate_frame, against the previous frame
             payload = SampleFrame(t, obj["red"], obj["ir"], obj["temp"])
@@ -204,7 +234,40 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return out
 
 
+def _config_types() -> dict[str, tuple[type, ...]]:
+    """Each key of ``config_to_dict`` -> the types its value may have."""
+    real = (int, float)
+    types: dict[str, tuple[type, ...]] = {}
+    for name, hint in typing.get_type_hints(PipelineConfig).items():
+        if name == "coeffs":
+            types["coeff_a"] = types["coeff_b"] = real
+        else:
+            types[name] = (int,) if hint is int else real if hint is float else real + (type(None),)
+    return types
+
+
+_CONFIG_TYPES = _config_types()
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
+    """The config of a ``config_to_dict`` view.
+
+    Raises ConfigError when ``data`` is not a dict, a key is missing or
+    unknown, a value is not a finite number of its key's type (a bool is
+    none, and an int key takes no float), or ``PipelineConfig`` rejects a
+    value.
+    """
+    if type(data) is not dict:
+        raise ConfigError(f"config is not an object: {data!r}")
+    if data.keys() != _CONFIG_TYPES.keys():
+        missing = sorted(_CONFIG_TYPES.keys() - data.keys())
+        unknown = sorted(data.keys() - _CONFIG_TYPES.keys())
+        raise ConfigError(f"config keys missing {missing}, unknown {unknown}")
+    for key, value in data.items():
+        types = _CONFIG_TYPES[key]
+        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+            wanted = "an integer" if types == (int,) else "a finite number" + (" or null" if type(None) in types else "")
+            raise ConfigError(f"config key {key!r}: {value!r} is not {wanted}")
     data = dict(data)
     coeffs = CalibrationCoeffs(a=data.pop("coeff_a"), b=data.pop("coeff_b"))
     return PipelineConfig(coeffs=coeffs, **data)
@@ -282,8 +345,13 @@ def _header_from_line(line: str) -> dict:
         raise SessionParseError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise SessionParseError(1, "header is not a JSON object")
-    if header.get("format") != FORMAT_VERSION:
-        raise SessionParseError(1, f"unsupported format {header.get('format')!r}")
+    version = header.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SessionParseError(1, f"unsupported format {version!r}")
+    try:
+        config_from_dict(header.get("config"))
+    except ConfigError as exc:
+        raise SessionParseError(1, f"bad config: {exc}") from exc
     return header
 
 
@@ -296,8 +364,9 @@ def read_header(source) -> dict:
     return _header_from_line(source.readline())
 
 
-def replay(source) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]:
-    """Yield the records' payloads in stored order.
+def replay(source) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+    """Yield the records in stored order: one read-only ``FrameBlock`` per
+    run of consecutive raw records, and each vitals and emotion payload.
 
     ``source`` is a session path, or an open text stream positioned at
     the session's first line. The header line is checked as
@@ -306,21 +375,127 @@ def replay(source) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]:
     whose keys are not exactly its kind's and a raw frame that
     ``validate_frame`` rejects against the previous raw frame, and
     SeqError naming the line at the first ``seq`` not greater than its
-    predecessor's; records before it are yielded intact. The ``seq``
-    values are checked, not yielded: the payloads come in stored order.
+    predecessor's. Everything before that line is yielded first: the
+    records, and the frames of its run as one block. The ``seq`` values
+    are checked, not yielded: the payloads come in stored order.
     """
     if isinstance(source, _PATH_TYPES):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from _replay_lines(fh)
+            yield from _replay_stream(fh)
     else:
-        yield from _replay_lines(source)
+        yield from _replay_stream(source)
 
 
-def _replay_lines(lines) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]:
-    _header_from_line(next(lines, ""))
-    last_seq: int | None = None
-    last_raw: SampleFrame | None = None
-    for lineno, line in enumerate(lines, start=2):
+#: A run of raw record lines exactly as ``_RAW_LINE`` writes them, from the
+#: start of a line: integers with no sign or leading zero and at most 18
+#: digits, so that each fits an int64, and a temperature that is null or a
+#: JSON number. Every other spelling of a raw record takes the JSON path.
+_INT = "(?:0|[1-9][0-9]{0,17})"
+_NUMBER = rf"-?{_INT}(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_RAW_RUN = re.compile(
+    r'^(?:\{"seq":%s,"kind":"raw","t":%s,"red":%s,"ir":%s,"temp":(?:null|%s)\}\n)+'
+    % (_INT, _INT, _INT, _INT, _NUMBER),
+    re.MULTILINE,
+)
+#: The temperature of each line of such a run.
+_TEMP = re.compile(r'"temp":([^}]*)')
+#: A byte -> itself if a digit, else a space: a run without its
+#: temperatures is then its four integers per line, blank-separated.
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+#: Characters read at a time; a run may span reads.
+_CHUNK = 1 << 16
+
+
+def _json_number(text: str):
+    """What ``json`` makes of a temperature that ``_RAW_RUN`` matched."""
+    if text == "null":
+        return None
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def _replay_stream(fh) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+    _header_from_line(fh.readline())
+    reader = _Reader()
+    tail = ""
+    while True:
+        chunk = fh.read(_CHUNK)
+        text = tail + chunk
+        if chunk:  # the last line may go on in the next read
+            cut = text.rfind("\n") + 1
+            text, tail = text[:cut], text[cut:]
+        pos = 0
+        for match in _RAW_RUN.finditer(text):
+            start, end = match.span()
+            if start > pos:
+                yield from reader.other_lines(text[pos:start])
+            reader.add_run(text[start:end])
+            pos = end
+        if pos < len(text):
+            yield from reader.other_lines(text[pos:])
+        if not chunk:
+            break
+    yield from reader.end_run()
+
+
+class _Reader:
+    """``replay`` between two lines: the number of the next line, the last
+    ``seq`` and raw frame yielded, and the run of raw records being read,
+    as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces and a list of
+    temperatures, ``first_line`` the line of its first record.
+
+    A run is checked when it ends, at a line that is not a raw record or
+    at the end of the file: one strictly-increasing check on ``seq`` and
+    ``first_invalid`` against the last raw frame. A raw record from the
+    JSON path whose fields have the wrong type or do not fit an int64
+    ends the run too, and is checked alone after it.
+    """
+
+    def __init__(self):
+        self.lineno = 2
+        self.last_seq: int | None = None
+        self.last_raw: SampleFrame | None = None
+        self._new_run()
+
+    def _new_run(self) -> None:
+        self.first_line = 0
+        self.pieces: list[np.ndarray] = []
+        self.temps: list = []
+
+    def _extend(self, rows: np.ndarray, temps: list) -> None:
+        if not self.pieces:
+            self.first_line = self.lineno
+        self.pieces.append(rows)
+        self.temps += temps
+
+    def add_run(self, run: str) -> None:
+        """Add the lines of a ``_RAW_RUN`` match to the run."""
+        n = run.count("\n")
+        if run.count('"temp":null}') == n:
+            temps = [None] * n
+        else:
+            temps = list(map(_json_number, _TEMP.findall(run)))
+            run = _TEMP.sub("", run)
+        numbers = np.fromstring(run.encode().translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+        self._extend(numbers.reshape(n, 4), temps)
+        self.lineno += n
+
+    def other_lines(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+        """Read the lines of ``text`` through the JSON path."""
+        lines = text.split("\n")
+        last = lines.pop()  # empty, unless text is the end of a file without a newline
+        lines = [line + "\n" for line in lines]
+        if last:
+            lines.append(last)
+        for line in lines:
+            record = yield from self._other_line(line)
+            if record is not None:
+                yield record
+            self.lineno += 1
+
+    def _other_line(self, line: str):
+        """The vitals or emotion payload of ``line``, or None when it is
+        blank or a raw record (which joins the run)."""
+        lineno = self.lineno
         # json.loads(line), minus its per-call overhead on a well-formed
         # line; anything else goes to the full decoder, which accepts and
         # rejects exactly what json.loads does
@@ -330,28 +505,81 @@ def _replay_lines(lines) -> Iterator[SampleFrame | VitalsEstimate | TickEmotion]
                 raise ValueError("trailing data")
         except (StopIteration, ValueError):
             if not line.strip():
-                continue
+                yield from self.end_run()
+                return None
             try:
                 obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                yield from self.end_run()
                 raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-        seq, record = _record_from_obj(obj, lineno)
-        if last_seq is not None and seq <= last_seq:
-            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {last_seq}")
-        last_seq = seq
+        try:
+            seq, record = _record_from_obj(obj, lineno)
+        except SessionParseError:
+            yield from self.end_run()
+            raise
         if type(record) is SampleFrame:
             try:
-                last_raw = validate_frame(record, prev=last_raw)
-            except (RangeError, OrderError) as exc:
-                raise SessionParseError(lineno, str(exc)) from exc
-        yield record
+                check_frame_types(record)
+                row = np.array([(seq, *record[:3])], dtype=np.int64)
+            except (RangeError, OverflowError):
+                yield from self.end_run()
+                self._check_alone(seq, record, lineno)
+            self._extend(row, [record.temperature_c])
+            return None
+        yield from self.end_run()
+        self._check_seq(seq, lineno)
+        self.last_seq = seq
+        return record
+
+    def end_run(self) -> Iterator[FrameBlock]:
+        """Check the run; yield its frames before the first bad one as one
+        block, then raise that frame's error, as reading line by line
+        would."""
+        if not self.pieces:
+            return
+        rows = np.concatenate(self.pieces) if len(self.pieces) > 1 else self.pieces[0]
+        n = len(rows)
+        seq = rows[:, 0]
+        bad = n
+        if self.last_seq is not None and seq[0] <= self.last_seq:
+            bad = 0
+        else:
+            falls = np.flatnonzero(seq[1:] <= seq[:-1])
+            if falls.size:
+                bad = int(falls[0]) + 1
+        temps = np.empty(n, dtype=object)
+        temps[:] = self.temps
+        block = FrameBlock(rows[:, 1:].T.copy(), temps)
+        bad = min(bad, first_invalid(block, self.last_raw))
+        first_line = self.first_line
+        self._new_run()
+        if bad:
+            good = block if bad == n else block[:bad]
+            self.last_seq = int(seq[bad - 1])
+            self.last_raw = good[-1]
+            yield good
+        if bad < n:
+            self._check_alone(int(seq[bad]), block[bad], first_line + bad)
+
+    def _check_seq(self, seq: int, lineno: int) -> None:
+        if self.last_seq is not None and seq <= self.last_seq:
+            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {self.last_seq}")
+
+    def _check_alone(self, seq: int, frame: SampleFrame, lineno: int) -> None:
+        """Raise the error of a raw record that a run check found bad."""
+        self._check_seq(seq, lineno)
+        try:
+            validate_frame(frame, prev=self.last_raw)
+        except (RangeError, OrderError) as exc:
+            raise SessionParseError(lineno, str(exc)) from exc
+        raise SessionParseError(lineno, f"frame {frame} breaks the run rule")
 
 
 def summarize(source) -> SessionSummary:
     """Deterministic statistics over a session's Contact ticks.
 
     ``source`` is a session path, or the session's records as ``replay``
-    yields them (raw records may be left out), read in one pass.
+    yields them, read in one pass; the raw blocks are only passed over.
     Raises EmptySessionError when there are no vitals records or no
     Contact ticks. The emotion histogram buckets every vitals tick by
     its assessment, under ``"none"`` for a tick without one. A tick's

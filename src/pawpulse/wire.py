@@ -27,7 +27,9 @@ gather and one XOR-reduce.
 from __future__ import annotations
 
 import binascii
+import math
 import struct
+import sys
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +39,7 @@ from .core import (
     ADC_MAX,
     TEMP_MAX_C,
     TEMP_MIN_C,
+    TIMESTAMP_MAX,
     SampleFrame,
     check_frame_types,
     validate_frame,
@@ -180,8 +183,20 @@ class FrameBlock(Sequence[SampleFrame]):
         rows = zip(reversed(t), reversed(red), reversed(ir), reversed(self.temps.tolist()))
         return map(tuple.__new__, repeat(SampleFrame), rows)
 
+    @classmethod
+    def concat(cls, blocks: Iterable["FrameBlock"]) -> "FrameBlock":
+        """The frames of ``blocks``, in order, as one block."""
+        blocks = list(blocks)
+        if not blocks:
+            return cls(np.empty((3, 0), dtype=np.int64), np.empty(0, dtype=object))
+        if len(blocks) == 1:
+            return blocks[0]
+        cols = np.concatenate([b.cols for b in blocks], axis=1)
+        return cls(cols, np.concatenate([b.temps for b in blocks]))
 
-_COLUMN_MAX = np.array([[np.iinfo(np.int64).max], [ADC_MAX], [ADC_MAX]], dtype=np.uint64)
+
+_COLUMN_MAX = np.array([[TIMESTAMP_MAX], [ADC_MAX], [ADC_MAX]], dtype=np.uint64)
+_FLOAT_MAX = sys.float_info.max
 
 
 def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameBlock:
@@ -193,9 +208,19 @@ def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameB
     is not finite or does not fit the wire. The error is the one
     ``validate_frame`` raises for the first frame that fails.
     """
+    i = first_invalid(block, prev)
+    if i < len(block):
+        validate_frame(block[i], block[i - 1] if i else prev)
+        raise RangeError(f"frame {block[i]} breaks the column rule")
+    return block
+
+
+def first_invalid(block: FrameBlock, prev: SampleFrame | None = None) -> int:
+    """The index of the first frame of ``block`` that ``validate_block``
+    rejects, or ``len(block)`` when it rejects none."""
     cols = block.cols
     if not cols.shape[1]:
-        return block
+        return 0
     # negative values wrap to huge unsigned ones
     bad = (cols.view(np.uint64) > _COLUMN_MAX).any(axis=0)
     t = cols[0]
@@ -204,16 +229,18 @@ def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameB
         bad[0] |= t[0] <= prev.timestamp_ms
     absent = block.temps.tolist().count(None)
     if absent < len(bad):
-        temps = block.temps.astype(float)  # None and NaN become NaN, which fails both
+        try:
+            temps = block.temps.astype(float)  # None and NaN become NaN, which fails both
+        except OverflowError:  # an int beyond any float, and so beyond the wire range
+            temps = np.array(
+                [math.inf if type(x) is int and abs(x) > _FLOAT_MAX else x for x in block.temps.tolist()],
+                dtype=float,
+            )
         unfit = ~((temps >= TEMP_MIN_C) & (temps < TEMP_MAX_C))
         if absent:
             unfit &= np.not_equal(block.temps, None)  # a frame without one is fine
         bad |= unfit
-    if bad.any():
-        i = int(bad.argmax())
-        validate_frame(block[i], block[i - 1] if i else prev)
-        raise RangeError(f"frame {block[i]} breaks the column rule")
-    return block
+    return int(bad.argmax()) if bad.any() else len(bad)
 
 
 def _crc_tables():

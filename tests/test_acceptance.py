@@ -44,7 +44,7 @@ from pawpulse.vitals import (
     rolling_average_bpm,
     spo2_estimate,
 )
-from pawpulse.wire import decode_frame, encode_frame, resync
+from pawpulse.wire import FrameBlock, decode_frame, encode_frame, resync
 
 
 def _report(number: int, label: str) -> None:
@@ -227,8 +227,8 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     stored_raw = []
     stored_vitals = []
     for record in replay(session):
-        if type(record) is SampleFrame:
-            stored_raw.append(record)
+        if type(record) is FrameBlock:
+            stored_raw.extend(record)
         elif type(record) is VitalsEstimate:
             stored_vitals.append(record)
     from pawpulse.session import config_from_dict

@@ -328,6 +328,78 @@ def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit):
     assert out == ""
 
 
+SESSION_READERS = [["report"], ["replay"], ["replay", "--verify"], ["process", "--format", "session"]]
+
+
+@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda header: header.pop("config"), "bad config: config is not an object: None"),
+        (lambda header: header.update(format=True), "unsupported format True"),
+        (lambda header: header["config"].update(tick_interval_ms=0), "bad config: tick_interval_ms must be >= 1"),
+    ],
+    ids=["no-config", "format-true", "config-error"],
+)
+def test_bad_header_is_data_error(tmp_path, capsys, command, edit, message):
+    path = simulate_file(tmp_path, seconds=3.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    header_line, body = session.read_text().split("\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    session.write_text(json.dumps(header) + "\n" + body)
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert err == f"error: line 1: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)
+def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
+    path = simulate_file(tmp_path, seconds=3.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    lines = session.read_text().splitlines()
+    lineno = 150  # a raw record of the second tick
+    lines[lineno - 1] = re.sub(r'"t":\d+', '"t":100000000000000000000', lines[lineno - 1])
+    session.write_text("\n".join(lines) + "\n")
+    # in a child process, so that walking the empty ticks up to that time
+    # would fail the test rather than hang it
+    package_root = str(Path(pawpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "pawpulse.cli", *command, "--in", str(session)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 3
+    assert f"error: line {lineno}: timestamp_ms=100000000000000000000 does not fit 64 bits" in result.stderr
+
+
+def test_raw_run_between_vitals_and_emotion_makes_the_emotion_stray(tmp_path, capsys):
+    """A raw record between a tick's vitals and emotion records unplaces
+    the emotion record, for --verify and report alike."""
+    path = simulate_file(tmp_path, seconds=5.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    assert run_cli("report", "--in", str(session)) == 0
+    none = int(re.search(r"emotion.none=(\d+)", capsys.readouterr().out).group(1))
+    header, *lines = session.read_text().splitlines()
+    # the last vitals record with an emotion record after it swaps places
+    # with the raw record before it: raw frames and ticks stay as they were
+    at = max(i for i, line in enumerate(lines) if '"kind":"emotion"' in line) - 1
+    assert '"kind":"vitals"' in lines[at] and '"kind":"raw"' in lines[at - 1]
+    lines[at - 1], lines[at] = lines[at], lines[at - 1]
+    records = [dict(json.loads(line), seq=seq) for seq, line in enumerate(lines)]
+    session.write_text("\n".join([header] + [json.dumps(r, separators=(",", ":")) for r in records]) + "\n")
+    assert run_cli("report", "--in", str(session)) == 0
+    assert f"emotion.none={none + 1}" in capsys.readouterr().out
+    assert run_cli("replay", "--in", str(session), "--verify") == 3
+    t = records[at - 1]["t"]
+    assert f"verify: MISMATCH at t={t}ms: no emotion record" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -363,6 +435,15 @@ def test_config_key_round_trips_through_set(key, value):
     parsed = config_to_dict(build_config(None, [f"{key}={value}"]))[key]
     assert parsed == value
     assert type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_is_data_error(tmp_path, capsys, value):
+    # a session header cannot hold it, so no command may run with it
+    path = simulate_file(tmp_path, seconds=2.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--set", f"outlier_z={value}", "--session-out", str(session)) == 3
+    assert f"error: config key 'outlier_z': {value} is not a finite number or null" in capsys.readouterr().err
 
 
 class TestCalibrate:

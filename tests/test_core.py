@@ -75,6 +75,16 @@ class TestValidateFrame:
                 assert fits == (TEMP_MIN_C <= temp < TEMP_MAX_C)
                 temp = math.nextafter(temp, math.inf)
 
+    def test_timestamp_must_fit_64_bits(self):
+        validate_frame(SampleFrame(timestamp_ms=(1 << 63) - 1, red=0, ir=0))
+        with pytest.raises(RangeError, match="timestamp_ms=9223372036854775808 does not fit 64 bits"):
+            validate_frame(SampleFrame(timestamp_ms=1 << 63, red=0, ir=0))
+
+    @pytest.mark.parametrize("temp", [10**400, -(10**400)])  # beyond any float
+    def test_huge_integer_temperature_rejected(self, temp):
+        with pytest.raises(RangeError, match="outside wire range"):
+            validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=temp))
+
     @pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf, "38.5", True])
     def test_non_finite_temperature_rejected(self, temp):
         with pytest.raises(RangeError, match="not a finite number"):

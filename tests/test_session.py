@@ -1,5 +1,8 @@
 import io
+import re
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawpulse.core import (
+    ADC_MAX,
     ContactState,
     PipelineConfig,
     SampleFrame,
@@ -17,6 +21,7 @@ from pawpulse.errors import EmptySessionError, OrderError, RangeError, SeqError,
 from pawpulse.session import (
     SessionWriter,
     TickEmotion,
+    _CHUNK,
     _record_json,
     config_from_dict,
     config_to_dict,
@@ -25,7 +30,7 @@ from pawpulse.session import (
     summarize,
 )
 from pawpulse.synth import SynthProfile, generate
-from pawpulse.vitals import VitalsPipeline
+from pawpulse.vitals import VitalsPipeline, tick_chunks
 from pawpulse.wire import FrameBlock
 
 
@@ -45,6 +50,17 @@ def emo(t, state=EmotionState.CALM, certainty=Certainty.DECIDED):
     return TickEmotion(t, EmotionAssessment(state, certainty, ("R1",)))
 
 
+def flat(records):
+    """The records with each raw block replaced by its frames."""
+    out = []
+    for record in records:
+        if type(record) is FrameBlock:
+            out.extend(record)
+        else:
+            out.append(record)
+    return out
+
+
 def stored_seqs(path):
     return [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:]]
 
@@ -55,7 +71,7 @@ class TestWriter:
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(1000):
                 writer.append_record(raw(i * 10))
-        assert len(list(replay(path))) == 1000
+        assert len(flat(replay(path))) == 1000
 
     def test_first_record_seq_zero(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -100,7 +116,7 @@ class TestWriter:
             with pytest.raises(error):
                 writer.append_record(wrap(bad))  # a block is refused whole
             writer.append_record(raw(20))  # the writer carries on after a refusal
-        assert list(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
+        assert flat(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
         assert stored_seqs(path) == [0, 1, 2, 3]  # the refused frame used up no number
 
     def test_flush_hands_lines_to_the_file(self, tmp_path):
@@ -109,7 +125,7 @@ class TestWriter:
             writer.append_record(raw(0))
             writer.append_record(vit(1000))
             writer.flush()
-            assert list(replay(path)) == [raw(0), vit(1000)]
+            assert flat(replay(path)) == [raw(0), vit(1000)]
 
 
 # Raw frames as validate_frame accepts them: 18-bit channels, uint32
@@ -146,7 +162,7 @@ class TestRawEncoding:
         with SessionWriter(path, PipelineConfig()) as writer:
             for frame in batch:
                 writer.append_record(frame)
-        assert list(replay(path)) == batch
+        assert flat(replay(path)) == batch
         block_path = path.with_name("block.ndjson")
         with SessionWriter(block_path, PipelineConfig()) as writer:
             writer.append_record(FrameBlock.from_frames(batch[:3]))
@@ -167,7 +183,7 @@ class TestReplay:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in records:
                 writer.append_record(record)
-        assert list(replay(path)) == records
+        assert flat(replay(path)) == records
 
     def test_randomized_lossless(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -201,7 +217,7 @@ class TestReplay:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in records:
                 writer.append_record(record)
-        assert list(replay(path)) == records
+        assert flat(replay(path)) == records
 
     def test_truncated_final_line(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -214,7 +230,7 @@ class TestReplay:
         with pytest.raises(SessionParseError) as err:
             for record in replay(path):
                 collected.append(record)
-        assert len(collected) == 5
+        assert len(flat(collected)) == 5
         assert err.value.line == 7  # header + 5 records + the bad line
 
     def test_bad_record_fields(self, tmp_path):
@@ -238,7 +254,7 @@ class TestReplay:
         with pytest.raises(SeqError, match="line 7"):
             for record in replay(path):
                 collected.append(record)
-        assert len(collected) == 5
+        assert len(flat(collected)) == 5
 
     def test_non_integer_seq_rejected(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -268,7 +284,7 @@ class TestReplay:
         with pytest.raises(SessionParseError, match=f"line 8: {message}") as err:
             for record in replay(path):
                 collected.append(record)
-        assert len(collected) == 6
+        assert len(flat(collected)) == 6
         assert err.value.line == 8
 
     @pytest.mark.parametrize("kind", ["raw", "vitals", "emotion"])
@@ -336,7 +352,7 @@ class TestReplay:
         with pytest.raises(SessionParseError, match="line 6: bad JSON: Extra data"):
             for record in replay(path):
                 collected.append(record)
-        assert collected == [raw(0, red=1, ir=2), raw(10, red=1, ir=2, temp=36.6)]
+        assert flat(collected) == [raw(0, red=1, ir=2), raw(10, red=1, ir=2, temp=36.6)]
 
     def test_text_stream_reads_as_path(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -346,9 +362,9 @@ class TestReplay:
                 writer.append_record(record)
         text = path.read_text()
         assert read_header(io.StringIO(text)) == read_header(path)
-        assert list(replay(io.StringIO(text))) == list(replay(path)) == records
+        assert flat(replay(io.StringIO(text))) == flat(replay(path)) == records
         with open(path, encoding="utf-8") as fh:
-            assert list(replay(fh)) == records
+            assert flat(replay(fh)) == records
 
     @pytest.mark.parametrize(
         "text,message",
@@ -362,6 +378,45 @@ class TestReplay:
     def test_replay_checks_header(self, text, message):
         with pytest.raises(SessionParseError, match=f"line 1: {message}"):
             list(replay(io.StringIO(text)))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda h: h.update(format=True), "unsupported format True"),
+            (lambda h: h.update(format=1.0), "unsupported format 1.0"),
+            (lambda h: h.pop("config"), "bad config: config is not an object: None"),
+            (lambda h: h.update(config=[1]), "bad config: config is not an object"),
+            (lambda h: h["config"].pop("refractory_ms"), r"missing \['refractory_ms'\], unknown \[\]"),
+            (lambda h: h["config"].update(evil=1), r"missing \[\], unknown \['evil'\]"),
+            (lambda h: h["config"].update(tick_interval_ms=1000.0), "'tick_interval_ms': 1000.0 is not an integer"),
+            (lambda h: h["config"].update(smooth_kernel=True), "'smooth_kernel': True is not an integer"),
+            (lambda h: h["config"].update(sample_rate_hz="100"), "'sample_rate_hz': '100' is not a finite number"),
+            (lambda h: h["config"].update(coeff_b=None), "'coeff_b': None is not a finite number"),
+            (lambda h: h["config"].update(outlier_z=float("nan")), "'outlier_z': nan is not a finite number or null"),
+            (lambda h: h["config"].update(smooth_kernel=4), "smooth_kernel must be an odd positive integer"),
+            (lambda h: h["config"].update(coeff_b=-1.0), "calibration slope b must be > 0"),
+        ],
+    )
+    def test_header_config_is_checked(self, tmp_path, edit, message):
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(raw(0))
+        header_line, body = path.read_text().split("\n", 1)
+        header = json.loads(header_line)
+        edit(header)
+        path.write_text(json.dumps(header) + "\n" + body)
+        for read in (read_header, lambda p: list(replay(p))):
+            with pytest.raises(SessionParseError, match=f"line 1: .*{message}") as err:
+                read(path)
+            assert err.value.line == 1
+
+    def test_header_config_accepts_ints_for_floats(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, PipelineConfig()).close()
+        header = json.loads(path.read_text())
+        header["config"].update(sample_rate_hz=100, coeff_a=110, outlier_z=5)
+        path.write_text(json.dumps(header) + "\n")
+        assert config_from_dict(read_header(path)["config"]) == PipelineConfig(outlier_z=5.0)
 
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
@@ -410,7 +465,7 @@ class TestSummarize:
                 writer.append_record(raw(i * 1000))
                 writer.append_record(vit((i + 1) * 1000, avg=70.0 + i))
                 writer.append_record(emo((i + 1) * 1000))
-        kept = [r for r in replay(path) if type(r) is not SampleFrame]
+        kept = [r for r in replay(path) if type(r) is not FrameBlock]
         assert summarize(kept) == summarize(replay(path)) == summarize(path)
         assert summarize(kept).emotion_counts == {"Calm": 6}
 
@@ -469,7 +524,7 @@ class TestPipelineReplayDeterminism:
                 estimates.append(estimate)
                 writer.append_record(estimate)
 
-        stored_raw = [record for record in replay(path) if type(record) is SampleFrame]
+        stored_raw = [record for record in flat(replay(path)) if type(record) is SampleFrame]
         stored_vitals = [record for record in replay(path) if type(record) is VitalsEstimate]
         assert stored_raw == frames
         recomputed = VitalsPipeline(config).run(stored_raw)
@@ -485,3 +540,219 @@ class TestPipelineReplayDeterminism:
                     writer.append_record(estimate)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert summarize(paths[0]) == summarize(paths[1])
+
+
+def canonical_raw(seq, t, red, ir, temp=None):
+    """A raw record line as the writer spells it, for any values."""
+    return '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}' % (seq, t, red, ir, json.dumps(temp))
+
+
+def session_with_lines(path, lines):
+    SessionWriter(path, PipelineConfig()).close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
+
+
+def read_until_error(path):
+    """What replay yields before it raises, and what it raises (or None)."""
+    collected = []
+    try:
+        for record in replay(path):
+            collected.append(record)
+    except (SessionParseError, SeqError) as exc:
+        return collected, exc
+    return collected, None
+
+
+class TestRawRuns:
+    def test_one_read_only_block_per_run(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        records = [raw(0, temp=38.5), raw(10), raw(20, temp=37), vit(1000), emo(1000), raw(30), vit(2000)]
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in records:
+                writer.append_record(record)
+        got = list(replay(path))
+        assert [type(r) for r in got] == [FrameBlock, VitalsEstimate, TickEmotion, FrameBlock, VitalsEstimate]
+        assert list(got[0]) == records[:3] and list(got[3]) == [raw(30)]
+        assert type(got[0][2].temperature_c) is int
+        assert got[0].cols.dtype == np.int64 and not got[0].cols.flags.writeable
+        assert not got[0].temps.flags.writeable
+
+    def test_other_spellings_join_the_run_and_blank_lines_end_it(self, tmp_path):
+        lines = [
+            canonical_raw(0, 0, 1, 2),
+            '{"seq": 1, "kind": "raw", "t": 10, "red": 1, "ir": 2, "temp": 36.6}',
+            '{"kind":"raw","seq":2,"temp":null,"ir":2,"red":1,"t":20}',
+            canonical_raw(3, 30, 1, 2),
+            "",
+            canonical_raw(4, 40, 1, 2),
+        ]
+        got = list(replay(session_with_lines(tmp_path / "s.ndjson", lines)))
+        assert [len(block) for block in got] == [4, 1]
+        assert flat(got) == [raw(0, 1, 2), raw(10, 1, 2, 36.6), raw(20, 1, 2), raw(30, 1, 2), raw(40, 1, 2)]
+
+    def test_a_run_longer_than_a_read_is_one_block(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        frames = [raw(10 * i, red=i % 1000, temp=None if i % 3 else 36.5) for i in range(5000)]
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(FrameBlock.from_frames(frames))
+            writer.append_record(vit(50_000))
+        assert path.stat().st_size > 4 * _CHUNK
+        got = list(replay(path))
+        assert [type(r) for r in got] == [FrameBlock, VitalsEstimate]
+        assert list(got[0]) == frames
+
+    # Raw records 0-4 (t = 0, 10, ..., 40) on lines 2-6, then the bad line
+    # in the middle of their run, or first in the next run after a vitals
+    # record; ``seq`` is the number a good record there would carry.
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            (lambda seq: canonical_raw(2, 50, 1, 2), SeqError, "seq 2 not greater than previous {prev}"),
+            (lambda seq: canonical_raw(seq - 1, 50, 1, 2), SeqError, "seq {prev} not greater than previous {prev}"),
+            (lambda seq: canonical_raw(seq, 40, 1, 2), SessionParseError, "timestamp 40 not after predecessor 40"),
+            (
+                lambda seq: canonical_raw(seq, 50, ADC_MAX + 1, 2),
+                SessionParseError,
+                r"red=262144 outside 18-bit range \[0, 262143\]",
+            ),
+            (lambda seq: canonical_raw(seq, 50, 1, 2, 4000.0), SessionParseError, r"temperature_c=4000\.0 outside wire range"),
+            (lambda seq: canonical_raw(seq, 50, 1, 2, 10**400), SessionParseError, "temperature_c=10+ outside wire range"),
+            (
+                lambda seq: '{"seq":%d,"kind":"raw","t":50,"red":1.5,"ir":2,"temp":null}' % seq,
+                SessionParseError,
+                r"red=1\.5 is not an integer",
+            ),
+            (
+                lambda seq: canonical_raw(seq, 10**20, 1, 2),
+                SessionParseError,
+                "timestamp_ms=100000000000000000000 does not fit 64 bits",
+            ),
+            (
+                lambda seq: canonical_raw(seq, 1 << 63, 1, 2),
+                SessionParseError,
+                "timestamp_ms=9223372036854775808 does not fit 64 bits",
+            ),
+            (
+                lambda seq: canonical_raw(10**20, 50, 1, 2),
+                SessionParseError,
+                "bad record: seq 100000000000000000000 does not fit 64 bits",
+            ),
+            (lambda seq: '{"seq":%d,"kind":"raw","t":50,"red"' % seq, SessionParseError, "bad JSON: .*"),
+        ],
+        ids=[
+            "seq", "seq-repeated", "order", "red", "temp", "huge-int-temp",
+            "non-integer", "int64-t", "int64-t-19-digits", "int64-seq", "truncated",
+        ],
+    )
+    @pytest.mark.parametrize("where", ["mid-run", "run-start"])
+    def test_error_inside_a_run(self, tmp_path, bad, error, message, where):
+        lines = [canonical_raw(seq, 10 * seq, 1, 2) for seq in range(5)]
+        if where == "run-start":
+            lines.append(_record_json(5, vit(1000)))
+        seq = len(lines)
+        lines.append(bad(seq))
+        if "JSON" not in message:  # a truncated line is the last
+            lines += [canonical_raw(seq + 1, 60, 1, 2), canonical_raw(seq + 2, 70, 1, 2)]
+        lineno = seq + 2
+        collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", lines))
+        assert type(exc) is error
+        assert re.fullmatch(f"line {lineno}: " + message.format(prev=seq - 1), str(exc))
+        if error is SessionParseError:
+            assert exc.line == lineno
+        # the records before the bad line, its run's good prefix as one block
+        kinds = [FrameBlock] if where == "mid-run" else [FrameBlock, VitalsEstimate]
+        assert [type(r) for r in collected] == kinds
+        assert list(collected[0]) == [raw(10 * k, 1, 2) for k in range(5)]
+
+    def test_copy_round_trip_is_byte_identical(self, tmp_path):
+        frames, _ = generate(SynthProfile(true_bpm=90.0, noise_std_counts=40.0, seed=4), 5.0, 100.0)
+        frames = [f._replace(temperature_c=[None, 38.5, -0.0, 37][i % 4]) for i, f in enumerate(frames)]
+        config = PipelineConfig(outlier_z=5.0)
+        source = tmp_path / "a.ndjson"
+        pipeline = VitalsPipeline(config)
+        with SessionWriter(source, config, start_utc="2026-08-08T00:00:00Z") as writer:
+            for chunk in tick_chunks(frames, config.tick_interval_ms):
+                estimate = pipeline.tick(chunk)
+                writer.append_record(chunk)
+                writer.append_record(estimate)
+                writer.append_record(emo(estimate.tick_time_ms))
+        header = read_header(source)
+        copy = tmp_path / "b.ndjson"
+        with SessionWriter(copy, config_from_dict(header["config"]), header["start_utc"]) as writer:
+            for record in replay(source):
+                writer.append_record(record)
+        assert copy.read_bytes() == source.read_bytes()
+
+
+# A raw record's fields with values near and past the limits that reading
+# enforces; written canonically and in other spellings, they must read
+# the same.
+seq_steps = st.sampled_from([1, 1, 1, 1, 2, 0, -1])
+t_steps = st.sampled_from([10, 10, 10, 1, 0, -3, 1 << 64])
+raw_channels = channels | st.sampled_from([0, ADC_MAX, ADC_MAX + 1])
+raw_temps = (
+    st.none()
+    | st.integers(-(1 << 15), (1 << 15) - 1).map(lambda deci: deci / 10.0)
+    | st.integers(-3300, 3300)
+    | st.sampled_from([0, -0.0, 4000.0])
+)
+session_rows = st.lists(
+    st.one_of(st.tuples(seq_steps, t_steps, raw_channels, raw_channels, raw_temps), st.just("vitals")),
+    min_size=1,
+    max_size=30,
+)
+spellings = st.fixed_dictionaries(
+    {
+        "order": st.permutations(["seq", "kind", "t", "red", "ir", "temp"]),
+        "item_sep": st.sampled_from([",", ", ", " , "]),
+        "key_sep": st.sampled_from([":", ": ", " :\t"]),
+        "pad": st.sampled_from(["", " ", "  "]),
+        "negative_zero": st.booleans(),
+        "exponent": st.sampled_from([None, "E1", "e+1"]),
+    }
+)
+
+
+def spelled_raw(fields, order, item_sep, key_sep, pad, negative_zero, exponent):
+    """A raw record line with ``fields`` spelled another valid JSON way."""
+
+    def value(key, v):
+        if key == "kind":
+            return '"raw"'
+        if type(v) is float and exponent and math.isfinite(v):
+            return f"{Decimal(repr(v)).scaleb(-1)}{exponent}"  # 36.6 -> 3.66E1
+        if v == 0 and type(v) is int and negative_zero:
+            return "-0"
+        return json.dumps(v)
+
+    body = item_sep.join(f'"{key}"{key_sep}{value(key, fields[key])}' for key in order)
+    return f"{pad}{{{pad}{body}{pad}}}{pad}"
+
+
+class TestSpellings:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=session_rows, spelling=st.lists(spellings, min_size=30, max_size=30))
+    def test_canonical_and_other_spellings_read_the_same(self, tmp_path_factory, rows, spelling):
+        canonical, other = [], []
+        seq, t = 0, 0
+        for i, row in enumerate(rows):
+            if row == "vitals":
+                seq += 1
+                line = _record_json(seq, vit(1000 * i))
+                canonical.append(line)
+                other.append(line)
+                continue
+            seq_step, t_step, red, ir, temp = row
+            seq, t = seq + seq_step, t + t_step
+            fields = {"seq": seq, "kind": "raw", "t": t, "red": red, "ir": ir, "temp": temp}
+            canonical.append(canonical_raw(seq, t, red, ir, temp))
+            other.append(spelled_raw(fields, **spelling[i]))
+        folder = tmp_path_factory.mktemp("s")
+        results = []
+        for name, lines in (("canonical", canonical), ("other", other)):
+            collected, exc = read_until_error(session_with_lines(folder / name, lines))
+            frames = [(r, type(r.temperature_c)) if type(r) is SampleFrame else r for r in flat(collected)]
+            results.append((frames, None if exc is None else (type(exc), str(exc))))
+        assert results[0] == results[1]

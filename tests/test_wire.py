@@ -21,6 +21,7 @@ from pawpulse.wire import (
     crc16_ccitt_false,
     decode_frame,
     encode_frame,
+    first_invalid,
     resync,
     validate_block,
 )
@@ -368,6 +369,21 @@ class TestValidateBlock:
                 validate_block(FrameBlock.from_frames([SampleFrame(0, 0, 0, temp)]))
 
 
+    @pytest.mark.parametrize("temp", [10**400, -(10**400)])  # beyond any float
+    def test_huge_integer_temperature(self, temp):
+        block = FrameBlock.from_frames([SampleFrame(0, 0, 0, 38.5), SampleFrame(10, 0, 0, temp)])
+        assert first_invalid(block) == 1
+        with pytest.raises(RangeError, match="outside wire range"):
+            validate_block(block)
+
+    def test_first_invalid(self):
+        frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4), SampleFrame(20, 5, 6), SampleFrame(5, 1, 1)]
+        assert first_invalid(FrameBlock.from_frames(frames)) == 2
+        assert first_invalid(FrameBlock.from_frames(frames[:2])) == 2
+        assert first_invalid(FrameBlock.from_frames(frames[:2]), prev=SampleFrame(10, 0, 0)) == 0
+        assert first_invalid(FrameBlock.from_frames([])) == 0
+
+
 class TestFrameBlock:
     def test_rows_slices_and_reversal(self):
         frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4, 38.5), SampleFrame(30, 5, 6, 38)]
@@ -379,6 +395,16 @@ class TestFrameBlock:
         assert type(block[2].temperature_c) is int  # values are kept as given
         with pytest.raises(ValueError):
             block.cols[0, 0] = 5
+
+    def test_concat(self):
+        frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4, 38.5), SampleFrame(30, 5, 6, 38)]
+        blocks = [FrameBlock.from_frames(frames[:1]), FrameBlock.from_frames([]), FrameBlock.from_frames(frames[1:])]
+        joined = FrameBlock.concat(blocks)
+        assert list(joined) == frames and type(joined[2].temperature_c) is int
+        assert not joined.cols.flags.writeable and not joined.temps.flags.writeable
+        assert FrameBlock.concat(blocks[:1]) is blocks[0]
+        empty = FrameBlock.concat([])
+        assert len(empty) == 0 and empty.cols.shape == (3, 0) and empty.cols.dtype == np.int64
 
     def test_from_frames_checks_types(self):
         with pytest.raises(RangeError, match="red=1.5 is not an integer"):
