@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 import typing
+from pathlib import Path
 
 from .core import ContactState, PipelineConfig, VitalsEstimate
-from .emotion import (
-    DEFAULT_BANDS,
-    DEFAULT_RULES,
-    EmotionAssessment,
-    classify,
-    discretize,
-    load_rule_table,
-)
+from .emotion import DEFAULT_RULES_TEXT, EmotionAssessment, parse_rule_table
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -35,15 +30,16 @@ from .errors import (
 from .session import (
     SessionSummary,
     SessionWriter,
-    TickEmotion,
     config_from_dict,
     config_to_dict,
     read_header,
     replay,
     summarize,
+    tick_assessments,
+    tick_records,
 )
 from .synth import SynthProfile, generate
-from .vitals import VitalsPipeline, fit_calibration, fit_residual_rms, tick_chunks
+from .vitals import fit_calibration, fit_residual_rms
 from .wire import FrameBlock, encode_frame, resync
 
 
@@ -184,71 +180,49 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
-def _read_input_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _frames_from_session(source) -> FrameBlock:
-    """The raw frames of a session path or text stream, as one block."""
-    return FrameBlock.concat(record for record in replay(source) if type(record) is FrameBlock)
+def _raw_frames(records) -> FrameBlock:
+    """The frames of a session's records, as one block."""
+    return FrameBlock.concat(record for record in records if type(record) is FrameBlock)
 
 
 def _load_frames(args) -> FrameBlock:
-    fmt = args.format
-    if args.in_path != "-" and fmt == "auto":
-        with open(args.in_path, "rb") as fh:
-            head = fh.read(2)
-        fmt = "wire" if head == b"\xa5\x5a" else "session"
-    data = None
-    if args.in_path == "-":
-        data = sys.stdin.buffer.read()
+    source = io.BytesIO(sys.stdin.buffer.read()) if args.in_path == "-" else open(args.in_path, "rb")
+    with source:
+        fmt = args.format
         if fmt == "auto":
-            fmt = "wire" if data[:2] == b"\xa5\x5a" else "session"
-    if fmt == "wire":
-        blob = data if data is not None else _read_input_bytes(args.in_path)
+            fmt = "wire" if source.read(2) == b"\xa5\x5a" else "session"
+            source.seek(0)
+        if fmt == "session":
+            with io.TextIOWrapper(source, encoding="utf-8") as text:
+                return _raw_frames(replay(text))
         runs: list[tuple[int, int]] = []
-        frames, skipped = resync(blob, on_skip=lambda off, length: runs.append((off, length)))
-        for off, length in runs:
-            print(f"warning: skipped {length} bytes at offset {off}", file=sys.stderr)
-        if skipped:
-            print(f"warning: {skipped} bytes total were not decodable", file=sys.stderr)
-        return frames
-    if data is not None:
-        return _frames_from_session(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    return _frames_from_session(args.in_path)
+        frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
+    for off, length in runs:
+        print(f"warning: skipped {length} bytes at offset {off}", file=sys.stderr)
+    if skipped:
+        print(f"warning: {skipped} bytes total were not decodable", file=sys.stderr)
+    return frames
 
 
 def cmd_process(args) -> int:
     config = build_config(args.config, args.set or [])
-    rules = load_rule_table(args.rules) if args.rules else DEFAULT_RULES
+    rules_text = Path(args.rules).read_text(encoding="utf-8") if args.rules else DEFAULT_RULES_TEXT
+    rules = parse_rule_table(rules_text)
     frames = _load_frames(args)
     if not frames:
         raise EmptySessionError("input contains no frames")
 
-    writer = None
-    if args.session_out:
-        writer = SessionWriter(args.session_out, config, start_utc=args.start_utc)
-    pipeline = VitalsPipeline(config)
-    last_temp: float | None = None
+    writer = SessionWriter(args.session_out, config, args.start_utc, rules_text) if args.session_out else None
     try:
-        for chunk in tick_chunks(frames, config.tick_interval_ms):
-            estimate = pipeline.tick(chunk)
-            last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
-            assessment = None
-            if estimate.contact is ContactState.CONTACT and estimate.bpm_avg is not None:
-                labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
-                assessment = classify(labels, rules)
+        for chunk, estimate, emotion in tick_records(frames, config, rules):
             if writer:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
-                if assessment is not None:
-                    writer.append_record(TickEmotion(estimate.tick_time_ms, assessment))
+                if emotion is not None:
+                    writer.append_record(emotion)
                 # every tick whose status line is printed is in the file
                 writer.flush()
-            print(render_tick_line(estimate, assessment))
+            print(render_tick_line(estimate, emotion and emotion.assessment))
     finally:
         if writer:
             writer.close()
@@ -258,66 +232,43 @@ def cmd_process(args) -> int:
 # -- replay -------------------------------------------------------------------
 
 
+def _tick_ms(record, interval_ms: int) -> int:
+    """A record's tick time; a raw block's is that of its first frame's tick."""
+    if type(record) is FrameBlock:
+        return (int(record.cols[0, 0]) // interval_ms + 1) * interval_ms
+    return record.tick_time_ms
+
+
+def _describe(record) -> str:
+    if type(record) is FrameBlock:
+        return f"{len(record)} raw frames from t={record.cols[0, 0]}ms"
+    return "no record" if record is None else str(record)
+
+
 def cmd_replay(args) -> int:
+    stored = list(replay(args.in_path))
+    for estimate, assessment in tick_assessments(stored):
+        print(render_tick_line(estimate, assessment))
+    if not args.verify:
+        return 0
+
+    frames = _raw_frames(stored)
+    if not frames:
+        raise EmptySessionError("no raw records to replay")
     header = read_header(args.in_path)
     config = config_from_dict(header["config"])
-    stored_raw: list[FrameBlock] = []
-    stored_vitals: list[VitalsEstimate] = []
-    # the assessment of the emotion record right after each vitals record
-    # of the same tick, as process writes it
-    placed: list[EmotionAssessment | None] = []
-    stray: TickEmotion | None = None  # the first emotion record anywhere else
-    previous = None
-    for record in replay(args.in_path):
-        if type(record) is FrameBlock:
-            stored_raw.append(record)
-        elif type(record) is VitalsEstimate:
-            stored_vitals.append(record)
-            placed.append(None)
-        elif type(previous) is VitalsEstimate and record.tick_time_ms == previous.tick_time_ms:
-            placed[-1] = record.assessment
-        elif stray is None:
-            stray = record
-        previous = record
-
-    for estimate, assessment in zip(stored_vitals, placed):
-        print(render_tick_line(estimate, assessment))
-
-    if args.verify:
-        if not stored_raw:
-            raise EmptySessionError("no raw records to replay")
-        pipeline = VitalsPipeline(config)
-        recomputed = pipeline.run(FrameBlock.concat(stored_raw))
-        if len(recomputed) != len(stored_vitals):
-            print(
-                f"verify: MISMATCH tick count {len(recomputed)} != {len(stored_vitals)}",
-                file=sys.stderr,
-            )
+    ticks = tick_records(frames, config, parse_rule_table(header["rules"]))
+    # the records process writes: no empty block and no absent emotion;
+    # the first pair that differs names the earlier tick of the two
+    recomputed = (record for tick in ticks for record in tick if record)
+    for fresh, kept in itertools.zip_longest(recomputed, stored):
+        if fresh != kept:
+            t = min(_tick_ms(record, config.tick_interval_ms) for record in (fresh, kept) if record is not None)
+            difference = f"recomputed {_describe(fresh)}, stored {_describe(kept)}"
+            print(f"verify: MISMATCH at t={t}ms: {difference}", file=sys.stderr)
             return 3
-        for fresh, stored, assessment in zip(recomputed, stored_vitals, placed):
-            if fresh != stored:
-                print(
-                    f"verify: MISMATCH at t={stored.tick_time_ms}ms:"
-                    f" recomputed {fresh} != stored {stored}",
-                    file=sys.stderr,
-                )
-                return 3
-            # process assesses exactly the contact ticks with a BPM average
-            assessed = fresh.contact is ContactState.CONTACT and fresh.bpm_avg is not None
-            if assessed != (assessment is not None):
-                problem = (
-                    "no emotion record" if assessed else "an emotion record for a tick without an assessment"
-                )
-                print(f"verify: MISMATCH at t={stored.tick_time_ms}ms: {problem}", file=sys.stderr)
-                return 3
-        if stray is not None:
-            print(
-                f"verify: MISMATCH at t={stray.tick_time_ms}ms: emotion record"
-                " not right after its tick's vitals record",
-                file=sys.stderr,
-            )
-            return 3
-        print(f"verify: OK ({len(recomputed)} ticks reproduced exactly)")
+    n_ticks = sum(type(record) is VitalsEstimate for record in stored)
+    print(f"verify: OK ({n_ticks} ticks reproduced exactly)")
     return 0
 
 
@@ -505,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(proc)
     proc.set_defaults(func=cmd_process)
 
-    rep = sub.add_parser("replay", help="print a stored session; --verify recomputes vitals")
+    rep = sub.add_parser("replay", help="print a stored session; --verify recomputes every record")
     rep.add_argument("--in", dest="in_path", required=True)
-    rep.add_argument("--verify", action="store_true", help="recompute vitals from raw records and compare")
+    rep.add_argument("--verify", action="store_true", help="recompute every record from the raw records and compare")
     rep.set_defaults(func=cmd_replay)
 
     cal = sub.add_parser("calibrate", help="least-squares fit of the SpO2 line from (ratio, spo2) pairs")

@@ -158,6 +158,8 @@ high,reduced,*     => Stressed
 
 def parse_rule_table(text: str) -> tuple[Rule, ...]:
     """Parse rule lines; raises ConfigError with the offending line number."""
+    if type(text) is not str:
+        raise ConfigError(f"rule table is not text: {text!r}")
     rules: list[Rule] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -181,11 +183,6 @@ def parse_rule_table(text: str) -> tuple[Rule, ...]:
 
 
 DEFAULT_RULES = parse_rule_table(DEFAULT_RULES_TEXT)
-
-
-def load_rule_table(path) -> tuple[Rule, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rule_table(fh.read())
 
 
 def _band_label(value: float, bands: tuple[Band, ...], name: str) -> str:

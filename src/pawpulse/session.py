@@ -7,7 +7,8 @@ always produces identical bytes. Timestamps are session-relative
 
 Header line::
 
-    {"format": 1, "start_utc": <iso string or null>, "config": {...}}
+    {"format": 2, "start_utc": <iso string or null>, "config": {...},
+     "rules": "<rule-table text>"}
 
 Record lines (``seq`` numbers the records 0, 1, 2, ... across all kinds)::
 
@@ -28,9 +29,11 @@ holds exactly its kind's keys. ``replay`` rejects anything else, as it
 rejects a raw frame that ``validate_frame`` refuses, a vitals number
 that is not finite and a ``t`` that is not an integer;
 ``SessionWriter`` refuses to write a raw frame that reading would
-reject. The header must hold ``format`` 1, an integer, and a ``config``
-with exactly the keys of ``config_to_dict``, each a finite number of its
-key's type that ``PipelineConfig`` accepts.
+reject. The header must hold ``format`` 2 (or 1), an integer, a
+``config`` with exactly the keys of ``config_to_dict``, each a finite
+number of its key's type that ``PipelineConfig`` accepts, and the
+emotion ``rules`` text, which ``parse_rule_table`` accepts. A format-1
+header has no ``rules`` and reads as ``DEFAULT_RULES_TEXT``.
 
 Reading: raw lines spelled exactly as ``SessionWriter`` writes them are
 parsed without ``json``, a run of them at a time, straight into int64
@@ -56,6 +59,7 @@ import os
 import re
 import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -70,7 +74,17 @@ from .core import (
     check_frame_types,
     validate_frame,
 )
-from .emotion import Certainty, EmotionAssessment, EmotionState
+from .emotion import (
+    DEFAULT_BANDS,
+    DEFAULT_RULES_TEXT,
+    Certainty,
+    EmotionAssessment,
+    EmotionState,
+    Rule,
+    classify,
+    discretize,
+    parse_rule_table,
+)
 from .errors import (
     ConfigError,
     EmptySessionError,
@@ -79,9 +93,10 @@ from .errors import (
     SeqError,
     SessionParseError,
 )
+from .vitals import VitalsPipeline, tick_chunks
 from .wire import FrameBlock, first_invalid, validate_block
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -293,15 +308,17 @@ class SessionWriter:
     no number.
     """
 
-    def __init__(self, path, config: PipelineConfig, start_utc: str | None = None):
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._seq = 0
-        self._last_raw: SampleFrame | None = None
+    def __init__(self, path, config: PipelineConfig, start_utc: str | None = None, rules: str = DEFAULT_RULES_TEXT):
+        parse_rule_table(rules)  # reading rejects a header whose rules do not parse
         header = {
             "format": FORMAT_VERSION,
             "start_utc": start_utc,
             "config": config_to_dict(config),
+            "rules": rules,
         }
+        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._seq = 0
+        self._last_raw: SampleFrame | None = None
         self._fh.write(_ENCODER.encode(header) + "\n")
         self._fh.flush()
 
@@ -346,12 +363,18 @@ def _header_from_line(line: str) -> dict:
     if not isinstance(header, dict):
         raise SessionParseError(1, "header is not a JSON object")
     version = header.get("format")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise SessionParseError(1, f"unsupported format {version!r}")
     try:
         config_from_dict(header.get("config"))
     except ConfigError as exc:
         raise SessionParseError(1, f"bad config: {exc}") from exc
+    if version == 1:
+        header["rules"] = DEFAULT_RULES_TEXT
+    try:
+        parse_rule_table(header.get("rules"))
+    except ConfigError as exc:
+        raise SessionParseError(1, f"bad rules: {exc}") from exc
     return header
 
 
@@ -575,6 +598,45 @@ class _Reader:
         raise SessionParseError(lineno, f"frame {frame} breaks the run rule")
 
 
+def _assessed(estimate: VitalsEstimate) -> bool:
+    """Whether a tick gets an emotion assessment: a Contact tick with a BPM average."""
+    return estimate.contact is ContactState.CONTACT and estimate.bpm_avg is not None
+
+
+def tick_records(
+    frames: FrameBlock, config: PipelineConfig, rules: typing.Sequence[Rule]
+) -> Iterator[tuple[FrameBlock, VitalsEstimate, TickEmotion | None]]:
+    """Each tick of a stream as ``process`` records it: its frames (an
+    empty block when none arrived), its estimate and, for an assessed
+    tick, ``classify`` under ``rules`` of the ``DEFAULT_BANDS`` labels of
+    the estimate and of the last temperature seen so far."""
+    pipeline = VitalsPipeline(config)
+    last_temp = None
+    for chunk in tick_chunks(frames, config.tick_interval_ms):
+        estimate = pipeline.tick(chunk)
+        last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
+        emotion = None
+        if _assessed(estimate):
+            labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
+            emotion = TickEmotion(estimate.tick_time_ms, classify(labels, rules))
+        yield chunk, estimate, emotion
+
+
+def tick_assessments(records) -> Iterator[tuple[VitalsEstimate, EmotionAssessment | None]]:
+    """Each vitals record of ``records`` (as ``replay`` yields them) with
+    its tick's assessment: the emotion record right after it, of the same
+    tick, when ``tick_records`` assesses that tick; any other emotion
+    record belongs to no tick."""
+    pending: VitalsEstimate | None = None
+    for record in records:
+        if pending is not None:
+            placed = type(record) is TickEmotion and record.tick_time_ms == pending.tick_time_ms
+            yield pending, record.assessment if placed and _assessed(pending) else None
+        pending = record if type(record) is VitalsEstimate else None
+    if pending is not None:
+        yield pending, None
+
+
 def summarize(source) -> SessionSummary:
     """Deterministic statistics over a session's Contact ticks.
 
@@ -582,29 +644,14 @@ def summarize(source) -> SessionSummary:
     yields them, read in one pass; the raw blocks are only passed over.
     Raises EmptySessionError when there are no vitals records or no
     Contact ticks. The emotion histogram buckets every vitals tick by
-    its assessment, under ``"none"`` for a tick without one. A tick's
-    assessment is the emotion record right after its vitals record, as
-    ``process`` writes it, and only a Contact tick with a BPM average
-    has one; other emotion records are not counted.
+    its assessment (``tick_assessments``), under ``"none"`` for a tick
+    without one.
     """
     if isinstance(source, _PATH_TYPES):
         source = replay(source)
-    vitals: list[VitalsEstimate] = []
-    labels: list[str] = []  # one per vitals record
-    previous = None
-    for record in source:
-        if type(record) is VitalsEstimate:
-            vitals.append(record)
-            labels.append("none")
-        elif (
-            type(record) is TickEmotion
-            and type(previous) is VitalsEstimate
-            and record.tick_time_ms == previous.tick_time_ms
-            and previous.contact is ContactState.CONTACT
-            and previous.bpm_avg is not None
-        ):
-            labels[-1] = record.assessment.state.value
-        previous = record
+    ticks = list(tick_assessments(source))
+    vitals = [estimate for estimate, _ in ticks]
+    counts = dict(Counter("none" if assessment is None else assessment.state.value for _, assessment in ticks))
     if not vitals:
         raise EmptySessionError("session holds no vitals records")
     contact_ticks = [v for v in vitals if v.contact is ContactState.CONTACT]
@@ -613,9 +660,6 @@ def summarize(source) -> SessionSummary:
 
     bpm_values = [v.bpm_avg for v in contact_ticks if v.bpm_avg is not None]
     spo2_values = [v.spo2_pct for v in contact_ticks if v.spo2_pct is not None]
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
     return SessionSummary(
         duration_s=max(v.tick_time_ms for v in vitals) / 1000.0,
         bpm_mean=sum(bpm_values) / len(bpm_values) if bpm_values else None,

@@ -178,6 +178,11 @@ class FrameBlock(Sequence[SampleFrame]):
     def __iter__(self) -> Iterator[SampleFrame]:
         return map(tuple.__new__, repeat(SampleFrame), zip(*self.cols.tolist(), self.temps.tolist()))
 
+    def __eq__(self, other):
+        if type(other) is not FrameBlock:
+            return NotImplemented
+        return np.array_equal(self.cols, other.cols) and self.temps.tolist() == other.temps.tolist()
+
     def __reversed__(self) -> Iterator[SampleFrame]:
         t, red, ir = self.cols.tolist()
         rows = zip(reversed(t), reversed(red), reversed(ir), reversed(self.temps.tolist()))

@@ -70,7 +70,7 @@ class TestSimulate:
         )
         assert code == 0
         first = out.read_text().splitlines()[0]
-        assert json.loads(first)["format"] == 1
+        assert json.loads(first)["format"] == 2
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run_cli(
@@ -171,6 +171,18 @@ class TestProcess:
         assert [(vitals, raw) for _, vitals, raw in seen] == [(k, 100 * k) for k in range(1, 6)]
 
 
+def processed_session(tmp_path, rules=None):
+    """A 5-tick session written by process, under ``rules`` text when given."""
+    path = simulate_file(tmp_path, seconds=5.0)
+    session = tmp_path / "s.ndjson"
+    argv = ["process", "--in", str(path), "--session-out", str(session)]
+    if rules is not None:
+        (tmp_path / "rules.txt").write_text(rules)
+        argv += ["--rules", str(tmp_path / "rules.txt")]
+    assert run_cli(*argv) == 0
+    return session
+
+
 # Tamperings of the emotion records of a 5-tick session; each returns the
 # records and the tick time that replay --verify must name.
 def duplicate_last_emotion(records):
@@ -194,13 +206,46 @@ def emotion_for_unassessed_tick(records):
     return records[:at] + [forged] + records[at:], 1000
 
 
+# Tamperings of the content of single records; each passes a check of
+# emotion placement alone.
+def first_emotion(records):
+    return next(r for r in records if r["kind"] == "emotion")
+
+
+def relabel_calm_as_stressed(records):
+    # what sed s/Calm/Stressed/ does to a session
+    assert first_emotion(records)["state"] == "Calm"
+    for record in records:
+        if record["kind"] == "emotion" and record["state"] == "Calm":
+            record["state"] = "Stressed"
+    return records, first_emotion(records)["t"]
+
+
+def mark_decided_as_boundary(records):
+    emotion = first_emotion(records)
+    assert emotion["certainty"] == "decided"
+    emotion["certainty"] = "boundary"
+    return records, emotion["t"]
+
+
+def drop_a_fired_rule(records):
+    emotion = first_emotion(records)
+    assert emotion["rules"]
+    emotion["rules"] = emotion["rules"][1:]
+    return records, emotion["t"]
+
+
+def flip_a_contact(records):
+    vitals = next(r for r in records if r["kind"] == "vitals" and r["contact"] == "contact")
+    vitals.update(contact="no_contact", bpm=None, bpm_avg=None, spo2=None)
+    return records, vitals["t"]
+
+
 def tampered_session(tmp_path, tamper, state=None):
-    """A processed 5-tick session with its emotion records tampered with,
-    and renumbered, so that only their placement is wrong; ``state``
-    relabels the emotion records at the tick time the tampering names."""
-    path = simulate_file(tmp_path, seconds=5.0)
-    session = tmp_path / "s.ndjson"
-    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    """A processed 5-tick session with its records tampered with and
+    renumbered, so that the numbering stays valid; ``state`` relabels the
+    emotion records at the tick time the tampering names."""
+    session = processed_session(tmp_path)
     header, *lines = session.read_text().splitlines()
     records, bad_t = tamper([json.loads(line) for line in lines])
     for seq, record in enumerate(records):
@@ -254,6 +299,29 @@ class TestReplayCommand:
         capsys.readouterr()
         assert run_cli("replay", "--in", str(session), "--verify") == 3
 
+    def test_verify_uses_the_stored_rules(self, tmp_path, capsys):
+        session = processed_session(tmp_path, "*,*,* => Excited\n")
+        assert '"state":"Excited"' in session.read_text()
+        capsys.readouterr()
+        assert run_cli("replay", "--in", str(session), "--verify") == 0
+        assert "verify: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rules,code", [(None, 0), ("*,*,* => Excited\n", 3)], ids=["default-rules", "own-rules"])
+    def test_format_1_session_verifies_under_the_default_rules(self, tmp_path, capsys, rules, code):
+        session = processed_session(tmp_path, rules)
+        header_line, body = session.read_text().split("\n", 1)
+        header = json.loads(header_line)
+        header["format"] = 1
+        del header["rules"]
+        session.write_text(json.dumps(header) + "\n" + body)
+        capsys.readouterr()
+        assert run_cli("replay", "--in", str(session), "--verify") == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "verify: MISMATCH at t=2000ms" in err  # the first emotion record
+        else:
+            assert "verify: OK" in out
+
     def test_verify_rejects_duplicated_seq(self, tmp_path, capsys):
         path = simulate_file(tmp_path, seconds=3.0)
         session = tmp_path / "s.ndjson"
@@ -267,7 +335,16 @@ class TestReplayCommand:
 
     @pytest.mark.parametrize(
         "tamper",
-        [duplicate_last_emotion, add_orphan_emotion, delete_every_emotion, emotion_for_unassessed_tick],
+        [
+            duplicate_last_emotion,
+            add_orphan_emotion,
+            delete_every_emotion,
+            emotion_for_unassessed_tick,
+            relabel_calm_as_stressed,
+            mark_decided_as_boundary,
+            drop_a_fired_rule,
+            flip_a_contact,
+        ],
         ids=lambda tamper: tamper.__name__,
     )
     def test_verify_checks_emotion_placement(self, tmp_path, capsys, tamper):
@@ -338,8 +415,9 @@ SESSION_READERS = [["report"], ["replay"], ["replay", "--verify"], ["process", "
         (lambda header: header.pop("config"), "bad config: config is not an object: None"),
         (lambda header: header.update(format=True), "unsupported format True"),
         (lambda header: header["config"].update(tick_interval_ms=0), "bad config: tick_interval_ms must be >= 1"),
+        (lambda header: header.update(rules="*,* => Calm\n"), "bad rules: rule line 1: need 3 comma-separated patterns"),
     ],
-    ids=["no-config", "format-true", "config-error"],
+    ids=["no-config", "format-true", "config-error", "rules-error"],
 )
 def test_bad_header_is_data_error(tmp_path, capsys, command, edit, message):
     path = simulate_file(tmp_path, seconds=3.0)
@@ -397,7 +475,8 @@ def test_raw_run_between_vitals_and_emotion_makes_the_emotion_stray(tmp_path, ca
     assert f"emotion.none={none + 1}" in capsys.readouterr().out
     assert run_cli("replay", "--in", str(session), "--verify") == 3
     t = records[at - 1]["t"]
-    assert f"verify: MISMATCH at t={t}ms: no emotion record" in capsys.readouterr().err
+    # the stored raw block of that tick lacks the frame moved after its vitals record
+    assert f"verify: MISMATCH at t={t}ms: recomputed 100 raw frames" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import json
 import math
@@ -133,6 +134,22 @@ class TestWriter:
 channels = st.integers(0, (1 << 18) - 1)
 temperatures = st.none() | st.integers(-(1 << 15), (1 << 15) - 1).map(lambda deci: deci / 10.0)
 frames = st.builds(SampleFrame, st.integers(0, (1 << 32) - 1), channels, channels, temperatures)
+# Vitals and emotion payloads as reading accepts them.
+tick_times = st.integers(0, 1 << 40)
+finite = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+vitals_payloads = st.builds(VitalsEstimate, tick_times, st.just(ContactState.NO_CONTACT)) | st.builds(
+    VitalsEstimate, tick_times, st.just(ContactState.CONTACT), finite, finite, st.none() | st.floats(0.0, 100.0)
+)
+emotion_payloads = st.builds(
+    TickEmotion,
+    tick_times,
+    st.builds(
+        EmotionAssessment,
+        st.sampled_from(EmotionState),
+        st.sampled_from(Certainty),
+        st.lists(st.text(max_size=4), max_size=3).map(tuple),
+    ),
+)
 
 
 class TestRawEncoding:
@@ -151,22 +168,30 @@ class TestRawEncoding:
         assert _record_json(seq, frame) == expected
 
     @settings(max_examples=50, deadline=None)
-    @given(batch=st.lists(frames, max_size=40))
-    def test_write_then_replay_round_trips(self, tmp_path_factory, batch):
+    @given(drawn=st.lists(frames | vitals_payloads | emotion_payloads, max_size=40))
+    def test_write_then_replay_round_trips(self, tmp_path_factory, drawn):
         path = tmp_path_factory.mktemp("s") / "s.ndjson"
-        # distinct, increasing timestamps, as validate_frame requires
-        batch = [
-            SampleFrame(t, f.red, f.ir, f.temperature_c)
-            for t, f in zip(sorted({f.timestamp_ms for f in batch}), batch)
-        ]
+        # distinct, increasing raw timestamps, as validate_frame requires
+        times = sorted({r.timestamp_ms for r in drawn if type(r) is SampleFrame}, reverse=True)
+        records = []
+        for record in drawn:
+            if type(record) is SampleFrame:
+                if not times:
+                    continue
+                record = record._replace(timestamp_ms=times.pop())
+            records.append(record)
         with SessionWriter(path, PipelineConfig()) as writer:
-            for frame in batch:
-                writer.append_record(frame)
-        assert flat(replay(path)) == batch
+            for record in records:
+                writer.append_record(record)
+        # one block per run of raw records, every other payload as written
+        expected = []
+        for raw_run, group in itertools.groupby(records, key=lambda r: type(r) is SampleFrame):
+            expected += [FrameBlock.from_frames(group)] if raw_run else list(group)
+        assert list(replay(path)) == expected
         block_path = path.with_name("block.ndjson")
         with SessionWriter(block_path, PipelineConfig()) as writer:
-            writer.append_record(FrameBlock.from_frames(batch[:3]))
-            writer.append_record(FrameBlock.from_frames(batch[3:]))
+            for record in expected:
+                writer.append_record(record)
         assert block_path.read_bytes() == path.read_bytes()
 
 
@@ -371,7 +396,7 @@ class TestReplay:
         [
             ("", "missing header line"),
             ('{"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n', "unsupported format None"),
-            ('{"format":2}\n', "unsupported format 2"),
+            ('{"format":3}\n', "unsupported format 3"),
             ("[1]\n", "header is not a JSON object"),
         ],
     )

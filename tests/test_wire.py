@@ -406,6 +406,15 @@ class TestFrameBlock:
         empty = FrameBlock.concat([])
         assert len(empty) == 0 and empty.cols.shape == (3, 0) and empty.cols.dtype == np.int64
 
+    def test_equal_blocks_hold_equal_frames(self):
+        frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4, 38.5), SampleFrame(30, 5, 6)]
+        block = FrameBlock.from_frames(frames)
+        assert block == FrameBlock.concat([block[:1], block[1:]]) == FrameBlock.from_frames(frames)
+        assert FrameBlock.from_frames([]) == FrameBlock.concat([])
+        for other in (frames[:2], frames[:2] + [SampleFrame(30, 5, 7)], frames[:2] + [SampleFrame(30, 5, 6, 38.5)]):
+            assert block != FrameBlock.from_frames(other)
+        assert block != frames and block != frames[0]
+
     def test_from_frames_checks_types(self):
         with pytest.raises(RangeError, match="red=1.5 is not an integer"):
             FrameBlock.from_frames([SampleFrame(0, 1, 2), SampleFrame(10, 1.5, 2)])
