@@ -39,7 +39,7 @@ from .session import (
     tick_records,
 )
 from .synth import SynthProfile, generate
-from .vitals import fit_calibration, fit_residual_rms
+from .vitals import fit_calibration, fit_residual_rms, tick_time_ms
 from .wire import FrameBlock, encode_frame, resync
 
 
@@ -233,10 +233,8 @@ def cmd_process(args) -> int:
 
 
 def _tick_ms(record, interval_ms: int) -> int:
-    """A record's tick time; a raw block's is that of its first frame's tick."""
-    if type(record) is FrameBlock:
-        return (int(record.cols[0, 0]) // interval_ms + 1) * interval_ms
-    return record.tick_time_ms
+    """A record's tick time; a raw block's is that of its first frame."""
+    return tick_time_ms(int(record.cols[0, 0]), interval_ms) if type(record) is FrameBlock else record.tick_time_ms
 
 
 def _describe(record) -> str:
@@ -264,8 +262,7 @@ def cmd_replay(args) -> int:
     for fresh, kept in itertools.zip_longest(recomputed, stored):
         if fresh != kept:
             t = min(_tick_ms(record, config.tick_interval_ms) for record in (fresh, kept) if record is not None)
-            difference = f"recomputed {_describe(fresh)}, stored {_describe(kept)}"
-            print(f"verify: MISMATCH at t={t}ms: {difference}", file=sys.stderr)
+            print(f"verify: MISMATCH at t={t}ms: recomputed {_describe(fresh)}, stored {_describe(kept)}", file=sys.stderr)
             return 3
     n_ticks = sum(type(record) is VitalsEstimate for record in stored)
     print(f"verify: OK ({n_ticks} ticks reproduced exactly)")

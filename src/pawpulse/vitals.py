@@ -289,6 +289,11 @@ def fit_residual_rms(
     return float(np.sqrt(np.mean(np.square(res))))
 
 
+def tick_time_ms(timestamp_ms: int, interval_ms: int) -> int:
+    """The time of the tick that holds ``timestamp_ms``: its end (see ``tick_chunks``)."""
+    return (timestamp_ms // interval_ms + 1) * interval_ms
+
+
 def tick_chunks(frames: Sequence[SampleFrame], interval_ms: int) -> Iterator[FrameBlock]:
     """Split a time-ordered stream into signal-time ticks.
 

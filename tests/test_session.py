@@ -168,8 +168,8 @@ class TestRawEncoding:
         assert _record_json(seq, frame) == expected
 
     @settings(max_examples=50, deadline=None)
-    @given(drawn=st.lists(frames | vitals_payloads | emotion_payloads, max_size=40))
-    def test_write_then_replay_round_trips(self, tmp_path_factory, drawn):
+    @given(drawn=st.lists(frames | vitals_payloads | emotion_payloads, max_size=40), split=st.integers(0, 40))
+    def test_write_then_replay_round_trips(self, tmp_path_factory, drawn, split):
         path = tmp_path_factory.mktemp("s") / "s.ndjson"
         # distinct, increasing raw timestamps, as validate_frame requires
         times = sorted({r.timestamp_ms for r in drawn if type(r) is SampleFrame}, reverse=True)
@@ -188,9 +188,13 @@ class TestRawEncoding:
         for raw_run, group in itertools.groupby(records, key=lambda r: type(r) is SampleFrame):
             expected += [FrameBlock.from_frames(group)] if raw_run else list(group)
         assert list(replay(path)) == expected
+        # each run written again as two adjacent blocks, either maybe empty
         block_path = path.with_name("block.ndjson")
         with SessionWriter(block_path, PipelineConfig()) as writer:
             for record in expected:
+                if type(record) is FrameBlock:
+                    writer.append_record(record[:split])
+                    record = record[split:]
                 writer.append_record(record)
         assert block_path.read_bytes() == path.read_bytes()
 
