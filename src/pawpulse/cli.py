@@ -19,7 +19,7 @@ import typing
 from pathlib import Path
 
 from .core import ContactState, PipelineConfig, VitalsEstimate
-from .emotion import DEFAULT_RULES_TEXT, EmotionAssessment, parse_rule_table
+from .emotion import DEFAULT_RULE_TABLE, EmotionAssessment, RuleTable
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -32,6 +32,7 @@ from .session import (
     SessionWriter,
     config_from_dict,
     config_to_dict,
+    open_session,
     read_header,
     replay,
     summarize,
@@ -193,7 +194,7 @@ def _load_frames(args) -> FrameBlock:
             fmt = "wire" if source.read(2) == b"\xa5\x5a" else "session"
             source.seek(0)
         if fmt == "session":
-            with io.TextIOWrapper(source, encoding="utf-8") as text:
+            with io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape") as text:
                 return _raw_frames(replay(text))
         runs: list[tuple[int, int]] = []
         frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
@@ -206,15 +207,14 @@ def _load_frames(args) -> FrameBlock:
 
 def cmd_process(args) -> int:
     config = build_config(args.config, args.set or [])
-    rules_text = Path(args.rules).read_text(encoding="utf-8") if args.rules else DEFAULT_RULES_TEXT
-    rules = parse_rule_table(rules_text)
+    rule_table = RuleTable.parse(Path(args.rules).read_text(encoding="utf-8")) if args.rules else DEFAULT_RULE_TABLE
     frames = _load_frames(args)
     if not frames:
         raise EmptySessionError("input contains no frames")
 
-    writer = SessionWriter(args.session_out, config, args.start_utc, rules_text) if args.session_out else None
+    writer = SessionWriter(args.session_out, config, args.start_utc, rule_table) if args.session_out else None
     try:
-        for chunk, estimate, emotion in tick_records(frames, config, rules):
+        for chunk, estimate, emotion in tick_records(frames, config, rule_table.rules):
             if writer:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
@@ -244,7 +244,9 @@ def _describe(record) -> str:
 
 
 def cmd_replay(args) -> int:
-    stored = list(replay(args.in_path))
+    with open_session(args.in_path) as fh:
+        header = read_header(fh)
+        stored = list(replay(fh, header))
     for estimate, assessment in tick_assessments(stored):
         print(render_tick_line(estimate, assessment))
     if not args.verify:
@@ -253,9 +255,8 @@ def cmd_replay(args) -> int:
     frames = _raw_frames(stored)
     if not frames:
         raise EmptySessionError("no raw records to replay")
-    header = read_header(args.in_path)
-    config = config_from_dict(header["config"])
-    ticks = tick_records(frames, config, parse_rule_table(header["rules"]))
+    config = header.config
+    ticks = tick_records(frames, config, header.rule_table.rules)
     # the records process writes: no empty block and no absent emotion;
     # the first pair that differs names the earlier tick of the two
     recomputed = (record for tick in ticks for record in tick if record)

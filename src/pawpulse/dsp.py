@@ -8,14 +8,17 @@ timestamps stay intact for interval math.
 Every step works on numpy columns: the helpers below take an array whose
 first ``start`` values are carried history and return one value per
 remaining position, so a stream fed in chunks sees the same windows it
-would see in one piece.
+would see in one piece. The outlier gate instead carries a sorted copy of
+its window across pushes, so its flags are chunking-invariant too.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ContactState
 from .errors import ConfigError
@@ -98,31 +101,49 @@ def centered_mean(x: np.ndarray, half: int, start: int = 0, stop: int | None = N
     return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
-def _padded_median(s: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Median of the first ``sizes[r]`` values of each sorted row ``s[r]``;
-    the rest of a row is +inf padding, which sorts last."""
-    r = np.arange(len(s))
-    return (s[r, (sizes - 1) // 2] + s[r, sizes // 2]) / 2
+class _RunningMedianMad:
+    """Median and MAD of the last ``width`` values pushed, one pair per
+    value; the window expands during warm-up as ``trailing_mean``'s does.
 
-
-def trailing_median_mad(
-    x: np.ndarray, width: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Median and MAD of ``x[max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
-
-    The window expands during warm-up exactly as ``trailing_mean``'s does.
+    The window is carried across pushes as a FIFO and a sorted copy, so a
+    value costs one insertion and one deletion, and how the values were
+    split into pushes changes nothing. Along the sorted copy the
+    deviations fall to the median and rise after it, so the k + 1
+    smallest, for k = (n - 1) // 2, are a run ``window[p : p + k + 1]``;
+    ``p`` is found by walking from the previous value's.
     """
-    padded = np.concatenate((np.full(width - 1, np.inf), x))
-    windows = sliding_window_view(padded, width)[start:].copy()
-    windows.sort(axis=1)
-    sizes = np.minimum(np.arange(start, len(x)) + 1, width)
-    med = _padded_median(windows, sizes)
-    # the deviations of a window are the same values whatever its order,
-    # so they are taken from the sorted copy, in place
-    np.subtract(windows, med[:, None], out=windows)
-    np.abs(windows, out=windows)
-    windows.sort(axis=1)
-    return med, _padded_median(windows, sizes)
+
+    def __init__(self, width: int):
+        self._width = width
+        self._fifo: deque[float] = deque()
+        # the window in order between -inf and +inf, whose deviations are
+        # inf, so no walk leaves the list: window[i] is _sorted[i + 1]
+        self._sorted = [-math.inf, math.inf]
+        self._j = 1  # p + 1; valid for every later window, as n never falls
+
+    def push(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fifo, s, j = self._fifo, self._sorted, self._j
+        meds, mads = [], []
+        for value in x.tolist():
+            if len(fifo) == self._width:
+                del s[bisect_left(s, fifo.popleft())]
+            fifo.append(value)
+            insort(s, value)
+            n = len(fifo)
+            k = (n - 1) // 2
+            med = (s[k + 1] + s[n // 2 + 1]) / 2
+            while s[j + k] - med > med - s[j - 1]:
+                j -= 1
+            while med - s[j] > s[j + k + 1] - med:
+                j += 1
+            # the k-th deviation is the run's largest, the (k + 1)-th a neighbour's
+            mad = max(med - s[j], s[j + k] - med)
+            if n % 2 == 0:
+                mad = (mad + min(med - s[j - 1], s[j + k + 1] - med)) / 2
+            meds.append(med)
+            mads.append(mad)
+        self._j = j
+        return np.array(meds), np.array(mads)
 
 
 def contact_state(dc_ir: float, threshold: float) -> ContactState:
@@ -138,13 +159,15 @@ class StreamingPreprocessor:
     raw values carried from earlier pushes, and (with ``outlier_z`` set)
     flags samples whose unsmoothed AC IR lies more than
     ``outlier_z * MAD * 1.4826`` from the trailing median; values are
-    never modified, and a window with MAD = 0 flags nothing. Smoothing
-    is a centered mean over the AC columns, truncated only at the start
-    of the stream. It needs ``kernel_width // 2`` samples of right
-    context, so that many samples are held back and released by the
-    next push. How the stream is chunked changes neither the timestamps,
-    the DC columns nor the flags; the smoothed AC comes from one cumsum
-    per push and may differ in its last bits.
+    never modified, and a window with MAD = 0 flags nothing. Smoothing is
+    a centered mean over the AC columns, truncated only at the start of
+    the stream. It needs ``kernel_width // 2`` samples of right context,
+    so that many samples are held back and released by the next push.
+    How the stream is chunked changes neither the timestamps nor the DC
+    columns, and the gate carries a sorted copy of its window across
+    pushes, so the flags are chunking-invariant by construction; the
+    smoothed AC comes from one cumsum per push and may differ in its last
+    bits.
 
     Single-consumer per stream; create one instance per stream.
     """
@@ -165,9 +188,8 @@ class StreamingPreprocessor:
         self._dc_width = _window_samples(dc_window_s, step_ms)
         self._half = kernel_width // 2
         self._outlier_z = outlier_z
-        self._out_width = _window_samples(outlier_window_s, step_ms)
         self._raw = np.empty((2, 0))  # last dc_width - 1 raw red/IR values
-        self._ac_tail = np.empty(0)  # last out_width - 1 unsmoothed ac_ir values
+        self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
         # unsmoothed samples: up to `half` released ones (left smoothing
         # context), then the ones held back for right context, as t, the
         # rows ac_red, ac_ir, dc_red, dc_ir, and the outlier flags
@@ -211,9 +233,7 @@ class StreamingPreprocessor:
         return np.concatenate((ac, dc)), self._flag(ac[1])
 
     def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
-        if self._outlier_z is None:
+        if self._gate is None:
             return np.zeros(len(ac_ir), dtype=bool)
-        history = np.concatenate((self._ac_tail, ac_ir))
-        med, mad = trailing_median_mad(history, self._out_width, len(self._ac_tail))
-        self._ac_tail = _tail(history, self._out_width - 1)
+        med, mad = self._gate.push(ac_ir)
         return (mad > 0) & (np.abs(ac_ir - med) > self._outlier_z * MAD_SIGMA * mad)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ContactState, VitalsEstimate
 from .errors import ConfigError, MissingVitalsError, RangeError
@@ -183,6 +183,21 @@ def parse_rule_table(text: str) -> tuple[Rule, ...]:
 
 
 DEFAULT_RULES = parse_rule_table(DEFAULT_RULES_TEXT)
+
+
+class RuleTable(NamedTuple):
+    """A rule-table text and the rules ``parse_rule_table`` makes of it."""
+
+    text: str
+    rules: tuple[Rule, ...]
+
+    @classmethod
+    def parse(cls, text: str) -> "RuleTable":
+        """Raises ConfigError as ``parse_rule_table`` does."""
+        return cls(text, parse_rule_table(text))
+
+
+DEFAULT_RULE_TABLE = RuleTable(DEFAULT_RULES_TEXT, DEFAULT_RULES)
 
 
 def _band_label(value: float, bands: tuple[Band, ...], name: str) -> str:

@@ -66,7 +66,7 @@ class TruncatedError(WireError):
 
 
 class SeqError(PawpulseError, ValueError):
-    """Session record sequence numbers are not strictly increasing."""
+    """Session record sequence numbers are not 0, 1, 2, ... in stored order."""
 
 
 class SessionParseError(PawpulseError, ValueError):

@@ -24,7 +24,7 @@ takes a ``SampleFrame`` or a ``FrameBlock`` of them, and ``replay``
 yields one read-only ``FrameBlock`` for each run of consecutive raw
 lines, so a record's kind is its type. ``SessionWriter`` numbers the
 records it writes; ``replay`` checks the numbering (each ``seq`` an
-integer that fits 64 bits and is greater than the one before). A record
+integer that fits 64 bits and is the number the writer gave it). A record
 holds exactly its kind's keys. ``replay`` rejects anything else, as it
 rejects a raw frame that ``validate_frame`` refuses, a vitals number
 that is not finite and a ``t`` that is not an integer;
@@ -76,14 +76,14 @@ from .core import (
 )
 from .emotion import (
     DEFAULT_BANDS,
-    DEFAULT_RULES_TEXT,
+    DEFAULT_RULE_TABLE,
     Certainty,
     EmotionAssessment,
     EmotionState,
     Rule,
+    RuleTable,
     classify,
     discretize,
-    parse_rule_table,
 )
 from .errors import (
     ConfigError,
@@ -105,6 +105,16 @@ class TickEmotion:
 
     tick_time_ms: int
     assessment: EmotionAssessment
+
+
+@dataclass(frozen=True)
+class SessionHeader:
+    """A checked header line: the wall-clock start, the pipeline config and
+    the emotion rule table."""
+
+    start_utc: str | None
+    config: PipelineConfig
+    rule_table: RuleTable
 
 
 @dataclass(frozen=True)
@@ -308,13 +318,15 @@ class SessionWriter:
     no number.
     """
 
-    def __init__(self, path, config: PipelineConfig, start_utc: str | None = None, rules: str = DEFAULT_RULES_TEXT):
-        parse_rule_table(rules)  # reading rejects a header whose rules do not parse
+    def __init__(
+        self, path, config: PipelineConfig, start_utc: str | None = None, rule_table: RuleTable = DEFAULT_RULE_TABLE
+    ):
+        # the text of a RuleTable parses, as reading requires
         header = {
             "format": FORMAT_VERSION,
             "start_utc": start_utc,
             "config": config_to_dict(config),
-            "rules": rules,
+            "rules": rule_table.text,
         }
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         self._seq = 0
@@ -353,9 +365,17 @@ class SessionWriter:
 _PATH_TYPES = (str, bytes, os.PathLike)
 
 
-def _header_from_line(line: str) -> dict:
+def _not_utf8(lineno: int, undecodable: re.Match) -> SessionParseError:
+    byte = ord(undecodable.group()) - 0xDC00
+    return SessionParseError(lineno, f"byte 0x{byte:02x} is not UTF-8")
+
+
+def _header_from_line(line: str) -> SessionHeader:
     if not line.strip():
         raise SessionParseError(1, "missing header line")
+    undecodable = _UNDECODABLE.search(line)
+    if undecodable:
+        raise _not_utf8(1, undecodable)
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -366,47 +386,57 @@ def _header_from_line(line: str) -> dict:
     if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise SessionParseError(1, f"unsupported format {version!r}")
     try:
-        config_from_dict(header.get("config"))
+        config = config_from_dict(header.get("config"))
     except ConfigError as exc:
         raise SessionParseError(1, f"bad config: {exc}") from exc
-    if version == 1:
-        header["rules"] = DEFAULT_RULES_TEXT
-    try:
-        parse_rule_table(header.get("rules"))
-    except ConfigError as exc:
-        raise SessionParseError(1, f"bad rules: {exc}") from exc
-    return header
+    rule_table = DEFAULT_RULE_TABLE
+    if version != 1:
+        try:
+            rule_table = RuleTable.parse(header.get("rules"))
+        except ConfigError as exc:
+            raise SessionParseError(1, f"bad rules: {exc}") from exc
+    return SessionHeader(header.get("start_utc"), config, rule_table)
 
 
-def read_header(source) -> dict:
+def open_session(path):
+    """A session path opened for ``read_header`` and ``replay``: bytes that
+    are not UTF-8 reach them escaped, and they report the line they are on."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def read_header(source) -> SessionHeader:
     """The checked header of a session path, or of an open text stream
     positioned at the session's first line (that line is consumed)."""
     if isinstance(source, _PATH_TYPES):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_session(source) as fh:
             return _header_from_line(fh.readline())
     return _header_from_line(source.readline())
 
 
-def replay(source) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
     """Yield the records in stored order: one read-only ``FrameBlock`` per
     run of consecutive raw records, and each vitals and emotion payload.
 
     ``source`` is a session path, or an open text stream positioned at
-    the session's first line. The header line is checked as
-    ``read_header`` checks it. Raises SessionParseError (carrying the
+    the session's first line, whose header line is checked as
+    ``read_header`` checks it; or, with ``header`` given, a stream from
+    which ``read_header`` has just read ``header``. A stream opened with
+    ``errors="surrogateescape"`` (``open_session``) gets a byte that is
+    not UTF-8 reported on its line. Raises SessionParseError (carrying the
     1-based line number) at the first malformed line, including a record
     whose keys are not exactly its kind's and a raw frame that
     ``validate_frame`` rejects against the previous raw frame, and
-    SeqError naming the line at the first ``seq`` not greater than its
-    predecessor's. Everything before that line is yielded first: the
+    SeqError naming the line at the first ``seq`` that is not the record's
+    number, 0, 1, 2, ... in stored order, as ``SessionWriter`` numbers
+    them. Everything before that line is yielded first: the
     records, and the frames of its run as one block. The ``seq`` values
     are checked, not yielded: the payloads come in stored order.
     """
     if isinstance(source, _PATH_TYPES):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from _replay_stream(fh)
+        with open_session(source) as fh:
+            yield from _replay_stream(fh, None)
     else:
-        yield from _replay_stream(source)
+        yield from _replay_stream(source, header)
 
 
 #: A run of raw record lines exactly as ``_RAW_LINE`` writes them, from the
@@ -427,6 +457,8 @@ _TEMP = re.compile(r'"temp":([^}]*)')
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
 #: Characters read at a time; a run may span reads.
 _CHUNK = 1 << 16
+#: What ``errors="surrogateescape"`` makes of a byte that is not UTF-8.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _json_number(text: str):
@@ -436,8 +468,9 @@ def _json_number(text: str):
     return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
-def _replay_stream(fh) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-    _header_from_line(fh.readline())
+def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+    if header is None:
+        _header_from_line(fh.readline())
     reader = _Reader()
     tail = ""
     while True:
@@ -446,6 +479,10 @@ def _replay_stream(fh) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
         if chunk:  # the last line may go on in the next read
             cut = text.rfind("\n") + 1
             text, tail = text[:cut], text[cut:]
+        # the writer writes ASCII; isascii() is a flag test, a search is not
+        undecodable = None if text.isascii() else _UNDECODABLE.search(text)
+        if undecodable:  # read up to its line, then report it
+            text = text[: text.rfind("\n", 0, undecodable.start()) + 1]
         pos = 0
         for match in _RAW_RUN.finditer(text):
             start, end = match.span()
@@ -455,27 +492,31 @@ def _replay_stream(fh) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
             pos = end
         if pos < len(text):
             yield from reader.other_lines(text[pos:])
+        if undecodable:
+            yield from reader.end_run()
+            raise _not_utf8(reader.lineno, undecodable)
         if not chunk:
             break
     yield from reader.end_run()
 
 
 class _Reader:
-    """``replay`` between two lines: the number of the next line, the last
-    ``seq`` and raw frame yielded, and the run of raw records being read,
-    as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces and a list of
-    temperatures, ``first_line`` the line of its first record.
+    """``replay`` between two lines: the number of the next line, the
+    ``seq`` due next, the last raw frame yielded, and the run of raw
+    records being read, as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces
+    and a list of temperatures, ``first_line`` the line of its first
+    record.
 
     A run is checked when it ends, at a line that is not a raw record or
-    at the end of the file: one strictly-increasing check on ``seq`` and
-    ``first_invalid`` against the last raw frame. A raw record from the
-    JSON path whose fields have the wrong type or do not fit an int64
-    ends the run too, and is checked alone after it.
+    at the end of the file: one check that its ``seq`` values count on
+    from the one due, and ``first_invalid`` against the last raw frame. A
+    raw record from the JSON path whose fields have the wrong type or do
+    not fit an int64 ends the run too, and is checked alone after it.
     """
 
     def __init__(self):
         self.lineno = 2
-        self.last_seq: int | None = None
+        self.next_seq = 0
         self.last_raw: SampleFrame | None = None
         self._new_run()
 
@@ -551,7 +592,7 @@ class _Reader:
             return None
         yield from self.end_run()
         self._check_seq(seq, lineno)
-        self.last_seq = seq
+        self.next_seq += 1
         return record
 
     def end_run(self) -> Iterator[FrameBlock]:
@@ -563,13 +604,9 @@ class _Reader:
         rows = np.concatenate(self.pieces) if len(self.pieces) > 1 else self.pieces[0]
         n = len(rows)
         seq = rows[:, 0]
-        bad = n
-        if self.last_seq is not None and seq[0] <= self.last_seq:
-            bad = 0
-        else:
-            falls = np.flatnonzero(seq[1:] <= seq[:-1])
-            if falls.size:
-                bad = int(falls[0]) + 1
+        # next_seq counts the records read, so the range fits int64
+        misnumbered = np.flatnonzero(seq != np.arange(self.next_seq, self.next_seq + n))
+        bad = int(misnumbered[0]) if misnumbered.size else n
         temps = np.empty(n, dtype=object)
         temps[:] = self.temps
         block = FrameBlock(rows[:, 1:].T.copy(), temps)
@@ -578,15 +615,18 @@ class _Reader:
         self._new_run()
         if bad:
             good = block if bad == n else block[:bad]
-            self.last_seq = int(seq[bad - 1])
+            self.next_seq += bad
             self.last_raw = good[-1]
             yield good
         if bad < n:
             self._check_alone(int(seq[bad]), block[bad], first_line + bad)
 
     def _check_seq(self, seq: int, lineno: int) -> None:
-        if self.last_seq is not None and seq <= self.last_seq:
-            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {self.last_seq}")
+        due = self.next_seq
+        if 0 < due and seq < due:
+            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {due - 1}")
+        if seq != due:
+            raise SeqError(f"line {lineno}: seq {seq} where {due} was due")
 
     def _check_alone(self, seq: int, frame: SampleFrame, lineno: int) -> None:
         """Raise the error of a raw record that a run check found bad."""

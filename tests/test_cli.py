@@ -4,12 +4,17 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pawpulse
+from pawpulse import emotion, session as session_module
 from pawpulse.cli import build_config, main
 from pawpulse.core import PipelineConfig
 from pawpulse.session import config_to_dict
@@ -333,6 +338,41 @@ class TestReplayCommand:
         assert run_cli("replay", "--in", str(session), "--verify") == 3
         assert "line 4" in capsys.readouterr().err
 
+    def test_verify_rejects_a_gap_in_seq(self, tmp_path, capsys):
+        session = processed_session(tmp_path)
+        lines = session.read_text().splitlines()
+        seq = json.loads(lines[-1])["seq"]
+        lines[-1] = lines[-1].replace(f'"seq":{seq},', f'"seq":{seq + 10},')
+        session.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("replay", "--in", str(session), "--verify") == 3
+        out, err = capsys.readouterr()
+        assert err == f"error: line {len(lines)}: seq {seq + 10} where {seq} was due\n"
+        assert out == ""
+
+    def test_each_header_and_rule_table_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        for module, name in (
+            (session_module, "_header_from_line"),
+            (session_module, "config_from_dict"),
+            (emotion, "parse_rule_table"),
+        ):
+            def counted(*args, parse=getattr(module, name), name=name):
+                calls[name] += 1
+                return parse(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        path = simulate_file(tmp_path, seconds=3.0)
+        (tmp_path / "rules.txt").write_text("*,*,* => Excited\n")
+        session = tmp_path / "s.ndjson"
+        argv = ["--in", str(path), "--rules", str(tmp_path / "rules.txt"), "--session-out", str(session)]
+        assert run_cli("process", *argv) == 0
+        assert calls == {"parse_rule_table": 1}
+        calls.clear()
+        assert run_cli("replay", "--in", str(session), "--verify") == 0
+        assert calls == {"_header_from_line": 1, "config_from_dict": 1, "parse_rule_table": 1}
+        assert "verify: OK" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -432,6 +472,60 @@ def test_bad_header_is_data_error(tmp_path, capsys, command, edit, message):
     out, err = capsys.readouterr()
     assert err == f"error: line 1: {message}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize("kind", ["header", "vitals"])
+def test_byte_that_is_not_utf8_is_data_error(tmp_path, capsys, command, kind):
+    session = processed_session(tmp_path)
+    lines = session.read_bytes().split(b"\n")
+    lineno = 1 if kind == "header" else [n for n, line in enumerate(lines, start=1) if b'"kind":"vitals"' in line][2]
+    lines[lineno - 1] = lines[lineno - 1].replace(b'":', b'"\xe9', 1)
+    session.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert err == f"error: line {lineno}: byte 0xe9 is not UTF-8\n"
+    assert out == ""
+
+
+@pytest.fixture(scope="module")
+def stored_session(tmp_path_factory):
+    """The bytes of a 4-tick session written by process, and a folder."""
+    folder = tmp_path_factory.mktemp("stored")
+    path = simulate_file(folder, seconds=4.0, noise_std=30.0)
+    session = folder / "s.ndjson"
+    with redirect_stdout(io.StringIO()):
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    return session.read_bytes(), folder
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
+    """A changed byte in a stored vitals or emotion line (its newline aside)
+    is a data error, or verify names a mismatch; it never verifies, unless
+    it respells a number as another decimal of the same double."""
+    stored, folder = stored_session
+    lines = stored.split(b"\n")
+    kept = [i for i, line in enumerate(lines) if b'"kind":"vitals"' in line or b'"kind":"emotion"' in line]
+    i = data.draw(st.sampled_from(kept))
+    pos = data.draw(st.integers(0, len(lines[i]) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != lines[i][pos]))
+    changed = bytearray(lines[i])
+    changed[pos] = byte
+    session = folder / "tampered.ndjson"
+    session.write_bytes(b"\n".join(lines[:i] + [bytes(changed)] + lines[i + 1 :]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli("replay", "--in", str(session), "--verify")
+    if code == 0:
+        assert chr(lines[i][pos]).isdigit() and chr(byte).isdigit()
+        assert json.loads(bytes(changed)) == json.loads(lines[i])
+    else:
+        assert code == 3
+        assert err.getvalue().startswith(("error: line ", "verify: MISMATCH at t="))
+        assert "verify: OK" not in out.getvalue()
 
 
 @pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)

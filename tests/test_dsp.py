@@ -9,9 +9,9 @@ from pawpulse.core import ContactState, SampleFrame
 from pawpulse.dsp import (
     AcBlock,
     StreamingPreprocessor,
+    _RunningMedianMad,
     centered_mean,
     contact_state,
-    trailing_median_mad,
 )
 from pawpulse.errors import ConfigError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
@@ -155,17 +155,51 @@ class TestRejectOutliers:
             StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=0.0)
 
 
-class TestTrailingMedianMad:
+def pushed_median_mad(x, width, sizes):
+    """Median and MAD of the running gate, ``x`` pushed in chunks of ``sizes``
+    and then the rest in one push."""
+    gate = _RunningMedianMad(width)
+    bounds = np.cumsum([0, *sizes])
+    parts = [gate.push(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    parts.append(gate.push(x[bounds[-1] :]))
+    return np.concatenate([m for m, _ in parts]), np.concatenate([d for _, d in parts])
+
+
+def assert_matches_loop_reference(x, width, med, mad):
+    assert len(med) == len(mad) == len(x)
+    for i in range(len(x)):
+        window = x[max(0, i - width + 1) : i + 1]
+        want = np.median(window)
+        assert med[i] == want, i
+        assert mad[i] == np.median(np.abs(window - want)), i
+
+
+class TestRunningMedianMad:
     @pytest.mark.parametrize("width,start", [(1, 0), (4, 0), (7, 0), (7, 5), (30, 12)])
     def test_matches_loop_reference(self, width, start):
         x = np.random.default_rng(width).normal(0, 10, 60)
         x[20] = 1e4
-        med, mad = trailing_median_mad(x, width, start)
-        for k, i in enumerate(range(start, len(x))):
-            window = x[max(0, i - width + 1) : i + 1]
-            want = np.median(window)
-            assert med[k] == want
-            assert mad[k] == np.median(np.abs(window - want))
+        med, mad = pushed_median_mad(x, width, [start])
+        assert_matches_loop_reference(x, width, med, mad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(1, 40),
+        data=st.one_of(
+            st.lists(st.integers(-4, 4).map(float), max_size=120),
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 120)).map(
+                lambda a: np.random.default_rng(a[0]).normal(0, 10, a[1]).tolist()
+            ),
+        ),
+        sizes=st.lists(st.integers(0, 50), max_size=12),
+    )
+    def test_matches_loop_reference_in_any_chunking(self, width, data, sizes):
+        """Exact against the per-window loop on integer values (ties) and
+        Gaussian ones, through warm-up, however the values are split into
+        pushes (empty ones, and ones longer than the window, included)."""
+        x = np.array(data, dtype=float)
+        med, mad = pushed_median_mad(x, width, sizes)
+        assert_matches_loop_reference(x, width, med, mad)
 
 
 class TestContactState:
@@ -246,9 +280,9 @@ class TestStreamingPreprocessor:
         assert released.outlier[in_window].mean() >= 0.5
 
     @pytest.mark.parametrize("kernel_width", [1, 5])
-    @pytest.mark.parametrize("outlier_z", [None, 5.0])
+    @pytest.mark.parametrize("outlier_z", [None, 3.0, 5.0])
     @settings(max_examples=25, deadline=None)
-    @given(sizes=st.lists(st.integers(0, 250), min_size=1, max_size=30))
+    @given(sizes=st.lists(st.one_of(st.integers(0, 250), st.integers(0, 4096)), min_size=1, max_size=30))
     def test_chunking_invariance(self, outlier_z, kernel_width, sizes):
         """Any chunking releases the same columns as one whole push.
 

@@ -445,15 +445,15 @@ class TestReplay:
         header = json.loads(path.read_text())
         header["config"].update(sample_rate_hz=100, coeff_a=110, outlier_z=5)
         path.write_text(json.dumps(header) + "\n")
-        assert config_from_dict(read_header(path)["config"]) == PipelineConfig(outlier_z=5.0)
+        assert read_header(path).config == PipelineConfig(outlier_z=5.0)
 
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
         path = tmp_path / "s.ndjson"
         SessionWriter(path, config, start_utc="2026-08-08T00:00:00Z").close()
         header = read_header(path)
-        assert header["start_utc"] == "2026-08-08T00:00:00Z"
-        assert config_from_dict(header["config"]) == config
+        assert header.start_utc == "2026-08-08T00:00:00Z"
+        assert header.config == config
 
     def test_config_dict_round_trip(self):
         config = PipelineConfig(smooth_kernel=7, outlier_z=None)
@@ -640,6 +640,7 @@ class TestRawRuns:
         [
             (lambda seq: canonical_raw(2, 50, 1, 2), SeqError, "seq 2 not greater than previous {prev}"),
             (lambda seq: canonical_raw(seq - 1, 50, 1, 2), SeqError, "seq {prev} not greater than previous {prev}"),
+            (lambda seq: canonical_raw(9, 50, 1, 2), SeqError, "seq 9 where {due} was due"),
             (lambda seq: canonical_raw(seq, 40, 1, 2), SessionParseError, "timestamp 40 not after predecessor 40"),
             (
                 lambda seq: canonical_raw(seq, 50, ADC_MAX + 1, 2),
@@ -671,7 +672,7 @@ class TestRawRuns:
             (lambda seq: '{"seq":%d,"kind":"raw","t":50,"red"' % seq, SessionParseError, "bad JSON: .*"),
         ],
         ids=[
-            "seq", "seq-repeated", "order", "red", "temp", "huge-int-temp",
+            "seq", "seq-repeated", "seq-gap", "order", "red", "temp", "huge-int-temp",
             "non-integer", "int64-t", "int64-t-19-digits", "int64-seq", "truncated",
         ],
     )
@@ -687,13 +688,31 @@ class TestRawRuns:
         lineno = seq + 2
         collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", lines))
         assert type(exc) is error
-        assert re.fullmatch(f"line {lineno}: " + message.format(prev=seq - 1), str(exc))
+        assert re.fullmatch(f"line {lineno}: " + message.format(prev=seq - 1, due=seq), str(exc))
         if error is SessionParseError:
             assert exc.line == lineno
         # the records before the bad line, its run's good prefix as one block
         kinds = [FrameBlock] if where == "mid-run" else [FrameBlock, VitalsEstimate]
         assert [type(r) for r in collected] == kinds
         assert list(collected[0]) == [raw(10 * k, 1, 2) for k in range(5)]
+
+    @pytest.mark.parametrize("first", [canonical_raw(1, 0, 1, 2), _record_json(1, vit(1000))], ids=["raw", "vitals"])
+    def test_numbering_starts_at_0(self, tmp_path, first):
+        collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", [first]))
+        assert collected == []
+        assert type(exc) is SeqError and str(exc) == "line 2: seq 1 where 0 was due"
+
+    @pytest.mark.parametrize("bad_line", [5, 4000], ids=["first-read", "later-read"])
+    def test_a_byte_that_is_not_utf8_is_reported_on_its_line(self, tmp_path, bad_line):
+        lines = [canonical_raw(seq, 10 * seq, 1, 2) for seq in range(5000)]
+        lines[bad_line - 2] = lines[bad_line - 2].replace('"red"', '"r\xffd"')
+        path = session_with_lines(tmp_path / "s.ndjson", [])
+        with open(path, "ab") as fh:
+            fh.write("".join(line + "\n" for line in lines).encode("latin-1"))  # \xff is one byte
+        assert path.stat().st_size > _CHUNK
+        collected, exc = read_until_error(path)
+        assert type(exc) is SessionParseError and str(exc) == f"line {bad_line}: byte 0xff is not UTF-8"
+        assert flat(collected) == [raw(10 * seq, 1, 2) for seq in range(bad_line - 2)]
 
     def test_copy_round_trip_is_byte_identical(self, tmp_path):
         frames, _ = generate(SynthProfile(true_bpm=90.0, noise_std_counts=40.0, seed=4), 5.0, 100.0)
@@ -709,7 +728,7 @@ class TestRawRuns:
                 writer.append_record(emo(estimate.tick_time_ms))
         header = read_header(source)
         copy = tmp_path / "b.ndjson"
-        with SessionWriter(copy, config_from_dict(header["config"]), header["start_utc"]) as writer:
+        with SessionWriter(copy, header.config, header.start_utc) as writer:
             for record in replay(source):
                 writer.append_record(record)
         assert copy.read_bytes() == source.read_bytes()
@@ -765,7 +784,7 @@ class TestSpellings:
     @given(rows=session_rows, spelling=st.lists(spellings, min_size=30, max_size=30))
     def test_canonical_and_other_spellings_read_the_same(self, tmp_path_factory, rows, spelling):
         canonical, other = [], []
-        seq, t = 0, 0
+        seq, t = -1, 0  # so that a first step of 1 numbers the first record 0
         for i, row in enumerate(rows):
             if row == "vitals":
                 seq += 1
