@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -423,7 +424,10 @@ def _add_config_flags(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, on first use; subcommand
+    ``name`` runs ``cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="pawpulse",
         description="Dual-wavelength vitals pipeline: simulate, process, replay, calibrate, report.",
@@ -443,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output path, or - for stdout (wire only)")
     sim.add_argument("--truth", help="ground-truth sidecar path (default: <out>.truth.json)")
     _add_config_flags(sim)
-    sim.set_defaults(func=cmd_simulate)
 
     proc = sub.add_parser("process", help="run the vitals pipeline over a frame stream")
     proc.add_argument("--in", dest="in_path", required=True, help="input path, or - for stdin")
@@ -452,35 +455,31 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--rules", help="emotion rule-table file")
     proc.add_argument("--start-utc", dest="start_utc", help="wall-clock session start for the header")
     _add_config_flags(proc)
-    proc.set_defaults(func=cmd_process)
 
     rep = sub.add_parser("replay", help="print a stored session; --verify recomputes every record")
     rep.add_argument("--in", dest="in_path", required=True)
     rep.add_argument("--verify", action="store_true", help="recompute every record from the raw records and compare")
-    rep.set_defaults(func=cmd_replay)
 
     cal = sub.add_parser("calibrate", help="least-squares fit of the SpO2 line from (ratio, spo2) pairs")
     cal.add_argument("--pairs", required=True, help="CSV: ratio,reference_spo2 with # comments")
     cal.add_argument("--write-config", dest="write_config", help="write fitted coefficients into a config file")
     _add_config_flags(cal)
-    cal.set_defaults(func=cmd_calibrate)
 
     rpt = sub.add_parser("report", help="summarize a session as text or SVG")
     rpt.add_argument("--in", dest="in_path", required=True)
     rpt.add_argument("--format", choices=("text", "svg"), default="text")
     rpt.add_argument("--out", help="output path (default: stdout)")
-    rpt.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up per call, so that a wrapped cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,11 +5,12 @@ moving average; subtracting it leaves the pulsatile AC component that
 beat detection consumes. Outliers are flagged, never deleted, so
 timestamps stay intact for interval math.
 
-Every step works on numpy columns: the helpers below take an array whose
-first ``start`` values are carried history and return one value per
-remaining position, so a stream fed in chunks sees the same windows it
-would see in one piece. The outlier gate instead carries a sorted copy of
-its window across pushes, so its flags are chunking-invariant too.
+Every step works on numpy columns and carries its state across pushes,
+so a push costs a fixed number of array operations on its new samples:
+the DC window is a running sum (the exact int64 prefix sums of the raw
+counts at its last positions), the smoothing a cumsum of the few AC
+samples it still needs, and the outlier gate a sorted copy of its window.
+A stream fed in chunks sees the same windows it would see in one piece.
 """
 from __future__ import annotations
 
@@ -64,46 +65,9 @@ def _window_samples(window_s: float, step_ms: float) -> int:
     return max(1, int(round(window_s * 1000.0 / step_ms)))
 
 
-def _tail(x: np.ndarray, keep: int) -> np.ndarray:
-    # a bare x[..., -keep:] would return all of x for keep == 0
-    return x[..., max(0, x.shape[-1] - keep) :]
-
-
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, starting from a 0."""
-    zero = np.zeros(x.shape[:-1] + (1,))
-    return np.cumsum(np.concatenate((zero, x), axis=-1), axis=-1)
-
-
-def trailing_mean(x: np.ndarray, width: int, start: int = 0) -> np.ndarray:
-    """Mean of ``x[..., max(0, i - width + 1) : i + 1]`` for each ``i >= start``.
-
-    Works along the last axis; before ``width`` values exist the window
-    is whatever is available.
-    """
-    csum = _prefix_sums(np.asarray(x, dtype=float))
-    hi = np.arange(start + 1, csum.shape[-1])
-    lo = np.maximum(0, hi - width)
-    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
-
-
-def centered_mean(x: np.ndarray, half: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Mean of ``x[..., max(0, i - half) : i + half + 1]`` for ``start <= i < stop``.
-
-    Works along the last axis; the window is truncated at both ends of
-    ``x`` (unit-sum kernel of width ``2 * half + 1``).
-    """
-    csum = _prefix_sums(np.asarray(x, dtype=float))
-    n = csum.shape[-1] - 1
-    i = np.arange(start, n if stop is None else stop)
-    lo = np.maximum(0, i - half)
-    hi = np.minimum(n, i + half + 1)
-    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
-
-
 class _RunningMedianMad:
     """Median and MAD of the last ``width`` values pushed, one pair per
-    value; the window expands during warm-up as ``trailing_mean``'s does.
+    value; the window expands during warm-up as the DC window does.
 
     The window is carried across pushes as a FIFO and a sorted copy, so a
     value costs one insertion and one deletion, and how the values were
@@ -120,29 +84,36 @@ class _RunningMedianMad:
         # inf, so no walk leaves the list: window[i] is _sorted[i + 1]
         self._sorted = [-math.inf, math.inf]
         self._j = 1  # p + 1; valid for every later window, as n never falls
+        self._n = 0  # len(self._fifo)
 
     def push(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fifo, s, j = self._fifo, self._sorted, self._j
+        fifo, s, j, n, width = self._fifo, self._sorted, self._j, self._n, self._width
+        popleft, append = fifo.popleft, fifo.append
         meds, mads = [], []
+        add_med, add_mad = meds.append, mads.append
         for value in x.tolist():
-            if len(fifo) == self._width:
-                del s[bisect_left(s, fifo.popleft())]
-            fifo.append(value)
+            if n == width:
+                del s[bisect_left(s, popleft())]
+            else:
+                n += 1
+            append(value)
             insort(s, value)
-            n = len(fifo)
             k = (n - 1) // 2
             med = (s[k + 1] + s[n // 2 + 1]) / 2
             while s[j + k] - med > med - s[j - 1]:
                 j -= 1
             while med - s[j] > s[j + k + 1] - med:
                 j += 1
-            # the k-th deviation is the run's largest, the (k + 1)-th a neighbour's
-            mad = max(med - s[j], s[j + k] - med)
-            if n % 2 == 0:
-                mad = (mad + min(med - s[j - 1], s[j + k + 1] - med)) / 2
-            meds.append(med)
-            mads.append(mad)
-        self._j = j
+            # the k-th deviation is the run's largest, the (k + 1)-th a
+            # neighbour's; the conditionals pick as max() and min() do
+            lo, hi = med - s[j], s[j + k] - med
+            mad = hi if hi > lo else lo
+            if not n & 1:
+                lo, hi = med - s[j - 1], s[j + k + 1] - med
+                mad = (mad + (hi if hi < lo else lo)) / 2
+            add_med(med)
+            add_mad(mad)
+        self._j, self._n = j, n
         return np.array(meds), np.array(mads)
 
 
@@ -156,18 +127,22 @@ class StreamingPreprocessor:
     tick loop, one ``AcBlock`` per ``push``.
 
     Each push splits the new frames against the trailing DC mean of the
-    raw values carried from earlier pushes, and (with ``outlier_z`` set)
-    flags samples whose unsmoothed AC IR lies more than
-    ``outlier_z * MAD * 1.4826`` from the trailing median; values are
-    never modified, and a window with MAD = 0 flags nothing. Smoothing is
-    a centered mean over the AC columns, truncated only at the start of
-    the stream. It needs ``kernel_width // 2`` samples of right context,
-    so that many samples are held back and released by the next push.
-    How the stream is chunked changes neither the timestamps nor the DC
-    columns, and the gate carries a sorted copy of its window across
-    pushes, so the flags are chunking-invariant by construction; the
-    smoothed AC comes from one cumsum per push and may differ in its last
-    bits.
+    raw values, and (with ``outlier_z`` set) flags samples whose
+    unsmoothed AC IR lies more than ``outlier_z * MAD * 1.4826`` from the
+    trailing median; values are never modified, and a window with MAD = 0
+    flags nothing. Smoothing is a centered mean over the AC columns,
+    truncated only at the start of the stream. It needs
+    ``kernel_width // 2`` samples of right context, so that many samples
+    are held back and released by the next push.
+
+    The DC mean is a running sum: the int64 prefix sums of the raw counts
+    at the last ``dc_width`` positions are carried, zeros before the
+    stream, so the window sums are exact integers and the DC columns are
+    the same however the stream is chunked (int64 holds the sums of
+    3.5e13 18-bit samples). The smoothing takes one cumsum over the held
+    samples and their left context, so the smoothed AC depends on the
+    chunking in its last bits; timestamps, DC columns and the gate's flags
+    do not.
 
     Single-consumer per stream; create one instance per stream.
     """
@@ -188,7 +163,9 @@ class StreamingPreprocessor:
         self._dc_width = _window_samples(dc_window_s, step_ms)
         self._half = kernel_width // 2
         self._outlier_z = outlier_z
-        self._raw = np.empty((2, 0))  # last dc_width - 1 raw red/IR values
+        # prefix sums of the raw red/IR rows at the last dc_width positions
+        self._csum = np.zeros((2, self._dc_width), dtype=np.int64)
+        self._seen = 0  # samples pushed, counted up to dc_width
         self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
         # unsmoothed samples: up to `half` released ones (left smoothing
         # context), then the ones held back for right context, as t, the
@@ -213,7 +190,17 @@ class StreamingPreprocessor:
         if stop <= left:
             self._carry = (t, acdc, outlier)
             return _EMPTY_BLOCK
-        ac = centered_mean(acdc[:2], half, left, stop) if half else acdc[:2, left:stop]
+        if half:
+            # csum[:, half + i] sums the AC before carried sample i, and the
+            # half zeros before it stand for the samples before the stream
+            width = 2 * half + 1
+            csum = np.zeros((2, len(t) + half + 1))
+            np.cumsum(acdc[:2], axis=1, out=csum[:, half + 1 :])
+            # left < half only while the carry starts at the stream's start
+            count = width if left == half else np.minimum(np.arange(left + half + 1, stop + half + 1), width)
+            ac = (csum[:, left + width :] - csum[:, left:stop]) / count
+        else:
+            ac = acdc[:2, left:stop]
         keep_from = max(0, stop - half)
         self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
         self._n_left = stop - keep_from
@@ -224,10 +211,14 @@ class StreamingPreprocessor:
     def _split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ac_red, ac_ir, dc_red, dc_ir and the outlier flags of new
         raw red/IR rows."""
-        hist = np.concatenate((self._raw, raw), axis=1)
-        # exact: the sums add integer ADC counts, far below 2**53
-        dc = trailing_mean(hist, self._dc_width, self._raw.shape[1])
-        self._raw = _tail(hist, self._dc_width - 1)
+        width, n, seen = self._dc_width, raw.shape[1], self._seen
+        # the carried sums, then the running sums on from the last of them
+        csum = np.concatenate((self._csum, raw), axis=1)
+        np.cumsum(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
+        self._csum = csum[:, n:]
+        self._seen = min(seen + n, width)
+        count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
+        dc = (csum[:, width:] - csum[:, :n]) / count
         self.last_dc_ir = float(dc[1, -1])
         ac = raw - dc
         return np.concatenate((ac, dc)), self._flag(ac[1])

@@ -121,12 +121,12 @@ class Rule:
     state: EmotionState
 
     def matches(self, labels: tuple[str, str | None, str | None]) -> bool:
-        for pattern, label in zip((self.bpm, self.spo2, self.temp), labels):
-            if pattern == WILDCARD:
-                continue
-            if label is None or label != pattern:
-                return False
-        return True
+        # a pattern is a string, so an absent (None) label matches only *
+        return (
+            (self.bpm == WILDCARD or self.bpm == labels[0])
+            and (self.spo2 == WILDCARD or self.spo2 == labels[1])
+            and (self.temp == WILDCARD or self.temp == labels[2])
+        )
 
 
 @dataclass(frozen=True)

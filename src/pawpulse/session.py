@@ -41,9 +41,11 @@ columns. Any other line goes through ``json``; a raw record spelled
 another way gives the same frame and joins the run around it, and a
 blank line ends a run. Each run is checked once, when it ends: its
 ``seq`` values, then ``first_invalid`` against the last raw frame
-before it. At a bad line ``replay`` yields what comes before it (its
-run's good prefix as one block) and raises the error that line gives
-when read by itself.
+before it. A vitals or emotion line must be spelled exactly as
+``SessionWriter`` writes its record, so that no other decimal of a
+number reads as the same record. At a bad line ``replay`` yields what
+comes before it (its run's good prefix as one block) and raises the
+error that line gives when read by itself.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -424,7 +426,8 @@ def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock |
     ``errors="surrogateescape"`` (``open_session``) gets a byte that is
     not UTF-8 reported on its line. Raises SessionParseError (carrying the
     1-based line number) at the first malformed line, including a record
-    whose keys are not exactly its kind's and a raw frame that
+    whose keys are not exactly its kind's, a vitals or emotion line not
+    spelled as ``SessionWriter`` writes it, and a raw frame that
     ``validate_frame`` rejects against the previous raw frame, and
     SeqError naming the line at the first ``seq`` that is not the record's
     number, 0, 1, 2, ... in stored order, as ``SessionWriter`` numbers
@@ -592,6 +595,9 @@ class _Reader:
             return None
         yield from self.end_run()
         self._check_seq(seq, lineno)
+        written = _record_json(seq, record)
+        if line != written + "\n" and line != written:
+            raise SessionParseError(lineno, f"record not spelled as written: {written}")
         self.next_seq += 1
         return record
 

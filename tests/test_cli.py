@@ -504,8 +504,8 @@ def stored_session(tmp_path_factory):
 @given(data=st.data())
 def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
     """A changed byte in a stored vitals or emotion line (its newline aside)
-    is a data error, or verify names a mismatch; it never verifies, unless
-    it respells a number as another decimal of the same double."""
+    is a data error, or verify names a mismatch; it never verifies, not even
+    when it respells a number as another decimal of the same double."""
     stored, folder = stored_session
     lines = stored.split(b"\n")
     kept = [i for i, line in enumerate(lines) if b'"kind":"vitals"' in line or b'"kind":"emotion"' in line]
@@ -519,13 +519,9 @@ def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_cli("replay", "--in", str(session), "--verify")
-    if code == 0:
-        assert chr(lines[i][pos]).isdigit() and chr(byte).isdigit()
-        assert json.loads(bytes(changed)) == json.loads(lines[i])
-    else:
-        assert code == 3
-        assert err.getvalue().startswith(("error: line ", "verify: MISMATCH at t="))
-        assert "verify: OK" not in out.getvalue()
+    assert code == 3
+    assert err.getvalue().startswith(("error: line ", "verify: MISMATCH at t="))
+    assert "verify: OK" not in out.getvalue()
 
 
 @pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)
@@ -697,6 +693,22 @@ class TestReport:
 
 
 class TestEntryPointAndFuzz:
+    def test_subcommand_runs_the_cmd_function_of_the_moment(self, tmp_path, monkeypatch, capsys):
+        """The parser is built once, and each call runs whatever function
+        the module holds under ``cmd_<name>`` then, so a wrapper put in
+        place after the first call sees the next one."""
+        from pawpulse import cli
+
+        session = tmp_path / "s.ndjson"
+        assert run_cli("simulate", "--seconds", "2", "--format", "session", "--out", str(session)) == 0
+        assert run_cli("replay", "--in", str(session)) == 0
+        calls = []
+        replay = cli.cmd_replay
+        monkeypatch.setattr(cli, "cmd_replay", lambda args: calls.append(args.in_path) or replay(args))
+        assert run_cli("replay", "--in", str(session)) == 0
+        assert calls == [str(session)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_console_script_pipe(self):
         # the child processes import the same package this test imported
         package_root = str(Path(pawpulse.__file__).resolve().parents[1])

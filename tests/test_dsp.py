@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from pawpulse.core import ContactState, SampleFrame
 from pawpulse.dsp import (
+    MAD_SIGMA,
     AcBlock,
     StreamingPreprocessor,
     _RunningMedianMad,
-    centered_mean,
+    _window_samples,
     contact_state,
 )
 from pawpulse.errors import ConfigError
@@ -94,25 +95,34 @@ class TestSmooth:
             StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=4)
 
     def test_impulse_energy_preserved(self):
-        values = np.zeros(21)
-        values[10] = 1.0
-        ac = centered_mean(values, 2)
-        assert np.count_nonzero(ac) == 5
-        assert math.fsum(ac) == pytest.approx(1.0, abs=1e-9)
+        """Smoothing spreads each unsmoothed AC value over 2 * half + 1
+        samples with equal weights that sum to one."""
+        values = np.full(100, 1000)
+        values[50] = 1500
+        kwargs = dict(sample_rate_hz=100.0, dc_window_s=0.1)  # DC over 10 samples
+        raw = StreamingPreprocessor(kernel_width=1, **kwargs).push(frame_columns(frames_from(values))).ac_ir
+        ac = StreamingPreprocessor(kernel_width=5, **kwargs).push(frame_columns(frames_from(values))).ac_ir
+        assert raw[50] == 450.0 and np.count_nonzero(raw) == 10  # the impulse, then -50 until it leaves the DC
+        assert ac[48] == pytest.approx(raw[50] / 5)
+        assert np.count_nonzero(ac) == 14 and np.flatnonzero(ac)[0] == 48
+        assert math.fsum(ac) == pytest.approx(math.fsum(raw), abs=1e-9)
 
     def test_noise_reduction(self):
         rng = np.random.default_rng(17)
-        sigma = 10.0
-        noise = rng.normal(0.0, sigma, size=4000)
-        assert np.std(centered_mean(noise, 4)) <= 0.45 * sigma
+        frames = frames_from(100_000 + np.round(rng.normal(0.0, 1000.0, size=4000)))
+        raw = push_all(frames).ac_ir
+        ac = push_all(frames, kernel_width=9).ac_ir
+        assert np.std(ac) <= 0.45 * np.std(raw)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=300)
-        y = rng.normal(size=300)
-        a, b = 2.5, -1.25
-        sx, sy, sxy = (centered_mean(v, 3) for v in (x, y, a * x + b * y))
-        assert np.max(np.abs(sxy - (a * sx + b * sy))) < 1e-9
+        x = rng.integers(1000, 5000, size=300)
+        y = rng.integers(1000, 5000, size=300)
+        a, b = 2, 3
+        sx, sy, sxy = (push_all(frames_from(v), kernel_width=7) for v in (x, y, a * x + b * y))
+        for name in ("ac_red", "ac_ir", "dc_red", "dc_ir"):
+            combined = a * getattr(sx, name) + b * getattr(sy, name)
+            assert np.max(np.abs(getattr(sxy, name) - combined)) < 1e-9
 
     def test_dc_and_flags_unchanged(self):
         frames = noise_frames(2, 400, spike_at=200)
@@ -222,6 +232,74 @@ class TestContactState:
             previous = state
 
 
+def _prefix_sums(x):
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate((zero, x), axis=-1), axis=-1)
+
+
+def trailing_mean(x, width, start=0):
+    """Mean of ``x[..., max(0, i - width + 1) : i + 1]`` for each ``i >= start``."""
+    csum = _prefix_sums(np.asarray(x, dtype=float))
+    hi = np.arange(start + 1, csum.shape[-1])
+    lo = np.maximum(0, hi - width)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
+
+
+def centered_mean(x, half, start=0, stop=None):
+    """Mean of ``x[..., max(0, i - half) : i + half + 1]`` for ``start <= i < stop``."""
+    csum = _prefix_sums(np.asarray(x, dtype=float))
+    n = csum.shape[-1] - 1
+    i = np.arange(start, n if stop is None else stop)
+    lo = np.maximum(0, i - half)
+    hi = np.minimum(n, i + half + 1)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
+
+
+class ReferencePreprocessor:
+    """``StreamingPreprocessor`` as it was before it carried its window
+    sums: each push re-sums the carried raw history for the DC and the
+    carried AC samples for the smoothing."""
+
+    def __init__(self, sample_rate_hz, dc_window_s=3.0, kernel_width=5, outlier_z=None, outlier_window_s=3.0):
+        step_ms = 1000.0 / sample_rate_hz
+        self._dc_width = _window_samples(dc_window_s, step_ms)
+        self._half = kernel_width // 2
+        self._outlier_z = outlier_z
+        self._raw = np.empty((2, 0))
+        self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
+        self._carry = (np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
+        self._n_left = 0
+        self.last_dc_ir = None
+
+    def push(self, cols):
+        t, acdc, outlier = self._carry
+        if cols.shape[1]:
+            raw = cols[1:]
+            hist = np.concatenate((self._raw, raw), axis=1)
+            dc = trailing_mean(hist, self._dc_width, self._raw.shape[1])
+            self._raw = hist[:, max(0, hist.shape[1] - (self._dc_width - 1)) :]
+            self.last_dc_ir = float(dc[1, -1])
+            ac = raw - dc
+            if self._gate is None:
+                flags = np.zeros(raw.shape[1], dtype=bool)
+            else:
+                med, mad = self._gate.push(ac[1])
+                flags = (mad > 0) & (np.abs(ac[1] - med) > self._outlier_z * MAD_SIGMA * mad)
+            t = np.concatenate((t, cols[0]))
+            acdc = np.concatenate((acdc, np.concatenate((ac, dc))), axis=1)
+            outlier = np.concatenate((outlier, flags))
+        left, half = self._n_left, self._half
+        stop = len(t) - half
+        if stop <= left:
+            self._carry = (t, acdc, outlier)
+            return AcBlock(t[:0], *np.empty((4, 0)), outlier[:0])
+        ac = centered_mean(acdc[:2], half, left, stop) if half else acdc[:2, left:stop]
+        keep_from = max(0, stop - half)
+        self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
+        self._n_left = stop - keep_from
+        return AcBlock(t[left:stop], ac[0], ac[1], acdc[2, left:stop], acdc[3, left:stop], outlier[left:stop])
+
+
 SPIKED = inject_artifacts(
     generate(SynthProfile(true_bpm=80.0, noise_std_counts=60.0, seed=7), 10.0, 100.0)[0],
     ArtifactKind.MOTION_SPIKE,
@@ -307,3 +385,42 @@ class TestStreamingPreprocessor:
             else:
                 assert np.array_equal(got, getattr(whole, name)), name
         assert pre.last_dc_ir == whole_pre.last_dc_ir
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 4096)), min_size=1, max_size=12),
+        kernel_width=st.sampled_from([1, 3, 5, 7, 9]),
+        sample_rate_hz=st.floats(25.0, 200.0),
+        dc_window_s=st.one_of(st.floats(0.005, 0.5), st.floats(0.5, 8.0)),
+        outlier_z=st.one_of(st.none(), st.floats(2.0, 8.0)),
+        outlier_window_s=st.floats(0.05, 4.0),
+    )
+    def test_matches_reference_bit_for_bit(
+        self, seed, sizes, kernel_width, sample_rate_hz, dc_window_s, outlier_z, outlier_window_s
+    ):
+        """Every released column has the bytes the re-summing reference
+        gives, pushed the same way, and ``last_dc_ir`` is equal: empty
+        pushes, DC windows shorter than a push, and the gate on and off."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        raw = 80_000 + np.round(rng.normal(0.0, 3_000.0, size=(2, n))).astype(np.int64)
+        spikes = rng.random(n) < 0.01
+        raw[:, spikes] = rng.integers(0, 1 << 18, size=(2, int(spikes.sum())))
+        cols = np.vstack((np.arange(n, dtype=np.int64) * 7, raw))
+        kwargs = dict(
+            sample_rate_hz=sample_rate_hz,
+            dc_window_s=dc_window_s,
+            kernel_width=kernel_width,
+            outlier_z=outlier_z,
+            outlier_window_s=outlier_window_s,
+        )
+        pre, ref = StreamingPreprocessor(**kwargs), ReferencePreprocessor(**kwargs)
+        pos = 0
+        for size in sizes:
+            got, want = pre.push(cols[:, pos : pos + size]), ref.push(cols[:, pos : pos + size])
+            pos += size
+            for name in COLUMNS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert pre.last_dc_ir == ref.last_dc_ir

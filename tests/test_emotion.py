@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -122,6 +123,15 @@ class TestClassify:
     def test_determinism(self):
         labels = ("elevated", "reduced", "fever")
         assert classify(labels) == classify(labels)
+
+    def test_matches_every_label_tuple_as_the_pattern_loop(self):
+        """Each pattern is a wildcard or equals its label; an absent label
+        matches only the wildcard."""
+        for patterns in itertools.product(("*", "a", "b"), repeat=3):
+            rule = Rule("R1", *patterns, EmotionState.CALM)
+            for labels in itertools.product(("a", "b", None), repeat=3):
+                want = all(p == "*" or (label is not None and label == p) for p, label in zip(patterns, labels))
+                assert rule.matches(labels) is want, (patterns, labels)
 
 
 class TestRuleParsing:

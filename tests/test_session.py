@@ -362,6 +362,35 @@ class TestReplay:
             list(replay(path))
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"spo2":97.1}', '"spo2":97.10}'),
+            ('"spo2":97.1}', '"spo2":9.71e1}'),
+            ('"bpm":80.0,', '"bpm":80.00,'),
+            ('"rules":["R1"]', '"rules": ["R1"]'),
+            ('"state":"Calm"', '"state":"\\u0043alm"'),
+        ],
+    )
+    def test_respelled_vitals_or_emotion_line_rejected(self, tmp_path, old, new):
+        """A vitals or emotion line that decodes to the stored record but is
+        not spelled as the writer spells it is an error on that line, so a
+        verify cannot pass on it."""
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in (raw(0), vit(1000, spo2=97.1), emo(1000)):
+                writer.append_record(record)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        collected = []
+        with pytest.raises(SessionParseError, match="record not spelled as written") as err:
+            for record in replay(path):
+                collected.append(record)
+        lineno = 4 if "rules" in old or "state" in old else 3
+        assert err.value.line == lineno
+        assert flat(collected) == [raw(0), vit(1000, spo2=97.1)][: lineno - 2]
+
     def test_finite_vitals_numbers_accepted(self, tmp_path):
         path = tmp_path / "s.ndjson"
         SessionWriter(path, PipelineConfig()).close()
