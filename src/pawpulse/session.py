@@ -35,16 +35,15 @@ number of its key's type that ``PipelineConfig`` accepts, and the
 emotion ``rules`` text, which ``parse_rule_table`` accepts. A format-1
 header has no ``rules`` and reads as ``DEFAULT_RULES_TEXT``.
 
-Reading: raw lines spelled exactly as ``SessionWriter`` writes them are
-parsed without ``json``, a run of them at a time, straight into int64
-columns. Any other line goes through ``json``; a raw record spelled
-another way gives the same frame and joins the run around it, and a
-blank line ends a run. Each run is checked once, when it ends: its
-``seq`` values, then ``first_invalid`` against the last raw frame
-before it. A vitals or emotion line must be spelled exactly as
-``SessionWriter`` writes its record, so that no other decimal of a
-number reads as the same record. At a bad line ``replay`` yields what
-comes before it (its run's good prefix as one block) and raises the
+Reading: every record line must be spelled exactly as ``SessionWriter``
+writes its record, so that no other spelling (another decimal of a
+number, another key order, a space) reads as the same record. Raw lines
+are parsed without ``json``, a run of them at a time, straight into
+int64 columns; a raw line in any other spelling is an error. Any other
+line goes through ``json``, and a blank line ends a run. Each run is
+checked once, when it ends: its ``seq`` values, then ``first_invalid``
+against the last raw frame before it. At a bad line ``replay`` yields
+what comes before it (its run's good prefix as one block) and raises the
 error that line gives when read by itself.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
@@ -73,7 +72,6 @@ from .core import (
     PipelineConfig,
     SampleFrame,
     VitalsEstimate,
-    check_frame_types,
     validate_frame,
 )
 from .emotion import (
@@ -203,8 +201,10 @@ def _optional_real(name: str, value):
     raise ValueError(f"{name}={value!r} is not a finite number")
 
 
-def _record_from_obj(obj, lineno: int) -> tuple[int, SampleFrame | VitalsEstimate | TickEmotion]:
-    """The ``seq`` and the payload of a decoded record line."""
+def _record_from_obj(obj, lineno: int) -> tuple[int, VitalsEstimate | TickEmotion]:
+    """The ``seq`` and the payload of a decoded vitals or emotion line."""
+    if type(obj) is dict and obj.get("kind") == "raw":  # those spelled as written are read as runs
+        raise SessionParseError(lineno, "raw record not spelled as written")
     try:
         kind = obj["kind"]
         keys = _KINDS.get(kind)
@@ -214,10 +214,7 @@ def _record_from_obj(obj, lineno: int) -> tuple[int, SampleFrame | VitalsEstimat
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if not -(1 << 63) <= seq < 1 << 63:
             raise ValueError(f"seq {seq} does not fit 64 bits")
-        if kind == "raw":
-            # the fields are checked by validate_frame, against the previous frame
-            payload = SampleFrame(t, obj["red"], obj["ir"], obj["temp"])
-        elif keys is None:
+        if keys is None:
             raise ValueError(f"unknown kind {kind!r}")
         elif type(t) is not int:
             raise TypeError(f"t must be an integer, got {t!r}")
@@ -426,8 +423,8 @@ def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock |
     ``errors="surrogateescape"`` (``open_session``) gets a byte that is
     not UTF-8 reported on its line. Raises SessionParseError (carrying the
     1-based line number) at the first malformed line, including a record
-    whose keys are not exactly its kind's, a vitals or emotion line not
-    spelled as ``SessionWriter`` writes it, and a raw frame that
+    whose keys are not exactly its kind's, a line not spelled as
+    ``SessionWriter`` writes its record, and a raw frame that
     ``validate_frame`` rejects against the previous raw frame, and
     SeqError naming the line at the first ``seq`` that is not the record's
     number, 0, 1, 2, ... in stored order, as ``SessionWriter`` numbers
@@ -442,12 +439,12 @@ def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock |
         yield from _replay_stream(source, header)
 
 
-#: A run of raw record lines exactly as ``_RAW_LINE`` writes them, from the
-#: start of a line: integers with no sign or leading zero and at most 18
-#: digits, so that each fits an int64, and a temperature that is null or a
-#: JSON number. Every other spelling of a raw record takes the JSON path.
-_INT = "(?:0|[1-9][0-9]{0,17})"
-_NUMBER = rf"-?{_INT}(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+#: A run of raw record lines in ``_RAW_LINE``'s shape, from the start of a
+#: line: integers with no sign or leading zero, and a temperature that is
+#: null or a number in the shapes ``_temp_json`` writes. Every other line
+#: takes the JSON path, where a raw record is an error.
+_INT = "(?:0|[1-9][0-9]*)"
+_NUMBER = rf"-?{_INT}(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 _RAW_RUN = re.compile(
     r'^(?:\{"seq":%s,"kind":"raw","t":%s,"red":%s,"ir":%s,"temp":(?:null|%s)\}\n)+'
     % (_INT, _INT, _INT, _INT, _NUMBER),
@@ -464,11 +461,14 @@ _CHUNK = 1 << 16
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-def _json_number(text: str):
-    """What ``json`` makes of a temperature that ``_RAW_RUN`` matched."""
-    if text == "null":
-        return None
-    return int(text) if text.lstrip("-").isdigit() else float(text)
+def _temp_value(text: str):
+    """What ``json`` makes of a temperature that ``_RAW_RUN`` matched, or
+    NaN, which no run check passes, unless ``_temp_json`` writes it so."""
+    try:
+        value = _scan_once(text, 0)[0]
+    except ValueError:  # an integer past the conversion limit
+        return math.nan
+    return value if _temp_json(value) == text else math.nan
 
 
 def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
@@ -506,15 +506,16 @@ def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | Vi
 class _Reader:
     """``replay`` between two lines: the number of the next line, the
     ``seq`` due next, the last raw frame yielded, and the run of raw
-    records being read, as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces
-    and a list of temperatures, ``first_line`` the line of its first
-    record.
+    records being read, as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces,
+    a list of temperatures and its text, ``first_line`` the line of its
+    first record.
 
     A run is checked when it ends, at a line that is not a raw record or
     at the end of the file: one check that its ``seq`` values count on
-    from the one due, and ``first_invalid`` against the last raw frame. A
-    raw record from the JSON path whose fields have the wrong type or do
-    not fit an int64 ends the run too, and is checked alone after it.
+    from the one due, and ``first_invalid`` against the last raw frame.
+    An integer past int64 reads as a negative one, and a temperature not
+    spelled as written as NaN, which both checks reject; the line of the
+    first bad record is then read again, exactly, for its error.
     """
 
     def __init__(self):
@@ -527,23 +528,23 @@ class _Reader:
         self.first_line = 0
         self.pieces: list[np.ndarray] = []
         self.temps: list = []
-
-    def _extend(self, rows: np.ndarray, temps: list) -> None:
-        if not self.pieces:
-            self.first_line = self.lineno
-        self.pieces.append(rows)
-        self.temps += temps
+        self.texts: list[str] = []
 
     def add_run(self, run: str) -> None:
         """Add the lines of a ``_RAW_RUN`` match to the run."""
         n = run.count("\n")
         if run.count('"temp":null}') == n:
-            temps = [None] * n
+            temps, digits = [None] * n, run
         else:
-            temps = list(map(_json_number, _TEMP.findall(run)))
-            run = _TEMP.sub("", run)
-        numbers = np.fromstring(run.encode().translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
-        self._extend(numbers.reshape(n, 4), temps)
+            temps, digits = list(map(_temp_value, _TEMP.findall(run))), _TEMP.sub("", run)
+        # parsed as uint64, which saturates past 2**64 - 1, so that a value
+        # past int64 reads as negative
+        numbers = np.fromstring(digits.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+        if not self.pieces:
+            self.first_line = self.lineno
+        self.pieces.append(numbers.view(np.int64).reshape(n, 4))
+        self.temps += temps
+        self.texts.append(run)
         self.lineno += n
 
     def other_lines(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
@@ -560,8 +561,7 @@ class _Reader:
             self.lineno += 1
 
     def _other_line(self, line: str):
-        """The vitals or emotion payload of ``line``, or None when it is
-        blank or a raw record (which joins the run)."""
+        """The vitals or emotion payload of ``line``, or None when it is blank."""
         lineno = self.lineno
         # json.loads(line), minus its per-call overhead on a well-formed
         # line; anything else goes to the full decoder, which accepts and
@@ -579,21 +579,8 @@ class _Reader:
             except ValueError as exc:
                 yield from self.end_run()
                 raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-        try:
-            seq, record = _record_from_obj(obj, lineno)
-        except SessionParseError:
-            yield from self.end_run()
-            raise
-        if type(record) is SampleFrame:
-            try:
-                check_frame_types(record)
-                row = np.array([(seq, *record[:3])], dtype=np.int64)
-            except (RangeError, OverflowError):
-                yield from self.end_run()
-                self._check_alone(seq, record, lineno)
-            self._extend(row, [record.temperature_c])
-            return None
         yield from self.end_run()
+        seq, record = _record_from_obj(obj, lineno)
         self._check_seq(seq, lineno)
         written = _record_json(seq, record)
         if line != written + "\n" and line != written:
@@ -617,7 +604,7 @@ class _Reader:
         temps[:] = self.temps
         block = FrameBlock(rows[:, 1:].T.copy(), temps)
         bad = min(bad, first_invalid(block, self.last_raw))
-        first_line = self.first_line
+        first_line, texts = self.first_line, self.texts
         self._new_run()
         if bad:
             good = block if bad == n else block[:bad]
@@ -625,7 +612,7 @@ class _Reader:
             self.last_raw = good[-1]
             yield good
         if bad < n:
-            self._check_alone(int(seq[bad]), block[bad], first_line + bad)
+            self._check_alone("".join(texts).split("\n")[bad], first_line + bad)
 
     def _check_seq(self, seq: int, lineno: int) -> None:
         due = self.next_seq
@@ -634,9 +621,16 @@ class _Reader:
         if seq != due:
             raise SeqError(f"line {lineno}: seq {seq} where {due} was due")
 
-    def _check_alone(self, seq: int, frame: SampleFrame, lineno: int) -> None:
-        """Raise the error of a raw record that a run check found bad."""
-        self._check_seq(seq, lineno)
+    def _check_alone(self, line: str, lineno: int) -> None:
+        """Raise the error of a raw record line that a run check found bad."""
+        try:
+            obj = json.loads(line)  # every number exactly, also past int64
+        except ValueError as exc:  # an integer past the conversion limit
+            raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
+        if line != _RAW_JSON % (obj["seq"], obj["t"], obj["red"], obj["ir"], _temp_json(obj["temp"])):
+            raise SessionParseError(lineno, "raw record not spelled as written")
+        self._check_seq(obj["seq"], lineno)
+        frame = SampleFrame(obj["t"], obj["red"], obj["ir"], obj["temp"])
         try:
             validate_frame(frame, prev=self.last_raw)
         except (RangeError, OrderError) as exc:

@@ -22,7 +22,9 @@ two-byte pattern and let the checksum arbitrate false positives.
 method ("Computation of cyclic redundancy checks via table look-up",
 CACM 1988) turned sideways: the CRC is affine in the message bytes, so
 one table per byte position gives every candidate frame's CRC as one
-gather and one XOR-reduce.
+gather and one XOR-reduce. Back-to-back frames of one size, as a device
+sends them, are cut into frames by stride; any other chunk, or one where
+a frame that fails holds an ``A5 5A``, is searched at every ``A5 5A``.
 """
 from __future__ import annotations
 
@@ -276,8 +278,9 @@ def _crc_tables():
 
 _CRC_TABLE, _CRC_OFFSETS = _crc_tables()
 _CRC_BATCH = 4096
-_SIZES = np.array([_FIXED_LEN, _TEMP_LEN])
 _PAD = bytes(_TEMP_LEN)
+_SYNC_WORD = int.from_bytes(SYNC, "little")  # the sync pattern as one little-endian uint16
+_FLAG_BIT = bytes(b & FLAG_TEMPERATURE for b in range(256))  # a flags byte -> its temperature bit
 
 
 def _frames_at(data: bytes):
@@ -289,14 +292,14 @@ def _frames_at(data: bytes):
     """
     n = len(data)
     padded = data + _PAD
-    head = np.frombuffer(padded, dtype=np.uint8, count=n)
-    starts = np.flatnonzero((head[:-1] == SYNC[0]) & (head[1:] == SYNC[1]))
+    # the pair at n - 1 would take a padding byte, which is 0
+    starts = np.flatnonzero(np.ndarray((n,), "<u2", padded, 0, (1,)) == _SYNC_WORD)
     # row k: the longest frame's worth of bytes from starts[k] on; the
     # padding keeps every row inside the buffer
     rows = np.ndarray((n + 1, _TEMP_LEN), np.uint8, padded, strides=(1, 1))[starts]
     words = rows.view("<u4")
     flag = rows[:, 3] & FLAG_TEMPERATURE
-    ends = starts + _SIZES[flag]
+    ends = starts + _FIXED_LEN + (_TEMP_LEN - _FIXED_LEN) * flag
     crc = np.empty(len(starts), dtype=np.uint16)
     for a in range(0, len(starts), _CRC_BATCH):  # bounds the (18, m) index array
         part = slice(a, a + _CRC_BATCH)
@@ -304,6 +307,36 @@ def _frames_at(data: bytes):
         crc[part] = np.bitwise_xor.reduce(_CRC_TABLE[index], axis=0)
     ok = (crc == 0) & (rows[:, 2] == VERSION) & (ends <= n) & ((words[:, 2] | words[:, 3]) <= ADC_MAX)
     return starts[ok], ends[ok], words[ok]
+
+
+def _by_stride(data: bytes):
+    """The frames ``resync`` takes from back-to-back frames of one size, else
+    None: their ``(k, 3)`` uint32 timestamp, red and ir, int16 temperature
+    fields, temperature flag, and starts and ends (None if every tile is a
+    frame). After a tile that fails the scan takes the next sync, the next
+    tile's unless the failed one holds an ``A5 5A`` (None then)."""
+    n = len(data)
+    flag = data[3] & FLAG_TEMPERATURE if n >= 4 else 0
+    size = _TEMP_LEN if flag else _FIXED_LEN
+    m, rest = divmod(n, size)
+    if not m or rest or (m, m, m, m) != (
+        data[0::size].count(SYNC[0]), data[1::size].count(SYNC[1]),
+        data[2::size].count(VERSION), data[3::size].translate(_FLAG_BIT).count(flag)
+    ):
+        return None
+    tiles = np.frombuffer(data, np.uint8).reshape(m, size)
+    fields = np.ndarray((m, 3), "<u4", data, 4, (size, 4))  # timestamp, red, ir
+    deci = np.ndarray((m,), "<i2", data, 16, (size,))
+    ok = (fields[:, 1] | fields[:, 2]) <= ADC_MAX
+    for a in range(0, m, _CRC_BATCH):  # bounds the (m, 18) index array
+        part = slice(a, a + _CRC_BATCH)
+        ok[part] &= np.bitwise_xor.reduce(_CRC_TABLE.take(tiles[part, 2:] + _CRC_OFFSETS[: size - 2, flag]), axis=1) == 0
+    if ok.all():
+        return fields, deci, flag, None
+    if any(data.find(SYNC, p + 1, p + size) >= 0 for p in (np.flatnonzero(~ok) * size).tolist()):
+        return None
+    starts = np.flatnonzero(ok) * size
+    return fields[ok], deci[ok], flag, (starts, starts + size)
 
 
 def resync(data: bytes, on_skip=None) -> tuple[FrameBlock, int]:
@@ -316,23 +349,36 @@ def resync(data: bytes, on_skip=None) -> tuple[FrameBlock, int]:
     frame that is fully present is never lost. ``on_skip``, when given,
     is called with (offset, length) for every contiguous run of skipped
     bytes.
+
+    Back-to-back frames of one size go by stride (``_by_stride``); any
+    other chunk is searched, every ``A5 5A`` a candidate (``_frames_at``).
     """
     data = bytes(data)
-    starts, ends, words = _frames_at(data)
-    # The scan takes the first frame at or after the end of the last one
-    # taken: every frame, unless one starts inside another (and is passed).
-    if len(starts) > 1 and not (starts[1:] >= ends[:-1]).all():
-        after = np.searchsorted(starts, ends).tolist()
-        taken = [0]
-        while after[taken[-1]] < len(after):
-            taken.append(after[taken[-1]])
-        starts, ends, words = starts[taken], ends[taken], words[taken]
-    if on_skip is not None:
+    found = _by_stride(data)
+    if found is not None:
+        fields, deci, has_temp, bounds = found
+        with_temp = len(deci) if has_temp else 0
+    else:
+        starts, ends, words = _frames_at(data)
+        # The scan takes the first frame at or after the end of the last one
+        # taken: every frame, unless one starts inside another (and is passed).
+        if len(starts) > 1 and not (starts[1:] >= ends[:-1]).all():
+            after = np.searchsorted(starts, ends).tolist()
+            taken = [0]
+            while after[taken[-1]] < len(after):
+                taken.append(after[taken[-1]])
+            starts, ends, words = starts[taken], ends[taken], words[taken]
+        fields, deci, bounds = words[:, 1:4], words.view("<i2")[:, 8], (starts, ends)
+        has_temp = words[:, 0] & (FLAG_TEMPERATURE << 24)  # the flags byte
+        with_temp = int(np.count_nonzero(has_temp))
+    if on_skip is not None and bounds is not None:
         # the skipped runs are the gaps between the frames taken
-        for gap_start, gap_end in zip([0] + ends.tolist(), starts.tolist() + [len(data)]):
+        for gap_start, gap_end in zip([0] + bounds[1].tolist(), bounds[0].tolist() + [len(data)]):
             if gap_end > gap_start:
                 on_skip(gap_start, gap_end - gap_start)
-    has_temp = words[:, 0] & (FLAG_TEMPERATURE << 24)  # the flags byte
-    temps = np.where(has_temp, words.view("<i2")[:, 8] / 10.0, None)
-    cols = words[:, 1:4].T.astype(np.int64, order="C")
-    return FrameBlock(cols, temps), len(data) - int((ends - starts).sum())
+    if 0 < with_temp < len(deci):
+        temps = np.where(has_temp, deci / 10.0, None)
+    else:  # all carry one, or none does
+        temps = (deci / 10.0).astype(object) if with_temp else np.empty(len(deci), dtype=object)
+    skipped = len(data) - _FIXED_LEN * len(deci) - (_TEMP_LEN - _FIXED_LEN) * with_temp
+    return FrameBlock(fields.T.astype(np.int64, order="C"), temps), skipped

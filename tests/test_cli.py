@@ -500,15 +500,13 @@ def stored_session(tmp_path_factory):
     return session.read_bytes(), folder
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
-    """A changed byte in a stored vitals or emotion line (its newline aside)
-    is a data error, or verify names a mismatch; it never verifies, not even
-    when it respells a number as another decimal of the same double."""
+def verify_with_a_byte_changed(stored_session, data, kinds):
+    """Change one byte (not the newline) of a stored line of one of
+    ``kinds`` and run ``replay --verify``: the exit code, stdout, stderr,
+    and the line before and after."""
     stored, folder = stored_session
     lines = stored.split(b"\n")
-    kept = [i for i, line in enumerate(lines) if b'"kind":"vitals"' in line or b'"kind":"emotion"' in line]
+    kept = [i for i, line in enumerate(lines) if any(b'"kind":"%s"' % kind in line for kind in kinds)]
     i = data.draw(st.sampled_from(kept))
     pos = data.draw(st.integers(0, len(lines[i]) - 1))
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != lines[i][pos]))
@@ -519,9 +517,33 @@ def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_cli("replay", "--in", str(session), "--verify")
+    return code, out.getvalue(), err.getvalue(), lines[i], bytes(changed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
+    """A changed byte in a stored vitals or emotion line (its newline aside)
+    is a data error, or verify names a mismatch; it never verifies, not even
+    when it respells a number as another decimal of the same double."""
+    code, out, err, _, _ = verify_with_a_byte_changed(stored_session, data, (b"vitals", b"emotion"))
     assert code == 3
-    assert err.getvalue().startswith(("error: line ", "verify: MISMATCH at t="))
-    assert "verify: OK" not in out.getvalue()
+    assert err.startswith(("error: line ", "verify: MISMATCH at t="))
+    assert "verify: OK" not in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_byte_change_to_a_raw_line_fails_verify_or_changes_its_frame(stored_session, data):
+    """A changed byte in a stored raw line is a data error, or verify names a
+    mismatch, or the line holds another frame: no other spelling of the
+    stored frame verifies."""
+    code, out, err, line, changed = verify_with_a_byte_changed(stored_session, data, (b"raw",))
+    if code == 3:
+        assert err.startswith(("error: line ", "verify: MISMATCH at t="))
+    else:
+        assert code == 0 and "verify: OK" in out
+        assert json.loads(changed) != json.loads(line)
 
 
 @pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)

@@ -298,7 +298,7 @@ class TestReplay:
         [
             ('"t":50,"red":1,"ir":999999', "ir=999999 outside 18-bit range"),
             ('"t":40,"red":1,"ir":2', "timestamp 40 not after predecessor 40"),
-            ('"t":50,"red":1.5,"ir":2', "red=1.5 is not an integer"),
+            ('"t":50,"red":1.5,"ir":2', "raw record not spelled as written"),
         ],
     )
     def test_invalid_raw_frame_rejected(self, tmp_path, bad, message):
@@ -326,7 +326,8 @@ class TestReplay:
         lineno = 2 + ["raw", "vitals", "emotion"].index(kind)
         lines[lineno - 1] = lines[lineno - 1][:-1] + ',"evil":1}'
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SessionParseError, match=f"line {lineno}: .*unexpected keys \\['evil'\\]"):
+        message = "raw record not spelled as written" if kind == "raw" else ".*unexpected keys \\['evil'\\]"
+        with pytest.raises(SessionParseError, match=f"line {lineno}: {message}"):
             list(replay(path))
 
     @pytest.mark.parametrize(
@@ -398,13 +399,13 @@ class TestReplay:
             fh.write('{"seq":0,"kind":"vitals","t":1000,"contact":"contact","bpm":80,"bpm_avg":null,"spo2":0}\n')
         assert list(replay(path)) == [vit(1000, bpm=80.0, avg=None, spo2=0.0)]
 
-    def test_json_accepted_as_json_loads_accepts_it(self, tmp_path):
+    def test_blank_lines_pass_and_bad_json_is_reported_as_json_loads_reports_it(self, tmp_path):
         path = tmp_path / "s.ndjson"
         SessionWriter(path, PipelineConfig()).close()
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('  {"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}  \r\n')
-            fh.write("\n \n")
-            fh.write('{ "seq" : 1, "kind" : "raw", "t" : 10, "red" : 1, "ir" : 2, "temp" : 36.6 }\n')
+            fh.write('{"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n')
+            fh.write("\n \r\n")
+            fh.write('{"seq":1,"kind":"raw","t":10,"red":1,"ir":2,"temp":36.6}\n')
             fh.write('{"seq":2,"kind":"raw","t":20,"red":1,"ir":2,"temp":null} x\n')
         collected = []
         with pytest.raises(SessionParseError, match="line 6: bad JSON: Extra data"):
@@ -637,11 +638,11 @@ class TestRawRuns:
         assert got[0].cols.dtype == np.int64 and not got[0].cols.flags.writeable
         assert not got[0].temps.flags.writeable
 
-    def test_other_spellings_join_the_run_and_blank_lines_end_it(self, tmp_path):
+    def test_blank_lines_end_a_run(self, tmp_path):
         lines = [
             canonical_raw(0, 0, 1, 2),
-            '{"seq": 1, "kind": "raw", "t": 10, "red": 1, "ir": 2, "temp": 36.6}',
-            '{"kind":"raw","seq":2,"temp":null,"ir":2,"red":1,"t":20}',
+            canonical_raw(1, 10, 1, 2, 36.6),
+            canonical_raw(2, 20, 1, 2),
             canonical_raw(3, 30, 1, 2),
             "",
             canonical_raw(4, 40, 1, 2),
@@ -681,7 +682,7 @@ class TestRawRuns:
             (
                 lambda seq: '{"seq":%d,"kind":"raw","t":50,"red":1.5,"ir":2,"temp":null}' % seq,
                 SessionParseError,
-                r"red=1\.5 is not an integer",
+                "raw record not spelled as written",
             ),
             (
                 lambda seq: canonical_raw(seq, 10**20, 1, 2),
@@ -693,11 +694,7 @@ class TestRawRuns:
                 SessionParseError,
                 "timestamp_ms=9223372036854775808 does not fit 64 bits",
             ),
-            (
-                lambda seq: canonical_raw(10**20, 50, 1, 2),
-                SessionParseError,
-                "bad record: seq 100000000000000000000 does not fit 64 bits",
-            ),
+            (lambda seq: canonical_raw(10**20, 50, 1, 2), SeqError, "seq 100000000000000000000 where {due} was due"),
             (lambda seq: '{"seq":%d,"kind":"raw","t":50,"red"' % seq, SessionParseError, "bad JSON: .*"),
         ],
         ids=[
@@ -764,8 +761,8 @@ class TestRawRuns:
 
 
 # A raw record's fields with values near and past the limits that reading
-# enforces; written canonically and in other spellings, they must read
-# the same.
+# enforces, written canonically or in other spellings: a line in another
+# spelling is an error on its line.
 seq_steps = st.sampled_from([1, 1, 1, 1, 2, 0, -1])
 t_steps = st.sampled_from([10, 10, 10, 1, 0, -3, 1 << 64])
 raw_channels = channels | st.sampled_from([0, ADC_MAX, ADC_MAX + 1])
@@ -788,18 +785,21 @@ spellings = st.fixed_dictionaries(
         "pad": st.sampled_from(["", " ", "  "]),
         "negative_zero": st.booleans(),
         "exponent": st.sampled_from([None, "E1", "e+1"]),
+        "trailing_zero": st.booleans(),
     }
 )
 
 
-def spelled_raw(fields, order, item_sep, key_sep, pad, negative_zero, exponent):
-    """A raw record line with ``fields`` spelled another valid JSON way."""
+def spelled_raw(fields, order, item_sep, key_sep, pad, negative_zero, exponent, trailing_zero):
+    """A raw record line with ``fields`` spelled as valid JSON, maybe another way."""
 
     def value(key, v):
         if key == "kind":
             return '"raw"'
         if type(v) is float and exponent and math.isfinite(v):
             return f"{Decimal(repr(v)).scaleb(-1)}{exponent}"  # 36.6 -> 3.66E1
+        if type(v) is float and trailing_zero:
+            return f"{v!r}0"  # 36.6 -> 36.60
         if v == 0 and type(v) is int and negative_zero:
             return "-0"
         return json.dumps(v)
@@ -811,7 +811,10 @@ def spelled_raw(fields, order, item_sep, key_sep, pad, negative_zero, exponent):
 class TestSpellings:
     @settings(max_examples=300, deadline=None)
     @given(rows=session_rows, spelling=st.lists(spellings, min_size=30, max_size=30))
-    def test_canonical_and_other_spellings_read_the_same(self, tmp_path_factory, rows, spelling):
+    def test_a_raw_line_in_another_spelling_fails_on_its_line(self, tmp_path_factory, rows, spelling):
+        """Lines up to the first raw line not spelled as the writer spells it
+        read as they do alone; that line is then an error, unless one
+        before it is."""
         canonical, other = [], []
         seq, t = -1, 0  # so that a first step of 1 numbers the first record 0
         for i, row in enumerate(rows):
@@ -826,10 +829,38 @@ class TestSpellings:
             fields = {"seq": seq, "kind": "raw", "t": t, "red": red, "ir": ir, "temp": temp}
             canonical.append(canonical_raw(seq, t, red, ir, temp))
             other.append(spelled_raw(fields, **spelling[i]))
+        respelled = next((i for i, (a, b) in enumerate(zip(canonical, other)) if a != b), len(other))
         folder = tmp_path_factory.mktemp("s")
-        results = []
-        for name, lines in (("canonical", canonical), ("other", other)):
+
+        def read(name, lines):
             collected, exc = read_until_error(session_with_lines(folder / name, lines))
             frames = [(r, type(r.temperature_c)) if type(r) is SampleFrame else r for r in flat(collected)]
-            results.append((frames, None if exc is None else (type(exc), str(exc))))
-        assert results[0] == results[1]
+            return frames, None if exc is None else (type(exc), str(exc))
+
+        frames, exc = read("canonical", canonical[:respelled])
+        if exc is None and respelled < len(other):
+            exc = (SessionParseError, f"line {respelled + 2}: raw record not spelled as written")
+        assert read("other", other) == (frames, exc)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"temp":38.5}', '"temp":38.50}'),
+            ('"temp":38.5}', '"temp":3.85e1}'),
+            ('{"seq":1,"kind":"raw"', '{"kind":"raw","seq":1'),
+            ('"seq":1,', '"seq" : 1,'),
+        ],
+        ids=["trailing-zero", "exponent", "key-order", "spaces-around-colon"],
+    )
+    def test_respelled_raw_line_rejected(self, tmp_path, old, new):
+        """The edits that once verified: each is an error on its line."""
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in (raw(0), raw(10, temp=38.5), raw(20), vit(1000)):
+                writer.append_record(record)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        collected, exc = read_until_error(path)
+        assert type(exc) is SessionParseError and str(exc) == "line 3: raw record not spelled as written"
+        assert flat(collected) == [raw(0)]

@@ -18,6 +18,7 @@ from pawpulse.errors import (
 from pawpulse.wire import (
     SYNC,
     FrameBlock,
+    _by_stride,
     crc16_ccitt_false,
     decode_frame,
     encode_frame,
@@ -195,6 +196,37 @@ stream_pieces = st.one_of(
     st.binary(max_size=8).map(lambda tail: SYNC + tail),  # stray sync pair
     st.tuples(wire_frames, st.integers(1, 17)).map(lambda fc: encode_frame(fc[0])[: -fc[1]]),
 )
+# edits that keep a stream's length: (kind, position, flip mask, offset of
+# the next frame's header in a hidden frame); the header fits the fields at
+# 4-7, at 8 and 12 without the temperature flag, and at 3 (flags) with it
+stride_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "sync", "frame", "hide"]),
+        st.integers(0, 2**16),
+        st.integers(1, 255),
+        st.sampled_from([3, 4, 5, 6, 7, 8, 12]),
+    ),
+    max_size=4,
+)
+
+
+def hiding_frame(frame: SampleFrame, at: int, header: bytes) -> bytes:
+    """``frame``'s encoding with bytes ``at`` to ``at + 3`` set to ``header``
+    and its CRC made valid again: put ``at`` bytes before the end of a frame
+    of the same size, it keeps the next frame's header intact."""
+    body = bytearray(encode_frame(frame)[2:-2])
+    body[at - 2 : at + 2] = header
+    return SYNC + body + crc16_ccitt_false(bytes(body)).to_bytes(2, "little")
+
+
+def same_as_reference(data: bytes):
+    """``resync``'s frames, skipped count and skip runs of ``data``, checked
+    against ``resync_reference``'s."""
+    got_runs, want_runs = [], []
+    got, got_skipped = resync(data, on_skip=lambda off, n: got_runs.append((off, n)))
+    want, want_skipped = resync_reference(data, on_skip=lambda off, n: want_runs.append((off, n)))
+    assert (list(got), got_skipped, got_runs) == (want, want_skipped, want_runs)
+    return want, want_skipped, want_runs
 
 
 class TestResync:
@@ -209,14 +241,30 @@ class TestResync:
         for pos, mask in flips:
             if blob:
                 blob[pos % len(blob)] ^= mask
-        data = bytes(blob[: max(0, len(blob) - cut)])
-        got_runs, want_runs = [], []
-        got, got_skipped = resync(data, on_skip=lambda off, n: got_runs.append((off, n)))
-        want, want_skipped = resync_reference(data, on_skip=lambda off, n: want_runs.append((off, n)))
-        assert list(got) == want
-        assert got_skipped == want_skipped
-        assert got_runs == want_runs
+        same_as_reference(bytes(blob[: max(0, len(blob) - cut)]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(frames=st.lists(wire_frames, min_size=1, max_size=20), with_temp=st.booleans(), edits=stride_edits)
+    def test_one_size_streams_match_the_reference(self, frames, with_temp, edits):
+        """Back-to-back frames of one size, which go by stride, with bytes
+        flipped, ``A5 5A`` pairs and whole frames planted at any offset, and
+        frames planted inside a frame that leave the next one's header be
+        (valid where their header bytes fit their fields)."""
+        frames = [f._replace(temperature_c=(f.temperature_c or 36.6) if with_temp else None) for f in frames]
+        blob = bytearray(b"".join(map(encode_frame, frames)))
+        size = len(blob) // len(frames)
+        for kind, pos, mask, at in edits:
+            if kind == "hide" and len(frames) > 1:
+                after = (pos % (len(frames) - 1) + 1) * size  # where the next frame starts
+                blob[after - at : after - at + size] = hiding_frame(frames[mask % len(frames)], at, blob[after : after + 4])
+                continue
+            pos %= len(blob)
+            if kind == "flip":
+                blob[pos] ^= mask
+            elif kind != "hide":
+                piece = SYNC if kind == "sync" else encode_frame(frames[mask % len(frames)])
+                blob[pos : pos + len(piece)] = piece[: len(blob) - pos]
+        same_as_reference(bytes(blob))
 
     def test_garbage_prefix(self):
         frames = [SampleFrame(i * 10, i, i * 2) for i in range(1, 4)]
@@ -314,6 +362,55 @@ class TestResync:
         assert (list(got), skipped) == resync_reference(blob, on_skip=lambda off, n: want_runs.append((off, n)))
         assert runs == want_runs
         assert len(got) == (20 if odd == "flags" else 19)
+
+    def test_adjacent_failed_frames_are_one_skip_run(self):
+        frames = [SampleFrame(10 * i, i, 2 * i) for i in range(6)]
+        raw = [bytearray(encode_frame(f)) for f in frames]
+        raw[2][8] ^= 0x10  # red
+        raw[3][13] ^= 0x01  # ir
+        blob = b"".join(raw)
+        assert _by_stride(blob) is not None
+        assert same_as_reference(blob) == (frames[:2] + frames[4:], 36, [(36, 36)])
+
+    @pytest.mark.parametrize(
+        "temp,at", [(None, 4), (None, 5), (None, 6), (None, 7), (None, 8), (None, 12)] + [(36.6, at) for at in range(3, 8)]
+    )
+    def test_failed_frame_that_hides_a_valid_one(self, temp, at):
+        # a valid frame starts inside frame 2, which then fails, and holds the
+        # header of frame 3 at its byte ``at``: the scan takes it and passes frame 3
+        frames = [SampleFrame(10 * i, i, 2 * i, temp) for i in range(5)]
+        blob = bytearray(b"".join(map(encode_frame, frames)))
+        size = len(blob) // len(frames)
+        hidden = hiding_frame(SampleFrame(7, 9, 11, temp), at, blob[3 * size : 3 * size + 4])
+        blob[3 * size - at : 4 * size - at] = hidden
+        assert _by_stride(bytes(blob)) is None  # the candidate search decides
+        want = frames[:2] + [decode_frame(hidden)[0]] + frames[4:]
+        assert same_as_reference(bytes(blob)) == (want, size, [(2 * size, size - at), (4 * size - at, at)])
+
+    def test_frame_hidden_from_the_flags_byte_of_a_failed_frame(self):
+        # an 18-byte frame from the flags byte (A5, the temperature flag) of a
+        # 20-byte one, which then fails; its CRC's high byte is the next frame's A5
+        hidden = next(
+            raw for raw in (encode_frame(SampleFrame(7, red, 11)) for red in range(1 << 18)) if raw[-1] == SYNC[0]
+        )
+        frames = [SampleFrame(10 * i, i, 2 * i, 36.6) for i in range(5)]
+        blob = bytearray(b"".join(map(encode_frame, frames)))
+        blob[43:61] = hidden  # frame 2 is 40-59
+        assert _by_stride(bytes(blob)) is None
+        want = frames[:2] + [decode_frame(hidden)[0]] + frames[4:]
+        assert same_as_reference(bytes(blob)) == (want, 22, [(40, 3), (61, 19)])
+
+    def test_sync_byte_at_the_end_of_a_failed_last_frame(self):
+        frames = [SampleFrame(10 * i, i, 2 * i, 38.5) for i in range(4)]
+        blob = b"".join(map(encode_frame, frames))[:-1] + SYNC[:1]
+        assert _by_stride(blob) is not None
+        assert same_as_reference(blob) == (frames[:3], 20, [(60, 20)])
+
+    @pytest.mark.parametrize("cut", [0, 2, 3, 4, 17], ids=lambda cut: f"{cut}-bytes")
+    def test_chunk_shorter_than_a_frame(self, cut):
+        blob = encode_frame(SampleFrame(0, 1, 2))[:cut]
+        assert _by_stride(blob) is None
+        assert same_as_reference(blob) == ([], cut, [(0, cut)] if cut else [])
 
     def test_corrupt_frame_between_valid_ones(self):
         frames = [SampleFrame(i * 10, i, i) for i in range(1, 4)]
