@@ -251,7 +251,7 @@ def first_invalid(block: FrameBlock, prev: SampleFrame | None = None) -> int:
 
 
 def _crc_tables():
-    """The table and the per-frame-size offsets into it of ``_frames_at``'s CRC.
+    """The table and the per-frame-size offsets into it of ``resync``'s CRC.
 
     Row d (entries 256 * d + b) holds what byte b followed by d zero
     bytes adds to the CRC register, started from 0. CRC-16 is affine in its
@@ -259,7 +259,7 @@ def _crc_tables():
     the CRC of as many zero bytes; over a frame's body and stored CRC
     (high byte first, as the register takes it) it is 0. Frame byte
     2 + j of a frame with temperature flag f is looked up in row
-    ``offsets[j, f] // 256``; the stored low byte's row is one per frame
+    ``offsets[f, j] // 256``; the stored low byte's row is one per frame
     size that also XORs in the zero CRC, and bytes past a short frame
     fall in a row of zeros.
     """
@@ -273,11 +273,12 @@ def _crc_tables():
         rows.append(rows[0] ^ crc16_ccitt_false(bytes(size - 2)))
         body = [size - 3 - j for j in range(size - 4)]
         offsets.append(body + [len(rows) - 1, 1] + [_TEMP_LEN - 2] * (_TEMP_LEN - size))
-    return np.concatenate(rows), np.array(offsets, dtype=np.intp).T * 256
+    return np.concatenate(rows), np.array(offsets, dtype=np.intp) * 256
 
 
 _CRC_TABLE, _CRC_OFFSETS = _crc_tables()
 _CRC_BATCH = 4096
+_SIZES = np.array([_FIXED_LEN, _TEMP_LEN])
 _PAD = bytes(_TEMP_LEN)
 _SYNC_WORD = int.from_bytes(SYNC, "little")  # the sync pattern as one little-endian uint16
 _FLAG_BIT = bytes(b & FLAG_TEMPERATURE for b in range(256))  # a flags byte -> its temperature bit
@@ -299,12 +300,11 @@ def _frames_at(data: bytes):
     rows = np.ndarray((n + 1, _TEMP_LEN), np.uint8, padded, strides=(1, 1))[starts]
     words = rows.view("<u4")
     flag = rows[:, 3] & FLAG_TEMPERATURE
-    ends = starts + _FIXED_LEN + (_TEMP_LEN - _FIXED_LEN) * flag
+    ends = starts + _SIZES[flag]
     crc = np.empty(len(starts), dtype=np.uint16)
-    for a in range(0, len(starts), _CRC_BATCH):  # bounds the (18, m) index array
+    for a in range(0, len(starts), _CRC_BATCH):  # bounds the (m, 18) index array
         part = slice(a, a + _CRC_BATCH)
-        index = rows[part].T[2:] + _CRC_OFFSETS[:, flag[part]]  # byte j in row j
-        crc[part] = np.bitwise_xor.reduce(_CRC_TABLE[index], axis=0)
+        crc[part] = np.bitwise_xor.reduce(_CRC_TABLE[rows[part, 2:] + _CRC_OFFSETS.take(flag[part], axis=0)], axis=1)
     ok = (crc == 0) & (rows[:, 2] == VERSION) & (ends <= n) & ((words[:, 2] | words[:, 3]) <= ADC_MAX)
     return starts[ok], ends[ok], words[ok]
 
@@ -330,7 +330,7 @@ def _by_stride(data: bytes):
     ok = (fields[:, 1] | fields[:, 2]) <= ADC_MAX
     for a in range(0, m, _CRC_BATCH):  # bounds the (m, 18) index array
         part = slice(a, a + _CRC_BATCH)
-        ok[part] &= np.bitwise_xor.reduce(_CRC_TABLE.take(tiles[part, 2:] + _CRC_OFFSETS[: size - 2, flag]), axis=1) == 0
+        ok[part] &= np.bitwise_xor.reduce(_CRC_TABLE.take(tiles[part, 2:] + _CRC_OFFSETS[flag, : size - 2]), axis=1) == 0
     if ok.all():
         return fields, deci, flag, None
     if any(data.find(SYNC, p + 1, p + size) >= 0 for p in (np.flatnonzero(~ok) * size).tolist()):

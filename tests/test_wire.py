@@ -212,8 +212,8 @@ stride_edits = st.lists(
 
 def hiding_frame(frame: SampleFrame, at: int, header: bytes) -> bytes:
     """``frame``'s encoding with bytes ``at`` to ``at + 3`` set to ``header``
-    and its CRC made valid again: put ``at`` bytes before the end of a frame
-    of the same size, it keeps the next frame's header intact."""
+    and its CRC made valid again: put ``at`` bytes before a frame whose
+    header is ``header``, it leaves that header as it was."""
     body = bytearray(encode_frame(frame)[2:-2])
     body[at - 2 : at + 2] = header
     return SYNC + body + crc16_ccitt_false(bytes(body)).to_bytes(2, "little")
