@@ -54,6 +54,7 @@ written, and every tick already printed is in the file.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -461,9 +462,9 @@ _CHUNK = 1 << 16
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
+@functools.lru_cache(maxsize=4096)  # a session holds few distinct temperatures
 def _temp_value(text: str):
-    """What ``json`` makes of a temperature that ``_RAW_RUN`` matched, or
-    NaN, which no run check passes, unless ``_temp_json`` writes it so."""
+    """What ``json`` reads a matched temperature as; NaN unless ``_temp_json`` writes it so."""
     try:
         value = _scan_once(text, 0)[0]
     except ValueError:  # an integer past the conversion limit
@@ -513,9 +514,8 @@ class _Reader:
     A run is checked when it ends, at a line that is not a raw record or
     at the end of the file: one check that its ``seq`` values count on
     from the one due, and ``first_invalid`` against the last raw frame.
-    An integer past int64 reads as a negative one, and a temperature not
-    spelled as written as NaN, which both checks reject; the line of the
-    first bad record is then read again, exactly, for its error.
+    An integer past int64 reads as negative and a respelled temperature as
+    NaN, which they reject; that line is read again, exactly, for its error.
     """
 
     def __init__(self):
@@ -537,8 +537,7 @@ class _Reader:
             temps, digits = [None] * n, run
         else:
             temps, digits = list(map(_temp_value, _TEMP.findall(run))), _TEMP.sub("", run)
-        # parsed as uint64, which saturates past 2**64 - 1, so that a value
-        # past int64 reads as negative
+        # as uint64, which saturates, so that a value past int64 reads as negative
         numbers = np.fromstring(digits.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
         if not self.pieces:
             self.first_line = self.lineno

@@ -310,27 +310,26 @@ def _frames_at(data: bytes):
 
 
 def _by_stride(data: bytes):
-    """The frames ``resync`` takes from back-to-back frames of one size, else
-    None: their ``(k, 3)`` uint32 timestamp, red and ir, int16 temperature
-    fields, temperature flag, and starts and ends (None if every tile is a
-    frame). After a tile that fails the scan takes the next sync, the next
-    tile's unless the failed one holds an ``A5 5A`` (None then)."""
+    """The frames ``resync`` takes from back-to-back frames of one size: their
+    ``(k, 3)`` uint32 timestamp, red and ir, int16 temperature fields and flag,
+    starts and ends (None if all tiles are frames). None for any other chunk,
+    and when a failed tile holds an ``A5 5A``, where the scan's next frame may start."""
     n = len(data)
     flag = data[3] & FLAG_TEMPERATURE if n >= 4 else 0
     size = _TEMP_LEN if flag else _FIXED_LEN
     m, rest = divmod(n, size)
-    if not m or rest or (m, m, m, m) != (
-        data[0::size].count(SYNC[0]), data[1::size].count(SYNC[1]),
-        data[2::size].count(VERSION), data[3::size].translate(_FLAG_BIT).count(flag)
-    ):
+    if not m or rest or data[0::size].count(SYNC[0]) != m or data[1::size].count(SYNC[1]) != m:
+        return None
+    if data[2::size].count(VERSION) != m or data[3::size].translate(_FLAG_BIT).count(flag) != m:
         return None
     tiles = np.frombuffer(data, np.uint8).reshape(m, size)
     fields = np.ndarray((m, 3), "<u4", data, 4, (size, 4))  # timestamp, red, ir
     deci = np.ndarray((m,), "<i2", data, 16, (size,))
     ok = (fields[:, 1] | fields[:, 2]) <= ADC_MAX
+    offsets = _CRC_OFFSETS[flag, : size - 2]
     for a in range(0, m, _CRC_BATCH):  # bounds the (m, 18) index array
         part = slice(a, a + _CRC_BATCH)
-        ok[part] &= np.bitwise_xor.reduce(_CRC_TABLE.take(tiles[part, 2:] + _CRC_OFFSETS[flag, : size - 2]), axis=1) == 0
+        ok[part] &= np.bitwise_xor.reduce(_CRC_TABLE.take(tiles[part, 2:] + offsets), axis=1) == 0
     if ok.all():
         return fields, deci, flag, None
     if any(data.find(SYNC, p + 1, p + size) >= 0 for p in (np.flatnonzero(~ok) * size).tolist()):
