@@ -651,6 +651,14 @@ class TestRawRuns:
         assert [len(block) for block in got] == [4, 1]
         assert flat(got) == [raw(0, 1, 2), raw(10, 1, 2, 36.6), raw(20, 1, 2), raw(30, 1, 2), raw(40, 1, 2)]
 
+    def test_timestamps_up_to_int64_max_read_back(self, tmp_path):
+        # 19 digits, past the 18 that always fit int64
+        path = tmp_path / "s.ndjson"
+        frames = [raw(10**18 + 5, temp=38.5), raw((1 << 63) - 1)]
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(FrameBlock.from_frames(frames))
+        assert flat(replay(path)) == frames
+
     def test_a_run_longer_than_a_read_is_one_block(self, tmp_path):
         path = tmp_path / "s.ndjson"
         frames = [raw(10 * i, red=i % 1000, temp=None if i % 3 else 36.5) for i in range(5000)]
