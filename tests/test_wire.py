@@ -337,7 +337,7 @@ class TestResync:
         assert resync(raw[:-cut])[1] == 18 - cut
         assert list(resync(raw[:-cut] + raw)[0]) == [decode_frame(raw)[0]]
 
-    @pytest.mark.parametrize("odd", ["sizes", "flags", "range", "crc", "version"])
+    @pytest.mark.parametrize("odd", ["sizes", "flags", "temperature-flag", "range", "crc", "version"])
     def test_whole_frame_streams_with_one_odd_frame(self, odd):
         # streams that split evenly into frames of the first frame's size,
         # where one frame is not like the others
@@ -349,6 +349,8 @@ class TestResync:
             body = bytearray(raw[7][2:16])
             if odd == "flags":
                 body[1] = 0x02  # a flag bit the decoder ignores
+            elif odd == "temperature-flag":
+                body[1] = 0x01  # an 18-byte frame whose flag says 20 bytes
             elif odd == "range":
                 body[6:10] = (ADC_MAX + 1).to_bytes(4, "little")
             elif odd == "version":
