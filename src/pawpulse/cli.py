@@ -11,12 +11,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import itertools
 import json
 import sys
-import typing
 from pathlib import Path
 
 from .core import ContactState, PipelineConfig, VitalsEstimate
@@ -29,6 +29,7 @@ from .errors import (
     PawpulseError,
 )
 from .session import (
+    _CONFIG_TYPES,
     SessionSummary,
     SessionWriter,
     config_from_dict,
@@ -49,18 +50,12 @@ class UsageError(Exception):
     """Operator mistake: reported on stderr, exit code 2."""
 
 
-_CONFIG_HINTS = typing.get_type_hints(PipelineConfig)
-_INT_KEYS = {key for key, hint in _CONFIG_HINTS.items() if hint is int}
-_OPTIONAL_FLOAT_KEYS = {key for key, hint in _CONFIG_HINTS.items() if hint == float | None}
-
-
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _OPTIONAL_FLOAT_KEYS:
-        return None if raw.lower() in ("", "none") else float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+    types = _CONFIG_TYPES[key]
+    if type(None) in types and raw.lower() in ("", "none"):
+        return None
+    return int(raw) if types == (int,) else float(raw)
 
 
 def build_config(config_path: str | None, overrides: list[str]) -> PipelineConfig:
@@ -101,9 +96,13 @@ def _write_config_file(path: str, config: PipelineConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _seconds(ms: int) -> str:
+    """``ms`` milliseconds as exact seconds without trailing zeros: 12000 -> ``12``, 250 -> ``0.25``."""
+    return f"{ms // 1000}.{ms % 1000:03d}".rstrip("0").rstrip(".")
+
+
 def render_tick_line(est, assessment: EmotionAssessment | None) -> str:
-    sec = est.tick_time_ms / 1000.0
-    prefix = f"t={sec:g}s"
+    prefix = f"t={_seconds(est.tick_time_ms)}s"
     if est.contact is ContactState.NO_CONTACT:
         return f"{prefix} no contact"
     bpm = f"{est.bpm_instant:.1f}" if est.bpm_instant is not None else "-"
@@ -182,12 +181,8 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
-def _raw_frames(records) -> FrameBlock:
-    """The frames of a session's records, as one block."""
-    return FrameBlock.concat(record for record in records if type(record) is FrameBlock)
-
-
-def _load_frames(args) -> FrameBlock:
+def _load_blocks(args) -> list[FrameBlock]:
+    """The input's frames in the blocks read: one for wire bytes, one per run of raw session lines."""
     source = io.BytesIO(sys.stdin.buffer.read()) if args.in_path == "-" else open(args.in_path, "rb")
     with source:
         fmt = args.format
@@ -196,26 +191,26 @@ def _load_frames(args) -> FrameBlock:
             source.seek(0)
         if fmt == "session":
             with io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape") as text:
-                return _raw_frames(replay(text))
+                return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []
         frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
     for off, length in runs:
         print(f"warning: skipped {length} bytes at offset {off}", file=sys.stderr)
     if skipped:
         print(f"warning: {skipped} bytes total were not decodable", file=sys.stderr)
-    return frames
+    return [frames]
 
 
 def cmd_process(args) -> int:
     config = build_config(args.config, args.set or [])
     rule_table = RuleTable.parse(Path(args.rules).read_text(encoding="utf-8")) if args.rules else DEFAULT_RULE_TABLE
-    frames = _load_frames(args)
-    if not frames:
+    blocks = _load_blocks(args)
+    if not any(blocks):
         raise EmptySessionError("input contains no frames")
 
     writer = SessionWriter(args.session_out, config, args.start_utc, rule_table) if args.session_out else None
     try:
-        for chunk, estimate, emotion in tick_records(frames, config, rule_table.rules):
+        for chunk, estimate, emotion in tick_records(blocks, config, rule_table.rules):
             if writer:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
@@ -253,11 +248,11 @@ def cmd_replay(args) -> int:
     if not args.verify:
         return 0
 
-    frames = _raw_frames(stored)
-    if not frames:
+    blocks = [record for record in stored if type(record) is FrameBlock]
+    if not blocks:
         raise EmptySessionError("no raw records to replay")
     config = header.config
-    ticks = tick_records(frames, config, header.rule_table.rules)
+    ticks = tick_records(blocks, config, header.rule_table.rules)
     # the records process writes: no empty block and no absent emotion;
     # the first pair that differs names the earlier tick of the two
     recomputed = (record for tick in ticks for record in tick if record)
@@ -303,10 +298,7 @@ def cmd_calibrate(args) -> int:
     print(f"rms={rms:.6f}")
     if args.write_config:
         base = build_config(args.config, args.set or [])
-        values = config_to_dict(base)
-        values["coeff_a"] = coeffs.a
-        values["coeff_b"] = coeffs.b
-        _write_config_file(args.write_config, config_from_dict(values))
+        _write_config_file(args.write_config, dataclasses.replace(base, coeffs=coeffs))
     return 0
 
 
@@ -351,7 +343,8 @@ def _svg_path(points: list[tuple[float, float | None]], x_max: float, y_lo: floa
 
 def _render_svg_report(summary: SessionSummary, vitals) -> str:
     width, panel, gap, top = 800, 130, 40, 30
-    x_max = max((v.tick_time_ms for v in vitals), default=1) / 1000.0
+    x_max_ms = max((v.tick_time_ms for v in vitals), default=1)
+    x_max = x_max_ms / 1000.0
     bpm_pts = [
         (v.tick_time_ms / 1000.0, v.bpm_avg if v.contact is ContactState.CONTACT else None)
         for v in vitals
@@ -381,7 +374,7 @@ def _render_svg_report(summary: SessionSummary, vitals) -> str:
         f"[{spo2_lo:.1f}, {spo2_hi:.1f}]  mean={_format_opt(summary.spo2_mean)}</text>",
         f'<rect x="60" y="{spo2_top}" width="{width - 80}" height="{panel}" fill="none" stroke="#999"/>',
         f'<path d="{_svg_path(spo2_pts, x_max, spo2_lo, spo2_hi, width, panel, spo2_top)}" fill="none" stroke="#2980b9" stroke-width="1.5"/>',
-        f'<text x="60" y="{total_h - 12}" font-family="monospace" font-size="12">0s .. {x_max:g}s, contact uptime {summary.contact_uptime:.4f}</text>',
+        f'<text x="60" y="{total_h - 12}" font-family="monospace" font-size="12">0s .. {_seconds(x_max_ms)}s, contact uptime {summary.contact_uptime:.4f}</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
@@ -483,9 +476,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmptySessionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PawpulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -184,9 +184,8 @@ def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) 
 
 _DECODER = json.JSONDecoder()
 _scan_once = _DECODER.scan_once
-#: Each kind's name -> the keys its records hold.
+#: Each kind read through ``json`` -> the keys its records hold.
 _KINDS = {
-    "raw": ("seq", "kind", "t", "red", "ir", "temp"),
     "vitals": ("seq", "kind", "t", "contact", "bpm", "bpm_avg", "spo2"),
     "emotion": ("seq", "kind", "t", "state", "certainty", "rules"),
 }
@@ -643,15 +642,16 @@ def _assessed(estimate: VitalsEstimate) -> bool:
 
 
 def tick_records(
-    frames: FrameBlock, config: PipelineConfig, rules: typing.Sequence[Rule]
+    blocks: typing.Iterable[FrameBlock], config: PipelineConfig, rules: typing.Sequence[Rule]
 ) -> Iterator[tuple[FrameBlock, VitalsEstimate, TickEmotion | None]]:
-    """Each tick of a stream as ``process`` records it: its frames (an
-    empty block when none arrived), its estimate and, for an assessed
-    tick, ``classify`` under ``rules`` of the ``DEFAULT_BANDS`` labels of
-    the estimate and of the last temperature seen so far."""
+    """Each tick of a stream of blocks, placed by ``tick_chunks``, as ``process``
+    records it: its frames (an empty block when none arrived), its estimate
+    and, for an assessed tick, ``classify`` under ``rules`` of the
+    ``DEFAULT_BANDS`` labels of the estimate and of the last temperature
+    seen so far. How the stream is cut into blocks changes nothing."""
     pipeline = VitalsPipeline(config)
     last_temp = None
-    for chunk in tick_chunks(frames, config.tick_interval_ms):
+    for chunk in tick_chunks(blocks, config.tick_interval_ms):
         estimate = pipeline.tick(chunk)
         last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
         emotion = None

@@ -17,9 +17,7 @@ emitted beats at least one refractory apart.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,8 +41,6 @@ from .errors import (
 )
 from .wire import FrameBlock, validate_block
 
-_timestamp = attrgetter("timestamp_ms")
-
 
 @dataclass
 class BeatDetectorState:
@@ -52,11 +48,11 @@ class BeatDetectorState:
 
     ``recent_bpm`` only ever holds values the valid-range gate accepted;
     ``adaptive_threshold`` is the acceptance bar as of the last beat
-    (it decays between beats with the configured half-life).
+    (it decays between beats with the configured half-life). ``left_ac``, ``left_t``
+    and ``left_outlier`` are the last two samples seen, the next block's left context.
     """
 
     last_beat_time_ms: int | None = None
-    refractory_until_ms: int = 0
     adaptive_threshold: float = 0.0
     recent_bpm: list[float] = field(default_factory=list)
     last_accepted_bpm: float | None = None
@@ -65,10 +61,12 @@ class BeatDetectorState:
     rolling_peak_time_ms: int | None = None
     pending_time_ms: int | None = None
     pending_amp: float = 0.0
-    prev_ac: float | None = None
-    prev_prev_ac: float | None = None
-    prev_time_ms: int | None = None
-    prev_outlier: bool = False
+    left_ac: np.ndarray = field(default_factory=lambda: np.empty(0))
+    left_t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    left_outlier: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+
+    def __eq__(self, other):
+        return type(other) is BeatDetectorState and all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 def _decayed_peak(state: BeatDetectorState, t_ms: int, half_life_ms: float) -> float:
@@ -95,7 +93,6 @@ def _finalize_pending(
     state.rolling_peak_time_ms = beat_time
     state.adaptive_threshold = config.peak_threshold_fraction * state.rolling_peak
     state.last_beat_time_ms = beat_time
-    state.refractory_until_ms = beat_time + config.refractory_ms
     state.pending_time_ms = None
     state.pending_amp = 0.0
 
@@ -113,23 +110,9 @@ def detect_beats(
     if not len(block):
         return events, state
     half_life_ms = config.peak_decay_half_life_s * 1000.0
-    ac, ts, flags = block.ac_ir, block.t, block.outlier
-
-    left_vals: list[float] = []
-    left_ts: list[int] = []
-    left_flags: list[bool] = []
-    if state.prev_prev_ac is not None:
-        left_vals.append(state.prev_prev_ac)
-        left_ts.append(-1)  # never a candidate, placeholder time
-        left_flags.append(True)
-    if state.prev_ac is not None:
-        left_vals.append(state.prev_ac)
-        left_ts.append(state.prev_time_ms if state.prev_time_ms is not None else -1)
-        left_flags.append(state.prev_outlier)
-
-    vals = np.concatenate([left_vals, ac]) if left_vals else ac
-    times = np.concatenate([left_ts, ts]) if left_ts else ts
-    outliers = np.concatenate([left_flags, flags]) if left_flags else flags
+    vals = np.concatenate((state.left_ac, block.ac_ir))
+    times = np.concatenate((state.left_t, block.t))
+    outliers = np.concatenate((state.left_outlier, block.outlier))
 
     inner = slice(1, len(vals) - 1)
     mask = (
@@ -140,37 +123,26 @@ def detect_beats(
     )
     candidate_idx = np.nonzero(mask)[0] + 1
 
-    for c in candidate_idx:
-        t_c = int(times[c])
-        a_c = float(vals[c])
+    for t_c, a_c in zip(times[candidate_idx].tolist(), vals[candidate_idx].tolist()):
         if (
             state.pending_time_ms is not None
             and t_c - state.pending_time_ms >= config.refractory_ms
         ):
             _finalize_pending(state, events, config, half_life_ms)
         if state.pending_time_ms is not None:
-            if a_c > state.pending_amp:
-                state.pending_time_ms = t_c
-                state.pending_amp = a_c
+            bar = state.pending_amp
         else:
-            threshold = config.peak_threshold_fraction * _decayed_peak(
-                state, t_c, half_life_ms
-            )
-            if a_c > threshold:
-                state.pending_time_ms = t_c
-                state.pending_amp = a_c
+            bar = config.peak_threshold_fraction * _decayed_peak(state, t_c, half_life_ms)
+        if a_c > bar:
+            state.pending_time_ms, state.pending_amp = t_c, a_c
 
     if (
         state.pending_time_ms is not None
-        and int(ts[-1]) - state.pending_time_ms >= config.refractory_ms
+        and int(times[-1]) - state.pending_time_ms >= config.refractory_ms
     ):
         _finalize_pending(state, events, config, half_life_ms)
 
-    if len(vals) >= 2:
-        state.prev_prev_ac = float(vals[-2])
-    state.prev_ac = float(ac[-1])
-    state.prev_time_ms = int(ts[-1])
-    state.prev_outlier = bool(flags[-1])
+    state.left_ac, state.left_t, state.left_outlier = vals[-2:], times[-2:], outliers[-2:]
     return events, state
 
 
@@ -260,7 +232,8 @@ def clamp_spo2(raw: float) -> float:
 def fit_calibration(pairs: Iterable[tuple[float, float]]) -> CalibrationCoeffs:
     """Ordinary least squares for spo2 = a - b * ratio.
 
-    Needs at least two pairs with at least two distinct ratio values.
+    Needs at least two pairs with at least two distinct ratio values, and a
+    finite fit (DegenerateFitError otherwise, as when the fit overflows).
     Raises ConfigError (via CalibrationCoeffs) if the fitted slope is not
     decreasing, since a non-positive b cannot be a physical calibration.
     """
@@ -275,6 +248,8 @@ def fit_calibration(pairs: Iterable[tuple[float, float]]) -> CalibrationCoeffs:
     y_mean = y.mean()
     slope = float(np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2))
     a = float(y_mean - slope * x_mean)
+    if not np.isfinite((a, slope)).all():
+        raise DegenerateFitError(f"the fitted line is not finite: a={a}, b={-slope}")
     return CalibrationCoeffs(a=a, b=-slope)
 
 
@@ -294,31 +269,34 @@ def tick_time_ms(timestamp_ms: int, interval_ms: int) -> int:
     return (timestamp_ms // interval_ms + 1) * interval_ms
 
 
-def tick_chunks(frames: Sequence[SampleFrame], interval_ms: int) -> Iterator[FrameBlock]:
-    """Split a time-ordered stream into signal-time ticks.
+def tick_chunks(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[FrameBlock]:
+    """Split a time-ordered stream, given as consecutive blocks, into signal-time ticks.
 
     Tick k holds the frames with ``k * interval_ms <= timestamp_ms <
     (k + 1) * interval_ms``. Every tick up to the one holding the last
     frame is yielded as a ``FrameBlock``, empty ones included; an empty
-    stream yields none. A list is split first and made a block a tick at
-    a time (``FrameBlock.from_frames``), so no column of the whole
-    stream is built beside it.
+    stream yields none. A tick goes out when a frame past it or the end of
+    the stream arrives, so only its frames are held across blocks. A frame
+    not after the frames before it stays in the open tick or a later one,
+    where ``VitalsPipeline.tick`` rejects it.
     """
-    if not len(frames):
-        return
-    is_block = type(frames) is FrameBlock
-    last = frames[-1].timestamp_ms // interval_ms
-    start = 0
-    for k in range(last + 1):
-        if k == last:
-            stop = len(frames)  # the rest, so that every frame is checked
-        elif is_block:
-            stop = max(start, int(frames.cols[0].searchsorted((k + 1) * interval_ms)))
-        else:
-            stop = bisect_left(frames, (k + 1) * interval_ms, start, key=_timestamp)
-        chunk = frames[start:stop]
-        yield chunk if is_block else FrameBlock.from_frames(chunk)
-        start = stop
+    held: list[FrameBlock] = []  # the open tick's frames, a piece per block
+    end_ms = interval_ms  # where the open tick ends
+    for block in blocks:
+        t = block.cols[0]
+        start = 0
+        # a binary search, so stop never falls as end_ms grows, even where t is out of order
+        while (stop := int(t.searchsorted(end_ms))) < len(t):
+            if stop > start:
+                held.append(block[start:stop])
+            yield FrameBlock.concat(held)
+            held = []
+            start = stop
+            end_ms += interval_ms
+        if start < len(t):
+            held.append(block[start:])
+    if held:
+        yield FrameBlock.concat(held)
 
 
 class VitalsPipeline:
@@ -412,5 +390,7 @@ class VitalsPipeline:
         )
 
     def run(self, frames: Sequence[SampleFrame]) -> list[VitalsEstimate]:
-        """Process a whole stream, chunking frames into signal-time ticks."""
-        return [self.tick(chunk) for chunk in tick_chunks(frames, self.config.tick_interval_ms)]
+        """Process a whole stream, a ``FrameBlock`` or a list of frames (made
+        one block, once), chunked into signal-time ticks by ``tick_chunks``."""
+        block = frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+        return [self.tick(chunk) for chunk in tick_chunks([block], self.config.tick_interval_ms)]

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import pawpulse
 from pawpulse import emotion, session as session_module
-from pawpulse.cli import build_config, main
-from pawpulse.core import PipelineConfig
-from pawpulse.session import config_to_dict
+from pawpulse.cli import UsageError, _render_svg_report, build_config, main, render_tick_line
+from pawpulse.core import ContactState, PipelineConfig, VitalsEstimate
+from pawpulse.session import config_to_dict, summarize
 
 
 def run_cli(*argv):
@@ -626,6 +626,9 @@ def test_config_key_round_trips_through_set(key, value):
     parsed = config_to_dict(build_config(None, [f"{key}={value}"]))[key]
     assert parsed == value
     assert type(parsed) is type(value)
+    if value is not None:  # only a key that may be null takes "none"
+        with pytest.raises(UsageError, match=f"config key '{key}': cannot parse 'none'"):
+            build_config(None, [f"{key}=none"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -665,6 +668,15 @@ class TestCalibrate:
         rms = float(out.split("rms=")[1].strip())
         assert rms <= 2 * sigma
 
+    @pytest.mark.parametrize("lines", ["0,1e308\n1,-1e308\n", "0.5,97.5\ninf,85.0\n"], ids=["overflow", "inf"])
+    def test_line_that_is_not_finite_is_usage_error(self, tmp_path, capsys, lines):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(lines)
+        cfg = tmp_path / "fit.cfg"
+        assert run_cli("calibrate", "--pairs", str(pairs), "--write-config", str(cfg)) == 2
+        assert "error: the fitted line is not finite" in capsys.readouterr().err
+        assert not cfg.exists()
+
     def test_write_config_round_trips(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("0.5,97.5\n1.0,85.0\n")
@@ -675,6 +687,18 @@ class TestCalibrate:
         # the written config is consumable by process
         path = simulate_file(tmp_path, seconds=5.0)
         assert run_cli("process", "--in", str(path), "--config", str(cfg)) == 0
+
+
+@pytest.mark.parametrize(
+    "tick_ms,seconds",
+    [(250, "0.25"), (12_000, "12"), (10_000_250, "10000.25"), (1_000_000_000, "1000000"), (1_000_001_000, "1000001")],
+)
+def test_times_are_exact_seconds(tick_ms, seconds):
+    """Status lines and the SVG footer give a tick's time to the millisecond,
+    however long the session has run."""
+    assert render_tick_line(VitalsEstimate(tick_ms, ContactState.NO_CONTACT), None) == f"t={seconds}s no contact"
+    contact = VitalsEstimate(tick_ms, ContactState.CONTACT, 80.0, 80.0, 97.0)
+    assert f"0s .. {seconds}s, contact uptime" in _render_svg_report(summarize([contact]), [contact])
 
 
 class TestReport:

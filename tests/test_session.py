@@ -17,7 +17,7 @@ from pawpulse.core import (
     SampleFrame,
     VitalsEstimate,
 )
-from pawpulse.emotion import Certainty, EmotionAssessment, EmotionState
+from pawpulse.emotion import DEFAULT_RULE_TABLE, Certainty, EmotionAssessment, EmotionState
 from pawpulse.errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
     SessionWriter,
@@ -29,6 +29,7 @@ from pawpulse.session import (
     read_header,
     replay,
     summarize,
+    tick_records,
 )
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import VitalsPipeline, tick_chunks
@@ -601,6 +602,33 @@ class TestPipelineReplayDeterminism:
         assert summarize(paths[0]) == summarize(paths[1])
 
 
+#: A stream whose temperature comes and goes, and the records of its ticks
+#: from one block, at each tick interval drawn below.
+_TEMPS = [None, None, 38.5, 39.2, None, 37.0]
+_STREAM = FrameBlock.from_frames(
+    f._replace(temperature_c=_TEMPS[f.timestamp_ms // 700 % len(_TEMPS)])
+    for f in generate(SynthProfile(true_bpm=95.0, noise_std_counts=30.0, seed=12), 8.0, 100.0)[0]
+)
+_WHOLE = {
+    interval: list(tick_records([_STREAM], PipelineConfig(tick_interval_ms=interval), DEFAULT_RULE_TABLE.rules))
+    for interval in (250, 1000)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    interval=st.sampled_from(sorted(_WHOLE)),
+    cuts=st.lists(st.integers(0, len(_STREAM)), max_size=30).map(sorted),
+)
+def test_tick_records_do_not_depend_on_how_the_stream_is_cut(interval, cuts):
+    """Blocks cut at any frames, inside a tick or at its edge, with empty
+    blocks among them, give the records one block gives."""
+    edges = [0, *cuts, len(_STREAM)]
+    blocks = [_STREAM[a:b] for a, b in zip(edges, edges[1:])]
+    config = PipelineConfig(tick_interval_ms=interval)
+    assert list(tick_records(blocks, config, DEFAULT_RULE_TABLE.rules)) == _WHOLE[interval]
+
+
 def canonical_raw(seq, t, red, ir, temp=None):
     """A raw record line as the writer spells it, for any values."""
     return '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}' % (seq, t, red, ir, json.dumps(temp))
@@ -755,7 +783,7 @@ class TestRawRuns:
         source = tmp_path / "a.ndjson"
         pipeline = VitalsPipeline(config)
         with SessionWriter(source, config, start_utc="2026-08-08T00:00:00Z") as writer:
-            for chunk in tick_chunks(frames, config.tick_interval_ms):
+            for chunk in tick_chunks([FrameBlock.from_frames(frames)], config.tick_interval_ms):
                 estimate = pipeline.tick(chunk)
                 writer.append_record(chunk)
                 writer.append_record(estimate)

@@ -287,18 +287,24 @@ class TestDetectBeats:
             SynthProfile(true_bpm=75.0, noise_std_counts=60.0, seed=9), 30.0, 100.0
         )
         samples = preprocessed(frames)
-        batch_events, _ = detect_beats(samples, BeatDetectorState(), PipelineConfig())
+        batch_events, batch_state = detect_beats(samples, BeatDetectorState(), PipelineConfig())
 
-        state = BeatDetectorState()
-        chunked_events = []
+        def chunked(cuts):
+            state, events = BeatDetectorState(), []
+            for a, b in zip([0, *cuts], [*cuts, len(samples)]):
+                events += detect_beats(samples[a:b], state, PipelineConfig())[0]
+            return events, state
+
         rng = np.random.default_rng(10)
-        pos = 0
-        while pos < len(samples):
-            size = int(rng.integers(1, 150))
-            events, state = detect_beats(samples[pos : pos + size], state, PipelineConfig())
-            chunked_events.extend(events)
-            pos += size
+        chunked_events, state = chunked(np.cumsum(rng.integers(1, 150, size=len(samples) // 75)).tolist())
         assert chunked_events == batch_events
+        # a block that ends at a beat's peak: only the next block's first
+        # sample shows it is a peak, and the sample before it that it is higher
+        index = {t: i for i, t in enumerate(samples.t.tolist())}
+        assert chunked([index[event.beat_time_ms] + 1 for event in batch_events])[0] == batch_events
+        # the carried left context keeps its columns' types, and states compare by value
+        assert (state.left_t.dtype, state.left_ac.dtype, state.left_outlier.dtype) == (np.int64, np.float64, np.bool_)
+        assert state == batch_state != BeatDetectorState()
 
     def test_threshold_tracks_peaks(self):
         frames, _ = generate(SynthProfile(true_bpm=60.0, seed=0), 20.0, 100.0)
@@ -309,22 +315,40 @@ class TestDetectBeats:
 
 class TestTickChunks:
     def test_empty_ticks_yielded(self):
-        frames = [SampleFrame(t, 100, 100) for t in (0, 10, 999, 2500)]
-        for stream in (frames, FrameBlock.from_frames(frames)):
-            chunks = list(tick_chunks(stream, 1000))
+        block = FrameBlock.from_frames([SampleFrame(t, 100, 100) for t in (0, 10, 999, 2500)])
+        # one block, or cut inside a tick, at a tick's edge and around an empty block
+        for blocks in ([block], [block[:1], block[1:3], block[3:3], block[3:]]):
+            chunks = list(tick_chunks(blocks, 1000))
             assert [[f.timestamp_ms for f in c] for c in chunks] == [[0, 10, 999], [], [2500]]
 
     def test_empty_stream_yields_nothing(self):
         assert list(tick_chunks([], 1000)) == []
+        assert list(tick_chunks([FrameBlock.from_frames([])] * 2, 1000)) == []
 
     def test_every_frame_reaches_a_tick(self):
         # out of order: the frames past the last one's tick still land in a
         # tick, so that validation sees them and refuses the stream
         frames = [SampleFrame(t, 100, 100) for t in (5, 3000, 7)]
-        for stream in (frames, FrameBlock.from_frames(frames)):
-            assert sum(len(c) for c in tick_chunks(stream, 1000)) == 3
+        block = FrameBlock.from_frames(frames)
+        for blocks in ([block], [block[:2], block[2:]], [block[:1], block[1:]]):
+            assert sum(len(c) for c in tick_chunks(blocks, 1000)) == 3
+        for stream in (frames, block):
             with pytest.raises(OrderError):
                 VitalsPipeline().run(stream)
+
+    def test_a_tick_is_yielded_before_the_block_after_next_is_pulled(self):
+        frames, _ = generate(SynthProfile(true_bpm=80.0, seed=8), 5.0, 100.0)
+        block = FrameBlock.from_frames(frames)
+        pulled = []
+
+        def blocks():
+            for k in range(5):
+                pulled.append(k)
+                yield block[100 * k : 100 * (k + 1)]
+
+        for k, chunk in enumerate(tick_chunks(blocks(), 1000)):
+            assert chunk == block[100 * k : 100 * (k + 1)]
+            assert pulled[-1] <= k + 1
 
 
 class TestProcessTick:
@@ -340,7 +364,7 @@ class TestProcessTick:
     @pytest.mark.parametrize("bad", [SampleFrame(2990, 100, 100), SampleFrame(2995, ADC_MAX + 1, 100)])
     def test_rejected_tick_leaves_pipeline_as_it_was(self, bad):
         frames, _ = generate(SynthProfile(true_bpm=80.0, seed=8), 5.0, 100.0)
-        chunks = list(tick_chunks(frames, 1000))
+        chunks = list(tick_chunks([FrameBlock.from_frames(frames)], 1000))
         clean, tampered = VitalsPipeline(), VitalsPipeline()
         want = [clean.tick(chunk) for chunk in chunks]
         got = [tampered.tick(chunk) for chunk in chunks[:3]]
