@@ -1,50 +1,43 @@
 """Session persistence: newline-delimited JSON records with replay.
 
 A session file is UTF-8 text: one header line, then one record per
-line, each a JSON object with keys in a fixed order, so identical data
-always produces identical bytes. Timestamps are session-relative
+line; every line ends with LF alone. Timestamps are session-relative
 (start = 0); the wall-clock start, when known, lives once in the header.
 
-Header line::
+Header line, read with ``json``::
 
     {"format": 2, "start_utc": <iso string or null>, "config": {...},
      "rules": "<rule-table text>"}
 
-Record lines (``seq`` numbers the records 0, 1, 2, ... across all kinds)::
+The header must hold ``format`` 2 (or 1), an integer, a ``config`` with
+exactly the keys of ``config_to_dict``, each a finite number of its
+key's type that ``PipelineConfig`` accepts, and the emotion ``rules``
+text, which ``parse_rule_table`` accepts. A format-1 header has no
+``rules`` and reads as ``DEFAULT_RULES_TEXT``.
 
-    {"seq": n, "kind": "raw", "t": ms, "red": int, "ir": int, "temp": x|null}
-    {"seq": n, "kind": "vitals", "t": ms, "contact": "...", "bpm": x|null,
-     "bpm_avg": x|null, "spo2": x|null}
-    {"seq": n, "kind": "emotion", "t": ms, "state": "...", "certainty": "...",
-     "rules": [...]}
+Each kind's record line is defined by its ``%`` template, ``_RAW_JSON``,
+``_VITALS_JSON`` or ``_EMOTION_JSON`` (``seq`` numbers the records 0, 1,
+2, ... across all kinds)::
 
-In memory a vitals record is a ``VitalsEstimate`` and an emotion
-record a ``TickEmotion``; raw records are frames. ``SessionWriter``
-takes a ``SampleFrame`` or a ``FrameBlock`` of them, and ``replay``
-yields one read-only ``FrameBlock`` for each run of consecutive raw
-lines, so a record's kind is its type. ``SessionWriter`` numbers the
-records it writes; ``replay`` checks the numbering (each ``seq`` an
-integer that fits 64 bits and is the number the writer gave it). A record
-holds exactly its kind's keys. ``replay`` rejects anything else, as it
-rejects a raw frame that ``validate_frame`` refuses, a vitals number
-that is not finite and a ``t`` that is not an integer;
-``SessionWriter`` refuses to write a raw frame that reading would
-reject. The header must hold ``format`` 2 (or 1), an integer, a
-``config`` with exactly the keys of ``config_to_dict``, each a finite
-number of its key's type that ``PipelineConfig`` accepts, and the
-emotion ``rules`` text, which ``parse_rule_table`` accepts. A format-1
-header has no ``rules`` and reads as ``DEFAULT_RULES_TEXT``.
+    {"seq":n,"kind":"raw","t":ms,"red":int,"ir":int,"temp":x}
+    {"seq":n,"kind":"vitals","t":ms,"contact":"...","bpm":x,"bpm_avg":x,"spo2":x}
+    {"seq":n,"kind":"emotion","t":ms,"state":"...","certainty":"...","rules":["R1",...]}
 
-Reading: every record line must be spelled exactly as ``SessionWriter``
-writes its record, so that no other spelling (another decimal of a
-number, another key order, a space) reads as the same record. Raw lines
-are parsed without ``json``, a run of them at a time, straight into
-int64 columns; a raw line in any other spelling is an error. Any other
-line goes through ``json``, and a blank line ends a run. Each run is
-checked once, when it ends: its ``seq`` values, then ``first_invalid``
-against the last raw frame before it. At a bad line ``replay`` yields
-what comes before it (its run's good prefix as one block) and raises the
-error that line gives when read by itself.
+Integers are written in decimal. Every vitals number and temperature,
+each ``x`` above, is ``null`` or a float written as its ``repr``, so a
+temperature or BPM given as the int 37 is written ``37.0`` and read back
+as the float 37.0. A fired rule is named by its ``R<n>`` id from
+``parse_rule_table``. ``SessionWriter`` fills the templates in and
+refuses a record that reading would reject or read back as another
+value. ``replay`` matches each line against patterns built from the same
+templates and writes each number back to check it, so a line is a record
+only if it is, byte for byte, the writer's line for that record; any
+other line, a blank one or one ending in CR LF among them, is an error
+on its line. Raw lines are read a run of them at a time, straight into
+int64 columns. Each run is checked once, when it ends: its ``seq``
+values, then ``first_invalid`` against the last raw frame before it. At
+a bad line ``replay`` yields what comes before it (its run's good prefix
+as one block) and raises the error that line gives when read by itself.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -133,117 +126,57 @@ class SessionSummary:
     emotion_counts: dict[str, int]
 
 
-#: Vitals, emotion and header lines; raw records are encoded directly.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+#: Each kind's record line, less its LF: the writer fills these in, and the
+#: reader's patterns are built from them.
 _RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
+_VITALS_JSON = '{"seq":%d,"kind":"vitals","t":%d,"contact":"%s","bpm":%s,"bpm_avg":%s,"spo2":%s}'
+_EMOTION_JSON = '{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s","rules":[%s]}'
 _RAW_LINE = _RAW_JSON + "\n"
-
-
-def _temp_json(temp) -> str:
-    """The JSON ``_ENCODER`` makes of a temperature ``validate_frame``
-    accepted, so that ``_RAW_JSON`` gives the bytes ``_ENCODER`` makes of
-    a raw record's body, without building the body."""
-    if temp is None:
-        return "null"
-    if type(temp) is float:
-        return float.__repr__(temp)
-    return _ENCODER.encode(temp)
-
-
-def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) -> str:
-    """The record line, without its newline, for ``payload`` numbered ``seq``.
-
-    Raises TypeError when ``payload`` is not one of the three record types.
-    """
-    kind = type(payload)
-    if kind is SampleFrame:
-        return _RAW_JSON % (seq, *payload[:3], _temp_json(payload.temperature_c))
-    if kind is VitalsEstimate:
-        body = {
-            "seq": seq,
-            "kind": "vitals",
-            "t": payload.tick_time_ms,
-            "contact": payload.contact.value,
-            "bpm": payload.bpm_instant,
-            "bpm_avg": payload.bpm_avg,
-            "spo2": payload.spo2_pct,
-        }
-    elif kind is TickEmotion:
-        body = {
-            "seq": seq,
-            "kind": "emotion",
-            "t": payload.tick_time_ms,
-            "state": payload.assessment.state.value,
-            "certainty": payload.assessment.certainty.value,
-            "rules": list(payload.assessment.fired_rules),
-        }
-    else:
-        raise TypeError(f"not a session record: {payload!r}")
-    return _ENCODER.encode(body)
-
-
-_DECODER = json.JSONDecoder()
-_scan_once = _DECODER.scan_once
-#: Each kind read through ``json`` -> the keys its records hold.
-_KINDS = {
-    "vitals": ("seq", "kind", "t", "contact", "bpm", "bpm_avg", "spo2"),
-    "emotion": ("seq", "kind", "t", "state", "certainty", "rules"),
-}
+#: A rule id as ``parse_rule_table`` numbers the rules.
+_RULE_ID = re.compile("R[1-9][0-9]*")
 _FLOAT_MAX = sys.float_info.max
 
 
-def _optional_real(name: str, value):
-    """``value`` when it is None or a finite int or float (not a bool)."""
-    if value is None or (
-        (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-    ):
-        return value
-    raise ValueError(f"{name}={value!r} is not a finite number")
+def _number_json(x) -> str:
+    """A vitals number or a temperature as its record field: ``null`` for
+    None, else the ``repr`` of the float that ``x`` equals.
+
+    Raises TypeError when ``x`` is not an int or a float (a bool is
+    neither), and ValueError when it is not finite or no float equals it.
+    """
+    if x is None:
+        return "null"
+    if type(x) is bool or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    if not -_FLOAT_MAX <= x <= _FLOAT_MAX or float(x) != x:
+        raise ValueError(f"{x!r} is not a finite float")
+    return float.__repr__(float(x))
 
 
-def _record_from_obj(obj, lineno: int) -> tuple[int, VitalsEstimate | TickEmotion]:
-    """The ``seq`` and the payload of a decoded vitals or emotion line."""
-    if type(obj) is dict and obj.get("kind") == "raw":  # those spelled as written are read as runs
-        raise SessionParseError(lineno, "raw record not spelled as written")
-    try:
-        kind = obj["kind"]
-        keys = _KINDS.get(kind)
-        seq = obj["seq"]
-        t = obj["t"]
-        if type(seq) is not int:
-            raise TypeError(f"seq must be an integer, got {seq!r}")
-        if not -(1 << 63) <= seq < 1 << 63:
-            raise ValueError(f"seq {seq} does not fit 64 bits")
-        if keys is None:
-            raise ValueError(f"unknown kind {kind!r}")
-        elif type(t) is not int:
-            raise TypeError(f"t must be an integer, got {t!r}")
-        elif kind == "vitals":
-            payload = VitalsEstimate(
-                t,
-                ContactState(obj["contact"]),
-                _optional_real("bpm", obj["bpm"]),
-                _optional_real("bpm_avg", obj["bpm_avg"]),
-                _optional_real("spo2", obj["spo2"]),
-            )
-        else:
-            rules = obj["rules"]
-            if type(rules) is not list or not all(type(rule) is str for rule in rules):
-                raise TypeError(f"rules must be a list of strings, got {rules!r}")
-            payload = TickEmotion(
-                t,
-                EmotionAssessment(
-                    EmotionState(obj["state"]),
-                    Certainty(obj["certainty"]),
-                    tuple(rules),
-                ),
-            )
-        # every key of the kind was read above, so a longer object has extra keys
-        if len(obj) != len(keys):
-            raise ValueError(f"unexpected keys {sorted(set(obj) - set(keys))}")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SessionParseError(lineno, f"bad record: {exc}") from exc
-    return seq, payload
+def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) -> str:
+    """The record line, without its LF, for ``payload`` numbered ``seq``.
+
+    Raises TypeError when ``payload`` is not one of the three record types,
+    and TypeError or ValueError for a field that reading would reject or
+    read back as another value.
+    """
+    kind = type(payload)
+    if kind is SampleFrame:
+        return _RAW_JSON % (seq, *payload[:3], _number_json(payload.temperature_c))
+    if kind is not VitalsEstimate and kind is not TickEmotion:
+        raise TypeError(f"not a session record: {payload!r}")
+    t = payload.tick_time_ms
+    if type(t) is not int:  # which %d would truncate
+        raise TypeError(f"t must be an integer, got {t!r}")
+    if kind is VitalsEstimate:
+        numbers = map(_number_json, (payload.bpm_instant, payload.bpm_avg, payload.spo2_pct))
+        return _VITALS_JSON % (seq, t, payload.contact.value, *numbers)
+    assessment = payload.assessment
+    rule_ids = assessment.fired_rules
+    if not all(map(_RULE_ID.fullmatch, rule_ids)):  # a TypeError for a non-string
+        raise ValueError(f"rule ids {rule_ids!r} are not all R<n>")
+    rules = ",".join(f'"{rule_id}"' for rule_id in rule_ids)
+    return _EMOTION_JSON % (seq, t, assessment.state.value, assessment.certainty.value, rules)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -313,8 +246,10 @@ class SessionWriter:
     in the order they are appended. It refuses raw frames that
     ``validate_frame`` rejects against the last raw frame written
     (RangeError, OrderError), as ``replay`` would, and any other type
-    (TypeError). A refused record, or block, writes nothing and uses up
-    no number.
+    (TypeError). It refuses, with TypeError or ValueError, a vitals number
+    or temperature that is not a finite number equal to a float, a ``t``
+    that is not an int and a rule id that is not ``R<n>``. A refused
+    record, or block, writes nothing and uses up no number.
     """
 
     def __init__(
@@ -330,7 +265,7 @@ class SessionWriter:
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         self._seq = 0
         self._last_raw: SampleFrame | None = None
-        self._fh.write(_ENCODER.encode(header) + "\n")
+        self._fh.write(json.dumps(header, separators=(",", ":"), allow_nan=False) + "\n")
         self._fh.flush()
 
     def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion | FrameBlock) -> None:
@@ -342,7 +277,7 @@ class SessionWriter:
         elif len(validate_block(record, self._last_raw)):
             seqs = range(self._seq, self._seq + len(record))
             t, red, ir = record.cols.tolist()
-            temps = map(_temp_json, record.temps.tolist())
+            temps = map(_number_json, record.temps.tolist())
             self._fh.write("".join(map(_RAW_LINE.__mod__, zip(seqs, t, red, ir, temps))))
             self._last_raw = record[-1]
             self._seq += len(record)
@@ -399,8 +334,9 @@ def _header_from_line(line: str) -> SessionHeader:
 
 def open_session(path):
     """A session path opened for ``read_header`` and ``replay``: bytes that
-    are not UTF-8 reach them escaped, and they report the line they are on."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    are not UTF-8 reach them escaped, and they report the line they are on;
+    lines end at LF alone and reach them untranslated."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
 def read_header(source) -> SessionHeader:
@@ -419,18 +355,16 @@ def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock |
     ``source`` is a session path, or an open text stream positioned at
     the session's first line, whose header line is checked as
     ``read_header`` checks it; or, with ``header`` given, a stream from
-    which ``read_header`` has just read ``header``. A stream opened with
-    ``errors="surrogateescape"`` (``open_session``) gets a byte that is
-    not UTF-8 reported on its line. Raises SessionParseError (carrying the
-    1-based line number) at the first malformed line, including a record
-    whose keys are not exactly its kind's, a line not spelled as
-    ``SessionWriter`` writes its record, and a raw frame that
-    ``validate_frame`` rejects against the previous raw frame, and
-    SeqError naming the line at the first ``seq`` that is not the record's
-    number, 0, 1, 2, ... in stored order, as ``SessionWriter`` numbers
-    them. Everything before that line is yielded first: the
-    records, and the frames of its run as one block. The ``seq`` values
-    are checked, not yielded: the payloads come in stored order.
+    which ``read_header`` has just read ``header``. A stream opened as
+    ``open_session`` opens one gets a byte that is not UTF-8, and a CR,
+    reported on its line. Raises SessionParseError (carrying the 1-based
+    line number) at the first line that is not a record spelled as
+    ``SessionWriter`` writes it, or holds a raw frame that
+    ``validate_frame`` rejects against the previous raw frame or a vitals
+    record that ``VitalsEstimate`` rejects; and SeqError naming the line
+    at the first ``seq`` that is not the record's number, 0, 1, 2, ... in
+    stored order. Everything before that line is yielded first: the
+    records, and the frames of its run as one block.
     """
     if isinstance(source, _PATH_TYPES):
         with open_session(source) as fh:
@@ -439,17 +373,31 @@ def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock |
         yield from _replay_stream(source, header)
 
 
-#: A run of raw record lines in ``_RAW_LINE``'s shape, from the start of a
-#: line: integers with no sign or leading zero, and a temperature that is
-#: null or a number in the shapes ``_temp_json`` writes. Every other line
-#: takes the JSON path, where a raw record is an error.
-_INT = "(?:0|[1-9][0-9]*)"
-_NUMBER = rf"-?{_INT}(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
-_RAW_RUN = re.compile(
-    r'^(?:\{"seq":%s,"kind":"raw","t":%s,"red":%s,"ir":%s,"temp":(?:null|%s)\}\n)+'
-    % (_INT, _INT, _INT, _INT, _NUMBER),
-    re.MULTILINE,
-)
+def _line_regex(template: str, wrap: str, *fields: str) -> str:
+    """A regex of the lines that ``template`` gives, LF included: its
+    ``%`` fields in turn are the regexes of ``fields``, each in ``wrap``."""
+    return re.escape(template + "\n").replace("%d", "%s") % tuple(wrap % field for field in fields)
+
+
+def _one_of(enum) -> str:
+    return "|".join(re.escape(member.value) for member in enum)
+
+
+#: What ``%d`` writes; the writer writes no negative ``seq`` and no raw
+#: frame with a negative field.
+_INT = "0|-?[1-9][0-9]*"
+_UINT = "0|[1-9][0-9]*"
+#: null or a decimal number; ``_number_value`` tells whether ``_number_json`` writes it.
+_NUMBER = r"null|-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_RULES = '(?:"{0}"(?:,"{0}")*)?'.format(_RULE_ID.pattern)
+_RAW_FIELDS = (_UINT, _UINT, _UINT, _UINT, _NUMBER)
+#: Each kind's record line, its fields as groups.
+_RAW_RECORD = re.compile(_line_regex(_RAW_JSON, "(%s)", *_RAW_FIELDS))
+_VITALS_RECORD = re.compile(_line_regex(_VITALS_JSON, "(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER))
+_EMOTION_RECORD = re.compile(_line_regex(_EMOTION_JSON, "(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES))
+#: A run of raw record lines from the start of a line, without groups, which
+#: would slow the scan.
+_RAW_RUN = re.compile("^(?:%s)+" % _line_regex(_RAW_JSON, "(?:%s)", *_RAW_FIELDS), re.MULTILINE)
 #: The temperature of each line of such a run.
 _TEMP = re.compile(r'"temp":([^}]*)')
 #: A byte -> itself if a digit, else a space: a run without its
@@ -461,14 +409,26 @@ _CHUNK = 1 << 16
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-@functools.lru_cache(maxsize=4096)  # a session holds few distinct temperatures
-def _temp_value(text: str):
-    """What ``json`` reads a matched temperature as; NaN unless ``_temp_json`` writes it so."""
+@functools.lru_cache(maxsize=4096)  # temperatures and BPM values repeat
+def _number_value(text: str) -> float | None:
+    """The number that ``_number_json`` writes as ``text``, a ``_NUMBER``
+    match: None for ``null``, and NaN when it writes no number so."""
+    if text == "null":
+        return None
+    value = float(text)
+    return value if float.__repr__(value) == text else math.nan
+
+
+def _not_spelled(lineno: int) -> SessionParseError:
+    return SessionParseError(lineno, "record not spelled as written")
+
+
+def _ints(match: re.Match, count: int, lineno: int) -> list[int]:
+    """The first ``count`` fields of a record line, which ``%d`` fills."""
     try:
-        value = _scan_once(text, 0)[0]
-    except ValueError:  # an integer past the conversion limit
-        return math.nan
-    return value if _temp_json(value) == text else math.nan
+        return [int(text) for text in match.groups()[:count]]
+    except ValueError:  # past the conversion limit, which ``%d`` does not write
+        raise _not_spelled(lineno) from None
 
 
 def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
@@ -510,9 +470,8 @@ class _Reader:
     a list of temperatures and its text, ``first_line`` the line of its
     first record.
 
-    A run is checked when it ends, at a line that is not a raw record or
-    at the end of the file: one check that its ``seq`` values count on
-    from the one due, and ``first_invalid`` against the last raw frame.
+    A run is checked when it ends: one check that its ``seq`` values count
+    on from the one due, and ``first_invalid`` against the last raw frame.
     An integer past int64 reads as negative and a respelled temperature as
     NaN, which they reject; that line is read again, exactly, for its error.
     """
@@ -535,7 +494,7 @@ class _Reader:
         if run.count('"temp":null}') == n:
             temps, digits = [None] * n, run
         else:
-            temps, digits = list(map(_temp_value, _TEMP.findall(run))), _TEMP.sub("", run)
+            temps, digits = list(map(_number_value, _TEMP.findall(run))), _TEMP.sub("", run)
         # as uint64, which saturates, so that a value past int64 reads as negative
         numbers = np.fromstring(digits.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
         if not self.pieces:
@@ -546,43 +505,36 @@ class _Reader:
         self.lineno += n
 
     def other_lines(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-        """Read the lines of ``text`` through the JSON path."""
+        """End the run, then read the lines of ``text`` one at a time."""
+        yield from self.end_run()
         lines = text.split("\n")
         last = lines.pop()  # empty, unless text is the end of a file without a newline
-        lines = [line + "\n" for line in lines]
-        if last:
-            lines.append(last)
         for line in lines:
-            record = yield from self._other_line(line)
-            if record is not None:
-                yield record
+            yield self._record(line + "\n")
             self.lineno += 1
+        if last:
+            raise _not_spelled(self.lineno)
 
-    def _other_line(self, line: str):
-        """The vitals or emotion payload of ``line``, or None when it is blank."""
+    def _record(self, line: str) -> VitalsEstimate | TickEmotion:
+        """The payload of a vitals or emotion line, or the line's error."""
         lineno = self.lineno
-        # json.loads(line), minus its per-call overhead on a well-formed
-        # line; anything else goes to the full decoder, which accepts and
-        # rejects exactly what json.loads does
-        try:
-            obj, end = _scan_once(line, 0)
-            if end != len(line) and line[end:] != "\n":
-                raise ValueError("trailing data")
-        except (StopIteration, ValueError):
-            if not line.strip():
-                yield from self.end_run()
-                return None
+        match = _VITALS_RECORD.fullmatch(line) or _EMOTION_RECORD.fullmatch(line)
+        if match is None:  # a raw line spelled as written starts a run
+            raise _not_spelled(lineno)
+        seq, t = _ints(match, 2, lineno)
+        if match.re is _VITALS_RECORD:
+            numbers = [_number_value(text) for text in match.groups()[3:]]
+            if any(x != x for x in numbers):  # NaN: not spelled as written
+                raise _not_spelled(lineno)
+            self._check_seq(seq, lineno)
             try:
-                obj = _DECODER.decode(line)
-            except ValueError as exc:
-                yield from self.end_run()
-                raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-        yield from self.end_run()
-        seq, record = _record_from_obj(obj, lineno)
-        self._check_seq(seq, lineno)
-        written = _record_json(seq, record)
-        if line != written + "\n" and line != written:
-            raise SessionParseError(lineno, f"record not spelled as written: {written}")
+                record = VitalsEstimate(t, ContactState(match[3]), *numbers)
+            except RangeError as exc:
+                raise SessionParseError(lineno, f"bad record: {exc}") from exc
+        else:
+            self._check_seq(seq, lineno)
+            rules = tuple(_RULE_ID.findall(match[5]))
+            record = TickEmotion(t, EmotionAssessment(EmotionState(match[3]), Certainty(match[4]), rules))
         self.next_seq += 1
         return record
 
@@ -610,7 +562,7 @@ class _Reader:
             self.last_raw = good[-1]
             yield good
         if bad < n:
-            self._check_alone("".join(texts).split("\n")[bad], first_line + bad)
+            self._check_alone("".join(texts).split("\n")[bad] + "\n", first_line + bad)
 
     def _check_seq(self, seq: int, lineno: int) -> None:
         due = self.next_seq
@@ -621,14 +573,13 @@ class _Reader:
 
     def _check_alone(self, line: str, lineno: int) -> None:
         """Raise the error of a raw record line that a run check found bad."""
-        try:
-            obj = json.loads(line)  # every number exactly, also past int64
-        except ValueError as exc:  # an integer past the conversion limit
-            raise SessionParseError(lineno, f"bad JSON: {exc}") from exc
-        if line != _RAW_JSON % (obj["seq"], obj["t"], obj["red"], obj["ir"], _temp_json(obj["temp"])):
-            raise SessionParseError(lineno, "raw record not spelled as written")
-        self._check_seq(obj["seq"], lineno)
-        frame = SampleFrame(obj["t"], obj["red"], obj["ir"], obj["temp"])
+        match = _RAW_RECORD.fullmatch(line)
+        temp = _number_value(match[5])
+        if temp != temp:  # NaN: not spelled as written
+            raise _not_spelled(lineno)
+        seq, t, red, ir = _ints(match, 4, lineno)
+        self._check_seq(seq, lineno)
+        frame = SampleFrame(t, red, ir, temp)
         try:
             validate_frame(frame, prev=self.last_raw)
         except (RangeError, OrderError) as exc:

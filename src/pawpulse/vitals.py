@@ -47,18 +47,16 @@ class BeatDetectorState:
     """Mutable per-stream detector state.
 
     ``recent_bpm`` only ever holds values the valid-range gate accepted;
-    ``adaptive_threshold`` is the acceptance bar as of the last beat
-    (it decays between beats with the configured half-life). ``left_ac``, ``left_t``
+    ``rolling_peak`` is the peak as of the last beat (it decays from
+    ``last_beat_time_ms`` with the configured half-life). ``left_ac``, ``left_t``
     and ``left_outlier`` are the last two samples seen, the next block's left context.
     """
 
     last_beat_time_ms: int | None = None
-    adaptive_threshold: float = 0.0
     recent_bpm: list[float] = field(default_factory=list)
     last_accepted_bpm: float | None = None
     # rolling-peak tracker and pending-beat internals
     rolling_peak: float = 0.0
-    rolling_peak_time_ms: int | None = None
     pending_time_ms: int | None = None
     pending_amp: float = 0.0
     left_ac: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -70,15 +68,14 @@ class BeatDetectorState:
 
 
 def _decayed_peak(state: BeatDetectorState, t_ms: int, half_life_ms: float) -> float:
-    if state.rolling_peak_time_ms is None:
+    if state.last_beat_time_ms is None:
         return state.rolling_peak
-    return state.rolling_peak * 0.5 ** ((t_ms - state.rolling_peak_time_ms) / half_life_ms)
+    return state.rolling_peak * 0.5 ** ((t_ms - state.last_beat_time_ms) / half_life_ms)
 
 
 def _finalize_pending(
     state: BeatDetectorState,
     events: list[BeatEvent],
-    config: PipelineConfig,
     half_life_ms: float,
 ) -> None:
     beat_time = state.pending_time_ms
@@ -90,8 +87,6 @@ def _finalize_pending(
     state.rolling_peak = max(
         _decayed_peak(state, beat_time, half_life_ms), state.pending_amp
     )
-    state.rolling_peak_time_ms = beat_time
-    state.adaptive_threshold = config.peak_threshold_fraction * state.rolling_peak
     state.last_beat_time_ms = beat_time
     state.pending_time_ms = None
     state.pending_amp = 0.0
@@ -128,7 +123,7 @@ def detect_beats(
             state.pending_time_ms is not None
             and t_c - state.pending_time_ms >= config.refractory_ms
         ):
-            _finalize_pending(state, events, config, half_life_ms)
+            _finalize_pending(state, events, half_life_ms)
         if state.pending_time_ms is not None:
             bar = state.pending_amp
         else:
@@ -140,7 +135,7 @@ def detect_beats(
         state.pending_time_ms is not None
         and int(times[-1]) - state.pending_time_ms >= config.refractory_ms
     ):
-        _finalize_pending(state, events, config, half_life_ms)
+        _finalize_pending(state, events, half_life_ms)
 
     state.left_ac, state.left_t, state.left_outlier = vals[-2:], times[-2:], outliers[-2:]
     return events, state
@@ -244,10 +239,12 @@ def fit_calibration(pairs: Iterable[tuple[float, float]]) -> CalibrationCoeffs:
     y = np.array([p[1] for p in pts], dtype=float)
     if np.all(x == x[0]):
         raise DegenerateFitError("all ratio values are equal; line is undetermined")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    slope = float(np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2))
-    a = float(y_mean - slope * x_mean)
+    # an overflow or a NaN is reported below, as the fit not being finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = x.mean()
+        y_mean = y.mean()
+        slope = float(np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2))
+        a = float(y_mean - slope * x_mean)
     if not np.isfinite((a, slope)).all():
         raise DegenerateFitError(f"the fitted line is not finite: a={a}, b={-slope}")
     return CalibrationCoeffs(a=a, b=-slope)
@@ -366,20 +363,12 @@ class VitalsPipeline:
         if contact is ContactState.NO_CONTACT:
             return VitalsEstimate(tick_time_ms=tick_time_ms, contact=contact)
 
-        spo2 = None
+        # exact integer sums, so the means are the correctly rounded quotients
+        sum_red, sum_ir = self.ratio_window[1:].sum(axis=1).tolist()
         count = self.ratio_window.shape[1]
-        if count:
-            # exact integer sums, so the means are the correctly rounded quotients
-            sum_red, sum_ir = self.ratio_window[1:].sum(axis=1).tolist()
-            mean_ir = sum_ir / count
-            if mean_ir > 0:
-                window = RatioWindow(
-                    window_ms=config.ratio_window_ms,
-                    mean_red=sum_red / count,
-                    mean_ir=mean_ir,
-                    sample_count=count,
-                )
-                spo2 = clamp_spo2(spo2_estimate(compute_ratio(window), config.coeffs))
+        spo2 = None
+        if sum_ir > 0:  # so the window holds a frame, and its mean IR is above 0
+            spo2 = clamp_spo2(spo2_estimate((sum_red / count) / (sum_ir / count), config.coeffs))
 
         return VitalsEstimate(
             tick_time_ms=tick_time_ms,

@@ -18,6 +18,8 @@ from pawpulse import emotion, session as session_module
 from pawpulse.cli import UsageError, _render_svg_report, build_config, main, render_tick_line
 from pawpulse.core import ContactState, PipelineConfig, VitalsEstimate
 from pawpulse.session import config_to_dict, summarize
+from pawpulse.synth import SynthProfile, generate
+from pawpulse.wire import encode_frame
 
 
 def run_cli(*argv):
@@ -422,14 +424,15 @@ def test_out_of_range_raw_record_is_data_error(tmp_path, capsys, command):
     [["report"], ["report", "--format", "svg"], ["replay", "--verify"], ["process"]],
 )
 @pytest.mark.parametrize(
-    "kind,edit",
+    "kind,edit,message",
     [
-        ("vitals", lambda line: re.sub(r'"bpm_avg":[^,]+', '"bpm_avg":"abc"', line)),
-        ("emotion", lambda line: line[:-1] + ',"evil":1}'),
+        ("vitals", lambda line: re.sub(r'"bpm_avg":[^,]+', '"bpm_avg":"abc"', line), "record not spelled as written"),
+        ("emotion", lambda line: line[:-1] + ',"evil":1}', "record not spelled as written"),
+        ("vitals", lambda line: re.sub(r'"spo2":[^}]+', '"spo2":101.0', line), "bad record: spo2_pct outside [0, 100]: 101.0"),
     ],
-    ids=["vitals-non-numeric-bpm_avg", "emotion-unknown-key"],
+    ids=["vitals-non-numeric-bpm_avg", "emotion-unknown-key", "vitals-spo2-past-100"],
 )
-def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit):
+def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit, message):
     path = simulate_file(tmp_path, seconds=6.0)
     session = tmp_path / "s.ndjson"
     assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
@@ -441,7 +444,7 @@ def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit):
     capsys.readouterr()
     assert run_cli(*command, "--in", str(session)) == 3
     out, err = capsys.readouterr()
-    assert f"error: line {lineno}: bad record: " in err
+    assert err == f"error: line {lineno}: {message}\n"
     assert out == ""
 
 
@@ -500,33 +503,41 @@ def stored_session(tmp_path_factory):
     return session.read_bytes(), folder
 
 
-def verify_with_a_byte_changed(stored_session, data, kinds):
-    """Change one byte (not the newline) of a stored line of one of
-    ``kinds`` and run ``replay --verify``: the exit code, stdout, stderr,
-    and the line before and after."""
+def verify_with_an_edit(stored_session, data, kinds):
+    """Edit a stored line of one of ``kinds``, as drawn from ``data``: change
+    one of its bytes (not the newline), delete a range of its bytes, put a
+    blank line after it or a CR before its newline. Run ``replay --verify``:
+    the exit code, stdout, stderr, and the line before and after."""
     stored, folder = stored_session
     lines = stored.split(b"\n")
     kept = [i for i, line in enumerate(lines) if any(b'"kind":"%s"' % kind in line for kind in kinds)]
     i = data.draw(st.sampled_from(kept))
-    pos = data.draw(st.integers(0, len(lines[i]) - 1))
-    byte = data.draw(st.integers(0, 255).filter(lambda b: b != lines[i][pos]))
-    changed = bytearray(lines[i])
-    changed[pos] = byte
+    line = lines[i]
+    edit = data.draw(st.sampled_from(["byte", "delete", "blank", "cr"]))
+    if edit == "byte":
+        pos = data.draw(st.integers(0, len(line) - 1))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != line[pos]))
+        changed = line[:pos] + bytes([byte]) + line[pos + 1 :]
+    elif edit == "delete":
+        start = data.draw(st.integers(0, len(line) - 1))
+        changed = line[:start] + line[data.draw(st.integers(start + 1, len(line))) :]
+    else:
+        changed = line + (b"\n" if edit == "blank" else b"\r")
     session = folder / "tampered.ndjson"
-    session.write_bytes(b"\n".join(lines[:i] + [bytes(changed)] + lines[i + 1 :]))
+    session.write_bytes(b"\n".join(lines[:i] + [changed] + lines[i + 1 :]))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_cli("replay", "--in", str(session), "--verify")
-    return code, out.getvalue(), err.getvalue(), lines[i], bytes(changed)
+    return code, out.getvalue(), err.getvalue(), line, changed
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
-    """A changed byte in a stored vitals or emotion line (its newline aside)
-    is a data error, or verify names a mismatch; it never verifies, not even
-    when it respells a number as another decimal of the same double."""
-    code, out, err, _, _ = verify_with_a_byte_changed(stored_session, data, (b"vitals", b"emotion"))
+def test_any_edit_to_a_vitals_or_emotion_line_fails_verify(stored_session, data):
+    """An edited stored vitals or emotion line is a data error, or verify
+    names a mismatch; it never verifies, not even when it respells a number
+    as another decimal of the same double."""
+    code, out, err, _, _ = verify_with_an_edit(stored_session, data, (b"vitals", b"emotion"))
     assert code == 3
     assert err.startswith(("error: line ", "verify: MISMATCH at t="))
     assert "verify: OK" not in out
@@ -534,16 +545,56 @@ def test_any_byte_change_to_a_vitals_or_emotion_line_fails_verify(stored_session
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_a_byte_change_to_a_raw_line_fails_verify_or_changes_its_frame(stored_session, data):
-    """A changed byte in a stored raw line is a data error, or verify names a
-    mismatch, or the line holds another frame: no other spelling of the
-    stored frame verifies."""
-    code, out, err, line, changed = verify_with_a_byte_changed(stored_session, data, (b"raw",))
+def test_an_edit_to_a_raw_line_fails_verify_or_changes_its_frame(stored_session, data):
+    """An edited stored raw line is a data error, or verify names a mismatch,
+    or the line holds another frame: no other spelling of the stored frame
+    verifies."""
+    code, out, err, line, changed = verify_with_an_edit(stored_session, data, (b"raw",))
     if code == 3:
         assert err.startswith(("error: line ", "verify: MISMATCH at t="))
     else:
         assert code == 0 and "verify: OK" in out
         assert json.loads(changed) != json.loads(line)
+
+
+@pytest.fixture(scope="module")
+def temperature_session(tmp_path_factory):
+    """The text of a 12-tick session at 80 BPM, 38.0 degC in every frame,
+    written by process, and a folder."""
+    folder = tmp_path_factory.mktemp("temps")
+    frames, _ = generate(SynthProfile(true_bpm=80.0, noise_std_counts=30.0, seed=3), 12.0, 100.0)
+    wire_path = folder / "t.bin"
+    wire_path.write_bytes(b"".join(encode_frame(f._replace(temperature_c=38.0)) for f in frames))
+    session = folder / "s.ndjson"
+    with redirect_stdout(io.StringIO()):
+        assert run_cli("process", "--in", str(wire_path), "--session-out", str(session)) == 0
+    return session.read_text(), folder
+
+
+@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: re.sub(r'"bpm":(\d+)\.0,', r'"bpm":\1,', text, count=1),
+        lambda text: text.replace('"temp":38.0}', '"temp":38}', 1),
+        lambda text: re.sub(r'("kind":"vitals".*\n)', r"\1\n", text, count=1),
+        lambda text: text.replace("\n", "\r\n"),
+    ],
+    ids=["int-bpm", "int-temp", "blank-line", "crlf"],
+)
+def test_an_edit_that_once_verified_is_data_error(temperature_session, capsys, command, edit):
+    """Each of these edits read as the stored records: now each is an error
+    on the first record line it changes."""
+    text, folder = temperature_session
+    edited = edit(text)
+    lineno = next(n for n, (a, b) in enumerate(zip(text.split("\n"), edited.split("\n")), start=1) if n > 1 and a != b)
+    session = folder / "edited.ndjson"
+    session.write_bytes(edited.encode())
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert err == f"error: line {lineno}: record not spelled as written\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)
@@ -668,13 +719,18 @@ class TestCalibrate:
         rms = float(out.split("rms=")[1].strip())
         assert rms <= 2 * sigma
 
-    @pytest.mark.parametrize("lines", ["0,1e308\n1,-1e308\n", "0.5,97.5\ninf,85.0\n"], ids=["overflow", "inf"])
-    def test_line_that_is_not_finite_is_usage_error(self, tmp_path, capsys, lines):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the error
+    @pytest.mark.parametrize(
+        "lines,fit",
+        [("0,1e308\n1,-1e308\n", "a=inf, b=inf"), ("0.5,97.5\ninf,85.0\n", "a=nan, b=nan")],
+        ids=["overflow", "inf"],
+    )
+    def test_line_that_is_not_finite_is_usage_error(self, tmp_path, capsys, lines, fit):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text(lines)
         cfg = tmp_path / "fit.cfg"
         assert run_cli("calibrate", "--pairs", str(pairs), "--write-config", str(cfg)) == 2
-        assert "error: the fitted line is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: the fitted line is not finite: {fit}\n"
         assert not cfg.exists()
 
     def test_write_config_round_trips(self, tmp_path, capsys):

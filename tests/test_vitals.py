@@ -309,7 +309,7 @@ class TestDetectBeats:
     def test_threshold_tracks_peaks(self):
         frames, _ = generate(SynthProfile(true_bpm=60.0, seed=0), 20.0, 100.0)
         _, state = detect_beats(preprocessed(frames), BeatDetectorState(), PipelineConfig())
-        assert state.adaptive_threshold > 0
+        assert state.rolling_peak > 0
         assert state.last_beat_time_ms is not None
 
 
