@@ -190,7 +190,7 @@ def _load_blocks(args) -> list[FrameBlock]:
             fmt = "wire" if source.read(2) == b"\xa5\x5a" else "session"
             source.seek(0)
         if fmt == "session":
-            with io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="\n") as text:
+            with open_session(source) as text:
                 return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []
         frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))

@@ -181,9 +181,13 @@ class StreamingPreprocessor:
         """
         t, acdc, outlier = self._carry
         if cols.shape[1]:
-            new, flags = self._split(cols[1:])
+            # the carried rows, then the new samples' rows written in place
+            m = acdc.shape[1]
+            work = np.empty((4, m + cols.shape[1]))
+            work[:, :m] = acdc
+            flags = self._split(cols[1:], work[:, m:])
             t = np.concatenate((t, cols[0]))
-            acdc = np.concatenate((acdc, new), axis=1)
+            acdc = work
             outlier = np.concatenate((outlier, flags))
         left, half = self._n_left, self._half
         stop = len(t) - half
@@ -195,7 +199,7 @@ class StreamingPreprocessor:
             # half zeros before it stand for the samples before the stream
             width = 2 * half + 1
             csum = np.zeros((2, len(t) + half + 1))
-            np.cumsum(acdc[:2], axis=1, out=csum[:, half + 1 :])
+            acdc[:2].cumsum(axis=1, out=csum[:, half + 1 :])
             # left < half only while the carry starts at the stream's start
             count = width if left == half else np.minimum(np.arange(left + half + 1, stop + half + 1), width)
             ac = (csum[:, left + width :] - csum[:, left:stop]) / count
@@ -208,20 +212,21 @@ class StreamingPreprocessor:
             t[left:stop], ac[0], ac[1], acdc[2, left:stop], acdc[3, left:stop], outlier[left:stop]
         )
 
-    def _split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ac_red, ac_ir, dc_red, dc_ir and the outlier flags of new
-        raw red/IR rows."""
+    def _split(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the rows ac_red, ac_ir, dc_red, dc_ir of new raw red/IR
+        rows into ``out``, a ``(4, n)`` float array; return their outlier flags."""
         width, n, seen = self._dc_width, raw.shape[1], self._seen
         # the carried sums, then the running sums on from the last of them
         csum = np.concatenate((self._csum, raw), axis=1)
-        np.cumsum(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
+        csum[:, width - 1 :].cumsum(axis=1, out=csum[:, width - 1 :])
         self._csum = csum[:, n:]
         self._seen = min(seen + n, width)
         count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
-        dc = (csum[:, width:] - csum[:, :n]) / count
+        ac, dc = out[:2], out[2:]
+        np.divide(csum[:, width:] - csum[:, :n], count, out=dc)
         self.last_dc_ir = float(dc[1, -1])
-        ac = raw - dc
-        return np.concatenate((ac, dc)), self._flag(ac[1])
+        np.subtract(raw, dc, out=ac)
+        return self._flag(ac[1])
 
     def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
         if self._gate is None:

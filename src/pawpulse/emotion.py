@@ -235,6 +235,12 @@ def discretize(
     return bpm_label, spo2_label, temp_label
 
 
+#: (id of a rules tuple, labels) -> (that tuple, its assessment); holding
+#: the tuple keeps its id from being reused while the entry lives.
+_MEMO: dict[tuple[int, tuple], tuple[tuple[Rule, ...], EmotionAssessment]] = {}
+_MEMO_SIZE = 1024
+
+
 def classify(
     labels: tuple[str, str | None, str | None],
     rules: Sequence[Rule] = DEFAULT_RULES,
@@ -244,7 +250,22 @@ def classify(
     Exactly one distinct state -> Decided. Conflicting states -> the
     most severe matched state, marked Boundary. No match -> Alert,
     marked Boundary (unknown territory is treated as alarming).
+
+    Rules given as a tuple (which cannot change) with labels as a tuple
+    are answered from a bounded memo once classified.
     """
+    if type(rules) is not tuple or type(labels) is not tuple:
+        return _classify(labels, rules)
+    key = (id(rules), labels)
+    hit = _MEMO.get(key)
+    if hit is None:
+        if len(_MEMO) >= _MEMO_SIZE:
+            _MEMO.clear()
+        hit = _MEMO[key] = (rules, _classify(labels, rules))
+    return hit[1]
+
+
+def _classify(labels: tuple[str, str | None, str | None], rules: Sequence[Rule]) -> EmotionAssessment:
     if not rules:
         raise ConfigError("rule table is empty")
     fired = [rule for rule in rules if rule.matches(labels)]

@@ -38,6 +38,8 @@ int64 columns. Each run is checked once, when it ends: its ``seq``
 values, then ``first_invalid`` against the last raw frame before it. At
 a bad line ``replay`` yields what comes before it (its run's good prefix
 as one block) and raises the error that line gives when read by itself.
+Each block it yields is marked ``fields_checked``, so the tick and the
+writer check only its order.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -48,6 +50,7 @@ written, and every tick already printed is in the file.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
@@ -245,7 +248,8 @@ class SessionWriter:
     in one call. The writer numbers the records it writes 0, 1, 2, ...
     in the order they are appended. It refuses raw frames that
     ``validate_frame`` rejects against the last raw frame written
-    (RangeError, OrderError), as ``replay`` would, and any other type
+    (RangeError, OrderError), as ``replay`` would (with ``validate_block``,
+    so the frames of a ``fields_checked`` block only for their order), and any other type
     (TypeError). It refuses, with TypeError or ValueError, a vitals number
     or temperature that is not a finite number equal to a float, a ``t``
     that is not an int and a rule id that is not ``R<n>``. A refused
@@ -332,11 +336,13 @@ def _header_from_line(line: str) -> SessionHeader:
     return SessionHeader(header.get("start_utc"), config, rule_table)
 
 
-def open_session(path):
-    """A session path opened for ``read_header`` and ``replay``: bytes that
-    are not UTF-8 reach them escaped, and they report the line they are on;
-    lines end at LF alone and reach them untranslated."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
+def open_session(source):
+    """A session path, or a binary stream, opened as text for ``read_header``
+    and ``replay``: bytes that are not UTF-8 reach them escaped, and they
+    report the line they are on; lines end at LF alone and reach them
+    untranslated. Closing the text stream closes ``source``."""
+    binary = open(source, "rb") if isinstance(source, _PATH_TYPES) else source
+    return io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
 def read_header(source) -> SessionHeader:
@@ -557,7 +563,8 @@ class _Reader:
         first_line, texts = self.first_line, self.texts
         self._new_run()
         if bad:
-            good = block if bad == n else block[:bad]
+            # the frames first_invalid has just passed
+            good = FrameBlock._checked(block.cols[:, :bad], block.temps[:bad])
             self.next_seq += bad
             self.last_raw = good[-1]
             yield good

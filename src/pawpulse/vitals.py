@@ -327,7 +327,9 @@ class VitalsPipeline:
 
         ``frames`` is a ``FrameBlock`` or a list of frames. Checks them
         all with ``validate_block`` against the last frame of the tick
-        before, so a tick that raises leaves the pipeline as it was. Then
+        before, so a tick that raises leaves the pipeline as it was; a
+        block from ``resync`` or ``replay`` (``fields_checked``) is
+        checked for order alone, as its fields were checked there. Then
         runs preprocessing, beat detection, the valid-range gate, the
         rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
         baseline is below the contact threshold the tick reports NO_CONTACT

@@ -144,14 +144,33 @@ class FrameBlock(Sequence[SampleFrame]):
     ``red`` and ``ir``, ``temps`` the read-only object array of the
     ``temperature_c`` values (None where a frame has none). Slicing gives
     a block; rows are built only when indexed or iterated.
+
+    ``fields_checked`` is true when every frame is known to pass
+    ``validate_frame``'s checks of its own fields (not its order), so
+    ``validate_block`` checks only the order. Only ``resync`` and
+    ``replay`` make such blocks; a slice keeps the mark and ``concat``
+    keeps it when every part has it. A block built any other way is
+    unmarked.
     """
 
-    __slots__ = ("cols", "temps")
+    __slots__ = ("cols", "temps", "_fields_checked")
 
     def __init__(self, cols: np.ndarray, temps: np.ndarray):
         cols.flags.writeable = temps.flags.writeable = False
         self.cols = cols
         self.temps = temps
+        self._fields_checked = False
+
+    @classmethod
+    def _checked(cls, cols: np.ndarray, temps: np.ndarray, checked: bool = True) -> "FrameBlock":
+        """A block of frames whose fields are known to pass ``validate_frame``."""
+        block = cls(cols, temps)
+        block._fields_checked = checked
+        return block
+
+    @property
+    def fields_checked(self) -> bool:
+        return self._fields_checked
 
     @classmethod
     def from_frames(cls, frames: Iterable[SampleFrame]) -> "FrameBlock":
@@ -174,7 +193,7 @@ class FrameBlock(Sequence[SampleFrame]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return FrameBlock(self.cols[:, index], self.temps[index])
+            return FrameBlock._checked(self.cols[:, index], self.temps[index], self._fields_checked)
         return tuple.__new__(SampleFrame, (*self.cols[:, index].tolist(), self.temps[index]))
 
     def __iter__(self) -> Iterator[SampleFrame]:
@@ -199,7 +218,8 @@ class FrameBlock(Sequence[SampleFrame]):
         if len(blocks) == 1:
             return blocks[0]
         cols = np.concatenate([b.cols for b in blocks], axis=1)
-        return cls(cols, np.concatenate([b.temps for b in blocks]))
+        checked = all(b._fields_checked for b in blocks)
+        return cls._checked(cols, np.concatenate([b.temps for b in blocks]), checked)
 
 
 _COLUMN_MAX = np.array([[TIMESTAMP_MAX], [ADC_MAX], [ADC_MAX]], dtype=np.uint64)
@@ -213,7 +233,8 @@ def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameB
     A frame fails when its timestamp is negative or not after its
     predecessor's, a channel is outside [0, ADC_MAX] or a temperature
     is not finite or does not fit the wire. The error is the one
-    ``validate_frame`` raises for the first frame that fails.
+    ``validate_frame`` raises for the first frame that fails. On a block
+    whose ``fields_checked`` is set, only the order is checked.
     """
     i = first_invalid(block, prev)
     if i < len(block):
@@ -224,16 +245,24 @@ def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameB
 
 def first_invalid(block: FrameBlock, prev: SampleFrame | None = None) -> int:
     """The index of the first frame of ``block`` that ``validate_block``
-    rejects, or ``len(block)`` when it rejects none."""
-    cols = block.cols
-    if not cols.shape[1]:
+    rejects, or ``len(block)`` when it rejects none. A block whose
+    ``fields_checked`` is set is checked for order alone: within it, and
+    its first frame against ``prev``."""
+    t = block.cols[0]
+    if not len(t):
         return 0
+    bad = np.empty(len(t), dtype=bool)
+    bad[0] = prev is not None and t[0] <= prev.timestamp_ms
+    np.less_equal(t[1:], t[:-1], out=bad[1:])
+    if not block._fields_checked:
+        bad |= _unfit(block)
+    return int(bad.argmax()) if bad.any() else len(bad)
+
+
+def _unfit(block: FrameBlock) -> np.ndarray:
+    """Which frames of ``block`` fail ``validate_frame``'s checks of their own fields."""
     # negative values wrap to huge unsigned ones
-    bad = (cols.view(np.uint64) > _COLUMN_MAX).any(axis=0)
-    t = cols[0]
-    bad[1:] |= t[1:] <= t[:-1]
-    if prev is not None:
-        bad[0] |= t[0] <= prev.timestamp_ms
+    bad = (block.cols.view(np.uint64) > _COLUMN_MAX).any(axis=0)
     absent = block.temps.tolist().count(None)
     if absent < len(bad):
         try:
@@ -247,7 +276,7 @@ def first_invalid(block: FrameBlock, prev: SampleFrame | None = None) -> int:
         if absent:
             unfit &= np.not_equal(block.temps, None)  # a frame without one is fine
         bad |= unfit
-    return int(bad.argmax()) if bad.any() else len(bad)
+    return bad
 
 
 def _crc_tables():
@@ -351,6 +380,8 @@ def resync(data: bytes, on_skip=None) -> tuple[FrameBlock, int]:
 
     Back-to-back frames of one size go by stride (``_by_stride``); any
     other chunk is searched, every ``A5 5A`` a candidate (``_frames_at``).
+    The block's ``fields_checked`` is set: the 18-bit check, uint32
+    timestamps and int16 deci-Celsius temperatures pass ``validate_frame``.
     """
     data = bytes(data)
     found = _by_stride(data)
@@ -380,4 +411,4 @@ def resync(data: bytes, on_skip=None) -> tuple[FrameBlock, int]:
     else:  # all carry one, or none does
         temps = (deci / 10.0).astype(object) if with_temp else np.empty(len(deci), dtype=object)
     skipped = len(data) - _FIXED_LEN * len(deci) - (_TEMP_LEN - _FIXED_LEN) * with_temp
-    return FrameBlock(fields.T.astype(np.int64, order="C"), temps), skipped
+    return FrameBlock._checked(fields.T.astype(np.int64, order="C"), temps), skipped

@@ -597,6 +597,22 @@ def test_an_edit_that_once_verified_is_data_error(temperature_session, capsys, c
     assert out == ""
 
 
+def test_crlf_session_on_stdin_is_rejected_as_from_a_path(temperature_session, capsys, monkeypatch):
+    """stdin is decoded by the helper that opens a path, so a CRLF line is
+    an error on it either way."""
+    text, folder = temperature_session
+    crlf = text.replace("\n", "\r\n").encode()
+    session = folder / "crlf.ndjson"
+    session.write_bytes(crlf)
+    capsys.readouterr()
+    assert run_cli("process", "--format", "session", "--in", str(session)) == 3
+    from_path = capsys.readouterr()
+    assert from_path.err == "error: line 2: record not spelled as written\n" and from_path.out == ""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(crlf)))
+    assert run_cli("process", "--format", "session", "--in", "-") == 3
+    assert capsys.readouterr() == from_path
+
+
 @pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)
 def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
     path = simulate_file(tmp_path, seconds=3.0)

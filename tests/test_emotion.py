@@ -3,12 +3,14 @@ import math
 
 import pytest
 
+from pawpulse import emotion
 from pawpulse.core import ContactState, VitalsEstimate
 from pawpulse.emotion import (
     Band,
     Certainty,
     DEFAULT_BANDS,
     DEFAULT_RULES,
+    EmotionAssessment,
     EmotionState,
     Rule,
     VitalsBands,
@@ -132,6 +134,40 @@ class TestClassify:
             for labels in itertools.product(("a", "b", None), repeat=3):
                 want = all(p == "*" or (label is not None and label == p) for p, label in zip(patterns, labels))
                 assert rule.matches(labels) is want, (patterns, labels)
+
+
+CUSTOM_RULES = parse_rule_table("*,*,* => Excited\n*,low,* => Alert\nnormal,*,fever => Stressed\nlow,normal,* => Calm\n")
+
+
+class TestClassifyMemo:
+    @pytest.mark.parametrize("rules", [DEFAULT_RULES, CUSTOM_RULES], ids=["default", "custom"])
+    def test_memo_agrees_with_a_fresh_classify(self, rules):
+        """Every DEFAULT_BANDS label tuple, absent SpO2 and temperature
+        included: the first call and the memo's answer equal a classify
+        over a list, which is not memoized."""
+        bpm = [band.label for band in DEFAULT_BANDS.bpm_bands]
+        spo2 = [None] + [band.label for band in DEFAULT_BANDS.spo2_bands]
+        temp = [None] + [band.label for band in DEFAULT_BANDS.temp_bands]
+        for labels in itertools.product(bpm, spo2, temp):
+            fresh = classify(labels, list(rules))
+            assert classify(labels, rules) == fresh
+            assert classify(labels, rules) == fresh, labels
+
+    def test_a_changed_rules_list_gets_a_fresh_answer(self):
+        labels = ("normal", "normal", None)
+        rules = list(DEFAULT_RULES)
+        assert classify(labels, rules) == EmotionAssessment(EmotionState.CALM, Certainty.DECIDED, ("R2",))
+        rules[:] = [Rule("R1", "*", "*", "*", EmotionState.ALERT)]
+        assert classify(labels, rules) == EmotionAssessment(EmotionState.ALERT, Certainty.DECIDED, ("R1",))
+        rules.append(Rule("R2", "normal", "*", "*", EmotionState.CALM))
+        assert classify(labels, rules).certainty is Certainty.BOUNDARY
+
+    def test_equal_tables_of_their_own_are_answered_alike_and_the_memo_stays_bounded(self):
+        labels = ("high", "low", "fever")
+        want = classify(labels, CUSTOM_RULES)
+        for _ in range(3 * emotion._MEMO_SIZE):
+            assert classify(labels, tuple(list(CUSTOM_RULES))) == want  # a new tuple each time
+        assert len(emotion._MEMO) <= emotion._MEMO_SIZE
 
 
 class TestRuleParsing:

@@ -33,7 +33,7 @@ from pawpulse.session import (
 )
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import VitalsPipeline, tick_chunks
-from pawpulse.wire import FrameBlock
+from pawpulse.wire import FrameBlock, validate_block
 
 
 def raw(t, red=100, ir=200, temp=None):
@@ -716,6 +716,51 @@ def read_until_error(path):
     except (SessionParseError, SeqError) as exc:
         return collected, exc
     return collected, None
+
+
+def check_error(block, prev):
+    """What ``validate_block`` raises on ``block`` after ``prev``, or None."""
+    try:
+        validate_block(block, prev)
+    except (RangeError, OrderError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_HEADER_LINE = json.dumps(
+    {"format": 2, "start_utc": None, "config": config_to_dict(PipelineConfig()), "rules": DEFAULT_RULE_TABLE.text},
+    separators=(",", ":"),
+)
+# a raw record (t, red, temp), or None for a vitals record, which ends a run
+session_items = st.lists(
+    st.none()
+    | st.tuples(
+        st.integers(-1, 60), st.sampled_from([0, 7, ADC_MAX, ADC_MAX + 1]), st.none() | st.sampled_from([36.6, 4000.0])
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=session_items, shift=st.none() | st.integers(-2, 2))
+def test_replay_blocks_check_as_their_frames_do(items, shift):
+    """Each block ``replay`` yields before any error, and their concatenation
+    in either order, is marked, and checks after ``prev`` (absent, before,
+    at or after its first frame) as its frames in an unmarked block do."""
+    lines = [_HEADER_LINE]
+    for seq, item in enumerate(items):
+        lines.append(_record_json(seq, vit(1000 * seq)) if item is None else canonical_raw(seq, item[0], item[1], 2, item[2]))
+    blocks = []
+    try:
+        for record in replay(io.StringIO("".join(line + "\n" for line in lines))):
+            if type(record) is FrameBlock:
+                blocks.append(record)
+    except SessionParseError:
+        pass
+    for block in blocks + ([FrameBlock.concat(blocks), FrameBlock.concat(blocks[::-1])] if blocks else []):
+        assert block.fields_checked
+        prev = None if shift is None else raw(max(0, int(block.cols[0, 0]) + shift))  # replay yields no empty block
+        assert check_error(block, prev) == check_error(FrameBlock.from_frames(list(block)), prev)
 
 
 class TestRawRuns:

@@ -37,7 +37,7 @@ from pawpulse.vitals import (
     spo2_estimate,
     tick_chunks,
 )
-from pawpulse.wire import FrameBlock
+from pawpulse.wire import FrameBlock, encode_frame, resync
 
 
 class TestBeatInterval:
@@ -370,6 +370,27 @@ class TestProcessTick:
         got = [tampered.tick(chunk) for chunk in chunks[:3]]
         with pytest.raises((RangeError, OrderError)):
             tampered.tick(list(chunks[3]) + [bad])  # valid frames, then one that is not
+        got += [tampered.tick(chunk) for chunk in chunks[3:]]
+        assert got == want
+
+    def test_unmarked_block_with_a_channel_above_adc_max_is_rejected(self):
+        """A block built from columns is not marked as checked, even from a
+        marked block's, so the tick checks its fields, and rejecting it
+        leaves the pipeline as it was."""
+        frames, _ = generate(SynthProfile(true_bpm=80.0, seed=8), 5.0, 100.0)
+        block, _ = resync(b"".join(map(encode_frame, frames)))
+        chunks = list(tick_chunks([block], 1000))
+        assert all(chunk.fields_checked for chunk in chunks)
+        clean, tampered = VitalsPipeline(), VitalsPipeline()
+        want = [clean.tick(chunk) for chunk in chunks]
+        got = [tampered.tick(chunk) for chunk in chunks[:3]]
+        cols = chunks[3].cols.copy()
+        cols[1, 50] = ADC_MAX + 1
+        before = (tampered.tick_index, tampered.last_frame, tampered.ratio_window.copy())
+        with pytest.raises(RangeError, match=r"red=262144 outside 18-bit range"):
+            tampered.tick(FrameBlock(cols, chunks[3].temps))
+        assert tampered.tick_index == before[0] and tampered.last_frame == before[1]
+        assert np.array_equal(tampered.ratio_window, before[2])
         got += [tampered.tick(chunk) for chunk in chunks[3:]]
         assert got == want
 

@@ -521,6 +521,83 @@ class TestFrameBlock:
             FrameBlock.from_frames([SampleFrame(0, 1, 2, "38.5")])
 
 
+def check_error(block, prev):
+    """What ``validate_block`` raises on ``block`` after ``prev``, or None."""
+    try:
+        validate_block(block, prev)
+    except (RangeError, OrderError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def prev_near(block, shift):
+    """None, or a frame ``shift`` ms from the first frame of ``block`` (from 0 if it is empty)."""
+    if shift is None:
+        return None
+    return SampleFrame(max(0, (int(block.cols[0, 0]) if len(block) else 0) + shift), 1, 2)
+
+
+class TestFieldsChecked:
+    """A block from ``resync`` is marked as holding frames whose fields
+    ``validate_frame`` passes, and ``validate_block`` then checks its order alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frames=st.lists(wire_frames, max_size=12),
+        ordered=st.booleans(),
+        junk=st.lists(st.tuples(st.integers(0, 12), stream_pieces), max_size=3),
+        cut=st.integers(0, 15),
+        shift=st.none() | st.integers(-2, 2),
+    )
+    def test_marked_blocks_check_as_their_frames_do(self, frames, ordered, junk, cut, shift):
+        """Over resync's blocks, their concatenation in either order and its
+        slices, with ``prev`` absent, before, at or after the first frame:
+        the same error as the frames in an unmarked block, or none."""
+        if ordered:
+            frames = [f._replace(timestamp_ms=f.timestamp_ms % 1000 + 1000 * i) for i, f in enumerate(frames)]
+        pieces = list(map(encode_frame, frames))
+        for at, piece in junk:
+            pieces.insert(at, piece)
+        blocks = [resync(b"".join(pieces[:cut]))[0], resync(b"".join(pieces[cut:]))[0]]
+        joined = FrameBlock.concat(blocks)
+        for block in blocks + [joined, joined[1:], joined[:0], FrameBlock.concat(blocks[::-1])]:
+            assert block.fields_checked
+            prev = prev_near(block, shift)
+            assert check_error(block, prev) == check_error(FrameBlock.from_frames(list(block)), prev)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pieces=st.lists(stream_pieces, max_size=25),
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=6),
+    )
+    def test_resync_output_has_no_field_error(self, pieces, flips):
+        blob = bytearray(b"".join(pieces))
+        for pos, mask in flips:
+            if blob:
+                blob[pos % len(blob)] ^= mask
+        for frame in resync(bytes(blob))[0]:
+            validate_frame(frame)
+
+    def test_slices_keep_the_mark_and_concat_needs_it_on_every_part(self):
+        block, _ = resync(b"".join(encode_frame(SampleFrame(10 * i, i, i, 38.5)) for i in range(4)))
+        assert block.fields_checked and block[1:3].fields_checked and block[:0].fields_checked
+        assert FrameBlock.concat([block[:2], block[2:]]).fields_checked
+        unmarked = FrameBlock.from_frames([SampleFrame(50, 1, 2)])
+        assert not unmarked.fields_checked and not unmarked[:1].fields_checked
+        assert not FrameBlock(block.cols, block.temps).fields_checked
+        assert not FrameBlock.concat([block, unmarked]).fields_checked
+        assert not FrameBlock.concat([unmarked[:0], block]).fields_checked
+        with pytest.raises(AttributeError):
+            block.fields_checked = False
+
+    def test_an_unmarked_block_has_its_fields_checked(self):
+        block, _ = resync(b"".join(encode_frame(SampleFrame(10 * i, i, i)) for i in range(3)))
+        cols = block.cols.copy()
+        cols[2, 1] = ADC_MAX + 1
+        with pytest.raises(RangeError, match=r"ir=262144 outside 18-bit range"):
+            validate_block(FrameBlock(cols, block.temps))
+
+
 class TestCrossModuleRoundTrip:
     def test_validated_frames_survive_the_wire(self):
         rng = np.random.default_rng(23)
