@@ -21,11 +21,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ContactState
-from .errors import ConfigError
+from .core import ContactState, PipelineConfig
 
 #: Robust-sigma factor: MAD * 1.4826 estimates a Gaussian standard deviation.
 MAD_SIGMA = 1.4826
+
+#: Seconds of unsmoothed AC IR behind the outlier gate's median and MAD.
+_GATE_WINDOW_S = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +126,18 @@ def contact_state(dc_ir: float, threshold: float) -> ContactState:
 
 class StreamingPreprocessor:
     """DC/AC split, centered smoothing and optional outlier flags for the
-    tick loop, one ``AcBlock`` per ``push``.
+    tick loop, one ``AcBlock`` per ``push``, with the ``sample_rate_hz``,
+    ``dc_window_s``, ``smooth_kernel`` and ``outlier_z`` of a
+    ``PipelineConfig``.
 
     Each push splits the new frames against the trailing DC mean of the
     raw values, and (with ``outlier_z`` set) flags samples whose
     unsmoothed AC IR lies more than ``outlier_z * MAD * 1.4826`` from the
-    trailing median; values are never modified, and a window with MAD = 0
-    flags nothing. Smoothing is a centered mean over the AC columns,
-    truncated only at the start of the stream. It needs
-    ``kernel_width // 2`` samples of right context, so that many samples
-    are held back and released by the next push.
+    median of the last ``_GATE_WINDOW_S`` seconds; values are never
+    modified, and a window with MAD = 0 flags nothing. Smoothing is a
+    centered mean over the AC columns, truncated only at the start of the
+    stream. It needs ``smooth_kernel // 2`` samples of right context, so
+    that many samples are held back and released by the next push.
 
     The DC mean is a running sum: the int64 prefix sums of the raw counts
     at the last ``dc_width`` positions are carried, zeros before the
@@ -147,26 +151,15 @@ class StreamingPreprocessor:
     Single-consumer per stream; create one instance per stream.
     """
 
-    def __init__(
-        self,
-        sample_rate_hz: float,
-        dc_window_s: float = 3.0,
-        kernel_width: int = 5,
-        outlier_z: float | None = None,
-        outlier_window_s: float = 3.0,
-    ):
-        if kernel_width < 1 or kernel_width % 2 == 0:
-            raise ConfigError("kernel_width must be an odd positive integer")
-        if outlier_z is not None and outlier_z <= 0:
-            raise ConfigError("outlier_z must be positive or None")
-        step_ms = 1000.0 / sample_rate_hz
-        self._dc_width = _window_samples(dc_window_s, step_ms)
-        self._half = kernel_width // 2
-        self._outlier_z = outlier_z
+    def __init__(self, config: PipelineConfig):
+        step_ms = 1000.0 / config.sample_rate_hz
+        self._dc_width = _window_samples(config.dc_window_s, step_ms)
+        self._half = config.smooth_kernel // 2
+        self._outlier_z = config.outlier_z
         # prefix sums of the raw red/IR rows at the last dc_width positions
         self._csum = np.zeros((2, self._dc_width), dtype=np.int64)
         self._seen = 0  # samples pushed, counted up to dc_width
-        self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
+        self._gate = None if config.outlier_z is None else _RunningMedianMad(_window_samples(_GATE_WINDOW_S, step_ms))
         # unsmoothed samples: up to `half` released ones (left smoothing
         # context), then the ones held back for right context, as t, the
         # rows ac_red, ac_ir, dc_red, dc_ir, and the outlier flags

@@ -4,16 +4,18 @@ A session file is UTF-8 text: one header line, then one record per
 line; every line ends with LF alone. Timestamps are session-relative
 (start = 0); the wall-clock start, when known, lives once in the header.
 
-Header line, read with ``json``::
+Header line, written by ``_header_json`` and read with ``json``::
 
-    {"format": 2, "start_utc": <iso string or null>, "config": {...},
-     "rules": "<rule-table text>"}
+    {"format":2,"start_utc":<iso string or null>,"config":{...},"rules":"<rule-table text>"}
 
 The header must hold ``format`` 2 (or 1), an integer, a ``config`` with
 exactly the keys of ``config_to_dict``, each a finite number of its
-key's type that ``PipelineConfig`` accepts, and the emotion ``rules``
-text, which ``parse_rule_table`` accepts. A format-1 header has no
-``rules`` and reads as ``DEFAULT_RULES_TEXT``.
+key's type that ``PipelineConfig`` accepts, the emotion ``rules`` text,
+which ``parse_rule_table`` accepts, and a ``start_utc`` that is a string
+or null. A format-1 header has no ``rules`` key and reads as
+``DEFAULT_RULES_TEXT``. The line must then be, byte for byte, what
+``_header_json`` writes for what was read, LF included: its key order,
+compact separators and no other key.
 
 Each kind's record line is defined by its ``%`` template, ``_RAW_JSON``,
 ``_VITALS_JSON`` or ``_EMOTION_JSON`` (``seq`` numbers the records 0, 1,
@@ -182,6 +184,20 @@ def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) 
     return _EMOTION_JSON % (seq, t, assessment.state.value, assessment.certainty.value, rules)
 
 
+def _header_json(version: int, start_utc: str | None, config: PipelineConfig, rule_table: RuleTable) -> str:
+    """The header line, less its LF: ``config`` as ``config_to_dict`` gives
+    it, and the ``rules`` text unless ``version`` is 1.
+
+    Raises TypeError when ``start_utc`` is not a string or None.
+    """
+    if start_utc is not None and not isinstance(start_utc, str):
+        raise TypeError(f"start_utc must be a string or null, got {start_utc!r}")
+    header = {"format": version, "start_utc": start_utc, "config": config_to_dict(config)}
+    if version != 1:
+        header["rules"] = rule_table.text
+    return json.dumps(header, separators=(",", ":"), allow_nan=False)
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
     """Flat key -> value view in field order, ``coeffs`` as ``coeff_a``, ``coeff_b``."""
     out: dict = {}
@@ -253,23 +269,20 @@ class SessionWriter:
     (TypeError). It refuses, with TypeError or ValueError, a vitals number
     or temperature that is not a finite number equal to a float, a ``t``
     that is not an int and a rule id that is not ``R<n>``. A refused
-    record, or block, writes nothing and uses up no number.
+    record, or block, writes nothing and uses up no number. A ``start_utc``
+    that is not a string or None is refused (TypeError) before the file
+    is created.
     """
 
     def __init__(
         self, path, config: PipelineConfig, start_utc: str | None = None, rule_table: RuleTable = DEFAULT_RULE_TABLE
     ):
         # the text of a RuleTable parses, as reading requires
-        header = {
-            "format": FORMAT_VERSION,
-            "start_utc": start_utc,
-            "config": config_to_dict(config),
-            "rules": rule_table.text,
-        }
+        header = _header_json(FORMAT_VERSION, start_utc, config, rule_table)
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         self._seq = 0
         self._last_raw: SampleFrame | None = None
-        self._fh.write(json.dumps(header, separators=(",", ":"), allow_nan=False) + "\n")
+        self._fh.write(header + "\n")
         self._fh.flush()
 
     def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion | FrameBlock) -> None:
@@ -333,7 +346,14 @@ def _header_from_line(line: str) -> SessionHeader:
             rule_table = RuleTable.parse(header.get("rules"))
         except ConfigError as exc:
             raise SessionParseError(1, f"bad rules: {exc}") from exc
-    return SessionHeader(header.get("start_utc"), config, rule_table)
+    start_utc = header.get("start_utc")
+    try:
+        spelled = _header_json(version, start_utc, config, rule_table)
+    except TypeError as exc:
+        raise SessionParseError(1, str(exc)) from exc
+    if line != spelled + "\n":
+        raise SessionParseError(1, "header not spelled as written")
+    return SessionHeader(start_utc, config, rule_table)
 
 
 def open_session(source):

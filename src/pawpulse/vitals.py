@@ -311,12 +311,7 @@ class VitalsPipeline:
         if config is None:
             config = PipelineConfig()
         self.config = config
-        self.preprocessor = StreamingPreprocessor(
-            sample_rate_hz=config.sample_rate_hz,
-            dc_window_s=config.dc_window_s,
-            kernel_width=config.smooth_kernel,
-            outlier_z=config.outlier_z,
-        )
+        self.preprocessor = StreamingPreprocessor(config)
         self.detector = BeatDetectorState()
         self.ratio_window = np.empty((3, 0), dtype=np.int64)
         self.tick_index = 0

@@ -320,7 +320,7 @@ class TestReplayCommand:
         header = json.loads(header_line)
         header["format"] = 1
         del header["rules"]
-        session.write_text(json.dumps(header) + "\n" + body)
+        session.write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
         capsys.readouterr()
         assert run_cli("replay", "--in", str(session), "--verify") == code
         out, err = capsys.readouterr()
@@ -477,6 +477,25 @@ def test_bad_header_is_data_error(tmp_path, capsys, command, edit, message):
     assert out == ""
 
 
+def test_wire_input_without_frames_is_data_error(tmp_path, capsys):
+    path = tmp_path / "noise.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(500))
+    assert run_cli("process", "--format", "wire", "--in", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert err.endswith("warning: 500 bytes total were not decodable\nerror: input contains no frames\n")
+    assert out == ""
+
+
+def test_verify_without_raw_records_is_data_error(tmp_path, capsys):
+    session = processed_session(tmp_path)
+    lines = session.read_text().splitlines(keepends=True)
+    vitals = next(line for line in lines if '"kind":"vitals"' in line)
+    session.write_text(lines[0] + re.sub('"seq":[0-9]+', '"seq":0', vitals))
+    capsys.readouterr()
+    assert run_cli("replay", "--in", str(session), "--verify") == 3
+    assert capsys.readouterr().err == "error: no raw records to replay\n"
+
+
 @pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
 @pytest.mark.parametrize("kind", ["header", "vitals"])
 def test_byte_that_is_not_utf8_is_data_error(tmp_path, capsys, command, kind):
@@ -584,16 +603,64 @@ def temperature_session(tmp_path_factory):
 )
 def test_an_edit_that_once_verified_is_data_error(temperature_session, capsys, command, edit):
     """Each of these edits read as the stored records: now each is an error
-    on the first record line it changes."""
+    on the first line it changes."""
     text, folder = temperature_session
     edited = edit(text)
-    lineno = next(n for n, (a, b) in enumerate(zip(text.split("\n"), edited.split("\n")), start=1) if n > 1 and a != b)
+    lineno = next(n for n, (a, b) in enumerate(zip(text.split("\n"), edited.split("\n")), start=1) if a != b)
     session = folder / "edited.ndjson"
     session.write_bytes(edited.encode())
     capsys.readouterr()
     assert run_cli(*command, "--in", str(session)) == 3
     out, err = capsys.readouterr()
-    assert err == f"error: line {lineno}: record not spelled as written\n"
+    assert err == f"error: line {lineno}: {'header' if lineno == 1 else 'record'} not spelled as written\n"
+    assert out == ""
+
+
+@pytest.fixture(scope="module")
+def header_session(tmp_path_factory):
+    """The header line and the body of a 5-tick session written by process
+    (noise std 30, seed 3), and a folder."""
+    folder = tmp_path_factory.mktemp("header")
+    path = simulate_file(folder, seconds=5.0, noise_std=30.0, seed=3)
+    session = folder / "s.ndjson"
+    with redirect_stdout(io.StringIO()):
+        assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    header_line, body = session.read_text().split("\n", 1)
+    return header_line, body, folder
+
+
+@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda line: line.replace('"start_utc":null', '"start_utc":5'), "start_utc must be a string or null, got 5"),
+        (
+            lambda line: line.replace('"start_utc":null', '"start_utc":{"x":[1]}'),
+            "start_utc must be a string or null, got {'x': [1]}",
+        ),
+        (lambda line: line[:-1] + ',"note":"x"}', "header not spelled as written"),
+        (lambda line: json.dumps(json.loads(line)), "header not spelled as written"),
+        (lambda line: line.replace('"format":2,', '"format":1,'), "header not spelled as written"),
+        (lambda line: line + "\r", "header not spelled as written"),
+        (
+            lambda line: json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")),
+            "header not spelled as written",
+        ),
+    ],
+    ids=["start-utc-int", "start-utc-object", "extra-key", "default-spacing", "format-1-with-rules", "crlf", "reversed-keys"],
+)
+def test_respelled_header_is_data_error(header_session, capsys, command, edit, message):
+    """Each of these header edits once read as the header written: now the
+    header is one spelling, the writer's, and each is an error on line 1."""
+    header_line, body, folder = header_session
+    edited = edit(header_line)
+    assert edited != header_line
+    session = folder / "edited.ndjson"
+    session.write_bytes((edited + "\n" + body).encode())
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 3
+    out, err = capsys.readouterr()
+    assert err == f"error: line 1: {message}\n"
     assert out == ""
 
 
@@ -607,7 +674,7 @@ def test_crlf_session_on_stdin_is_rejected_as_from_a_path(temperature_session, c
     capsys.readouterr()
     assert run_cli("process", "--format", "session", "--in", str(session)) == 3
     from_path = capsys.readouterr()
-    assert from_path.err == "error: line 2: record not spelled as written\n" and from_path.out == ""
+    assert from_path.err == "error: line 1: header not spelled as written\n" and from_path.out == ""
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(crlf)))
     assert run_cli("process", "--format", "session", "--in", "-") == 3
     assert capsys.readouterr() == from_path

@@ -156,6 +156,11 @@ class TestPipelineConfig:
             {"outlier_z": -1.0},
             {"peak_threshold_fraction": 1.5},
             {"dc_window_s": 0.0},
+            {"outlier_z": 0.0},
+            {"contact_ir_threshold": -1},
+            {"refractory_ms": -1},
+            {"peak_decay_half_life_s": 0.0},
+            {"ratio_window_ms": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

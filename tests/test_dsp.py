@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawpulse.core import ContactState, SampleFrame
+from pawpulse.core import ContactState, PipelineConfig, SampleFrame
 from pawpulse.dsp import (
     MAD_SIGMA,
     AcBlock,
@@ -14,7 +14,6 @@ from pawpulse.dsp import (
     _window_samples,
     contact_state,
 )
-from pawpulse.errors import ConfigError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
 from pawpulse.wire import FrameBlock
 
@@ -30,9 +29,9 @@ def frames_from(values, step_ms=10):
     ]
 
 
-def push_all(frames, kernel_width=1, **kwargs) -> AcBlock:
+def push_all(frames, smooth_kernel=1, **kwargs) -> AcBlock:
     """One push of the whole stream at 100 Hz (kernel 1: nothing held back)."""
-    pre = StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=kernel_width, **kwargs)
+    pre = StreamingPreprocessor(PipelineConfig(smooth_kernel=smooth_kernel, **kwargs))
     return pre.push(frame_columns(frames))
 
 
@@ -76,8 +75,7 @@ class TestRemoveDc:
     def test_explicit_fs_override(self):
         """The window width comes from the sample rate, not the timestamps."""
         values = [100.0, 200.0, 300.0, 400.0]
-        pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=0.02, kernel_width=1)
-        out = pre.push(frame_columns(frames_from(values, step_ms=20)))
+        out = push_all(frames_from(values, step_ms=20), dc_window_s=0.02)
         # window of 2 samples: dc[i] = mean(raw[i-1:i+1])
         assert out.dc_ir[2] == pytest.approx(250.0)
 
@@ -90,18 +88,14 @@ class TestSmooth:
         ir = np.array([f.ir for f in frames], dtype=float)
         assert np.array_equal(out.ac_ir, ir - out.dc_ir)
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            StreamingPreprocessor(sample_rate_hz=100.0, kernel_width=4)
-
     def test_impulse_energy_preserved(self):
         """Smoothing spreads each unsmoothed AC value over 2 * half + 1
         samples with equal weights that sum to one."""
         values = np.full(100, 1000)
         values[50] = 1500
-        kwargs = dict(sample_rate_hz=100.0, dc_window_s=0.1)  # DC over 10 samples
-        raw = StreamingPreprocessor(kernel_width=1, **kwargs).push(frame_columns(frames_from(values))).ac_ir
-        ac = StreamingPreprocessor(kernel_width=5, **kwargs).push(frame_columns(frames_from(values))).ac_ir
+        frames = frames_from(values)
+        raw = push_all(frames, dc_window_s=0.1).ac_ir  # DC over 10 samples
+        ac = push_all(frames, smooth_kernel=5, dc_window_s=0.1).ac_ir
         assert raw[50] == 450.0 and np.count_nonzero(raw) == 10  # the impulse, then -50 until it leaves the DC
         assert ac[48] == pytest.approx(raw[50] / 5)
         assert np.count_nonzero(ac) == 14 and np.flatnonzero(ac)[0] == 48
@@ -111,7 +105,7 @@ class TestSmooth:
         rng = np.random.default_rng(17)
         frames = frames_from(100_000 + np.round(rng.normal(0.0, 1000.0, size=4000)))
         raw = push_all(frames).ac_ir
-        ac = push_all(frames, kernel_width=9).ac_ir
+        ac = push_all(frames, smooth_kernel=9).ac_ir
         assert np.std(ac) <= 0.45 * np.std(raw)
 
     def test_linearity(self):
@@ -119,7 +113,7 @@ class TestSmooth:
         x = rng.integers(1000, 5000, size=300)
         y = rng.integers(1000, 5000, size=300)
         a, b = 2, 3
-        sx, sy, sxy = (push_all(frames_from(v), kernel_width=7) for v in (x, y, a * x + b * y))
+        sx, sy, sxy = (push_all(frames_from(v), smooth_kernel=7) for v in (x, y, a * x + b * y))
         for name in ("ac_red", "ac_ir", "dc_red", "dc_ir"):
             combined = a * getattr(sx, name) + b * getattr(sy, name)
             assert np.max(np.abs(getattr(sxy, name) - combined)) < 1e-9
@@ -127,7 +121,7 @@ class TestSmooth:
     def test_dc_and_flags_unchanged(self):
         frames = noise_frames(2, 400, spike_at=200)
         raw = push_all(frames, outlier_z=4.0)
-        smoothed = push_all(frames, kernel_width=3, outlier_z=4.0)
+        smoothed = push_all(frames, smooth_kernel=3, outlier_z=4.0)
         assert len(smoothed) == len(frames) - 1
         for name in ("t", "dc_red", "dc_ir", "outlier"):
             assert np.array_equal(getattr(smoothed, name), getattr(raw, name)[:-1])
@@ -153,16 +147,12 @@ class TestRejectOutliers:
 
     def test_values_never_modified(self):
         frames = noise_frames(12, 400, spike_at=200)
-        plain = push_all(frames, kernel_width=5)
-        gated = push_all(frames, kernel_width=5, outlier_z=4.0)
+        plain = push_all(frames, smooth_kernel=5)
+        gated = push_all(frames, smooth_kernel=5, outlier_z=4.0)
         for name in ("t", "ac_red", "ac_ir", "dc_red", "dc_ir"):
             assert np.array_equal(getattr(gated, name), getattr(plain, name))
         assert not plain.outlier.any()
         assert gated.outlier[200]
-
-    def test_nonpositive_z_rejected(self):
-        with pytest.raises(ConfigError):
-            StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=0.0)
 
 
 def pushed_median_mad(x, width, sizes):
@@ -323,7 +313,7 @@ class TestStreamingPreprocessor:
             norm = np.convolve(np.ones(n), np.ones(kernel), "same")
             return np.convolve(ac, np.ones(kernel), "same") / norm, dc
 
-        pre = StreamingPreprocessor(sample_rate_hz=100.0, dc_window_s=3.0, kernel_width=kernel)
+        pre = StreamingPreprocessor(PipelineConfig(dc_window_s=3.0, smooth_kernel=kernel))
         blocks = []
         pos = 0
         rng = np.random.default_rng(0)
@@ -343,7 +333,7 @@ class TestStreamingPreprocessor:
         assert np.array_equal(t, [f.timestamp_ms for f in frames[:released]])
 
     def test_empty_push(self):
-        pre = StreamingPreprocessor(sample_rate_hz=100.0)
+        pre = StreamingPreprocessor(PipelineConfig())
         out = pre.push(frame_columns([]))
         assert len(out) == 0
         assert all(len(getattr(out, name)) == 0 for name in COLUMNS)
@@ -352,26 +342,26 @@ class TestStreamingPreprocessor:
     def test_outlier_flagging_enabled(self):
         frames, _ = generate(SynthProfile(true_bpm=60.0, seed=2), 20.0, 100.0)
         spiked = inject_artifacts(frames, ArtifactKind.MOTION_SPIKE, 10_000, 250, seed=4)
-        pre = StreamingPreprocessor(sample_rate_hz=100.0, outlier_z=6.0)
+        pre = StreamingPreprocessor(PipelineConfig(outlier_z=6.0))
         released = pre.push(frame_columns(spiked))
         in_window = (released.t >= 10_000) & (released.t < 10_250)
         assert released.outlier[in_window].mean() >= 0.5
 
-    @pytest.mark.parametrize("kernel_width", [1, 5])
+    @pytest.mark.parametrize("smooth_kernel", [1, 5])
     @pytest.mark.parametrize("outlier_z", [None, 3.0, 5.0])
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.one_of(st.integers(0, 250), st.integers(0, 4096)), min_size=1, max_size=30))
-    def test_chunking_invariance(self, outlier_z, kernel_width, sizes):
+    def test_chunking_invariance(self, outlier_z, smooth_kernel, sizes):
         """Any chunking releases the same columns as one whole push.
 
         Bit-identical, except that the smoothed AC columns come from one
         cumsum per push, so they may differ from the whole push in the
         last bits.
         """
-        kwargs = dict(sample_rate_hz=100.0, kernel_width=kernel_width, outlier_z=outlier_z)
-        whole_pre = StreamingPreprocessor(**kwargs)
+        config = PipelineConfig(smooth_kernel=smooth_kernel, outlier_z=outlier_z)
+        whole_pre = StreamingPreprocessor(config)
         whole = whole_pre.push(frame_columns(SPIKED))
-        pre = StreamingPreprocessor(**kwargs)
+        pre = StreamingPreprocessor(config)
         blocks = []
         pos = 0
         for size in sizes:
@@ -380,7 +370,7 @@ class TestStreamingPreprocessor:
         blocks.append(pre.push(frame_columns(SPIKED[pos:])))
         for name in COLUMNS:
             got = np.concatenate([getattr(b, name) for b in blocks])
-            if kernel_width > 1 and name.startswith("ac_"):
+            if smooth_kernel > 1 and name.startswith("ac_"):
                 np.testing.assert_allclose(got, getattr(whole, name), rtol=0, atol=1e-8)
             else:
                 assert np.array_equal(got, getattr(whole, name)), name
@@ -390,15 +380,12 @@ class TestStreamingPreprocessor:
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 4096)), min_size=1, max_size=12),
-        kernel_width=st.sampled_from([1, 3, 5, 7, 9]),
+        smooth_kernel=st.sampled_from([1, 3, 5, 7, 9]),
         sample_rate_hz=st.floats(25.0, 200.0),
         dc_window_s=st.one_of(st.floats(0.005, 0.5), st.floats(0.5, 8.0)),
         outlier_z=st.one_of(st.none(), st.floats(2.0, 8.0)),
-        outlier_window_s=st.floats(0.05, 4.0),
     )
-    def test_matches_reference_bit_for_bit(
-        self, seed, sizes, kernel_width, sample_rate_hz, dc_window_s, outlier_z, outlier_window_s
-    ):
+    def test_matches_reference_bit_for_bit(self, seed, sizes, smooth_kernel, sample_rate_hz, dc_window_s, outlier_z):
         """Every released column has the bytes the re-summing reference
         gives, pushed the same way, and ``last_dc_ir`` is equal: empty
         pushes, DC windows shorter than a push, and the gate on and off."""
@@ -408,14 +395,9 @@ class TestStreamingPreprocessor:
         spikes = rng.random(n) < 0.01
         raw[:, spikes] = rng.integers(0, 1 << 18, size=(2, int(spikes.sum())))
         cols = np.vstack((np.arange(n, dtype=np.int64) * 7, raw))
-        kwargs = dict(
-            sample_rate_hz=sample_rate_hz,
-            dc_window_s=dc_window_s,
-            kernel_width=kernel_width,
-            outlier_z=outlier_z,
-            outlier_window_s=outlier_window_s,
-        )
-        pre, ref = StreamingPreprocessor(**kwargs), ReferencePreprocessor(**kwargs)
+        kwargs = dict(sample_rate_hz=sample_rate_hz, dc_window_s=dc_window_s, outlier_z=outlier_z)
+        pre = StreamingPreprocessor(PipelineConfig(smooth_kernel=smooth_kernel, **kwargs))
+        ref = ReferencePreprocessor(kernel_width=smooth_kernel, outlier_window_s=3.0, **kwargs)
         pos = 0
         for size in sizes:
             got, want = pre.push(cols[:, pos : pos + size]), ref.push(cols[:, pos : pos + size])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pawpulse.core import (
     ADC_MAX,
+    CalibrationCoeffs,
     ContactState,
     PipelineConfig,
     SampleFrame,
@@ -458,16 +459,17 @@ class TestReplay:
                 writer.append_record(record)
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\r\n".join(lines))
-        collected, exc = read_until_error(path)  # the header is JSON, which takes a CR as blank
-        assert type(exc) is SessionParseError and str(exc) == "line 2: record not spelled as written"
+        collected, exc = read_until_error(path)
+        assert type(exc) is SessionParseError and str(exc) == "line 1: header not spelled as written"
         assert collected == []
-        for lineno in (2, 3, 4):  # and each record line by itself
+        for lineno in (1, 2, 3, 4):  # and each line by itself
             crlf = lines[:]
             crlf[lineno - 1] += b"\r"
             path.write_bytes(b"\n".join(crlf))
             collected, exc = read_until_error(path)
-            assert type(exc) is SessionParseError and str(exc) == f"line {lineno}: record not spelled as written"
-            assert len(flat(collected)) == lineno - 2
+            line_kind = "header" if lineno == 1 else "record"
+            assert type(exc) is SessionParseError and str(exc) == f"line {lineno}: {line_kind} not spelled as written"
+            assert len(flat(collected)) == max(0, lineno - 2)
 
     def test_a_record_line_without_its_newline_is_an_error(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -498,6 +500,7 @@ class TestReplay:
             ('{"seq":0,"kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n', "unsupported format None"),
             ('{"format":3}\n', "unsupported format 3"),
             ("[1]\n", "header is not a JSON object"),
+            ("{not json}\n", "bad header: "),
         ],
     )
     def test_replay_checks_header(self, text, message):
@@ -540,8 +543,24 @@ class TestReplay:
         SessionWriter(path, PipelineConfig()).close()
         header = json.loads(path.read_text())
         header["config"].update(sample_rate_hz=100, coeff_a=110, outlier_z=5)
-        path.write_text(json.dumps(header) + "\n")
+        path.write_text(json.dumps(header, separators=(",", ":")) + "\n")
         assert read_header(path).config == PipelineConfig(outlier_z=5.0)
+
+    def test_writer_ints_for_floats_read_back(self, tmp_path):
+        config = PipelineConfig(sample_rate_hz=100, coeffs=CalibrationCoeffs(110, 25), outlier_z=5)
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, config) as writer:
+            writer.append_record(raw(0))
+        assert '"sample_rate_hz":100,' in path.read_text()
+        assert read_header(path).config == config
+        assert flat(replay(path)) == [raw(0)]
+
+    @pytest.mark.parametrize("start_utc", [5, b"2026-08-08", {"x": [1]}])
+    def test_writer_refuses_a_start_utc_that_is_not_a_string(self, tmp_path, start_utc):
+        path = tmp_path / "s.ndjson"
+        with pytest.raises(TypeError, match="start_utc must be a string or null"):
+            SessionWriter(path, PipelineConfig(), start_utc=start_utc)
+        assert not path.exists()
 
     def test_header_round_trip(self, tmp_path):
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)

@@ -220,8 +220,7 @@ class TestFitCalibration:
 def preprocessed(frames, config=None):
     """One push through the pipeline's preprocessor (the hold-back is dropped)."""
     config = config or PipelineConfig()
-    pre = StreamingPreprocessor(config.sample_rate_hz, config.dc_window_s, config.smooth_kernel)
-    return pre.push(FrameBlock.from_frames(frames).cols)
+    return StreamingPreprocessor(config).push(FrameBlock.from_frames(frames).cols)
 
 
 def ac_block(ac, dc=1000.0, outlier_at=None):

@@ -519,6 +519,8 @@ class TestFrameBlock:
             FrameBlock.from_frames([SampleFrame(0, 1, 2), SampleFrame(10, 1.5, 2)])
         with pytest.raises(RangeError, match="not a finite number"):
             FrameBlock.from_frames([SampleFrame(0, 1, 2, "38.5")])
+        with pytest.raises(RangeError, match="does not fit 64 bits"):
+            FrameBlock.from_frames([SampleFrame(0, 2**64, 1)])
 
 
 def check_error(block, prev):
