@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawpulse.core import ContactState, PipelineConfig, SampleFrame
+from pawpulse.core import ConfigError, ContactState, PipelineConfig, SampleFrame
 from pawpulse.dsp import (
     MAD_SIGMA,
     AcBlock,
@@ -88,6 +88,11 @@ class TestSmooth:
         ir = np.array([f.ir for f in frames], dtype=float)
         assert np.array_equal(out.ac_ir, ir - out.dc_ir)
 
+    def test_even_kernel_rejected(self):
+        """A centred kernel needs an odd width; the preprocessor's config refuses 4."""
+        with pytest.raises(ConfigError):
+            push_all(frames_from([1000] * 10), smooth_kernel=4)
+
     def test_impulse_energy_preserved(self):
         """Smoothing spreads each unsmoothed AC value over 2 * half + 1
         samples with equal weights that sum to one."""
@@ -153,6 +158,10 @@ class TestRejectOutliers:
             assert np.array_equal(getattr(gated, name), getattr(plain, name))
         assert not plain.outlier.any()
         assert gated.outlier[200]
+
+    def test_nonpositive_z_rejected(self):
+        with pytest.raises(ConfigError):
+            push_all(frames_from([1000] * 10), outlier_z=0.0)
 
 
 def pushed_median_mad(x, width, sizes):
