@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import ContactState, PipelineConfig, VitalsEstimate
+from .core import CONFIG_TYPES, ContactState, PipelineConfig, VitalsEstimate
 from .emotion import DEFAULT_RULE_TABLE, EmotionAssessment, RuleTable
 from .errors import (
     ConfigError,
@@ -29,7 +29,6 @@ from .errors import (
     PawpulseError,
 )
 from .session import (
-    _CONFIG_TYPES,
     SessionSummary,
     SessionWriter,
     config_from_dict,
@@ -52,7 +51,7 @@ class UsageError(Exception):
 
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
-    types = _CONFIG_TYPES[key]
+    types = CONFIG_TYPES[key]
     if type(None) in types and raw.lower() in ("", "none"):
         return None
     return int(raw) if types == (int,) else float(raw)

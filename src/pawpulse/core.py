@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError, OrderError, RangeError
 
@@ -18,6 +18,9 @@ from .errors import ConfigError, OrderError, RangeError
 ADC_MAX = (1 << 18) - 1
 #: Largest timestamp a frame may carry: frames are stored as int64 columns.
 TIMESTAMP_MAX = (1 << 63) - 1
+#: Most samples a DC window may span (11.6 h at 100 Hz; a 64 MB int64 carry).
+DC_WINDOW_MAX = 1 << 22
+_REAL = (int, float)
 
 
 #: A temperature travels as ``round(temp * 10)`` in an int16, so it fits
@@ -91,10 +94,18 @@ class VitalsEstimate:
                 raise RangeError("no-contact estimate must not carry vitals")
 
 
+def _check_type(key: str, value, types: tuple[type, ...]) -> None:
+    """Raise ConfigError unless ``type(value)`` is in ``types`` (a bool is no int) and a float is finite."""
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        wanted = "an integer" if types == (int,) else "a finite number" + (" or null" if type(None) in types else "")
+        raise ConfigError(f"config key {key!r}: {value!r} is not {wanted}")
+
+
 @dataclass(frozen=True)
 class CalibrationCoeffs:
     """Intercept/slope of the SpO2 line ``spo2 = a - b * ratio``.
 
+    Both are finite real numbers (config keys ``coeff_a``, ``coeff_b``).
     ``b`` must be positive: saturation falls as the red/IR ratio rises.
     """
 
@@ -102,6 +113,8 @@ class CalibrationCoeffs:
     b: float
 
     def __post_init__(self):
+        _check_type("coeff_a", self.a, _REAL)
+        _check_type("coeff_b", self.b, _REAL)
         if not self.b > 0:
             raise ConfigError(f"calibration slope b must be > 0, got {self.b}")
 
@@ -120,6 +133,9 @@ class PipelineConfig:
     window and a 1 s tick cadence. ``outlier_z`` of ``None`` disables
     the in-pipeline outlier gate (the pulse waveform itself exceeds any
     useful MAD threshold at its peaks); set it for motion-heavy streams.
+    Each field must be of a type ``CONFIG_TYPES`` allows and, if a float,
+    finite; types are checked before ranges. The DC window, ``dc_window_s
+    * sample_rate_hz``, may span at most ``DC_WINDOW_MAX`` samples.
     """
 
     sample_rate_hz: float = 100.0
@@ -138,30 +154,41 @@ class PipelineConfig:
     ratio_window_ms: int = 1000
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
-        if not self.bpm_valid_min < self.bpm_valid_max:
-            raise ConfigError("bpm_valid_min must be below bpm_valid_max")
-        if self.avg_window_beats < 1:
-            raise ConfigError("avg_window_beats must be >= 1")
-        if self.tick_interval_ms < 1:
-            raise ConfigError("tick_interval_ms must be >= 1")
-        if self.contact_ir_threshold < 0:
-            raise ConfigError("contact_ir_threshold must be >= 0")
-        if self.dc_window_s <= 0:
-            raise ConfigError("dc_window_s must be positive")
-        if self.smooth_kernel < 1 or self.smooth_kernel % 2 == 0:
-            raise ConfigError("smooth_kernel must be an odd positive integer")
-        if self.outlier_z is not None and self.outlier_z <= 0:
-            raise ConfigError("outlier_z must be positive or None")
-        if self.refractory_ms < 0:
-            raise ConfigError("refractory_ms must be >= 0")
-        if not 0 < self.peak_threshold_fraction < 1:
-            raise ConfigError("peak_threshold_fraction must be in (0, 1)")
-        if self.peak_decay_half_life_s <= 0:
-            raise ConfigError("peak_decay_half_life_s must be positive")
-        if self.ratio_window_ms < 1:
-            raise ConfigError("ratio_window_ms must be >= 1")
+        if not isinstance(self.coeffs, CalibrationCoeffs):
+            raise ConfigError(f"coeffs must be a CalibrationCoeffs, got {self.coeffs!r}")
+        for key, types in CONFIG_TYPES.items():
+            if not key.startswith("coeff_"):
+                _check_type(key, getattr(self, key), types)
+        # the types are sound, so every range test can be made at once
+        for valid, message in (
+            (self.sample_rate_hz > 0, "sample_rate_hz must be positive"),
+            (self.bpm_valid_min < self.bpm_valid_max, "bpm_valid_min must be below bpm_valid_max"),
+            (self.avg_window_beats >= 1, "avg_window_beats must be >= 1"),
+            (self.tick_interval_ms >= 1, "tick_interval_ms must be >= 1"),
+            (self.contact_ir_threshold >= 0, "contact_ir_threshold must be >= 0"),
+            (self.dc_window_s > 0, "dc_window_s must be positive"),
+            (self.smooth_kernel >= 1 and self.smooth_kernel % 2 == 1, "smooth_kernel must be an odd positive integer"),
+            (self.outlier_z is None or self.outlier_z > 0, "outlier_z must be positive or None"),
+            (self.refractory_ms >= 0, "refractory_ms must be >= 0"),
+            (0 < self.peak_threshold_fraction < 1, "peak_threshold_fraction must be in (0, 1)"),
+            (self.peak_decay_half_life_s > 0, "peak_decay_half_life_s must be positive"),
+            (self.ratio_window_ms >= 1, "ratio_window_ms must be >= 1"),
+        ):
+            if not valid:
+                raise ConfigError(message)
+        # divided, not multiplied: a huge int key must not overflow a float
+        if self.dc_window_s > DC_WINDOW_MAX / self.sample_rate_hz:
+            raise ConfigError(f"config key 'dc_window_s': {self.dc_window_s!r} s at {self.sample_rate_hz!r} Hz"
+                              f" is over {DC_WINDOW_MAX} samples")
+
+
+#: Flat config key (``coeffs`` as ``coeff_a``, ``coeff_b``) -> the exact types its value may
+#: have: int for an int key, int or float for a real one (``outlier_z`` also None); a bool is none.
+CONFIG_TYPES = {
+    key: (int,) if hint is int else _REAL if hint in (float, CalibrationCoeffs) else _REAL + (type(None),)
+    for name, hint in get_type_hints(PipelineConfig).items()
+    for key in (("coeff_a", "coeff_b") if name == "coeffs" else (name,))
+}
 
 
 def check_frame_types(frame: SampleFrame) -> None:

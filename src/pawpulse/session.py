@@ -9,10 +9,10 @@ Header line, written by ``_header_json`` and read with ``json``::
     {"format":2,"start_utc":<iso string or null>,"config":{...},"rules":"<rule-table text>"}
 
 The header must hold ``format`` 2 (or 1), an integer, a ``config`` with
-exactly the keys of ``config_to_dict``, each a finite number of its
-key's type that ``PipelineConfig`` accepts, the emotion ``rules`` text,
-which ``parse_rule_table`` accepts, and a ``start_utc`` that is a string
-or null. A format-1 header has no ``rules`` key and reads as
+exactly the keys of ``config_to_dict``, whose values ``PipelineConfig``
+accepts (it checks their types and finiteness), the emotion ``rules``
+text, which ``parse_rule_table`` accepts, and a ``start_utc`` that is a
+string or null. A format-1 header has no ``rules`` key and reads as
 ``DEFAULT_RULES_TEXT``. The line must then be, byte for byte, what
 ``_header_json`` writes for what was read, LF included: its key order,
 compact separators and no other key.
@@ -60,12 +60,13 @@ import re
 import sys
 import typing
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .core import (
+    CONFIG_TYPES,
     CalibrationCoeffs,
     ContactState,
     PipelineConfig,
@@ -199,51 +200,24 @@ def _header_json(version: int, start_utc: str | None, config: PipelineConfig, ru
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """Flat key -> value view in field order, ``coeffs`` as ``coeff_a``, ``coeff_b``."""
-    out: dict = {}
-    for f in fields(PipelineConfig):
-        value = getattr(config, f.name)
-        if f.name == "coeffs":
-            out["coeff_a"], out["coeff_b"] = value.a, value.b
-        else:
-            out[f.name] = value
-    return out
-
-
-def _config_types() -> dict[str, tuple[type, ...]]:
-    """Each key of ``config_to_dict`` -> the types its value may have."""
-    real = (int, float)
-    types: dict[str, tuple[type, ...]] = {}
-    for name, hint in typing.get_type_hints(PipelineConfig).items():
-        if name == "coeffs":
-            types["coeff_a"] = types["coeff_b"] = real
-        else:
-            types[name] = (int,) if hint is int else real if hint is float else real + (type(None),)
-    return types
-
-
-_CONFIG_TYPES = _config_types()
+    """Flat key -> value view, keyed as ``CONFIG_TYPES``: ``coeffs`` as ``coeff_a``, ``coeff_b``."""
+    coeffs = {"coeff_a": config.coeffs.a, "coeff_b": config.coeffs.b}
+    return {key: coeffs[key] if key in coeffs else getattr(config, key) for key in CONFIG_TYPES}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """The config of a ``config_to_dict`` view.
 
     Raises ConfigError when ``data`` is not a dict, a key is missing or
-    unknown, a value is not a finite number of its key's type (a bool is
-    none, and an int key takes no float), or ``PipelineConfig`` rejects a
-    value.
+    unknown, or ``CalibrationCoeffs`` or ``PipelineConfig`` rejects a
+    value: its type, as ``CONFIG_TYPES`` gives it, or its range.
     """
     if type(data) is not dict:
         raise ConfigError(f"config is not an object: {data!r}")
-    if data.keys() != _CONFIG_TYPES.keys():
-        missing = sorted(_CONFIG_TYPES.keys() - data.keys())
-        unknown = sorted(data.keys() - _CONFIG_TYPES.keys())
+    if data.keys() != CONFIG_TYPES.keys():
+        missing = sorted(CONFIG_TYPES.keys() - data.keys())
+        unknown = sorted(data.keys() - CONFIG_TYPES.keys())
         raise ConfigError(f"config keys missing {missing}, unknown {unknown}")
-    for key, value in data.items():
-        types = _CONFIG_TYPES[key]
-        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
-            wanted = "an integer" if types == (int,) else "a finite number" + (" or null" if type(None) in types else "")
-            raise ConfigError(f"config key {key!r}: {value!r} is not {wanted}")
     data = dict(data)
     coeffs = CalibrationCoeffs(a=data.pop("coeff_a"), b=data.pop("coeff_b"))
     return PipelineConfig(coeffs=coeffs, **data)
@@ -329,7 +303,7 @@ def _header_from_line(line: str) -> SessionHeader:
         raise _not_utf8(1, undecodable)
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise SessionParseError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise SessionParseError(1, "header is not a JSON object")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import pawpulse
 from pawpulse import emotion, session as session_module
 from pawpulse.cli import UsageError, _render_svg_report, build_config, main, render_tick_line
-from pawpulse.core import ContactState, PipelineConfig, VitalsEstimate
+from pawpulse.core import CONFIG_TYPES, CalibrationCoeffs, ContactState, PipelineConfig, VitalsEstimate
 from pawpulse.session import config_to_dict, summarize
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.wire import encode_frame
@@ -772,6 +772,65 @@ def test_non_finite_config_value_is_data_error(tmp_path, capsys, value):
     session = tmp_path / "s.ndjson"
     assert run_cli("process", "--in", str(path), "--set", f"outlier_z={value}", "--session-out", str(session)) == 3
     assert f"error: config key 'outlier_z': {value} is not a finite number or null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ("dc_window_s=1e300", "config key 'dc_window_s': 1e+300 s at 100.0 Hz is over 4194304 samples"),
+        ("sample_rate_hz=1e300", "config key 'dc_window_s': 3.0 s at 1e+300 Hz is over 4194304 samples"),
+    ],
+)
+def test_oversized_dc_window_is_data_error(tmp_path, capsys, setting, message):
+    path = simulate_file(tmp_path, seconds=2.0)
+    capsys.readouterr()
+    assert run_cli("process", "--in", str(path), "--set", setting) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_header_integer_too_long_to_read_is_data_error(tmp_path, capsys):
+    # json reads an integer of over 4300 digits as a ValueError, not a JSONDecodeError
+    session = tmp_path / "s.ndjson"
+    session.write_text('{"format":%s}\n' % ("9" * 5000))
+    assert run_cli("replay", "--in", str(session)) == 3
+    assert capsys.readouterr().err.startswith("error: line 1: bad header: Exceeds the limit (4300 digits)")
+
+
+def construct(key, value):
+    """The default config with one key of its flat view changed, built by
+    the constructors themselves."""
+    if key in ("coeff_a", "coeff_b"):
+        coeffs = PipelineConfig().coeffs
+        return PipelineConfig(coeffs=CalibrationCoeffs(**{"a": coeffs.a, "b": coeffs.b, key[-1]: value}))
+    return PipelineConfig(**{key: value})
+
+
+def set_values(key):
+    """Values of the types ``key`` takes, whose ``--set`` text parses back
+    to an equal value: ints up to 2**53 for a real key, any int for an int
+    key, floats that are not finite among them, boundary values."""
+    if CONFIG_TYPES[key] == (int,):
+        return st.integers() | st.sampled_from([-1, 0, 1, 2, 3, 4, 2**63])
+    reals = st.floats() | st.integers(-(2**53), 2**53) | st.sampled_from([0, -0.0, 1, 5e-324, 1e300, 41943.04])
+    return reals | st.none() if type(None) in CONFIG_TYPES[key] else reals
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_set_agrees_with_the_constructor(data):
+    """``--set key=value`` builds the config the constructors build from
+    that value, or both raise ConfigError."""
+    key = data.draw(st.sampled_from(list(CONFIG_TYPES)))
+    value = data.draw(set_values(key))
+    setting = f"{key}={'none' if value is None else value}"
+    try:
+        expected = construct(key, value)
+    except pawpulse.errors.ConfigError:
+        with pytest.raises(pawpulse.errors.ConfigError):
+            build_config(None, [setting])
+    else:
+        assert build_config(None, [setting]) == expected
 
 
 class TestCalibrate:

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 
 from pawpulse.core import (
     ADC_MAX,
+    DC_WINDOW_MAX,
     TEMP_MAX_C,
     TEMP_MIN_C,
     CalibrationCoeffs,
@@ -134,6 +136,15 @@ class TestCalibrationCoeffs:
         with pytest.raises(ConfigError):
             CalibrationCoeffs(a=110.0, b=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, True, "25"])
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_non_finite_or_non_real_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"config key 'coeff_{field}': "):
+            CalibrationCoeffs(**{"a": 110.0, "b": 25.0, field: value})
+
+    def test_int_coeffs_accepted(self):
+        assert CalibrationCoeffs(a=110, b=25) == CalibrationCoeffs(a=110.0, b=25.0)
+
     def test_valid_coeffs(self):
         c = CalibrationCoeffs(a=110.0, b=25.0)
         assert (c.a, c.b) == (110.0, 25.0)
@@ -161,8 +172,53 @@ class TestPipelineConfig:
             {"refractory_ms": -1},
             {"peak_decay_half_life_s": 0.0},
             {"ratio_window_ms": 0},
+            {"sample_rate_hz": math.nan},
+            {"dc_window_s": math.inf},
+            {"bpm_valid_max": math.inf},
+            {"refractory_ms": math.nan},
+            {"tick_interval_ms": 1000.0},
+            {"smooth_kernel": True},
+            {"avg_window_beats": 2.5},
+            {"outlier_z": True},
+            {"outlier_z": math.nan},
+            {"coeffs": (110.0, 25.0)},
+            {"coeffs": None},
+            {"dc_window_s": 1e300},
+            {"sample_rate_hz": 1e300},
+            {"sample_rate_hz": 10**400},
+            {"dc_window_s": 10**400},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"tick_interval_ms": 1000.0}, "config key 'tick_interval_ms': 1000.0 is not an integer"),
+            ({"smooth_kernel": True}, "config key 'smooth_kernel': True is not an integer"),
+            ({"sample_rate_hz": "100"}, "config key 'sample_rate_hz': '100' is not a finite number"),
+            ({"outlier_z": math.inf}, "config key 'outlier_z': inf is not a finite number or null"),
+            # the type is checked before the range
+            ({"sample_rate_hz": math.nan, "smooth_kernel": 4}, "config key 'sample_rate_hz': nan is not a finite number"),
+            ({"coeffs": 1.0}, "coeffs must be a CalibrationCoeffs, got 1.0"),
+        ],
+    )
+    def test_type_error_message(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**kwargs)
+
+    def test_dc_window_bound(self):
+        # the window may span DC_WINDOW_MAX samples, and not one more
+        config = PipelineConfig(sample_rate_hz=1, dc_window_s=DC_WINDOW_MAX)
+        assert config.dc_window_s * config.sample_rate_hz == DC_WINDOW_MAX
+        message = f"config key 'dc_window_s': {DC_WINDOW_MAX + 1} s at 1 Hz is over {DC_WINDOW_MAX} samples"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(sample_rate_hz=1, dc_window_s=DC_WINDOW_MAX + 1)
+        with pytest.raises(ConfigError, match="dc_window_s': 3.0 s at 1e\\+300 Hz is over"):
+            PipelineConfig(sample_rate_hz=1e300)
+
+    def test_ints_accepted_for_real_keys(self):
+        config = PipelineConfig(sample_rate_hz=100, bpm_valid_max=200, outlier_z=5, dc_window_s=3)
+        assert config == PipelineConfig(sample_rate_hz=100.0, bpm_valid_max=200.0, outlier_z=5.0, dc_window_s=3.0)

@@ -19,7 +19,7 @@ from pawpulse.core import (
     VitalsEstimate,
 )
 from pawpulse.emotion import DEFAULT_RULE_TABLE, Certainty, EmotionAssessment, EmotionState
-from pawpulse.errors import EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
+from pawpulse.errors import ConfigError, EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
     SessionWriter,
     TickEmotion,
@@ -573,6 +573,56 @@ class TestReplay:
     def test_config_dict_round_trip(self):
         config = PipelineConfig(smooth_kernel=7, outlier_z=None)
         assert config_from_dict(config_to_dict(config)) == config
+
+
+# finite values of a real key: ints, large ones among them, floats and boundary values
+_positive = st.integers(min_value=1) | st.floats(0, exclude_min=True, allow_infinity=False) | st.sampled_from([5e-324, 1e300])
+_reals = _positive | _positive.map(lambda x: -x) | st.sampled_from([0, -0.0])
+config_views = st.fixed_dictionaries(
+    {
+        "sample_rate_hz": _positive,
+        "bpm_valid": st.lists(_reals, min_size=2, max_size=2, unique=True).map(sorted),
+        "avg_window_beats": st.integers(min_value=1),
+        "contact_ir_threshold": st.integers(min_value=0),
+        "coeff_a": _reals,
+        "coeff_b": _positive,
+        "tick_interval_ms": st.integers(min_value=1),
+        "dc_window_s": _positive | st.sampled_from([2**22 / 100, 2**22]),  # the most samples at 100 Hz and at 1 Hz
+        "smooth_kernel": st.integers(min_value=0).map(lambda k: 2 * k + 1),
+        "outlier_z": st.none() | _positive,
+        "refractory_ms": st.integers(min_value=0),
+        "peak_threshold_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from([0.5, 1 - 2**-53]),
+        "peak_decay_half_life_s": _positive,
+        "ratio_window_ms": st.integers(min_value=1),
+    }
+)
+
+
+# a value of any type for one key, in place of the one drawn for it
+_spoilers = st.none() | st.tuples(
+    st.sampled_from(sorted(config_to_dict(PipelineConfig()))),
+    st.booleans() | st.floats() | st.integers() | st.none() | st.just("1"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=config_views, spoiler=_spoilers)
+def test_every_config_that_constructs_round_trips(tmp_path_factory, view, spoiler):
+    """A header ``SessionWriter`` writes for any config that constructs
+    reads back as that config, each value of the type it was given."""
+    view = dict(view)
+    view["bpm_valid_min"], view["bpm_valid_max"] = view.pop("bpm_valid")
+    if spoiler is not None:
+        view.update([spoiler])
+    try:
+        config = PipelineConfig(coeffs=CalibrationCoeffs(view.pop("coeff_a"), view.pop("coeff_b")), **view)
+    except ConfigError:
+        return  # not filtered out: refusing is this property's other outcome
+    path = tmp_path_factory.getbasetemp() / "config_round_trip.ndjson"
+    SessionWriter(path, config).close()
+    back = read_header(path).config
+    assert back == config
+    assert list(map(type, config_to_dict(back).values())) == list(map(type, config_to_dict(config).values()))
 
 
 class TestSummarize:
