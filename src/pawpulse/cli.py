@@ -17,9 +17,8 @@ import io
 import itertools
 import json
 import sys
-from pathlib import Path
 
-from .core import CONFIG_TYPES, ContactState, PipelineConfig, VitalsEstimate
+from .core import CONFIG_TYPES, ContactState, PipelineConfig, VitalsEstimate, operator_lines
 from .emotion import DEFAULT_RULE_TABLE, EmotionAssessment, RuleTable
 from .errors import (
     ConfigError,
@@ -49,6 +48,15 @@ class UsageError(Exception):
     """Operator mistake: reported on stderr, exit code 2."""
 
 
+def _read_operator_file(path: str) -> str:
+    """The text of a ``--config``, ``--pairs`` or ``--rules`` file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}")
+
+
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
     types = CONFIG_TYPES[key]
@@ -65,15 +73,11 @@ def build_config(config_path: str | None, overrides: list[str]) -> PipelineConfi
     values = config_to_dict(PipelineConfig())
     pairs: list[tuple[str, str]] = []
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            for lineno, raw_line in enumerate(fh, start=1):
-                line = raw_line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{config_path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                pairs.append((key.strip(), value))
+        for lineno, line in operator_lines(_read_operator_file(config_path).split("\n")):
+            if "=" not in line:
+                raise UsageError(f"{config_path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            pairs.append((key.strip(), value))
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -100,19 +104,17 @@ def _seconds(ms: int) -> str:
     return f"{ms // 1000}.{ms % 1000:03d}".rstrip("0").rstrip(".")
 
 
+def _format_opt(value: float | None, digits: int = 2) -> str:
+    return "-" if value is None else f"{value:.{digits}f}"
+
+
 def render_tick_line(est, assessment: EmotionAssessment | None) -> str:
     prefix = f"t={_seconds(est.tick_time_ms)}s"
     if est.contact is ContactState.NO_CONTACT:
         return f"{prefix} no contact"
-    bpm = f"{est.bpm_instant:.1f}" if est.bpm_instant is not None else "-"
-    avg = f"{est.bpm_avg:.1f}" if est.bpm_avg is not None else "-"
-    spo2 = f"{est.spo2_pct:.1f}" if est.spo2_pct is not None else "-"
-    emotion = (
-        f"{assessment.state.value}({assessment.certainty.value})"
-        if assessment is not None
-        else "-"
-    )
-    return f"{prefix} bpm={bpm} avg={avg} spo2={spo2} emotion={emotion}"
+    emotion = "-" if assessment is None else f"{assessment.state.value}({assessment.certainty.value})"
+    return (f"{prefix} bpm={_format_opt(est.bpm_instant, 1)} avg={_format_opt(est.bpm_avg, 1)}"
+            f" spo2={_format_opt(est.spo2_pct, 1)} emotion={emotion}")
 
 
 # -- simulate -----------------------------------------------------------------
@@ -202,7 +204,7 @@ def _load_blocks(args) -> list[FrameBlock]:
 
 def cmd_process(args) -> int:
     config = build_config(args.config, args.set or [])
-    rule_table = RuleTable.parse(Path(args.rules).read_text(encoding="utf-8")) if args.rules else DEFAULT_RULE_TABLE
+    rule_table = RuleTable.parse(_read_operator_file(args.rules)) if args.rules else DEFAULT_RULE_TABLE
     blocks = _load_blocks(args)
     if not any(blocks):
         raise EmptySessionError("input contains no frames")
@@ -270,18 +272,14 @@ def cmd_replay(args) -> int:
 
 def _parse_pairs_file(path: str) -> list[tuple[float, float]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise UsageError(f"{path}:{lineno}: expected 'ratio,spo2'")
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: not numeric: {line!r}")
+    for lineno, line in operator_lines(_read_operator_file(path).split("\n")):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise UsageError(f"{path}:{lineno}: expected 'ratio,spo2'")
+        try:
+            pairs.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: not numeric: {line!r}")
     return pairs
 
 
@@ -304,23 +302,12 @@ def cmd_calibrate(args) -> int:
 # -- report -------------------------------------------------------------------
 
 
-def _format_opt(value: float | None, digits: int = 2) -> str:
-    return "-" if value is None else f"{value:.{digits}f}"
-
-
 def _render_text_report(summary: SessionSummary) -> str:
-    lines = [
-        f"duration_s={summary.duration_s:.3f}",
-        f"bpm_mean={_format_opt(summary.bpm_mean)}",
-        f"bpm_min={_format_opt(summary.bpm_min)}",
-        f"bpm_max={_format_opt(summary.bpm_max)}",
-        f"spo2_mean={_format_opt(summary.spo2_mean)}",
-        f"spo2_min={_format_opt(summary.spo2_min)}",
-        f"spo2_max={_format_opt(summary.spo2_max)}",
-        f"contact_uptime={summary.contact_uptime:.4f}",
-    ]
-    for state in sorted(summary.emotion_counts):
-        lines.append(f"emotion.{state}={summary.emotion_counts[state]}")
+    lines = [f"duration_s={summary.duration_s:.3f}"]
+    for name in (f"{stat}_{part}" for stat in ("bpm", "spo2") for part in ("mean", "min", "max")):
+        lines.append(f"{name}={_format_opt(getattr(summary, name))}")
+    lines.append(f"contact_uptime={summary.contact_uptime:.4f}")
+    lines += [f"emotion.{state}={summary.emotion_counts[state]}" for state in sorted(summary.emotion_counts)]
     return "\n".join(lines) + "\n"
 
 
@@ -342,37 +329,29 @@ def _svg_path(points: list[tuple[float, float | None]], x_max: float, y_lo: floa
 
 def _render_svg_report(summary: SessionSummary, vitals) -> str:
     width, panel, gap, top = 800, 130, 40, 30
-    x_max_ms = max((v.tick_time_ms for v in vitals), default=1)
-    x_max = x_max_ms / 1000.0
-    bpm_pts = [
-        (v.tick_time_ms / 1000.0, v.bpm_avg if v.contact is ContactState.CONTACT else None)
-        for v in vitals
-    ]
-    spo2_pts = [
-        (v.tick_time_ms / 1000.0, v.spo2_pct if v.contact is ContactState.CONTACT else None)
-        for v in vitals
-    ]
-    bpm_vals = [y for _, y in bpm_pts if y is not None]
-    spo2_vals = [y for _, y in spo2_pts if y is not None]
-    bpm_lo, bpm_hi = (min(bpm_vals), max(bpm_vals)) if bpm_vals else (0.0, 1.0)
-    spo2_lo, spo2_hi = (min(spo2_vals), max(spo2_vals)) if spo2_vals else (0.0, 1.0)
-    if bpm_hi == bpm_lo:
-        bpm_lo, bpm_hi = bpm_lo - 1.0, bpm_hi + 1.0
-    if spo2_hi == spo2_lo:
-        spo2_lo, spo2_hi = spo2_lo - 1.0, spo2_hi + 1.0
-    spo2_top = top + panel + gap
-    total_h = spo2_top + panel + 40
+    # the last tick's time: duration_s is its ms over 1000, which rounds back exactly below 2**51 ms
+    x_max, x_max_ms = summary.duration_s, round(summary.duration_s * 1000)
+    total_h = top + 2 * panel + gap + 40
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{total_h}" viewBox="0 0 {width} {total_h}">',
         f'<rect width="{width}" height="{total_h}" fill="white"/>',
-        f'<text x="60" y="20" font-family="monospace" font-size="13">BPM (avg) '
-        f"[{bpm_lo:.1f}, {bpm_hi:.1f}]  mean={_format_opt(summary.bpm_mean)}</text>",
-        f'<rect x="60" y="{top}" width="{width - 80}" height="{panel}" fill="none" stroke="#999"/>',
-        f'<path d="{_svg_path(bpm_pts, x_max, bpm_lo, bpm_hi, width, panel, top)}" fill="none" stroke="#c0392b" stroke-width="1.5"/>',
-        f'<text x="60" y="{spo2_top - 10}" font-family="monospace" font-size="13">SpO2 (%) '
-        f"[{spo2_lo:.1f}, {spo2_hi:.1f}]  mean={_format_opt(summary.spo2_mean)}</text>",
-        f'<rect x="60" y="{spo2_top}" width="{width - 80}" height="{panel}" fill="none" stroke="#999"/>',
-        f'<path d="{_svg_path(spo2_pts, x_max, spo2_lo, spo2_hi, width, panel, spo2_top)}" fill="none" stroke="#2980b9" stroke-width="1.5"/>',
+    ]
+    # each panel, top to bottom: title, the field it plots, its SessionSummary fields' prefix, colour
+    for title, field, stat, colour in (("BPM (avg)", "bpm_avg", "bpm", "#c0392b"), ("SpO2 (%)", "spo2_pct", "spo2", "#2980b9")):
+        points = [(v.tick_time_ms / 1000.0, getattr(v, field) if v.contact is ContactState.CONTACT else None) for v in vitals]
+        lo, hi = getattr(summary, f"{stat}_min"), getattr(summary, f"{stat}_max")
+        if lo is None:
+            lo, hi = 0.0, 1.0
+        elif lo == hi:
+            lo, hi = lo - 1.0, hi + 1.0
+        parts += [
+            f'<text x="60" y="{top - 10}" font-family="monospace" font-size="13">{title} '
+            f"[{lo:.1f}, {hi:.1f}]  mean={_format_opt(getattr(summary, f'{stat}_mean'))}</text>",
+            f'<rect x="60" y="{top}" width="{width - 80}" height="{panel}" fill="none" stroke="#999"/>',
+            f'<path d="{_svg_path(points, x_max, lo, hi, width, panel, top)}" fill="none" stroke="{colour}" stroke-width="1.5"/>',
+        ]
+        top += panel + gap
+    parts += [
         f'<text x="60" y="{total_h - 12}" font-family="monospace" font-size="12">0s .. {_seconds(x_max_ms)}s, contact uptime {summary.contact_uptime:.4f}</text>',
         "</svg>",
     ]

@@ -7,10 +7,11 @@ threads and cheap to copy. Optical samples are raw ADC counts from an
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
-from typing import NamedTuple, get_type_hints
+from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
 from .errors import ConfigError, OrderError, RangeError
 
@@ -18,9 +19,12 @@ from .errors import ConfigError, OrderError, RangeError
 ADC_MAX = (1 << 18) - 1
 #: Largest timestamp a frame may carry: frames are stored as int64 columns.
 TIMESTAMP_MAX = (1 << 63) - 1
+#: Largest finite float; an int beyond it has no float to stand for it.
+FLOAT_MAX = sys.float_info.max
 #: Most samples a DC window may span (11.6 h at 100 Hz; a 64 MB int64 carry).
 DC_WINDOW_MAX = 1 << 22
-_REAL = (int, float)
+#: The types a real value may have (a bool is neither).
+REAL = (int, float)
 
 
 #: A temperature travels as ``round(temp * 10)`` in an int16, so it fits
@@ -94,11 +98,23 @@ class VitalsEstimate:
                 raise RangeError("no-contact estimate must not carry vitals")
 
 
-def _check_type(key: str, value, types: tuple[type, ...]) -> None:
-    """Raise ConfigError unless ``type(value)`` is in ``types`` (a bool is no int) and a float is finite."""
+def check_type(key: str, value, types: tuple[type, ...], kind: str = "config key") -> None:
+    """Raise ConfigError, naming ``key`` as a ``kind``, unless ``type(value)`` is in ``types`` (a bool is
+    no int), a float is finite and an int fits int64 on an int key (``types == (int,)``), a float on any other."""
+    if type(value) is int and not (-(1 << 63) <= value < 1 << 63 if types == (int,) else abs(value) <= FLOAT_MAX):
+        # named by its size: an int of over 4300 digits has no repr
+        raise ConfigError(f"{kind} {key!r}: a {value.bit_length()}-bit integer does not fit {'int64' if types == (int,) else 'a float'}")
     if type(value) not in types or (type(value) is float and not math.isfinite(value)):
         wanted = "an integer" if types == (int,) else "a finite number" + (" or null" if type(None) in types else "")
-        raise ConfigError(f"config key {key!r}: {value!r} is not {wanted}")
+        raise ConfigError(f"{kind} {key!r}: {value!r} is not {wanted}")
+
+
+def operator_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Number (from 1) and stripped text of each operator-file line that holds more than a ``#`` comment."""
+    for lineno, raw_line in enumerate(lines, start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -113,8 +129,8 @@ class CalibrationCoeffs:
     b: float
 
     def __post_init__(self):
-        _check_type("coeff_a", self.a, _REAL)
-        _check_type("coeff_b", self.b, _REAL)
+        check_type("coeff_a", self.a, REAL)
+        check_type("coeff_b", self.b, REAL)
         if not self.b > 0:
             raise ConfigError(f"calibration slope b must be > 0, got {self.b}")
 
@@ -158,7 +174,7 @@ class PipelineConfig:
             raise ConfigError(f"coeffs must be a CalibrationCoeffs, got {self.coeffs!r}")
         for key, types in CONFIG_TYPES.items():
             if not key.startswith("coeff_"):
-                _check_type(key, getattr(self, key), types)
+                check_type(key, getattr(self, key), types)
         # the types are sound, so every range test can be made at once
         for valid, message in (
             (self.sample_rate_hz > 0, "sample_rate_hz must be positive"),
@@ -185,7 +201,7 @@ class PipelineConfig:
 #: Flat config key (``coeffs`` as ``coeff_a``, ``coeff_b``) -> the exact types its value may
 #: have: int for an int key, int or float for a real one (``outlier_z`` also None); a bool is none.
 CONFIG_TYPES = {
-    key: (int,) if hint is int else _REAL if hint in (float, CalibrationCoeffs) else _REAL + (type(None),)
+    key: (int,) if hint is int else REAL if hint in (float, CalibrationCoeffs) else REAL + (type(None),)
     for name, hint in get_type_hints(PipelineConfig).items()
     for key in (("coeff_a", "coeff_b") if name == "coeffs" else (name,))
 }

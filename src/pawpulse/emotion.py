@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .core import ContactState, VitalsEstimate
+from .core import ContactState, VitalsEstimate, operator_lines
 from .errors import ConfigError, MissingVitalsError, RangeError
 
 WILDCARD = "*"
@@ -161,10 +161,7 @@ def parse_rule_table(text: str) -> tuple[Rule, ...]:
     if type(text) is not str:
         raise ConfigError(f"rule table is not text: {text!r}")
     rules: list[Rule] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in operator_lines(text.splitlines()):
         if "=>" not in line:
             raise ConfigError(f"rule line {lineno}: missing '=>'")
         lhs, rhs = (part.strip() for part in line.split("=>", 1))

@@ -57,7 +57,6 @@ import json
 import math
 import os
 import re
-import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass
@@ -67,6 +66,7 @@ import numpy as np
 
 from .core import (
     CONFIG_TYPES,
+    FLOAT_MAX,
     CalibrationCoeffs,
     ContactState,
     PipelineConfig,
@@ -140,7 +140,6 @@ _EMOTION_JSON = '{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s"
 _RAW_LINE = _RAW_JSON + "\n"
 #: A rule id as ``parse_rule_table`` numbers the rules.
 _RULE_ID = re.compile("R[1-9][0-9]*")
-_FLOAT_MAX = sys.float_info.max
 
 
 def _number_json(x) -> str:
@@ -154,7 +153,7 @@ def _number_json(x) -> str:
         return "null"
     if type(x) is bool or not isinstance(x, (int, float)):
         raise TypeError(f"{x!r} is not a number")
-    if not -_FLOAT_MAX <= x <= _FLOAT_MAX or float(x) != x:
+    if not -FLOAT_MAX <= x <= FLOAT_MAX or float(x) != x:
         raise ValueError(f"{x!r} is not a finite float")
     return float.__repr__(float(x))
 
@@ -649,16 +648,14 @@ def summarize(source) -> SessionSummary:
     if not contact_ticks:
         raise EmptySessionError("session has zero contact ticks")
 
-    bpm_values = [v.bpm_avg for v in contact_ticks if v.bpm_avg is not None]
-    spo2_values = [v.spo2_pct for v in contact_ticks if v.spo2_pct is not None]
+    def mean_min_max(values):
+        values = [value for value in values if value is not None]
+        return (sum(values) / len(values), min(values), max(values)) if values else (None, None, None)
+
     return SessionSummary(
-        duration_s=max(v.tick_time_ms for v in vitals) / 1000.0,
-        bpm_mean=sum(bpm_values) / len(bpm_values) if bpm_values else None,
-        bpm_min=min(bpm_values) if bpm_values else None,
-        bpm_max=max(bpm_values) if bpm_values else None,
-        spo2_mean=sum(spo2_values) / len(spo2_values) if spo2_values else None,
-        spo2_min=min(spo2_values) if spo2_values else None,
-        spo2_max=max(spo2_values) if spo2_values else None,
+        max(v.tick_time_ms for v in vitals) / 1000.0,
+        *mean_min_max(v.bpm_avg for v in contact_ticks),
+        *mean_min_max(v.spo2_pct for v in contact_ticks),
         contact_uptime=len(contact_ticks) / len(vitals),
         emotion_counts=counts,
     )

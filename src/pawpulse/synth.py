@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ADC_MAX, CalibrationCoeffs, DEFAULT_COEFFS, SampleFrame
+from .core import ADC_MAX, DEFAULT_COEFFS, REAL, CalibrationCoeffs, SampleFrame, check_type
 from .errors import ConfigError, RangeError
 
 SYSTOLIC_SIGMA_FRAC = 0.14
@@ -48,6 +48,9 @@ class SynthProfile:
     (start_s, bpm) pairs. ``dc_red`` of ``None`` (the default) derives
     the red baseline from the SpO2 encoding; setting it explicitly
     overrides the derivation and voids the SpO2-consistency guarantee.
+    Every field is finite and of its type, as ``PipelineConfig`` checks its
+    own: ``seed`` an int, every other number an int or float, none a bool.
+    The baselines and the noise are ADC counts, at most ``ADC_MAX``.
     """
 
     true_bpm: float | BpmSchedule = 80.0
@@ -59,34 +62,41 @@ class SynthProfile:
     seed: int = 0
 
     def __post_init__(self):
-        for _, bpm in self.bpm_schedule():
+        try:
+            pairs = [(0.0, self.true_bpm)] if isinstance(self.true_bpm, (int, float)) else [(s, b) for s, b in self.true_bpm]
+        except (TypeError, ValueError):
+            raise ConfigError("true_bpm must be a number or (start_s, bpm) pairs")
+        for value in (value for pair in pairs for value in pair):
+            check_type("true_bpm", value, REAL, "profile field")
+        for name in ("true_spo2_pct", "dc_ir", "ac_amplitude_fraction", "noise_std_counts"):
+            check_type(name, getattr(self, name), REAL, "profile field")
+        check_type("dc_red", self.dc_red, REAL + (type(None),), "profile field")
+        check_type("seed", self.seed, (int,), "profile field")
+        sched = tuple((float(s), float(b)) for s, b in pairs)
+        for _, bpm in sched:
             if not 30.0 <= bpm <= 220.0:
                 raise ConfigError(f"true_bpm {bpm} outside [30, 220]")
-        if not 70.0 <= self.true_spo2_pct <= 100.0:
-            raise ConfigError(f"true_spo2_pct {self.true_spo2_pct} outside [70, 100]")
-        if not 0.0 < self.ac_amplitude_fraction <= 0.1:
-            raise ConfigError("ac_amplitude_fraction must be in (0, 0.1]")
-        if self.noise_std_counts < 0:
-            raise ConfigError("noise_std_counts must be >= 0")
-        if self.dc_ir <= 0:
-            raise ConfigError("dc_ir must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for valid, message in (
+            (sched != () and sched[0][0] == 0.0, "bpm schedule must start at t = 0"),
+            (all(a < b for (a, _), (b, _) in zip(sched, sched[1:])), "bpm schedule start times must increase"),
+            (70.0 <= self.true_spo2_pct <= 100.0, f"true_spo2_pct {self.true_spo2_pct} outside [70, 100]"),
+            (0.0 < self.ac_amplitude_fraction <= 0.1, "ac_amplitude_fraction must be in (0, 0.1]"),
+            (0 <= self.noise_std_counts <= ADC_MAX, f"noise_std_counts must be in [0, {ADC_MAX}]"),
+            (0 < self.dc_ir <= ADC_MAX, f"dc_ir must be in (0, {ADC_MAX}]"),
+            (self.dc_red is None or 0 <= self.dc_red <= ADC_MAX, f"dc_red must be None or in [0, {ADC_MAX}]"),
+            (self.seed >= 0, "seed must be >= 0"),
+        ):
+            if not valid:
+                raise ConfigError(message)
+        object.__setattr__(self, "_schedule", sched)  # normalized once: bpm_at runs once per beat
 
     def bpm_schedule(self) -> list[tuple[float, float]]:
-        """Normalize ``true_bpm`` to a (start_s, bpm) schedule."""
-        if isinstance(self.true_bpm, (int, float)):
-            return [(0.0, float(self.true_bpm))]
-        sched = [(float(s), float(b)) for s, b in self.true_bpm]
-        if not sched or sched[0][0] != 0.0:
-            raise ConfigError("bpm schedule must start at t = 0")
-        if any(sched[i][0] >= sched[i + 1][0] for i in range(len(sched) - 1)):
-            raise ConfigError("bpm schedule start times must increase")
-        return sched
+        """``true_bpm`` as a (start_s, bpm) schedule."""
+        return list(self._schedule)
 
     def bpm_at(self, t_ms: float) -> float:
-        bpm = self.bpm_schedule()[0][1]
-        for start_s, value in self.bpm_schedule():
+        bpm = self._schedule[0][1]
+        for start_s, value in self._schedule:
             if t_ms >= start_s * 1000.0:
                 bpm = value
         return bpm
@@ -142,6 +152,8 @@ def generate(
     calibration the SpO2 encoding inverts; use the same coefficients in
     the estimator under test to close the oracle loop.
     """
+    check_type("duration_s", duration_s, REAL, "argument")
+    check_type("fs_hz", fs_hz, REAL, "argument")
     if duration_s <= 0 or fs_hz <= 0:
         raise ConfigError("duration_s and fs_hz must be positive")
     if fs_hz > 1000.0:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import binascii
 import math
 import struct
-import sys
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +38,7 @@ import numpy as np
 
 from .core import (
     ADC_MAX,
+    FLOAT_MAX,
     TEMP_MAX_C,
     TEMP_MIN_C,
     TIMESTAMP_MAX,
@@ -223,7 +223,6 @@ class FrameBlock(Sequence[SampleFrame]):
 
 
 _COLUMN_MAX = np.array([[TIMESTAMP_MAX], [ADC_MAX], [ADC_MAX]], dtype=np.uint64)
-_FLOAT_MAX = sys.float_info.max
 
 
 def validate_block(block: FrameBlock, prev: SampleFrame | None = None) -> FrameBlock:
@@ -269,7 +268,7 @@ def _unfit(block: FrameBlock) -> np.ndarray:
             temps = block.temps.astype(float)  # None and NaN become NaN, which fails both
         except OverflowError:  # an int beyond any float, and so beyond the wire range
             temps = np.array(
-                [math.inf if type(x) is int and abs(x) > _FLOAT_MAX else x for x in block.temps.tolist()],
+                [math.inf if type(x) is int and abs(x) > FLOAT_MAX else x for x in block.temps.tolist()],
                 dtype=float,
             )
         unfit = ~((temps >= TEMP_MIN_C) & (temps < TEMP_MAX_C))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -755,6 +756,62 @@ def test_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+OPERATOR_FILE_FLAGS = {
+    "config": ["process", "--in", "{wire}", "--config", "{path}"],
+    "rules": ["process", "--in", "{wire}", "--rules", "{path}"],
+    "pairs": ["calibrate", "--pairs", "{path}"],
+}
+
+
+@pytest.mark.parametrize("flag", OPERATOR_FILE_FLAGS)
+def test_operator_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, flag):
+    wire = simulate_file(tmp_path, seconds=2.0)
+    path = tmp_path / "operator.txt"
+    path.write_bytes(b"\xff# not UTF-8\n")
+    capsys.readouterr()
+    assert run_cli(*(a.format(wire=wire, path=path) for a in OPERATOR_FILE_FLAGS[flag])) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,text,code,message",
+    [
+        ("config", "# tuned\r\n\r\ntick_interval_ms=500 # half\r\nbogus\r\n", 2, "{path}:4: expected key=value"),
+        ("rules", "# mine\n\n*,*,* => Calm # all\n*,* Calm\n", 3, "rule line 4: missing '=>'"),
+        ("pairs", "# ratio,spo2\r\n0.5,97.5\r\n\r\n1.0,85.0 # ref\r\n1.0\r\n", 2, "{path}:5: expected 'ratio,spo2'"),
+        ("pairs", "0.5,97.5\n# x\nratio,spo2\n", 2, "{path}:3: not numeric: 'ratio,spo2'"),
+    ],
+)
+def test_operator_file_errors_name_their_line(tmp_path, capsys, flag, text, code, message):
+    """``#`` starts a comment, blank lines are skipped and lines count from 1."""
+    wire = simulate_file(tmp_path, seconds=2.0)
+    path = tmp_path / "operator.txt"
+    path.write_bytes(text.encode())
+    capsys.readouterr()
+    assert run_cli(*(a.format(wire=wire, path=path) for a in OPERATOR_FILE_FLAGS[flag])) == code
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seconds", "nan", "argument 'duration_s': nan is not a finite number"),
+        ("--seconds", "inf", "argument 'duration_s': inf is not a finite number"),
+        ("--noise-std", "nan", "profile field 'noise_std_counts': nan is not a finite number"),
+        ("--dc-ir", "inf", "profile field 'dc_ir': inf is not a finite number"),
+        ("--dc-ir", "nan", "profile field 'dc_ir': nan is not a finite number"),
+        ("--dc-ir", "300000", "dc_ir must be in (0, 262143]"),
+    ],
+)
+def test_simulate_value_it_cannot_simulate_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.bin"
+    assert run_cli("simulate", flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", list(config_to_dict(PipelineConfig()).items()))
 def test_config_key_round_trips_through_set(key, value):
     parsed = config_to_dict(build_config(None, [f"{key}={value}"]))[key]
@@ -934,6 +991,29 @@ class TestReport:
         out = capsys.readouterr().out
         mean = float(out.split("bpm_mean=")[1].splitlines()[0])
         assert abs(mean - 120.0) <= 3.0
+
+
+PINNED_SHA256 = {
+    "report": "a8931cba5b54a17956fdc5a36ef1154d491bc83209520d83df3c37bc6f2abf00",
+    "report --format svg": "2eef231b167cbcec55dfa80778670992efa83e651a97373106fe88047b0eef27",
+    "replay": "97d4420207c0604cd15510701c973cc338399cc326458263d83042ef8dbb6755",
+}
+
+
+def test_report_and_replay_print_pinned_bytes(tmp_path, capsys):
+    """What report (text and SVG) and replay print for one fixed session,
+    whose first tick has no BPM average, is pinned byte for byte."""
+    wire = simulate_file(tmp_path, bpm=35.0, seconds=8.0, seed=1, noise_std=40.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(wire), "--session-out", str(session)) == 0
+    digests = {}
+    for command in PINNED_SHA256:
+        capsys.readouterr()
+        assert run_cli(*command.split(), "--in", str(session)) == 0
+        out = capsys.readouterr().out
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert out.startswith("t=1s bpm=- avg=- ")
+    assert digests == PINNED_SHA256
 
 
 class TestEntryPointAndFuzz:

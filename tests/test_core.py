@@ -6,6 +6,7 @@ import pytest
 from pawpulse.core import (
     ADC_MAX,
     DC_WINDOW_MAX,
+    FLOAT_MAX,
     TEMP_MAX_C,
     TEMP_MIN_C,
     CalibrationCoeffs,
@@ -136,7 +137,7 @@ class TestCalibrationCoeffs:
         with pytest.raises(ConfigError):
             CalibrationCoeffs(a=110.0, b=-1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, True, "25"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, True, "25", pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("field", ["a", "b"])
     def test_non_finite_or_non_real_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"config key 'coeff_{field}': "):
@@ -187,6 +188,10 @@ class TestPipelineConfig:
             {"sample_rate_hz": 1e300},
             {"sample_rate_hz": 10**400},
             {"dc_window_s": 10**400},
+            # an int that no float holds on a real key, or beyond int64 on an int key
+            {"peak_decay_half_life_s": 10**400},
+            {"sample_rate_hz": 10**320, "dc_window_s": 5e-324},
+            {"contact_ir_threshold": 10**5000},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -203,6 +208,9 @@ class TestPipelineConfig:
             # the type is checked before the range
             ({"sample_rate_hz": math.nan, "smooth_kernel": 4}, "config key 'sample_rate_hz': nan is not a finite number"),
             ({"coeffs": 1.0}, "coeffs must be a CalibrationCoeffs, got 1.0"),
+            # an int too long for a repr is named by its size
+            ({"contact_ir_threshold": 10**5000}, "config key 'contact_ir_threshold': a 16610-bit integer does not fit int64"),
+            ({"peak_decay_half_life_s": 10**400}, "config key 'peak_decay_half_life_s': a 1329-bit integer does not fit a float"),
         ],
     )
     def test_type_error_message(self, kwargs, message):
@@ -218,6 +226,15 @@ class TestPipelineConfig:
             PipelineConfig(sample_rate_hz=1, dc_window_s=DC_WINDOW_MAX + 1)
         with pytest.raises(ConfigError, match="dc_window_s': 3.0 s at 1e\\+300 Hz is over"):
             PipelineConfig(sample_rate_hz=1e300)
+
+    def test_int_bounds(self):
+        # an int key takes any int64, a real key any int a float can stand for
+        assert PipelineConfig(contact_ir_threshold=2**63 - 1).contact_ir_threshold == 2**63 - 1
+        assert PipelineConfig(peak_decay_half_life_s=int(FLOAT_MAX)).peak_decay_half_life_s == int(FLOAT_MAX)
+        with pytest.raises(ConfigError, match="a 64-bit integer does not fit int64"):
+            PipelineConfig(contact_ir_threshold=2**63)
+        with pytest.raises(ConfigError, match="a 1024-bit integer does not fit a float"):
+            PipelineConfig(peak_decay_half_life_s=int(FLOAT_MAX) + 1)
 
     def test_ints_accepted_for_real_keys(self):
         config = PipelineConfig(sample_rate_hz=100, bpm_valid_max=200, outlier_z=5, dc_window_s=3)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pawpulse.core import CalibrationCoeffs, DEFAULT_COEFFS
+from pawpulse.core import ADC_MAX, DEFAULT_COEFFS, CalibrationCoeffs, validate_frame
 from pawpulse.errors import ConfigError, RangeError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
 from pawpulse.vitals import RatioWindow, clamp_spo2, compute_ratio, spo2_estimate
@@ -115,6 +119,47 @@ class TestProfileValidation:
         with pytest.raises(ConfigError):
             generate(SynthProfile(), 1.0, 2000.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": 2**63},
+            {"dc_ir": 10**400},
+            {"dc_ir": math.inf},
+            {"dc_ir": math.nan},
+            {"dc_ir": ADC_MAX + 1},
+            {"dc_red": -1.0},
+            {"noise_std_counts": math.nan},
+            {"true_spo2_pct": "97"},
+            {"true_bpm": True},
+            {"true_bpm": [(math.nan, 80.0)]},
+            {"true_bpm": [(0.0, 80.0), (math.nan, 90.0)]},
+            {"true_bpm": [(0.0, 80.0, 1.0)]},
+        ],
+    )
+    def test_field_that_cannot_be_simulated_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            SynthProfile(**kwargs)
+
+    def test_ints_accepted_for_real_fields(self):
+        ints = SynthProfile(true_bpm=[(0, 80)], true_spo2_pct=97, dc_ir=80_000, noise_std_counts=50)
+        floats = SynthProfile(true_bpm=80.0, true_spo2_pct=97.0, dc_ir=80_000.0, noise_std_counts=50.0)
+        assert generate(ints, 5, 100) == generate(floats, 5.0, 100.0)
+
+    @pytest.mark.parametrize("duration_s,fs_hz", [(math.nan, 100.0), (math.inf, 100.0), (5.0, math.nan), (True, 100.0)])
+    def test_generate_arguments_checked(self, duration_s, fs_hz):
+        with pytest.raises(ConfigError, match="^argument "):
+            generate(SynthProfile(), duration_s, fs_hz)
+
+    def test_schedule_fixed_at_construction(self):
+        # a later edit of the list passed in changes nothing
+        schedule = [(0.0, 60.0)]
+        profile = SynthProfile(true_bpm=schedule)
+        schedule.append((1.0, 500.0))
+        assert profile.bpm_at(2000.0) == 60.0
+        assert profile.bpm_schedule() == [(0.0, 60.0)]
+
 
 class TestInjectArtifacts:
     def setup_method(self):
@@ -153,3 +198,39 @@ class TestInjectArtifacts:
         a = inject_artifacts(self.frames, ArtifactKind.MOTION_SPIKE, 4000, 250, seed=9)
         b = inject_artifacts(self.frames, ArtifactKind.MOTION_SPIKE, 4000, 250, seed=9)
         assert a == b
+
+
+#: Each field's values, about its valid range; the property below also
+#: swaps some for values that might stand for a number and do not.
+NEAR_VALID = {
+    "true_bpm": st.floats(25.0, 230.0) | st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(25.0, 230.0)), max_size=3),
+    "true_spo2_pct": st.floats(65.0, 105.0),
+    "dc_red": st.none() | st.floats(-10.0, 3e5),
+    "dc_ir": st.floats(-10.0, 3e5),
+    "ac_amplitude_fraction": st.floats(0.0, 0.12),
+    "noise_std_counts": st.floats(0.0, 3e5),
+    "seed": st.integers(-2, 2**64),
+}
+NOT_NUMBERS = (
+    st.floats() | st.integers() | st.booleans() | st.none() | st.just("1")
+    | st.sampled_from([10**400, -(10**400), 2**63, 10**5000, [(math.nan, 80.0)], [(0.0, math.inf)], [(0.0, True)]])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_profile_that_constructs_generates_valid_frames(data):
+    """A profile either refuses its arguments with ConfigError or
+    generates frames that validate_frame accepts; nothing else."""
+    kwargs = data.draw(st.fixed_dictionaries({}, optional=NEAR_VALID))
+    for name in data.draw(st.lists(st.sampled_from(list(NEAR_VALID)), max_size=2)):
+        kwargs[name] = data.draw(NOT_NUMBERS)
+    try:
+        profile = SynthProfile(**kwargs)
+    except ConfigError:
+        return
+    frames, _ = generate(profile, 2.0, 100.0)
+    assert len(frames) == 200
+    prev = None
+    for frame in frames:
+        prev = validate_frame(frame, prev)
