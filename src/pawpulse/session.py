@@ -35,10 +35,12 @@ value. ``replay`` matches each line against patterns built from the same
 templates and writes each number back to check it, so a line is a record
 only if it is, byte for byte, the writer's line for that record; any
 other line, a blank one or one ending in CR LF among them, is an error
-on its line. Raw lines are read a run of them at a time, straight into
-int64 columns. Each run is checked once, when it ends: its ``seq``
-values, then ``first_invalid`` against the last raw frame before it. At
-a bad line ``replay`` yields what comes before it (its run's good prefix
+on its line. The file is read ``_CHUNK`` characters at a time. The raw
+lines of a read are parsed together, straight into int64 columns, and
+checked at once: their ``seq`` values against their line numbers, then
+``first_invalid`` against the last raw frame before them. Each run of
+raw lines is yielded as one block, however the reads fall. At the first
+bad line ``replay`` yields what comes before it (its run's good prefix
 as one block) and raises the error that line gives when read by itself.
 Each block it yields is marked ``fields_checked``, so the tick and the
 writer check only its order.
@@ -138,6 +140,9 @@ _RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
 _VITALS_JSON = '{"seq":%d,"kind":"vitals","t":%d,"contact":"%s","bpm":%s,"bpm_avg":%s,"spo2":%s}'
 _EMOTION_JSON = '{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s","rules":[%s]}'
 _RAW_LINE = _RAW_JSON + "\n"
+#: Raw lines the writer fills in with one ``%``, which takes a tuple of five
+#: fields per line.
+_PIECE = 4096
 #: A rule id as ``parse_rule_table`` numbers the rules.
 _RULE_ID = re.compile("R[1-9][0-9]*")
 
@@ -265,10 +270,17 @@ class SessionWriter:
             self._fh.write(_record_json(self._seq, record) + "\n")
             self._seq += 1
         elif len(validate_block(record, self._last_raw)):
-            seqs = range(self._seq, self._seq + len(record))
-            t, red, ir = record.cols.tolist()
-            temps = map(_number_json, record.temps.tolist())
-            self._fh.write("".join(map(_RAW_LINE.__mod__, zip(seqs, t, red, ir, temps))))
+            temps = record.temps.tolist()
+            pieces = []
+            for at in range(0, len(record), _PIECE):
+                t, red, ir = record.cols[:, at : at + _PIECE].tolist()
+                k = len(t)
+                fields = [None] * (5 * k)  # each line's five fields in turn
+                fields[::5] = range(self._seq + at, self._seq + at + k)
+                fields[1::5], fields[2::5], fields[3::5] = t, red, ir
+                fields[4::5] = map(_number_json, temps[at : at + k])
+                pieces.append(_RAW_LINE * k % tuple(fields))
+            self._fh.writelines(pieces)
             self._last_raw = record[-1]
             self._seq += len(record)
 
@@ -445,67 +457,92 @@ def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | Vi
         undecodable = None if text.isascii() else _UNDECODABLE.search(text)
         if undecodable:  # read up to its line, then report it
             text = text[: text.rfind("\n", 0, undecodable.start()) + 1]
-        pos = 0
-        for match in _RAW_RUN.finditer(text):
-            start, end = match.span()
-            if start > pos:
-                yield from reader.other_lines(text[pos:start])
-            reader.add_run(text[start:end])
-            pos = end
-        if pos < len(text):
-            yield from reader.other_lines(text[pos:])
+        yield from reader.read(text)
         if undecodable:
-            yield from reader.end_run()
+            yield from reader.close_run()
             raise _not_utf8(reader.lineno, undecodable)
         if not chunk:
             break
-    yield from reader.end_run()
+    yield from reader.close_run()
 
 
 class _Reader:
-    """``replay`` between two lines: the number of the next line, the
-    ``seq`` due next, the last raw frame yielded, and the run of raw
-    records being read, as ``(k, 4)`` int64 ``(seq, t, red, ir)`` pieces,
-    a list of temperatures and its text, ``first_line`` the line of its
-    first record.
+    """``replay`` between two reads: the number of the next line, the last
+    raw frame read and the open run, the checked blocks of a run that
+    reached the end of the last read and may go on in the next.
 
-    A run is checked when it ends: one check that its ``seq`` values count
-    on from the one due, and ``first_invalid`` against the last raw frame.
-    An integer past int64 reads as negative and a respelled temperature as
-    NaN, which they reject; that line is read again, exactly, for its error.
+    The raw lines of a read are parsed together into one ``(n, 4)`` int64
+    ``(seq, t, red, ir)`` array and checked at once: ``seq`` against the
+    line number (the record on line L is numbered L - 2 while every line
+    before it is a record), then ``first_invalid`` against the last raw
+    frame. An integer past int64 reads as negative and a respelled
+    temperature as NaN, which they reject. The first bad line in line
+    order is read again, exactly, for its error.
     """
 
     def __init__(self):
         self.lineno = 2
-        self.next_seq = 0
         self.last_raw: SampleFrame | None = None
-        self._new_run()
+        self.open_run: list[FrameBlock] = []
 
-    def _new_run(self) -> None:
-        self.first_line = 0
-        self.pieces: list[np.ndarray] = []
-        self.temps: list = []
-        self.texts: list[str] = []
+    def read(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+        """Yield the records of ``text``, whole lines, in line order, each
+        run as one block; a run that reaches the end of ``text`` stays open."""
+        spans = [match.span() for match in _RAW_RUN.finditer(text)]
+        counts = [text.count("\n", start, end) for start, end in spans]
+        block, bad = self._check_runs(text, spans, counts) if spans else (None, 0)
+        row = pos = 0
+        for (start, end), n in zip(spans, counts):
+            if start > pos:
+                yield from self.other_lines(text[pos:start])
+            if row + n > bad:  # the first bad raw line is in this run
+                if bad > row:
+                    self.open_run.append(block[row:bad])
+                yield from self.close_run()
+                self.lineno += bad - row
+                self._check_alone(text[start:end].split("\n")[bad - row] + "\n", self.lineno)
+            self.open_run.append(block[row : row + n])
+            self.lineno += n
+            row += n
+            pos = end
+        if pos < len(text):
+            yield from self.other_lines(text[pos:])
 
-    def add_run(self, run: str) -> None:
-        """Add the lines of a ``_RAW_RUN`` match to the run."""
-        n = run.count("\n")
-        if run.count('"temp":null}') == n:
-            temps, digits = [None] * n, run
-        else:
-            temps, digits = list(map(_number_value, _TEMP.findall(run))), _TEMP.sub("", run)
+    def _check_runs(self, text: str, spans: list, counts: list[int]) -> tuple[FrameBlock, int]:
+        """The raw lines of the runs at ``spans`` as one marked block, and
+        the index of the first bad one (the block's length if none); the
+        last raw frame becomes the one before it."""
+        runs = "".join([text[start:end] for start, end in spans])
+        n = sum(counts)
+        temps = np.empty(n, dtype=object)  # all None
+        if runs.count('"temp":null}') != n:
+            temps[:] = list(map(_number_value, _TEMP.findall(runs)))
+            runs = _TEMP.sub("", runs)
         # as uint64, which saturates, so that a value past int64 reads as negative
-        numbers = np.fromstring(digits.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
-        if not self.pieces:
-            self.first_line = self.lineno
-        self.pieces.append(numbers.view(np.int64).reshape(n, 4))
-        self.temps += temps
-        self.texts.append(run)
-        self.lineno += n
+        numbers = np.fromstring(runs.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+        rows = numbers.view(np.int64).reshape(n, 4)
+        # a row's due seq is its line number - 2: the lines before this read,
+        # the rows before it and the other lines before its run (gaps)
+        gaps = [text.count("\n", end, start) for (_, end), (start, _) in zip([(0, 0), *spans], spans)]
+        due = np.arange(self.lineno - 2, self.lineno - 2 + n) + np.repeat(np.cumsum(gaps), counts)
+        block = FrameBlock(rows[:, 1:].T.copy(), temps)
+        bad = first_invalid(block, self.last_raw)
+        misnumbered = np.flatnonzero(rows[:bad, 0] != due[:bad])
+        bad = int(misnumbered[0]) if misnumbered.size else bad
+        block = FrameBlock._checked(block.cols, temps)
+        if bad:
+            self.last_raw = block[bad - 1]
+        return block, bad
+
+    def close_run(self) -> Iterator[FrameBlock]:
+        """Yield the open run as one block."""
+        if self.open_run:
+            run, self.open_run = self.open_run, []
+            yield FrameBlock.concat(run)
 
     def other_lines(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-        """End the run, then read the lines of ``text`` one at a time."""
-        yield from self.end_run()
+        """Close the run, then read the lines of ``text`` one at a time."""
+        yield from self.close_run()
         lines = text.split("\n")
         last = lines.pop()  # empty, unless text is the end of a file without a newline
         for line in lines:
@@ -534,38 +571,10 @@ class _Reader:
             self._check_seq(seq, lineno)
             rules = tuple(_RULE_ID.findall(match[5]))
             record = TickEmotion(t, EmotionAssessment(EmotionState(match[3]), Certainty(match[4]), rules))
-        self.next_seq += 1
         return record
 
-    def end_run(self) -> Iterator[FrameBlock]:
-        """Check the run; yield its frames before the first bad one as one
-        block, then raise that frame's error, as reading line by line
-        would."""
-        if not self.pieces:
-            return
-        rows = np.concatenate(self.pieces) if len(self.pieces) > 1 else self.pieces[0]
-        n = len(rows)
-        seq = rows[:, 0]
-        # next_seq counts the records read, so the range fits int64
-        misnumbered = np.flatnonzero(seq != np.arange(self.next_seq, self.next_seq + n))
-        bad = int(misnumbered[0]) if misnumbered.size else n
-        temps = np.empty(n, dtype=object)
-        temps[:] = self.temps
-        block = FrameBlock(rows[:, 1:].T.copy(), temps)
-        bad = min(bad, first_invalid(block, self.last_raw))
-        first_line, texts = self.first_line, self.texts
-        self._new_run()
-        if bad:
-            # the frames first_invalid has just passed
-            good = FrameBlock._checked(block.cols[:, :bad], block.temps[:bad])
-            self.next_seq += bad
-            self.last_raw = good[-1]
-            yield good
-        if bad < n:
-            self._check_alone("".join(texts).split("\n")[bad] + "\n", first_line + bad)
-
     def _check_seq(self, seq: int, lineno: int) -> None:
-        due = self.next_seq
+        due = lineno - 2  # every line before it is a record
         if 0 < due and seq < due:
             raise SeqError(f"line {lineno}: seq {seq} not greater than previous {due - 1}")
         if seq != due:

@@ -31,6 +31,12 @@ DICROTIC_SIGMA_FRAC = 0.28
 DICROTIC_AMP = 0.3
 DICROTIC_OFFSET_FRAC = 0.45
 
+#: The most frames ``generate`` makes, 4 h at 100 Hz, and the longest stream,
+#: 4 h at any rate: a longer one is refused before its frames or its beat
+#: list take up memory.
+_MAX_SAMPLES = 1_440_000
+_MAX_SECONDS = 14_400
+
 #: BPM schedule: list of (start_s, bpm) segments, first start must be 0.
 BpmSchedule = Sequence[tuple[float, float]]
 
@@ -146,7 +152,8 @@ def generate(
     fs_hz: float,
     coeffs: CalibrationCoeffs = DEFAULT_COEFFS,
 ) -> tuple[list[SampleFrame], GroundTruth]:
-    """Generate ``floor(duration_s * fs_hz)`` frames plus ground truth.
+    """Generate ``floor(duration_s * fs_hz)`` frames plus ground truth:
+    at most ``_MAX_SAMPLES`` of them, over at most ``_MAX_SECONDS``.
 
     Deterministic for a fixed profile seed. ``coeffs`` is the
     calibration the SpO2 encoding inverts; use the same coefficients in
@@ -158,6 +165,10 @@ def generate(
         raise ConfigError("duration_s and fs_hz must be positive")
     if fs_hz > 1000.0:
         raise ConfigError("fs_hz above 1000 would collide millisecond timestamps")
+    if duration_s * fs_hz >= _MAX_SAMPLES + 1:  # its floor is past the cap, or it is inf
+        raise ConfigError(f"need at most {_MAX_SAMPLES} samples: decrease duration_s * fs_hz")
+    if duration_s > _MAX_SECONDS:
+        raise ConfigError(f"need at most {_MAX_SECONDS} s: decrease duration_s")
     n = int(duration_s * fs_hz)
     if n < 2:
         raise ConfigError("need at least 2 samples: increase duration_s * fs_hz")

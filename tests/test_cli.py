@@ -803,6 +803,7 @@ def test_operator_file_errors_name_their_line(tmp_path, capsys, flag, text, code
         ("--dc-ir", "inf", "profile field 'dc_ir': inf is not a finite number"),
         ("--dc-ir", "nan", "profile field 'dc_ir': nan is not a finite number"),
         ("--dc-ir", "300000", "dc_ir must be in (0, 262143]"),
+        ("--seconds", "1e9", "need at most 1440000 samples: decrease duration_s * fs_hz"),
     ],
 )
 def test_simulate_value_it_cannot_simulate_is_usage_error(tmp_path, capsys, flag, value, message):

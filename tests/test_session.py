@@ -3,6 +3,7 @@ import itertools
 import re
 import json
 import math
+from collections import Counter
 from decimal import Decimal
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawpulse import session as session_module
 from pawpulse.core import (
     ADC_MAX,
     CalibrationCoeffs,
@@ -27,6 +29,7 @@ from pawpulse.session import (
     _record_json,
     config_from_dict,
     config_to_dict,
+    open_session,
     read_header,
     replay,
     summarize,
@@ -880,6 +883,26 @@ class TestRawRuns:
         assert [type(r) for r in got] == [FrameBlock, VitalsEstimate]
         assert list(got[0]) == frames
 
+    def test_a_read_is_parsed_and_checked_at_once(self, tmp_path, monkeypatch):
+        """The 30 runs of a session that fits one read are parsed by one
+        ``fromstring`` and checked by one ``first_invalid``."""
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for tick in range(30):
+                writer.append_record(FrameBlock.from_frames(raw(100 * tick + 10 * i) for i in range(10)))
+                writer.append_record(vit(100 * tick + 100))
+        assert path.stat().st_size < _CHUNK
+        calls = Counter()
+        for module, name in ((session_module, "first_invalid"), (np, "fromstring")):
+            def counted(*args, call=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        records = list(replay(path))
+        assert [type(r) for r in records] == [FrameBlock, VitalsEstimate] * 30
+        assert calls == {"first_invalid": 1, "fromstring": 1}
+
     # Raw records 0-4 (t = 0, 10, ..., 40) on lines 2-6, then the bad line
     # in the middle of their run, or first in the next run after a vitals
     # record; ``seq`` is the number a good record there would carry.
@@ -986,6 +1009,79 @@ class TestRawRuns:
             for record in replay(source):
                 writer.append_record(record)
         assert copy.read_bytes() == source.read_bytes()
+
+
+# A session drawn as items, each a raw run of 1-5 frames (with or without
+# a temperature) or a vitals or emotion record, and at most one bad line.
+_read_items = st.lists(
+    st.tuples(st.integers(1, 5), st.booleans()) | st.sampled_from(["vitals", "emotion"]), min_size=1, max_size=8
+)
+_BAD_LINES = ["seq", "order", "range", "respelled", "truncated", "not-utf8"]
+
+
+def _session_bytes(items, bad, where):
+    """The session of ``items``, with one line spoiled as ``bad`` names: the
+    raw line ``where`` (modulo their count) for ``order`` and ``range``,
+    else the line ``where`` (modulo the record count)."""
+    lines, t = [], 0
+    for item in items:
+        if item in ("vitals", "emotion"):
+            lines.append(_record_json(len(lines), vit(t) if item == "vitals" else emo(t)))
+            continue
+        count, warm = item
+        for _ in range(count):
+            t += 10
+            lines.append(canonical_raw(len(lines), t, t % 977, 2 * t % 977, 38.5 if warm else None))
+    body = [line.encode() + b"\n" for line in lines]
+    raws = [i for i, line in enumerate(lines) if '"kind":"raw"' in line]
+    pool = raws if bad in ("order", "range") else range(len(lines))
+    if bad is not None and pool:
+        i = pool[where % len(pool)]
+        line = lines[i]
+        if bad == "seq":
+            body[i] = line.replace('"seq":%d' % i, '"seq":%d' % (i + (-1, 1, 2)[where % 3]), 1).encode() + b"\n"
+        elif bad == "order":
+            body[i] = re.sub('"t":([0-9]+)', lambda m: '"t":%d' % (int(m[1]) - 10), line).encode() + b"\n"
+        elif bad == "range":
+            body[i] = re.sub('"red":[0-9]+', '"red":%d' % (ADC_MAX + 1), line).encode() + b"\n"
+        elif bad == "respelled":
+            body[i] = line.replace(":", ": ", 1).encode() + b"\n"
+        elif bad == "truncated":  # a crash mid-line: the cut line is the last
+            body[i:] = [line[: where % len(line)].encode()]
+        else:
+            k = where % len(line)
+            body[i] = line[:k].encode() + b"\xff" + line[k + 1 :].encode() + b"\n"
+    return _HEADER_LINE.encode() + b"\n" + b"".join(body)
+
+
+def read_bytes(data):
+    """What replay yields from session bytes before it raises, and the
+    type, message and line of what it raises (or None)."""
+    collected = []
+    try:
+        for record in replay(open_session(io.BytesIO(data))):
+            collected.append(record)
+    except (SessionParseError, SeqError) as exc:
+        return collected, (type(exc), str(exc), getattr(exc, "line", None))
+    return collected, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=_read_items, bad=st.none() | st.sampled_from(_BAD_LINES), where=st.integers(0, 200))
+def test_reading_does_not_depend_on_where_the_reads_fall(items, bad, where):
+    """At every read size from 1 to 4,096 characters, ``replay`` yields what
+    it yields reading the session at once, each run as one block, and
+    raises the same error on the same line."""
+    data = _session_bytes(items, bad, where)
+    expected = read_bytes(data)
+    collected = expected[0]
+    assert not any(type(a) is type(b) is FrameBlock for a, b in zip(collected, collected[1:]))
+    # a read size past the records' characters reads them all at once
+    records_size = len(data) - len(_HEADER_LINE) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        for size in range(1, min(4096, records_size + 1) + 1):
+            patch.setattr(session_module, "_CHUNK", size)
+            assert read_bytes(data) == expected, size
 
 
 # A raw record's fields with values near and past the limits that reading

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawpulse import synth
 from pawpulse.core import ADC_MAX, DEFAULT_COEFFS, CalibrationCoeffs, validate_frame
 from pawpulse.errors import ConfigError, RangeError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
@@ -114,6 +115,22 @@ class TestProfileValidation:
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
             generate(SynthProfile(), 0.005, 100.0)
+
+    @pytest.mark.parametrize("duration_s", [14_400.01, 1e9, 1e306])
+    def test_too_many_samples(self, duration_s):
+        with pytest.raises(ConfigError, match="^need at most 1440000 samples"):
+            generate(SynthProfile(), duration_s, 100.0)
+
+    def test_too_long_at_a_low_rate(self):
+        # few samples, but a beat list over the whole duration
+        with pytest.raises(ConfigError, match="^need at most 14400 s"):
+            generate(SynthProfile(), 1e9, 0.001)
+
+    def test_the_most_samples_are_generated(self, monkeypatch):
+        monkeypatch.setattr(synth, "_MAX_SAMPLES", 500)
+        assert len(generate(SynthProfile(), 5.009, 100.0)[0]) == 500
+        with pytest.raises(ConfigError, match="^need at most 500 samples"):
+            generate(SynthProfile(), 5.01, 100.0)
 
     def test_fs_too_high_for_ms_timestamps(self):
         with pytest.raises(ConfigError):
