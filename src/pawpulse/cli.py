@@ -41,7 +41,7 @@ from .session import (
 )
 from .synth import SynthProfile, generate
 from .vitals import fit_calibration, fit_residual_rms, tick_time_ms
-from .wire import FrameBlock, encode_frame, resync
+from .wire import SYNC, FrameBlock, encode_frame, resync
 
 
 class UsageError(Exception):
@@ -136,16 +136,6 @@ def _truth_json(truth, profile: SynthProfile) -> str:
 
 def cmd_simulate(args) -> int:
     config = build_config(args.config, args.set or [])
-    if not 30.0 <= args.bpm <= 220.0:
-        raise UsageError(f"--bpm must be within [30, 220], got {args.bpm:g}")
-    if not 70.0 <= args.spo2 <= 100.0:
-        raise UsageError(f"--spo2 must be within [70, 100], got {args.spo2:g}")
-    if args.seconds <= 0:
-        raise UsageError("--seconds must be positive")
-    if not 0.0 < args.fs <= 1000.0:
-        raise UsageError("--fs must be in (0, 1000]")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     try:
         profile = SynthProfile(
             true_bpm=args.bpm,
@@ -159,17 +149,16 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc))
     if args.format == "wire":
-        blob = b"".join(encode_frame(f) for f in frames)
         if args.out == "-":
-            sys.stdout.buffer.write(blob)
+            sys.stdout.buffer.writelines(map(encode_frame, frames))
         else:
             with open(args.out, "wb") as fh:
-                fh.write(blob)
+                fh.writelines(map(encode_frame, frames))
     else:
         if args.out == "-":
             raise UsageError("--format session needs a real --out path")
         with SessionWriter(args.out, config) as writer:
-            writer.append_record(FrameBlock.from_frames(frames))
+            writer.append_record(frames)
     truth_path = args.truth
     if truth_path is None and args.out != "-":
         truth_path = args.out + ".truth.json"
@@ -188,7 +177,7 @@ def _load_blocks(args) -> list[FrameBlock]:
     with source:
         fmt = args.format
         if fmt == "auto":
-            fmt = "wire" if source.read(2) == b"\xa5\x5a" else "session"
+            fmt = "wire" if source.read(2) == SYNC else "session"
             source.seek(0)
         if fmt == "session":
             with open_session(source) as text:

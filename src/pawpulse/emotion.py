@@ -50,8 +50,7 @@ class Certainty(Enum):
 
 @dataclass(frozen=True)
 class Band:
-    """A half-open interval [lower, upper) with a label; the final band
-    of a list is closed on the right so the range endpoint belongs."""
+    """A half-open interval [lower, upper) with a label."""
 
     label: str
     lower: float
@@ -62,8 +61,8 @@ class Band:
 class VitalsBands:
     """Discretization bands for BPM, SpO2 and (optionally) temperature.
 
-    Bands in each list must be contiguous, non-overlapping, and cover
-    the valid range in ascending order.
+    Bands in each list must be contiguous, ascending and run from -inf to
+    +inf: the validity gate bounds a value, the bands only cut it.
     """
 
     bpm_bands: tuple[Band, ...]
@@ -80,6 +79,8 @@ class VitalsBands:
                 continue
             if not bands:
                 raise ConfigError(f"{name} must not be empty")
+            if bands[0].lower != -math.inf or bands[-1].upper != math.inf:
+                raise ConfigError(f"{name} must run from -inf to +inf")
             for band in bands:
                 if not band.lower < band.upper:
                     raise ConfigError(f"{name}: band {band.label} is empty or inverted")
@@ -92,15 +93,15 @@ class VitalsBands:
 
 DEFAULT_BANDS = VitalsBands(
     bpm_bands=(
-        Band("low", 30.0, 60.0),
+        Band("low", -math.inf, 60.0),
         Band("normal", 60.0, 100.0),
         Band("elevated", 100.0, 140.0),
-        Band("high", 140.0, 220.0),
+        Band("high", 140.0, math.inf),
     ),
     spo2_bands=(
-        Band("low", 0.0, 90.0),
+        Band("low", -math.inf, 90.0),
         Band("reduced", 90.0, 95.0),
-        Band("normal", 95.0, 100.0),
+        Band("normal", 95.0, math.inf),
     ),
     temp_bands=(
         Band("low", -math.inf, 37.5),
@@ -197,12 +198,11 @@ class RuleTable(NamedTuple):
 DEFAULT_RULE_TABLE = RuleTable(DEFAULT_RULES_TEXT, DEFAULT_RULES)
 
 
-def _band_label(value: float, bands: tuple[Band, ...], name: str) -> str:
-    for i, band in enumerate(bands):
-        last = i == len(bands) - 1
-        if band.lower <= value < band.upper or (last and value == band.upper):
+def _band_label(value: float, bands: tuple[Band, ...]) -> str:
+    """The label of the band that holds ``value``, the first whose upper bound is above it."""
+    for band in bands:
+        if value < band.upper:
             return band.label
-    raise RangeError(f"{name} value {value} outside banded range")
 
 
 def discretize(
@@ -214,18 +214,21 @@ def discretize(
 
     ``temperature_c`` is supplied separately because the per-tick
     estimate does not carry it; ``None`` labels (absent measurements)
-    only ever match wildcards downstream.
+    only ever match wildcards downstream. Every finite value has a band;
+    a BPM average or temperature that is not finite raises RangeError.
     """
     if vitals.contact is not ContactState.CONTACT or vitals.bpm_avg is None:
         raise MissingVitalsError("need a contact tick with a BPM average")
-    bpm_label = _band_label(vitals.bpm_avg, bands.bpm_bands, "bpm")
+    if not all(math.isfinite(x) for x in (vitals.bpm_avg, temperature_c) if x is not None):
+        raise RangeError(f"no band holds bpm {vitals.bpm_avg} or temperature {temperature_c}")
+    bpm_label = _band_label(vitals.bpm_avg, bands.bpm_bands)
     spo2_label = (
-        _band_label(vitals.spo2_pct, bands.spo2_bands, "spo2")
+        _band_label(vitals.spo2_pct, bands.spo2_bands)
         if vitals.spo2_pct is not None
         else None
     )
     temp_label = (
-        _band_label(temperature_c, bands.temp_bands, "temperature")
+        _band_label(temperature_c, bands.temp_bands)
         if temperature_c is not None and bands.temp_bands is not None
         else None
     )

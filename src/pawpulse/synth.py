@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import ADC_MAX, DEFAULT_COEFFS, REAL, CalibrationCoeffs, SampleFrame, check_type
 from .errors import ConfigError, RangeError
+from .wire import FrameBlock
 
 SYSTOLIC_SIGMA_FRAC = 0.14
 DICROTIC_SIGMA_FRAC = 0.28
@@ -151,9 +152,10 @@ def generate(
     duration_s: float,
     fs_hz: float,
     coeffs: CalibrationCoeffs = DEFAULT_COEFFS,
-) -> tuple[list[SampleFrame], GroundTruth]:
-    """Generate ``floor(duration_s * fs_hz)`` frames plus ground truth:
-    at most ``_MAX_SAMPLES`` of them, over at most ``_MAX_SECONDS``.
+) -> tuple[FrameBlock, GroundTruth]:
+    """Generate ``floor(duration_s * fs_hz)`` frames, as one ``FrameBlock``
+    without temperatures, plus ground truth: at most ``_MAX_SAMPLES`` of
+    them, over at most ``_MAX_SECONDS``.
 
     Deterministic for a fixed profile seed. ``coeffs`` is the
     calibration the SpO2 encoding inverts; use the same coefficients in
@@ -195,63 +197,53 @@ def generate(
     ir_i = np.clip(np.rint(ir), 0, ADC_MAX).astype(np.int64)
     ts = np.rint(t).astype(np.int64)
 
-    frames = [
-        SampleFrame(timestamp_ms=int(ts[i]), red=int(red_i[i]), ir=int(ir_i[i]))
-        for i in range(n)
-    ]
     truth = GroundTruth(
         beat_times_ms=tuple(int(round(bt)) for bt in beats),
         spo2_schedule=((0, profile.true_spo2_pct),),
     )
-    return frames, truth
+    return FrameBlock(np.stack([ts, red_i, ir_i]), np.empty(n, dtype=object)), truth
 
 
 def inject_artifacts(
-    frames: Sequence[SampleFrame],
+    frames: FrameBlock | Sequence[SampleFrame],
     kind: ArtifactKind,
     at_ms: int,
     duration_ms: int,
     seed: int = 0,
-) -> list[SampleFrame]:
-    """Corrupt a window of a stream for stress testing.
+) -> FrameBlock:
+    """Corrupt a window of a stream for stress testing; returns a block.
 
-    DROPOUT zeroes both optical channels in [at_ms, at_ms + duration_ms).
-    MOTION_SPIKE adds a trapezoidal low-frequency excursion of 12x each
-    channel's peak-to-peak amplitude (well above the 10x-AC floor that
-    makes it unambiguous); the seed picks polarity and a small amplitude
-    jitter. Frames outside the window are returned unchanged.
+    ``frames`` is a ``FrameBlock`` or frames, which become one with
+    ``FrameBlock.from_frames``. DROPOUT zeroes both optical channels in
+    [at_ms, at_ms + duration_ms). MOTION_SPIKE adds a trapezoidal
+    low-frequency excursion of 12x each channel's peak-to-peak amplitude
+    (well above the 10x-AC floor that makes it unambiguous); the seed
+    picks polarity and a small amplitude jitter. Frames outside the
+    window are unchanged.
     """
-    if not frames:
-        return []
-    if duration_ms == 0:
-        return list(frames)
-    first, last = frames[0].timestamp_ms, frames[-1].timestamp_ms
+    block = frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+    if not len(block) or duration_ms == 0:
+        return block
+    t = block.cols[0]
+    first, last = int(t[0]), int(t[-1])
     if at_ms < first or at_ms + duration_ms > last + 1:
         raise RangeError(
             f"window [{at_ms}, {at_ms + duration_ms}) outside stream [{first}, {last + 1})"
         )
-    idx = [i for i, f in enumerate(frames) if at_ms <= f.timestamp_ms < at_ms + duration_ms]
-    out = list(frames)
+    window = (t >= at_ms) & (t < at_ms + duration_ms)
+    cols = block.cols.copy()
     if kind is ArtifactKind.DROPOUT:
-        for i in idx:
-            f = out[i]
-            out[i] = SampleFrame(f.timestamp_ms, 0, 0, f.temperature_c)
-        return out
-    if not idx:
-        return out
-    red = np.array([f.red for f in frames], dtype=float)
-    ir = np.array([f.ir for f in frames], dtype=float)
+        cols[1:, window] = 0
+        return FrameBlock(cols, block.temps)
+    m = int(np.count_nonzero(window))
+    if not m:
+        return block
     rng = np.random.default_rng(seed)
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
     scale = float(rng.uniform(1.0, 1.2))
-    amp_red = 12.0 * float(np.ptp(red)) * scale
-    amp_ir = 12.0 * float(np.ptp(ir)) * scale
-    m = len(idx)
     u = (np.arange(m) + 0.5) / m
     ramp = np.minimum.reduce([u / 0.1, (1.0 - u) / 0.1, np.ones(m)])
-    for k, i in enumerate(idx):
-        f = out[i]
-        new_red = int(np.clip(round(f.red + sign * amp_red * ramp[k]), 0, ADC_MAX))
-        new_ir = int(np.clip(round(f.ir + sign * amp_ir * ramp[k]), 0, ADC_MAX))
-        out[i] = SampleFrame(f.timestamp_ms, new_red, new_ir, f.temperature_c)
-    return out
+    for row in (1, 2):
+        amp = 12.0 * float(np.ptp(cols[row].astype(float))) * scale
+        cols[row, window] = np.clip(np.rint(cols[row, window] + (sign * amp) * ramp), 0, ADC_MAX)
+    return FrameBlock(cols, block.temps)

@@ -62,7 +62,7 @@ class TestSimulate:
     def test_bpm_out_of_range_is_usage_error(self, tmp_path, capsys):
         code = run_cli("simulate", "--bpm", "500", "--out", str(tmp_path / "x.bin"))
         assert code == 2
-        assert "--bpm" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: true_bpm 500.0 outside [30, 220]\n"
 
     def test_truth_sidecar_beat_count(self, tmp_path):
         out = simulate_file(tmp_path, bpm=90.0, seconds=30.0)
@@ -98,6 +98,14 @@ class TestProcess:
         final = lines[-1]
         avg = float(final.split("avg=")[1].split()[0])
         assert 87.0 <= avg <= 93.0
+
+    def test_gate_widened_past_the_default_bands(self, tmp_path, capsys):
+        # a puppy's gate: every average it admits has an emotion label
+        path = simulate_file(tmp_path, bpm=220.0, seconds=30.0, noise_std=60.0, seed=1)
+        assert run_cli("process", "--in", str(path), "--set", "bpm_valid_max=250") == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 30
+        assert lines[-1] == "t=30s bpm=222.2 avg=220.2 spo2=97.0 emotion=Excited(decided)"
 
     def test_no_contact_lines(self, tmp_path, capsys):
         path = simulate_file(tmp_path, dc_ir=10_000.0, seconds=5.0)
@@ -804,6 +812,11 @@ def test_operator_file_errors_name_their_line(tmp_path, capsys, flag, text, code
         ("--dc-ir", "nan", "profile field 'dc_ir': nan is not a finite number"),
         ("--dc-ir", "300000", "dc_ir must be in (0, 262143]"),
         ("--seconds", "1e9", "need at most 1440000 samples: decrease duration_s * fs_hz"),
+        ("--bpm", "500", "true_bpm 500.0 outside [30, 220]"),
+        ("--spo2", "50", "true_spo2_pct 50.0 outside [70, 100]"),
+        ("--seconds", "0", "duration_s and fs_hz must be positive"),
+        ("--fs", "2000", "fs_hz above 1000 would collide millisecond timestamps"),
+        ("--seed", "-1", "seed must be >= 0"),
     ],
 )
 def test_simulate_value_it_cannot_simulate_is_usage_error(tmp_path, capsys, flag, value, message):

@@ -19,7 +19,7 @@ from pawpulse.emotion import (
     discretize,
     parse_rule_table,
 )
-from pawpulse.errors import ConfigError, MissingVitalsError
+from pawpulse.errors import ConfigError, MissingVitalsError, RangeError
 
 
 def contact_estimate(bpm_avg, spo2=None):
@@ -33,21 +33,31 @@ def contact_estimate(bpm_avg, spo2=None):
 
 class TestBands:
     def test_default_bands_valid(self):
-        assert DEFAULT_BANDS.bpm_bands[0].lower == 30.0
-        assert DEFAULT_BANDS.bpm_bands[-1].upper == 220.0
+        # the gate bounds a value; the bands only cut it
+        for bands in (DEFAULT_BANDS.bpm_bands, DEFAULT_BANDS.spo2_bands, DEFAULT_BANDS.temp_bands):
+            assert bands[0].lower == -math.inf
+            assert bands[-1].upper == math.inf
 
     def test_gap_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="gap or overlap between a and b"):
             VitalsBands(
-                bpm_bands=(Band("a", 30.0, 60.0), Band("b", 70.0, 220.0)),
-                spo2_bands=(Band("x", 0.0, 100.0),),
+                bpm_bands=(Band("a", -math.inf, 60.0), Band("b", 70.0, math.inf)),
+                spo2_bands=(Band("x", -math.inf, math.inf),),
             )
 
     def test_inverted_band_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="band b is empty or inverted"):
             VitalsBands(
-                bpm_bands=(Band("a", 60.0, 30.0),),
-                spo2_bands=(Band("x", 0.0, 100.0),),
+                bpm_bands=(Band("a", -math.inf, 60.0), Band("b", 60.0, 30.0), Band("c", 30.0, math.inf)),
+                spo2_bands=(Band("x", -math.inf, math.inf),),
+            )
+
+    @pytest.mark.parametrize("lower,upper", [(30.0, math.inf), (-math.inf, 220.0), (0.0, 100.0)])
+    def test_closed_outer_edge_rejected(self, lower, upper):
+        with pytest.raises(ConfigError, match="spo2_bands must run from -inf to \\+inf"):
+            VitalsBands(
+                bpm_bands=(Band("a", -math.inf, math.inf),),
+                spo2_bands=(Band("x", lower, upper),),
             )
 
 
@@ -61,8 +71,18 @@ class TestDiscretize:
         assert labels[0] == "elevated"
 
     def test_top_of_range_included(self):
-        labels = discretize(contact_estimate(220.0, 97.0))
-        assert labels[0] == "high"
+        labels = discretize(contact_estimate(220.0, 100.0))
+        assert labels[:2] == ("high", "normal")
+
+    def test_bpm_beyond_default_gate_labelled(self):
+        # a gate widened past [30, 220], as for a puppy, still gets labels
+        assert discretize(contact_estimate(250.0, 97.0))[0] == "high"
+        assert discretize(contact_estimate(25.0, 97.0))[0] == "low"
+
+    @pytest.mark.parametrize("bpm,temp", [(math.nan, None), (math.inf, None), (-math.inf, 38.0), (80.0, math.nan)])
+    def test_value_that_is_not_finite_rejected(self, bpm, temp):
+        with pytest.raises(RangeError, match="no band holds"):
+            discretize(contact_estimate(bpm, 97.0), temperature_c=temp)
 
     def test_no_contact_rejected(self):
         est = VitalsEstimate(tick_time_ms=0, contact=ContactState.NO_CONTACT)

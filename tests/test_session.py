@@ -723,7 +723,7 @@ class TestPipelineReplayDeterminism:
 
         stored_raw = [record for record in flat(replay(path)) if type(record) is SampleFrame]
         stored_vitals = [record for record in replay(path) if type(record) is VitalsEstimate]
-        assert stored_raw == frames
+        assert stored_raw == list(frames)
         recomputed = VitalsPipeline(config).run(stored_raw)
         assert recomputed == stored_vitals == estimates
 

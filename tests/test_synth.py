@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawpulse import synth
-from pawpulse.core import ADC_MAX, DEFAULT_COEFFS, CalibrationCoeffs, validate_frame
+from pawpulse.core import ADC_MAX, DEFAULT_COEFFS, CalibrationCoeffs, SampleFrame, validate_frame
 from pawpulse.errors import ConfigError, RangeError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
 from pawpulse.vitals import RatioWindow, clamp_spo2, compute_ratio, spo2_estimate
+from pawpulse.wire import FrameBlock
 
 
 def test_frame_count_and_beat_count():
@@ -192,7 +193,7 @@ class TestInjectArtifacts:
 
     def test_zero_duration_is_identity(self):
         out = inject_artifacts(self.frames, ArtifactKind.MOTION_SPIKE, 2000, 0)
-        assert out == list(self.frames)
+        assert list(out) == list(self.frames)
 
     def test_window_outside_extent_rejected(self):
         with pytest.raises(RangeError):
@@ -215,6 +216,83 @@ class TestInjectArtifacts:
         a = inject_artifacts(self.frames, ArtifactKind.MOTION_SPIKE, 4000, 250, seed=9)
         b = inject_artifacts(self.frames, ArtifactKind.MOTION_SPIKE, 4000, 250, seed=9)
         assert a == b
+
+
+def _inject_artifacts_by_row(frames, kind, at_ms, duration_ms, seed=0):
+    """``inject_artifacts`` as it was written row by row, returning a list:
+    the reference the column version must match frame for frame."""
+    if not frames:
+        return []
+    if duration_ms == 0:
+        return list(frames)
+    first, last = frames[0].timestamp_ms, frames[-1].timestamp_ms
+    if at_ms < first or at_ms + duration_ms > last + 1:
+        raise RangeError(f"window [{at_ms}, {at_ms + duration_ms}) outside stream [{first}, {last + 1})")
+    idx = [i for i, f in enumerate(frames) if at_ms <= f.timestamp_ms < at_ms + duration_ms]
+    out = list(frames)
+    if kind is ArtifactKind.DROPOUT:
+        for i in idx:
+            f = out[i]
+            out[i] = SampleFrame(f.timestamp_ms, 0, 0, f.temperature_c)
+        return out
+    if not idx:
+        return out
+    red = np.array([f.red for f in frames], dtype=float)
+    ir = np.array([f.ir for f in frames], dtype=float)
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
+    scale = float(rng.uniform(1.0, 1.2))
+    amp_red = 12.0 * float(np.ptp(red)) * scale
+    amp_ir = 12.0 * float(np.ptp(ir)) * scale
+    m = len(idx)
+    u = (np.arange(m) + 0.5) / m
+    ramp = np.minimum.reduce([u / 0.1, (1.0 - u) / 0.1, np.ones(m)])
+    for k, i in enumerate(idx):
+        f = out[i]
+        new_red = int(np.clip(round(f.red + sign * amp_red * ramp[k]), 0, ADC_MAX))
+        new_ir = int(np.clip(round(f.ir + sign * amp_ir * ramp[k]), 0, ADC_MAX))
+        out[i] = SampleFrame(f.timestamp_ms, new_red, new_ir, f.temperature_c)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(ArtifactKind),
+    dc_ir=st.sampled_from([2_000.0, 80_000.0, 250_000.0]),
+    noise=st.sampled_from([0.0, 40.0, 3_000.0]),
+    seed=st.integers(0, 2**32),
+    temps=st.sampled_from(["absent", "partial", "full"]),
+    as_block=st.booleans(),
+    data=st.data(),
+)
+def test_injector_matches_the_row_reference(kind, dc_ir, noise, seed, temps, as_block, data):
+    """Frame for frame, the injector gives what the row-by-row reference
+    gives: any kind, window, seed and temperature column, from a list or
+    a block. The spikes of the 2,000- and 250,000-count streams clip."""
+    profile = SynthProfile(true_bpm=90.0, dc_ir=dc_ir, noise_std_counts=noise, seed=seed % 7)
+    frames = list(generate(profile, 2.0, 100.0)[0])
+    if temps != "absent":
+        step = 1 if temps == "full" else data.draw(st.integers(2, 5), label="step")
+        frames = [f._replace(temperature_c=38.0 + (i % 9) / 10.0) if i % step == 0 else f for i, f in enumerate(frames)]
+    first, last = frames[0].timestamp_ms, frames[-1].timestamp_ms
+    at_ms = data.draw(st.integers(first, last), label="at_ms")
+    # short windows, as often as not between two frames, and zero ones
+    duration_ms = data.draw(st.integers(0, min(9, last + 1 - at_ms)) | st.integers(0, last + 1 - at_ms), label="duration_ms")
+    given_frames = FrameBlock.from_frames(frames) if as_block else frames
+    out = inject_artifacts(given_frames, kind, at_ms, duration_ms, seed=seed)
+    assert list(out) == _inject_artifacts_by_row(frames, kind, at_ms, duration_ms, seed=seed)
+
+
+def test_injector_returns_blocks():
+    frames, _ = generate(SynthProfile(seed=2), 1.0, 100.0)
+    assert type(frames) is FrameBlock and not frames.fields_checked
+    assert set(frames.temps.tolist()) == {None}
+    for given_frames in (frames, list(frames)):
+        for kind in ArtifactKind:
+            assert type(inject_artifacts(given_frames, kind, 200, 300, seed=1)) is FrameBlock
+    assert inject_artifacts(frames, ArtifactKind.DROPOUT, 200, 0) is frames
+    empty = inject_artifacts([], ArtifactKind.MOTION_SPIKE, 0, 10)
+    assert type(empty) is FrameBlock and len(empty) == 0
 
 
 #: Each field's values, about its valid range; the property below also
