@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import sys
+from typing import Iterator
 
 from .core import CONFIG_TYPES, ContactState, PipelineConfig, VitalsEstimate, operator_lines
 from .emotion import DEFAULT_RULE_TABLE, EmotionAssessment, RuleTable
@@ -135,6 +136,8 @@ def _truth_json(truth, profile: SynthProfile) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.format == "session" and args.out == "-":  # refused before anything is generated
+        raise UsageError("--format session needs a real --out path")
     config = build_config(args.config, args.set or [])
     try:
         profile = SynthProfile(
@@ -155,8 +158,6 @@ def cmd_simulate(args) -> int:
             with open(args.out, "wb") as fh:
                 fh.writelines(map(encode_frame, frames))
     else:
-        if args.out == "-":
-            raise UsageError("--format session needs a real --out path")
         with SessionWriter(args.out, config) as writer:
             writer.append_record(frames)
     truth_path = args.truth
@@ -191,6 +192,28 @@ def _load_blocks(args) -> list[FrameBlock]:
     return [frames]
 
 
+#: The fewest frames ``_joined`` puts in a block.
+_JOINED_FRAMES = 4096
+
+
+def _joined(blocks: list[FrameBlock]) -> Iterator[FrameBlock]:
+    """``blocks`` joined in order into blocks of ``_JOINED_FRAMES`` frames
+    or more (the last may hold fewer), one at a time. ``tick_records``
+    batches the ticks that a block completes, and a session holds a block
+    per tick, while one copy of the whole stream would double its frames
+    in memory; a block that is long enough is passed on as it is."""
+    piece: list[FrameBlock] = []
+    size = 0
+    for block in blocks:
+        piece.append(block)
+        size += len(block)
+        if size >= _JOINED_FRAMES:
+            yield FrameBlock.concat(piece)
+            piece, size = [], 0
+    if piece:
+        yield FrameBlock.concat(piece)
+
+
 def cmd_process(args) -> int:
     config = build_config(args.config, args.set or [])
     rule_table = RuleTable.parse(_read_operator_file(args.rules)) if args.rules else DEFAULT_RULE_TABLE
@@ -200,7 +223,7 @@ def cmd_process(args) -> int:
 
     writer = SessionWriter(args.session_out, config, args.start_utc, rule_table) if args.session_out else None
     try:
-        for chunk, estimate, emotion in tick_records(blocks, config, rule_table.rules):
+        for chunk, estimate, emotion in tick_records(_joined(blocks), config, rule_table.rules):
             if writer:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
@@ -242,7 +265,7 @@ def cmd_replay(args) -> int:
     if not blocks:
         raise EmptySessionError("no raw records to replay")
     config = header.config
-    ticks = tick_records(blocks, config, header.rule_table.rules)
+    ticks = tick_records(_joined(blocks), config, header.rule_table.rules)
     # the records process writes: no empty block and no absent emotion;
     # the first pair that differs names the earlier tick of the two
     recomputed = (record for tick in ticks for record in tick if record)

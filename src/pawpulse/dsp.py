@@ -11,6 +11,8 @@ the DC window is a running sum (the exact int64 prefix sums of the raw
 counts at its last positions), the smoothing a cumsum of the few AC
 samples it still needs, and the outlier gate a sorted copy of its window.
 A stream fed in chunks sees the same windows it would see in one piece.
+``StreamingPreprocessor.push_ticks`` does a run of pushes with the
+operations of one, and releases what the pushes would release one by one.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -171,39 +174,86 @@ class StreamingPreprocessor:
         """Feed new samples, the int64 ``(3, n)`` timestamp/red/IR columns
         of a ``FrameBlock`` (its ``cols``); returns the samples whose smoothing
         window is complete (everything except the trailing hold-back).
+        ``push_ticks`` with one push.
+        """
+        return self.push_ticks(cols, (cols.shape[1],))[0]
+
+    def push_ticks(self, cols: np.ndarray, ends: Sequence[int]) -> tuple[AcBlock, list[int], list[float | None]]:
+        """``push`` for consecutive pushes at once: ``cols`` holds all their
+        new samples, push j's ending at column ``ends[j]``. Returns what
+        they release, as one block, where each push's release ends in it,
+        and ``last_dc_ir`` after each push; leaves the preprocessor bit for
+        bit as pushing them in turn would.
+
+        The DC split and the gate run once over all the new samples. The
+        smoothing is one zero-padded layout, a row per push that releases:
+        its carry, then its new samples, placed so that its first released
+        sample falls in the same column in every row. The cumsum runs along
+        the rows, so each released value is built from the additions that
+        its own push would make.
         """
         t, acdc, outlier = self._carry
-        if cols.shape[1]:
+        m, n, half = len(t), cols.shape[1], self._half
+        if n:
             # the carried rows, then the new samples' rows written in place
-            m = acdc.shape[1]
-            work = np.empty((4, m + cols.shape[1]))
+            work = np.empty((4, m + n))
             work[:, :m] = acdc
             flags = self._split(cols[1:], work[:, m:])
             t = np.concatenate((t, cols[0]))
             acdc = work
             outlier = np.concatenate((outlier, flags))
-        left, half = self._n_left, self._half
-        stop = len(t) - half
-        if stop <= left:
+        # per push that releases, in carry-then-new coordinates: where its
+        # carry starts, its first released sample and its end
+        rows: list[tuple[int, int, int]] = []
+        rel_ends: list[int] = []
+        dc_lasts: list[float | None] = []
+        first = stop = self._n_left  # stop: the first sample not yet released
+        last_dc_ir, done, longest = self.last_dc_ir, 0, 0
+        for end in ends:
+            if end > done:
+                last_dc_ir, done = float(acdc[3, m + end - 1]), end
+            dc_lasts.append(last_dc_ir)
+            end += m
+            if end - half > stop:
+                rows.append((stop - half if stop > half else 0, stop, end))
+                if end - half - stop > longest:
+                    longest = end - half - stop
+                stop = end - half
+            rel_ends.append(stop - first)
+        self.last_dc_ir = last_dc_ir
+        if stop == first:
             self._carry = (t, acdc, outlier)
-            return _EMPTY_BLOCK
+            return _EMPTY_BLOCK, rel_ends, dc_lasts
         if half:
-            # csum[:, half + i] sums the AC before carried sample i, and the
-            # half zeros before it stand for the samples before the stream
+            # rows 2k and 2k + 1 of the layout: push k's AC red and IR, from
+            # its carry on, placed so that its first released sample is in
+            # column half; zeros before a row stand for the samples before
+            # the stream (only a row that starts there has fewer than half
+            # samples on its left), zeros after pad it to the longest
             width = 2 * half + 1
-            csum = np.zeros((2, len(t) + half + 1))
-            acdc[:2].cumsum(axis=1, out=csum[:, half + 1 :])
-            # left < half only while the carry starts at the stream's start
-            count = width if left == half else np.minimum(np.arange(left + half + 1, stop + half + 1), width)
-            ac = (csum[:, left + width :] - csum[:, left:stop]) / count
+            if len(rows) == 1 and rows[0][1] - rows[0][0] == half:
+                start, _, end = rows[0]
+                layout = acdc[:2, start:end]  # a lone row that fills the layout is its own
+            else:
+                layout = np.zeros((2 * len(rows), longest + 2 * half))
+                for k, (start, left, end) in enumerate(rows):
+                    layout[2 * k : 2 * k + 2, start - left + half : end - left + half] = acdc[:2, start:end]
+            # csum[:, j + 1] sums a row's columns 0 to j, so released sample
+            # i, in column half + i, sums csum[:, i + width] - csum[:, i]
+            csum = np.zeros((2 * len(rows), longest + width))
+            np.add.accumulate(layout, axis=1, out=csum[:, 1:])
+            sums = csum[:, width:] - csum[:, :longest]
+            if len(rows) > 1:
+                sums = np.concatenate([sums[2 * k : 2 * k + 2, : end - half - left] for k, (_, left, end) in enumerate(rows)], axis=1)
+            # first < half only while the carry starts at the stream's start
+            ac = sums / (width if first == half else np.minimum(np.arange(first + half + 1, stop + half + 1), width))
         else:
-            ac = acdc[:2, left:stop]
+            ac = acdc[:2, first:stop]
         keep_from = max(0, stop - half)
         self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
         self._n_left = stop - keep_from
-        return AcBlock(
-            t[left:stop], ac[0], ac[1], acdc[2, left:stop], acdc[3, left:stop], outlier[left:stop]
-        )
+        block = AcBlock(t[first:stop], ac[0], ac[1], acdc[2, first:stop], acdc[3, first:stop], outlier[first:stop])
+        return block, rel_ends, dc_lasts
 
     def _split(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the rows ac_red, ac_ir, dc_red, dc_ir of new raw red/IR
@@ -211,13 +261,13 @@ class StreamingPreprocessor:
         width, n, seen = self._dc_width, raw.shape[1], self._seen
         # the carried sums, then the running sums on from the last of them
         csum = np.concatenate((self._csum, raw), axis=1)
-        csum[:, width - 1 :].cumsum(axis=1, out=csum[:, width - 1 :])
+        np.add.accumulate(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
         self._csum = csum[:, n:]
         self._seen = min(seen + n, width)
         count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
         ac, dc = out[:2], out[2:]
-        np.divide(csum[:, width:] - csum[:, :n], count, out=dc)
-        self.last_dc_ir = float(dc[1, -1])
+        np.subtract(csum[:, width:], csum[:, :n], out=dc)  # window sums, below 2**40, so exact as floats
+        np.divide(dc, count, out=dc)
         np.subtract(raw, dc, out=ac)
         return self._flag(ac[1])
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -95,7 +96,7 @@ from .errors import (
     SeqError,
     SessionParseError,
 )
-from .vitals import VitalsPipeline, tick_chunks
+from .vitals import VitalsPipeline, tick_groups
 from .wire import FrameBlock, first_invalid, validate_block
 
 FORMAT_VERSION = 2
@@ -608,17 +609,22 @@ def tick_records(
     records it: its frames (an empty block when none arrived), its estimate
     and, for an assessed tick, ``classify`` under ``rules`` of the
     ``DEFAULT_BANDS`` labels of the estimate and of the last temperature
-    seen so far. How the stream is cut into blocks changes nothing."""
+    seen so far. The ticks that a block completes go through
+    ``VitalsPipeline.ticks`` together, so a tick still comes out once the
+    block that completes it is read, and how the stream is cut into
+    blocks changes nothing."""
     pipeline = VitalsPipeline(config)
     last_temp = None
-    for chunk in tick_chunks(blocks, config.tick_interval_ms):
-        estimate = pipeline.tick(chunk)
-        last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
-        emotion = None
-        if _assessed(estimate):
-            labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
-            emotion = TickEmotion(estimate.tick_time_ms, classify(labels, rules))
-        yield chunk, estimate, emotion
+    for group in tick_groups(blocks, config.tick_interval_ms):
+        # the ticks an input block completes go through the pipeline together
+        chunks, batch = itertools.tee(group)
+        for chunk, estimate in zip(chunks, pipeline.ticks(batch)):
+            last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
+            emotion = None
+            if _assessed(estimate):
+                labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)
+                emotion = TickEmotion(estimate.tick_time_ms, classify(labels, rules))
+            yield chunk, estimate, emotion
 
 
 def tick_assessments(records) -> Iterator[tuple[VitalsEstimate, EmotionAssessment | None]]:

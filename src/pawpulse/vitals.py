@@ -14,10 +14,20 @@ candidate inside the refractory window relocates the pending peak, and
 the beat is finalized once the refractory has elapsed. That makes the
 detector robust to noise maxima on the systolic upstroke while keeping
 emitted beats at least one refractory apart.
+
+``VitalsPipeline.ticks`` advances the pipeline by a run of ticks in
+batches: each stage runs once per batch over all the batch's frames,
+and the estimates and the state it leaves are, bit for bit, those of
+``tick`` on each tick in turn. ``tick`` is its one-tick case, so a live
+caller, which has one tick at a time, gets the same results as before.
+Callers that hold many ticks at once (``run``, and ``process`` and
+``replay --verify`` through ``session.tick_records``) batch them.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,7 +49,7 @@ from .errors import (
     InsufficientDataError,
     OrderError,
 )
-from .wire import FrameBlock, validate_block
+from .wire import FrameBlock, first_invalid, validate_block
 
 
 @dataclass
@@ -99,46 +109,72 @@ def detect_beats(
 
     Emits one BeatEvent per accepted peak; outlier-flagged samples are
     ineligible. The state is updated in place and returned. Quiescent
-    input (no positive local maxima) emits nothing.
+    input (no positive local maxima) emits nothing. ``_detect_ticks``
+    with one block.
     """
-    events: list[BeatEvent] = []
+    return _detect_ticks(block, (len(block),), state, config)[0], state
+
+
+def _detect_ticks(
+    block: AcBlock, ends: Sequence[int], state: BeatDetectorState, config: PipelineConfig
+) -> list[list[BeatEvent]]:
+    """``detect_beats`` for consecutive blocks at once: ``block`` holds
+    them all, block j ending at ``ends[j]``. Returns each block's events
+    and leaves ``state`` as detecting in each in turn would.
+
+    The local maxima are found once. A candidate needs the sample after
+    it, so it belongs to the block that holds that sample; each block
+    that holds samples then finalizes a pending beat whose refractory has
+    passed by its last sample.
+    """
     if not len(block):
-        return events, state
+        return [[] for _ in ends]
     half_life_ms = config.peak_decay_half_life_s * 1000.0
+    n_left = len(state.left_ac)
     vals = np.concatenate((state.left_ac, block.ac_ir))
     times = np.concatenate((state.left_t, block.t))
     outliers = np.concatenate((state.left_outlier, block.outlier))
 
-    inner = slice(1, len(vals) - 1)
-    mask = (
-        (vals[inner] > vals[:-2])
-        & (vals[inner] > vals[2:])
-        & (vals[inner] > 0)
-        & ~outliers[inner]
-    )
-    candidate_idx = np.nonzero(mask)[0] + 1
+    # above both neighbours and above 0, and not flagged (a bool above another is True over False)
+    inner = vals[1:-1]
+    above = np.maximum(vals[:-2], vals[2:])
+    np.maximum(above, 0.0, out=above)
+    # candidate k is inner sample at[k], vals[at[k] + 1]: the sample after it is block[at[k] + 2 - n_left]
+    at = ((inner > above) > outliers[1:-1]).nonzero()[0]
+    cand_t, cand_a = times[1:][at].tolist(), inner[at].tolist()
+    at = at.tolist()
 
-    for t_c, a_c in zip(times[candidate_idx].tolist(), vals[candidate_idx].tolist()):
+    per_block: list[list[BeatEvent]] = []
+    start = k = 0
+    for end in ends:
+        events: list[BeatEvent] = []
+        per_block.append(events)
+        if end == start:
+            continue
+        stop = bisect_left(at, end + n_left - 2, k)
+        for t_c, a_c in zip(cand_t[k:stop], cand_a[k:stop]):
+            if (
+                state.pending_time_ms is not None
+                and t_c - state.pending_time_ms >= config.refractory_ms
+            ):
+                _finalize_pending(state, events, half_life_ms)
+            if state.pending_time_ms is not None:
+                bar = state.pending_amp
+            else:
+                bar = config.peak_threshold_fraction * _decayed_peak(state, t_c, half_life_ms)
+            if a_c > bar:
+                state.pending_time_ms, state.pending_amp = t_c, a_c
+        k = stop
+
         if (
             state.pending_time_ms is not None
-            and t_c - state.pending_time_ms >= config.refractory_ms
+            and int(block.t[end - 1]) - state.pending_time_ms >= config.refractory_ms
         ):
             _finalize_pending(state, events, half_life_ms)
-        if state.pending_time_ms is not None:
-            bar = state.pending_amp
-        else:
-            bar = config.peak_threshold_fraction * _decayed_peak(state, t_c, half_life_ms)
-        if a_c > bar:
-            state.pending_time_ms, state.pending_amp = t_c, a_c
-
-    if (
-        state.pending_time_ms is not None
-        and int(times[-1]) - state.pending_time_ms >= config.refractory_ms
-    ):
-        _finalize_pending(state, events, half_life_ms)
+        start = end
 
     state.left_ac, state.left_t, state.left_outlier = vals[-2:], times[-2:], outliers[-2:]
-    return events, state
+    return per_block
 
 
 def beat_interval(prev_ms: int, cur_ms: int) -> float:
@@ -277,9 +313,19 @@ def tick_chunks(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[Fram
     not after the frames before it stays in the open tick or a later one,
     where ``VitalsPipeline.tick`` rejects it.
     """
+    return chain.from_iterable(tick_groups(blocks, interval_ms))
+
+
+def tick_groups(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[Iterator[FrameBlock]]:
+    """``tick_chunks``' ticks in groups, one per block of ``blocks``: the
+    ticks that the block's frames complete, lazily, then one more group
+    for the tick that the end of the stream completes. Use each group up
+    before asking for the next, which pulls the next block."""
     held: list[FrameBlock] = []  # the open tick's frames, a piece per block
     end_ms = interval_ms  # where the open tick ends
-    for block in blocks:
+
+    def completed(block: FrameBlock) -> Iterator[FrameBlock]:
+        nonlocal held, end_ms
         t = block.cols[0]
         start = 0
         # a binary search, so stop never falls as end_ms grows, even where t is out of order
@@ -292,8 +338,26 @@ def tick_chunks(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[Fram
             end_ms += interval_ms
         if start < len(t):
             held.append(block[start:])
+
+    for block in blocks:
+        yield completed(block)
     if held:
-        yield FrameBlock.concat(held)
+        yield iter((FrameBlock.concat(held),))
+
+
+#: The column that closes ``VitalsPipeline``'s ratio window: a timestamp
+#: past every cutoff, and nothing to sum.
+_CLOSING_FRAME = np.array([[np.iinfo(np.int64).max], [0], [0]], dtype=np.int64)
+
+
+def _as_block(frames: Sequence[SampleFrame]) -> FrameBlock:
+    """``frames`` as a ``FrameBlock``: itself when it is one."""
+    return frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+
+
+#: The most cells a batch of ticks may have in its padded layout (ticks
+#: times the longest tick's frames, plus one each), unless it is one tick.
+_BATCH_CELLS = 8192
 
 
 class VitalsPipeline:
@@ -328,55 +392,116 @@ class VitalsPipeline:
         runs preprocessing, beat detection, the valid-range gate, the
         rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
         baseline is below the contact threshold the tick reports NO_CONTACT
-        with absent vitals. Deterministic for identical inputs.
+        with absent vitals. Deterministic for identical inputs. ``ticks``
+        of one block.
         """
-        config = self.config
-        tick_time_ms = (self.tick_index + 1) * config.tick_interval_ms
-
-        block = frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+        block = _as_block(frames)
         validate_block(block, self.last_frame)
-        if len(block):
-            self.last_frame = block[-1]
-        cols = block.cols
+        return self._advance(block, [len(block)])[0]
 
-        released = self.preprocessor.push(cols)
-        events, _ = detect_beats(released, self.detector, config)
-        for event in events:
-            if event.delta_t_s is not None:
-                accept_bpm(instantaneous_bpm(event.delta_t_s), self.detector, config)
+    def ticks(self, blocks: Iterable[Sequence[SampleFrame]]) -> Iterator[VitalsEstimate]:
+        """``tick`` on each of ``blocks`` in turn, in batches: yields one
+        estimate per block and leaves the pipeline bit for bit as those
+        calls would.
 
-        ratio = np.concatenate((self.ratio_window, cols), axis=1)
-        cutoff = tick_time_ms - config.ratio_window_ms
-        self.ratio_window = ratio[:, np.searchsorted(ratio[0], cutoff, side="right") :]
+        Each stage runs once per batch over all its frames, so a batch
+        pays numpy's per-call cost once rather than once per tick. A
+        batch is cut before a block that would take its padded size,
+        blocks times the longest block's frames plus one, past
+        ``_BATCH_CELLS``, so a block longer than that is a batch of its
+        own. When a block fails conversion or validation, the estimates
+        of the blocks before it are yielded, then its own error is
+        raised, with the pipeline as it was after the last of them. A
+        batch is computed when its first estimate is asked for.
+        """
+        batch: list[FrameBlock] = []
+        ends: list[int] = []
+        longest = 0
+        for frames in blocks:
+            try:
+                block = _as_block(frames)
+            except Exception:
+                yield from self._batch(batch, ends)  # the ticks before it, then its error
+                raise
+            longest = max(longest, len(block) + 1)
+            if batch and (len(batch) + 1) * longest > _BATCH_CELLS:
+                yield from self._batch(batch, ends)
+                batch, ends, longest = [], [], len(block) + 1
+            batch.append(block)
+            ends.append(len(block) + (ends[-1] if ends else 0))
+        yield from self._batch(batch, ends)
 
-        dc_ir = self.preprocessor.last_dc_ir
-        contact = (
-            contact_state(dc_ir, config.contact_ir_threshold)
-            if dc_ir is not None
-            else ContactState.NO_CONTACT
-        )
+    def _batch(self, blocks: list[FrameBlock], ends: list[int]) -> Iterator[VitalsEstimate]:
+        """The estimates of consecutive ticks, whose frames end at ``ends``
+        in their concatenation, checked with one ``first_invalid`` over
+        it; a tick that fails raises its own error after the ticks before it."""
+        if not blocks:
+            return
+        whole = FrameBlock.concat(blocks)
+        bad = first_invalid(whole, self.last_frame)
+        good = bisect_right(ends, bad) if bad < len(whole) else len(ends)
+        if good == len(ends):
+            yield from self._advance(whole, ends)
+            return
+        start = ends[good - 1] if good else 0
+        if good:
+            yield from self._advance(whole[:start], ends[:good])
+        # the tick's frames, marked as the concatenation is
+        validate_block(whole[start : ends[good]], self.last_frame)
 
-        self.tick_index += 1
-        if contact is ContactState.NO_CONTACT:
-            return VitalsEstimate(tick_time_ms=tick_time_ms, contact=contact)
+    def _advance(self, whole: FrameBlock, ends: list[int]) -> list[VitalsEstimate]:
+        """Run each stage once over the valid ticks whose frames are
+        ``whole``, tick j's ending at ``ends[j]``; return their estimates."""
+        config, pre, detector = self.config, self.preprocessor, self.detector
+        cols = whole.cols
+        if len(whole):
+            self.last_frame = whole[-1]
+        if len(ends) == 1:  # through push and detect_beats, the one-tick case of the same code
+            released = pre.push(cols)
+            dc_lasts = [pre.last_dc_ir]
+            events = [detect_beats(released, detector, config)[0]]
+        else:
+            released, rel_ends, dc_lasts = pre.push_ticks(cols, ends)
+            events = _detect_ticks(released, rel_ends, detector, config)
 
-        # exact integer sums, so the means are the correctly rounded quotients
-        sum_red, sum_ir = self.ratio_window[1:].sum(axis=1).tolist()
-        count = self.ratio_window.shape[1]
-        spo2 = None
-        if sum_ir > 0:  # so the window holds a frame, and its mean IR is above 0
-            spo2 = clamp_spo2(spo2_estimate((sum_red / count) / (sum_ir / count), config.coeffs))
+        n_ticks, interval, window_ms = len(ends), config.tick_interval_ms, config.ratio_window_ms
+        first_time = (self.tick_index + 1) * interval
+        # tick j's SpO2 ratio window is ratio[:, edges[2j] : edges[2j + 1]]:
+        # its frames and those before it after its cutoff; a last frame
+        # past every cutoff closes ratio, so that every edge is a column
+        m = self.ratio_window.shape[1]
+        ratio = np.concatenate((self.ratio_window, cols, _CLOSING_FRAME), axis=1)
+        cutoffs = range(first_time - window_ms, first_time - window_ms + n_ticks * interval, interval)
+        edges: list[int] = []
+        for first, end in zip(ratio[0].searchsorted(list(cutoffs), side="right").tolist(), ends):
+            end += m
+            edges += (first if first < end else end, end)
+        self.ratio_window = ratio[:, edges[-2] : edges[-1]]
+        # exact integer sums, so the means are the correctly rounded
+        # quotients; column 2j sums tick j's window when it holds a frame
+        red_sums, ir_sums = np.add.reduceat(ratio[1:], edges, axis=1).tolist()
 
-        return VitalsEstimate(
-            tick_time_ms=tick_time_ms,
-            contact=contact,
-            bpm_instant=self.detector.last_accepted_bpm,
-            bpm_avg=rolling_average_bpm(self.detector),
-            spo2_pct=spo2,
-        )
+        estimates = []
+        tick_time_ms = first_time
+        for j in range(n_ticks):
+            for event in events[j]:
+                if event.delta_t_s is not None:
+                    accept_bpm(instantaneous_bpm(event.delta_t_s), detector, config)
+            dc_ir = dc_lasts[j]
+            if dc_ir is None or contact_state(dc_ir, config.contact_ir_threshold) is ContactState.NO_CONTACT:
+                estimates.append(VitalsEstimate(tick_time_ms, ContactState.NO_CONTACT))
+            else:
+                count, sum_ir = edges[2 * j + 1] - edges[2 * j], ir_sums[2 * j]
+                spo2 = None
+                if count and sum_ir > 0:  # a frame in the window, and its mean IR above 0
+                    spo2 = clamp_spo2(spo2_estimate((red_sums[2 * j] / count) / (sum_ir / count), config.coeffs))
+                bpm_avg = rolling_average_bpm(detector)
+                estimates.append(VitalsEstimate(tick_time_ms, ContactState.CONTACT, detector.last_accepted_bpm, bpm_avg, spo2))
+            tick_time_ms += interval
+        self.tick_index += n_ticks
+        return estimates
 
     def run(self, frames: Sequence[SampleFrame]) -> list[VitalsEstimate]:
         """Process a whole stream, a ``FrameBlock`` or a list of frames (made
-        one block, once), chunked into signal-time ticks by ``tick_chunks``."""
-        block = frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
-        return [self.tick(chunk) for chunk in tick_chunks([block], self.config.tick_interval_ms)]
+        one block, once): ``ticks`` over its ``tick_chunks``."""
+        return list(self.ticks(tick_chunks([_as_block(frames)], self.config.tick_interval_ms)))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import binascii
 import math
 import struct
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -137,6 +137,10 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[SampleFrame, int]:
     return SampleFrame(timestamp_ms, red, ir, temperature_c), size
 
 
+#: The most rows ``FrameBlock`` iteration builds at once.
+_ROW_PIECE = 4096
+
+
 class FrameBlock(Sequence[SampleFrame]):
     """Consecutive frames as columns: an immutable sequence of SampleFrame.
 
@@ -197,7 +201,14 @@ class FrameBlock(Sequence[SampleFrame]):
         return tuple.__new__(SampleFrame, (*self.cols[:, index].tolist(), self.temps[index]))
 
     def __iter__(self) -> Iterator[SampleFrame]:
-        return map(tuple.__new__, repeat(SampleFrame), zip(*self.cols.tolist(), self.temps.tolist()))
+        # rows are built a piece at a time, so that a long block never
+        # holds all its values as Python objects at once
+        return chain.from_iterable(map(self._rows, range(0, len(self), _ROW_PIECE)))
+
+    def _rows(self, start: int) -> Iterator[SampleFrame]:
+        """The rows of frames ``start`` to ``start + _ROW_PIECE``."""
+        stop = start + _ROW_PIECE
+        return map(tuple.__new__, repeat(SampleFrame), zip(*self.cols[:, start:stop].tolist(), self.temps[start:stop].tolist()))
 
     def __eq__(self, other):
         if type(other) is not FrameBlock:
@@ -248,14 +259,16 @@ def first_invalid(block: FrameBlock, prev: SampleFrame | None = None) -> int:
     ``fields_checked`` is set is checked for order alone: within it, and
     its first frame against ``prev``."""
     t = block.cols[0]
-    if not len(t):
+    n = len(t)
+    if not n:
         return 0
-    bad = np.empty(len(t), dtype=bool)
-    bad[0] = prev is not None and t[0] <= prev.timestamp_ms
+    bad = np.empty(n, dtype=bool)
+    bad[0] = prev is not None and int(t[0]) <= prev.timestamp_ms
     np.less_equal(t[1:], t[:-1], out=bad[1:])
     if not block._fields_checked:
         bad |= _unfit(block)
-    return int(bad.argmax()) if bad.any() else len(bad)
+    i = bad.argmax()
+    return int(i) if bad[i] else n
 
 
 def _unfit(block: FrameBlock) -> np.ndarray:

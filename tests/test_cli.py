@@ -80,6 +80,17 @@ class TestSimulate:
         first = out.read_text().splitlines()[0]
         assert json.loads(first)["format"] == 2
 
+    def test_session_to_stdout_refused_before_generating(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the stream was built before the refusal")
+
+        monkeypatch.setattr("pawpulse.cli.generate", never)
+        monkeypatch.setattr("pawpulse.cli.SynthProfile", never)
+        code = run_cli("simulate", "--seconds", "14400", "--format", "session", "--out", "-")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --format session needs a real --out path\n")
+
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run_cli(
             "simulate", "--out", str(tmp_path / "x.bin"), "--set", "bogus_key=1"

@@ -415,3 +415,40 @@ class TestStreamingPreprocessor:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert pre.last_dc_ir == ref.last_dc_ir
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.one_of(st.integers(0, 6), st.integers(0, 300)), min_size=1, max_size=30),
+        groups=st.lists(st.integers(0, 30), max_size=8),
+        smooth_kernel=st.sampled_from([1, 3, 5, 7, 9]),
+        dc_window_s=st.one_of(st.just(3.0), st.floats(0.01, 0.5)),
+        outlier_z=st.one_of(st.none(), st.floats(2.0, 8.0)),
+    )
+    def test_push_ticks_matches_the_reference_pushed_one_at_a_time(self, seed, sizes, groups, smooth_kernel, dc_window_s, outlier_z):
+        """``push_ticks`` over pushes in any groups releases, push by push,
+        the bytes the re-summing reference releases pushed one at a time,
+        with each push's release end and ``last_dc_ir``: short first
+        pushes (rows that start at the stream's start), empty pushes and
+        pushes of very different sizes."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        raw = 80_000 + np.round(rng.normal(0.0, 3_000.0, size=(2, n))).astype(np.int64)
+        cols = np.vstack((np.arange(n, dtype=np.int64) * 10, raw))
+        kwargs = dict(sample_rate_hz=100.0, dc_window_s=dc_window_s, outlier_z=outlier_z)
+        pre = StreamingPreprocessor(PipelineConfig(smooth_kernel=smooth_kernel, **kwargs))
+        ref = ReferencePreprocessor(kernel_width=smooth_kernel, outlier_window_s=3.0, **kwargs)
+        edges = np.cumsum([0, *sizes]).tolist()
+        bounds = [0, *sorted(min(g, len(sizes)) for g in groups), len(sizes)]
+        for a, b in zip(bounds, bounds[1:]):
+            got, rel_ends, dc_lasts = pre.push_ticks(cols[:, edges[a] : edges[b]], [e - edges[a] for e in edges[a + 1 : b + 1]])
+            want, want_ends, want_dc = [], [], []
+            for k in range(a, b):
+                want.append(ref.push(cols[:, edges[k] : edges[k + 1]]))
+                want_ends.append(sum(len(w) for w in want))
+                want_dc.append(ref.last_dc_ir)
+            assert rel_ends == want_ends and dc_lasts == want_dc
+            for name in COLUMNS:
+                column = np.concatenate([getattr(w, name) for w in want]) if want else getattr(got, name)[:0]
+                assert getattr(got, name).tobytes() == column.tobytes(), name
+        assert pre.last_dc_ir == ref.last_dc_ir

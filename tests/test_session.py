@@ -766,6 +766,29 @@ def test_tick_records_do_not_depend_on_how_the_stream_is_cut(interval, cuts):
     assert list(tick_records(blocks, config, DEFAULT_RULE_TABLE.rules)) == _WHOLE[interval]
 
 
+@pytest.mark.parametrize("size", [1, 37, 100, 250, 1000])
+def test_a_tick_record_is_yielded_after_the_blocks_tick_chunks_pulls_for_it(size):
+    """Batching never waits for input: ``tick_records`` yields each tick
+    having pulled the blocks that ``tick_chunks`` pulls before it yields
+    that tick, and no more, so that a stream read a block at a time is
+    not held back."""
+    config = PipelineConfig(tick_interval_ms=250)
+
+    def pulls_per_tick(ticks_of):
+        pulled = []
+
+        def blocks():
+            for at in range(0, len(_STREAM), size):
+                pulled.append(at)
+                yield _STREAM[at : at + size]
+
+        return [(len(pulled), tick if type(tick) is FrameBlock else tick[0]) for tick in ticks_of(blocks())]
+
+    want = pulls_per_tick(lambda blocks: tick_chunks(blocks, config.tick_interval_ms))
+    assert pulls_per_tick(lambda blocks: tick_records(blocks, config, DEFAULT_RULE_TABLE.rules)) == want
+    assert len(want) == 32
+
+
 def canonical_raw(seq, t, red, ir, temp=None):
     """A raw record line as the writer spells it, for any values."""
     temp = "null" if temp is None else repr(float(temp))

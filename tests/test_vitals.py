@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pawpulse.core import (
     ADC_MAX,
@@ -478,3 +480,116 @@ class TestProcessTick:
         estimate = pipeline.tick([])
         assert estimate.contact is ContactState.NO_CONTACT
         assert estimate.tick_time_ms == 1000
+
+
+def _pipeline_state(pipeline):
+    """Everything a pipeline carries from one tick to the next, comparable with ==."""
+    pre, gate = pipeline.preprocessor, pipeline.preprocessor._gate
+    return (
+        pipeline.detector,
+        [column.tolist() for column in pre._carry],
+        pre._n_left,
+        pre.last_dc_ir,
+        pre._csum.tolist(),
+        pre._seen,
+        None if gate is None else (list(gate._fifo), gate._sorted, gate._j, gate._n),
+        pipeline.ratio_window.tolist(),
+        pipeline.last_frame,
+        pipeline.tick_index,
+    )
+
+
+def _corrupt(frame, prev, kind):
+    """``frame`` made to fail validation after ``prev`` (the frame before it, or None)."""
+    if kind == "order" and prev is not None:
+        return frame._replace(timestamp_ms=prev.timestamp_ms)
+    if kind == "type":
+        return frame._replace(red=frame.red + 0.5)
+    if kind == "temperature":
+        return frame._replace(temperature_c=99.9)
+    return frame._replace(ir=ADC_MAX + 1)
+
+
+def _run_each(pipeline, runs):
+    """Each group of ticks through ``pipeline.ticks``: the estimates, then the error (type and message) or None."""
+    estimates = []
+    try:
+        for run in runs:
+            estimates.extend(pipeline.ticks(run))
+    except (RangeError, OrderError) as exc:
+        return estimates, (type(exc), str(exc))
+    return estimates, None
+
+
+class TestTicks:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        seconds=st.floats(1.0, 12.0),
+        cuts=st.lists(st.one_of(st.integers(0, 1200), st.integers(0, 40), st.integers(0, 6)), max_size=40),
+        groups=st.lists(st.integers(0, 40), max_size=12),
+        as_list=st.lists(st.booleans(), min_size=41, max_size=41),
+        smooth_kernel=st.sampled_from([1, 3, 5, 7, 9]),
+        dc_window_s=st.one_of(st.just(3.0), st.floats(0.01, 0.5)),
+        outlier_z=st.one_of(st.none(), st.floats(1.5, 5.0)),
+        tick_interval_ms=st.integers(100, 1500),
+        ratio_window_ms=st.integers(1, 3000),
+        bad=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(0, 10**6), st.sampled_from(["range", "order", "type", "temperature"]))),
+    )
+    def test_batches_equal_one_tick_at_a_time(
+        self, seed, seconds, cuts, groups, as_list, smooth_kernel, dc_window_s, outlier_z,
+        tick_interval_ms, ratio_window_ms, bad,
+    ):
+        """Ticks cut anywhere (empty ones and ones of very different sizes
+        among them), given to ``ticks`` in any groups, give the estimates
+        and leave the state that ``tick`` on each gives, bit for bit. A
+        tick that fails validation raises its own error after the ticks
+        before it, and the state is the one after the last good tick."""
+        config = PipelineConfig(
+            smooth_kernel=smooth_kernel, dc_window_s=dc_window_s, outlier_z=outlier_z,
+            tick_interval_ms=tick_interval_ms, ratio_window_ms=ratio_window_ms,
+        )
+        frames, _ = generate(SynthProfile(true_bpm=100.0, noise_std_counts=80.0, seed=seed), seconds, 100.0)
+        marked, _ = resync(b"".join(map(encode_frame, frames)))
+        edges = [0, *sorted(min(cut, len(frames)) for cut in cuts), len(frames)]
+        ticks = [marked[a:b] for a, b in zip(edges, edges[1:])]
+        if bad is not None:
+            k, at, kind = bad
+            k %= len(ticks)
+            if len(ticks[k]):
+                rows = list(ticks[k])
+                at %= len(rows)
+                start = edges[k] + at
+                rows[at] = _corrupt(rows[at], frames[start - 1] if start else None, kind)
+                ticks[k] = rows if kind == "type" else FrameBlock.from_frames(rows)
+        ticks = [list(tick) if as_list[k] and type(tick) is FrameBlock else tick for k, tick in enumerate(ticks)]
+
+        one_at_a_time = VitalsPipeline(config)
+        want, want_error = _run_each(one_at_a_time, [[tick] for tick in ticks])
+        bounds = [0, *sorted(min(g, len(ticks)) for g in groups), len(ticks)]
+        batched = VitalsPipeline(config)
+        got, got_error = _run_each(batched, [ticks[a:b] for a, b in zip(bounds, bounds[1:])])
+        assert got == want
+        assert got_error == want_error
+        assert _pipeline_state(batched) == _pipeline_state(one_at_a_time)
+
+    def test_a_tick_of_many_frames_is_a_batch_of_its_own(self, monkeypatch):
+        """The padded layout never holds ticks times a long tick's frames."""
+        frames, _ = generate(SynthProfile(true_bpm=80.0, seed=5), 30.0, 100.0)
+        block = FrameBlock.from_frames(frames)
+        ticks = [block[:10], block[10:20], block[20:2500], block[2500:2510], block[2510:]]
+        sizes = []
+        push_ticks = StreamingPreprocessor.push_ticks
+
+        def spy(self, cols, ends):
+            sizes.append(len(ends))
+            return push_ticks(self, cols, ends)
+
+        one_at_a_time = VitalsPipeline()
+        want = [one_at_a_time.tick(tick) for tick in ticks]
+        monkeypatch.setattr(StreamingPreprocessor, "push_ticks", spy)
+        monkeypatch.setattr("pawpulse.vitals._BATCH_CELLS", 1000)
+        sizes.clear()
+        assert list(VitalsPipeline().ticks(ticks)) == want
+        # 3 x 2,481 cells would pass 1,000, and so would 2 x 2,481
+        assert sizes == [2, 1, 2]

@@ -495,6 +495,22 @@ class TestFrameBlock:
         with pytest.raises(ValueError):
             block.cols[0, 0] = 5
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("temps", ["absent", "mixed", "present"])
+    def test_iteration_in_pieces_equals_indexing(self, n, temps):
+        """Rows are built 4,096 at a time; the pieces join seamlessly."""
+        rng = np.random.default_rng(n)
+        channels = rng.integers(0, ADC_MAX + 1, size=(n, 2)).tolist()
+        frames = [
+            SampleFrame(10 * i, red, ir, None if temps == "absent" or (temps == "mixed" and i % 3) else (i % 400) / 10.0)
+            for i, (red, ir) in enumerate(channels)
+        ]
+        block = FrameBlock.from_frames(frames)
+        rows = list(block)
+        assert rows == [block[i] for i in range(n)] == frames
+        assert all(type(row) is SampleFrame for row in rows)
+        assert list(block[4000:8200]) == frames[4000:8200]
+
     def test_concat(self):
         frames = [SampleFrame(10, 1, 2), SampleFrame(20, 3, 4, 38.5), SampleFrame(30, 5, 6, 38)]
         blocks = [FrameBlock.from_frames(frames[:1]), FrameBlock.from_frames([]), FrameBlock.from_frames(frames[1:])]
