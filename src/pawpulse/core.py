@@ -21,7 +21,8 @@ ADC_MAX = (1 << 18) - 1
 TIMESTAMP_MAX = (1 << 63) - 1
 #: Largest finite float; an int beyond it has no float to stand for it.
 FLOAT_MAX = sys.float_info.max
-#: Most samples a DC window may span (11.6 h at 100 Hz; a 64 MB int64 carry).
+#: Most samples a DC window or a smoothing kernel may span (a DC window of
+#: 11.6 h at 100 Hz; a 64 MB carry of int64 or float64 prefix sums).
 DC_WINDOW_MAX = 1 << 22
 #: The types a real value may have (a bool is neither).
 REAL = (int, float)
@@ -151,7 +152,9 @@ class PipelineConfig:
     useful MAD threshold at its peaks); set it for motion-heavy streams.
     Each field must be of a type ``CONFIG_TYPES`` allows and, if a float,
     finite; types are checked before ranges. The DC window, ``dc_window_s
-    * sample_rate_hz``, may span at most ``DC_WINDOW_MAX`` samples.
+    * sample_rate_hz``, and ``smooth_kernel`` may each span at most
+    ``DC_WINDOW_MAX`` samples, as the preprocessor allocates a carry of
+    prefix sums that wide for each.
     """
 
     sample_rate_hz: float = 100.0
@@ -196,6 +199,8 @@ class PipelineConfig:
         if self.dc_window_s > DC_WINDOW_MAX / self.sample_rate_hz:
             raise ConfigError(f"config key 'dc_window_s': {self.dc_window_s!r} s at {self.sample_rate_hz!r} Hz"
                               f" is over {DC_WINDOW_MAX} samples")
+        if self.smooth_kernel > DC_WINDOW_MAX:
+            raise ConfigError(f"config key 'smooth_kernel': {self.smooth_kernel!r} is over {DC_WINDOW_MAX} samples")
 
 
 #: Flat config key (``coeffs`` as ``coeff_a``, ``coeff_b``) -> the exact types its value may

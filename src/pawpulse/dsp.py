@@ -6,13 +6,12 @@ beat detection consumes. Outliers are flagged, never deleted, so
 timestamps stay intact for interval math.
 
 Every step works on numpy columns and carries its state across pushes,
-so a push costs a fixed number of array operations on its new samples:
-the DC window is a running sum (the exact int64 prefix sums of the raw
-counts at its last positions), the smoothing a cumsum of the few AC
-samples it still needs, and the outlier gate a sorted copy of its window.
-A stream fed in chunks sees the same windows it would see in one piece.
-``StreamingPreprocessor.push_ticks`` does a run of pushes with the
-operations of one, and releases what the pushes would release one by one.
+so a push costs a fixed number of array operations on its new samples.
+The DC and the smoothing are one running-mean rule (``_RunningMean``:
+carried prefix sums, extended in stream order), and the outlier gate
+keeps a sorted copy of its window. A stream fed in chunks sees the same
+windows, and gets the same bits, as in one piece, so
+``StreamingPreprocessor.push_ticks`` does a run of pushes as one push.
 """
 from __future__ import annotations
 
@@ -127,6 +126,37 @@ def contact_state(dc_ir: float, threshold: float) -> ContactState:
     return ContactState.CONTACT if dc_ir >= threshold else ContactState.NO_CONTACT
 
 
+class _RunningMean:
+    """Trailing means of the last ``width`` values of two rows, one per
+    value pushed; the window expands from the stream's start up to
+    ``width`` values.
+
+    The prefix sums of the rows at their last ``width`` positions are
+    carried, zeros before the stream, and each push extends them with one
+    sequential ``np.add.accumulate``. So every prefix sum, and with it
+    every mean, is the same however the values were split into pushes.
+    With an int64 ``dtype`` the sums of integer values are exact.
+    """
+
+    def __init__(self, width: int, dtype: type):
+        self._width = width
+        self._csum = np.zeros((2, width), dtype=dtype)
+        self._seen = 0  # values pushed, counted up to width
+
+    def push(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the means ending at each column of ``x``, a ``(2, n)``
+        array, into ``out``, a ``(2, n)`` float array (``x`` may be ``out``)."""
+        width, n, seen = self._width, x.shape[1], self._seen
+        # the carried sums, then the running sums on from the last of them
+        csum = np.concatenate((self._csum, x), axis=1)
+        np.add.accumulate(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
+        self._csum = csum[:, n:]
+        self._seen = min(seen + n, width)
+        count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
+        np.subtract(csum[:, width:], csum[:, :n], out=out)  # window sums; int64 ones, below 2**53, are exact as floats
+        np.divide(out, count, out=out)
+
+
 class StreamingPreprocessor:
     """DC/AC split, centered smoothing and optional outlier flags for the
     tick loop, one ``AcBlock`` per ``push``, with the ``sample_rate_hz``,
@@ -142,32 +172,27 @@ class StreamingPreprocessor:
     stream. It needs ``smooth_kernel // 2`` samples of right context, so
     that many samples are held back and released by the next push.
 
-    The DC mean is a running sum: the int64 prefix sums of the raw counts
-    at the last ``dc_width`` positions are carried, zeros before the
-    stream, so the window sums are exact integers and the DC columns are
-    the same however the stream is chunked (int64 holds the sums of
-    3.5e13 18-bit samples). The smoothing takes one cumsum over the held
-    samples and their left context, so the smoothed AC depends on the
-    chunking in its last bits; timestamps, DC columns and the gate's flags
-    do not.
+    Both means are running means (``_RunningMean``). The DC mean sums
+    the raw counts in int64 (which holds the sums of 3.5e13 18-bit
+    samples), so its window sums are exact. The centered mean of sample i
+    is the trailing mean of ``smooth_kernel`` AC values ending at i +
+    ``smooth_kernel // 2``, read that many samples late; its float64
+    prefix sums are added in stream order. So every released column is
+    bit-identical however the stream is chunked.
 
     Single-consumer per stream; create one instance per stream.
     """
 
     def __init__(self, config: PipelineConfig):
         step_ms = 1000.0 / config.sample_rate_hz
-        self._dc_width = _window_samples(config.dc_window_s, step_ms)
         self._half = config.smooth_kernel // 2
         self._outlier_z = config.outlier_z
-        # prefix sums of the raw red/IR rows at the last dc_width positions
-        self._csum = np.zeros((2, self._dc_width), dtype=np.int64)
-        self._seen = 0  # samples pushed, counted up to dc_width
+        self._dc = _RunningMean(_window_samples(config.dc_window_s, step_ms), np.int64)
+        self._smooth = _RunningMean(config.smooth_kernel, np.float64) if self._half else None
         self._gate = None if config.outlier_z is None else _RunningMedianMad(_window_samples(_GATE_WINDOW_S, step_ms))
-        # unsmoothed samples: up to `half` released ones (left smoothing
-        # context), then the ones held back for right context, as t, the
-        # rows ac_red, ac_ir, dc_red, dc_ir, and the outlier flags
-        self._carry = (np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
-        self._n_left = 0
+        # the last `half` samples pushed, held back until their smoothed AC
+        # is known: t, the rows dc_red and dc_ir, and the outlier flags
+        self._held = (np.empty(0, dtype=np.int64), np.empty((2, 0)), np.empty(0, dtype=bool))
         self.last_dc_ir: float | None = None
 
     def push(self, cols: np.ndarray) -> AcBlock:
@@ -183,93 +208,36 @@ class StreamingPreprocessor:
         new samples, push j's ending at column ``ends[j]``. Returns what
         they release, as one block, where each push's release ends in it,
         and ``last_dc_ir`` after each push; leaves the preprocessor bit for
-        bit as pushing them in turn would.
-
-        The DC split and the gate run once over all the new samples. The
-        smoothing is one zero-padded layout, a row per push that releases:
-        its carry, then its new samples, placed so that its first released
-        sample falls in the same column in every row. The cumsum runs along
-        the rows, so each released value is built from the additions that
-        its own push would make.
+        bit as pushing them in turn would. As no column depends on how the
+        stream is chunked, that is one push of all the new samples.
         """
-        t, acdc, outlier = self._carry
-        m, n, half = len(t), cols.shape[1], self._half
-        if n:
-            # the carried rows, then the new samples' rows written in place
-            work = np.empty((4, m + n))
-            work[:, :m] = acdc
-            flags = self._split(cols[1:], work[:, m:])
-            t = np.concatenate((t, cols[0]))
-            acdc = work
-            outlier = np.concatenate((outlier, flags))
-        # per push that releases, in carry-then-new coordinates: where its
-        # carry starts, its first released sample and its end
-        rows: list[tuple[int, int, int]] = []
-        rel_ends: list[int] = []
+        held_t, held_dc, held_flags = self._held
+        m, n, half = len(held_t), cols.shape[1], self._half
+        if not n:
+            return _EMPTY_BLOCK, [0] * len(ends), [self.last_dc_ir] * len(ends)
+        dc = np.empty((2, n))
+        self._dc.push(cols[1:], dc)
+        ac = cols[1:] - dc
+        flags = self._flag(ac[1])
+        if self._smooth is not None:
+            self._smooth.push(ac, ac)  # column j: the smoothed AC of sample j - half
         dc_lasts: list[float | None] = []
-        first = stop = self._n_left  # stop: the first sample not yet released
-        last_dc_ir, done, longest = self.last_dc_ir, 0, 0
+        last_dc_ir = self.last_dc_ir
         for end in ends:
-            if end > done:
-                last_dc_ir, done = float(acdc[3, m + end - 1]), end
+            if end:
+                last_dc_ir = float(dc[1, end - 1])
             dc_lasts.append(last_dc_ir)
-            end += m
-            if end - half > stop:
-                rows.append((stop - half if stop > half else 0, stop, end))
-                if end - half - stop > longest:
-                    longest = end - half - stop
-                stop = end - half
-            rel_ends.append(stop - first)
         self.last_dc_ir = last_dc_ir
-        if stop == first:
-            self._carry = (t, acdc, outlier)
+        # all but the stream's last half samples are released
+        rel_ends = [m + end - half if m + end > half else 0 for end in ends]
+        r = rel_ends[-1]
+        t = np.concatenate((held_t, cols[0]))
+        dc = np.concatenate((held_dc, dc), axis=1)
+        outlier = np.concatenate((held_flags, flags))
+        self._held = (t[r:], dc[:, r:], outlier[r:])
+        if not r:
             return _EMPTY_BLOCK, rel_ends, dc_lasts
-        if half:
-            # rows 2k and 2k + 1 of the layout: push k's AC red and IR, from
-            # its carry on, placed so that its first released sample is in
-            # column half; zeros before a row stand for the samples before
-            # the stream (only a row that starts there has fewer than half
-            # samples on its left), zeros after pad it to the longest
-            width = 2 * half + 1
-            if len(rows) == 1 and rows[0][1] - rows[0][0] == half:
-                start, _, end = rows[0]
-                layout = acdc[:2, start:end]  # a lone row that fills the layout is its own
-            else:
-                layout = np.zeros((2 * len(rows), longest + 2 * half))
-                for k, (start, left, end) in enumerate(rows):
-                    layout[2 * k : 2 * k + 2, start - left + half : end - left + half] = acdc[:2, start:end]
-            # csum[:, j + 1] sums a row's columns 0 to j, so released sample
-            # i, in column half + i, sums csum[:, i + width] - csum[:, i]
-            csum = np.zeros((2 * len(rows), longest + width))
-            np.add.accumulate(layout, axis=1, out=csum[:, 1:])
-            sums = csum[:, width:] - csum[:, :longest]
-            if len(rows) > 1:
-                sums = np.concatenate([sums[2 * k : 2 * k + 2, : end - half - left] for k, (_, left, end) in enumerate(rows)], axis=1)
-            # first < half only while the carry starts at the stream's start
-            ac = sums / (width if first == half else np.minimum(np.arange(first + half + 1, stop + half + 1), width))
-        else:
-            ac = acdc[:2, first:stop]
-        keep_from = max(0, stop - half)
-        self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
-        self._n_left = stop - keep_from
-        block = AcBlock(t[first:stop], ac[0], ac[1], acdc[2, first:stop], acdc[3, first:stop], outlier[first:stop])
-        return block, rel_ends, dc_lasts
-
-    def _split(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the rows ac_red, ac_ir, dc_red, dc_ir of new raw red/IR
-        rows into ``out``, a ``(4, n)`` float array; return their outlier flags."""
-        width, n, seen = self._dc_width, raw.shape[1], self._seen
-        # the carried sums, then the running sums on from the last of them
-        csum = np.concatenate((self._csum, raw), axis=1)
-        np.add.accumulate(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
-        self._csum = csum[:, n:]
-        self._seen = min(seen + n, width)
-        count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
-        ac, dc = out[:2], out[2:]
-        np.subtract(csum[:, width:], csum[:, :n], out=dc)  # window sums, below 2**40, so exact as floats
-        np.divide(dc, count, out=dc)
-        np.subtract(raw, dc, out=ac)
-        return self._flag(ac[1])
+        return AcBlock(t[:r], ac[0, n - r :], ac[1, n - r :], dc[0, :r], dc[1, :r], outlier[:r]), rel_ends, dc_lasts
 
     def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
         if self._gate is None:

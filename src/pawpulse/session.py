@@ -164,16 +164,15 @@ def _number_json(x) -> str:
     return float.__repr__(float(x))
 
 
-def _record_json(seq: int, payload: SampleFrame | VitalsEstimate | TickEmotion) -> str:
+def _record_json(seq: int, payload: VitalsEstimate | TickEmotion) -> str:
     """The record line, without its LF, for ``payload`` numbered ``seq``.
+    Raw lines are written from blocks (``SessionWriter.append_record``).
 
-    Raises TypeError when ``payload`` is not one of the three record types,
+    Raises TypeError when ``payload`` is not a vitals or emotion record,
     and TypeError or ValueError for a field that reading would reject or
     read back as another value.
     """
     kind = type(payload)
-    if kind is SampleFrame:
-        return _RAW_JSON % (seq, *payload[:3], _number_json(payload.temperature_c))
     if kind is not VitalsEstimate and kind is not TickEmotion:
         raise TypeError(f"not a session record: {payload!r}")
     t = payload.tick_time_ms
@@ -279,7 +278,8 @@ class SessionWriter:
                 fields = [None] * (5 * k)  # each line's five fields in turn
                 fields[::5] = range(self._seq + at, self._seq + at + k)
                 fields[1::5], fields[2::5], fields[3::5] = t, red, ir
-                fields[4::5] = map(_number_json, temps[at : at + k])
+                piece = temps[at : at + k]
+                fields[4::5] = ["null"] * k if piece.count(None) == k else map(_number_json, piece)
                 pieces.append(_RAW_LINE * k % tuple(fields))
             self._fh.writelines(pieces)
             self._last_raw = record[-1]

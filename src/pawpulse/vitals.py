@@ -355,9 +355,8 @@ def _as_block(frames: Sequence[SampleFrame]) -> FrameBlock:
     return frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
 
 
-#: The most cells a batch of ticks may have in its padded layout (ticks
-#: times the longest tick's frames, plus one each), unless it is one tick.
-_BATCH_CELLS = 8192
+#: The most frames a batch of ticks may hold, unless it is one tick.
+_BATCH_FRAMES = 8192
 
 
 class VitalsPipeline:
@@ -406,27 +405,24 @@ class VitalsPipeline:
 
         Each stage runs once per batch over all its frames, so a batch
         pays numpy's per-call cost once rather than once per tick. A
-        batch is cut before a block that would take its padded size,
-        blocks times the longest block's frames plus one, past
-        ``_BATCH_CELLS``, so a block longer than that is a batch of its
-        own. When a block fails conversion or validation, the estimates
-        of the blocks before it are yielded, then its own error is
-        raised, with the pipeline as it was after the last of them. A
+        batch is cut before a block that would take it past
+        ``_BATCH_FRAMES`` frames, so a block longer than that is a batch
+        of its own. When a block fails conversion or validation, the
+        estimates of the blocks before it are yielded, then its own error
+        is raised, with the pipeline as it was after the last of them. A
         batch is computed when its first estimate is asked for.
         """
         batch: list[FrameBlock] = []
         ends: list[int] = []
-        longest = 0
         for frames in blocks:
             try:
                 block = _as_block(frames)
             except Exception:
                 yield from self._batch(batch, ends)  # the ticks before it, then its error
                 raise
-            longest = max(longest, len(block) + 1)
-            if batch and (len(batch) + 1) * longest > _BATCH_CELLS:
+            if batch and ends[-1] + len(block) > _BATCH_FRAMES:
                 yield from self._batch(batch, ends)
-                batch, ends, longest = [], [], len(block) + 1
+                batch, ends = [], []
             batch.append(block)
             ends.append(len(block) + (ends[-1] if ends else 0))
         yield from self._batch(batch, ends)

@@ -861,6 +861,8 @@ def test_non_finite_config_value_is_data_error(tmp_path, capsys, value):
     [
         ("dc_window_s=1e300", "config key 'dc_window_s': 1e+300 s at 100.0 Hz is over 4194304 samples"),
         ("sample_rate_hz=1e300", "config key 'dc_window_s': 3.0 s at 1e+300 Hz is over 4194304 samples"),
+        # the smoothing kernel has the DC window's cap, as its carry is as wide
+        ("smooth_kernel=999999999", "config key 'smooth_kernel': 999999999 is over 4194304 samples"),
     ],
 )
 def test_oversized_dc_window_is_data_error(tmp_path, capsys, setting, message):

@@ -227,6 +227,13 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="dc_window_s': 3.0 s at 1e\\+300 Hz is over"):
             PipelineConfig(sample_rate_hz=1e300)
 
+    def test_smooth_kernel_bound(self):
+        # the kernel may span DC_WINDOW_MAX samples (the odd one below), and not one more
+        assert PipelineConfig(smooth_kernel=DC_WINDOW_MAX - 1).smooth_kernel == DC_WINDOW_MAX - 1
+        message = f"config key 'smooth_kernel': {DC_WINDOW_MAX + 1} is over {DC_WINDOW_MAX} samples"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(smooth_kernel=DC_WINDOW_MAX + 1)
+
     def test_int_bounds(self):
         # an int key takes any int64, a real key any int a float can stand for
         assert PipelineConfig(contact_ir_threshold=2**63 - 1).contact_ir_threshold == 2**63 - 1

@@ -256,8 +256,9 @@ def centered_mean(x, half, start=0, stop=None):
 
 class ReferencePreprocessor:
     """``StreamingPreprocessor`` as it was before it carried its window
-    sums: each push re-sums the carried raw history for the DC and the
-    carried AC samples for the smoothing."""
+    sums: each push re-sums the carried raw history for the DC, and
+    smooths from the prefix sums of the whole AC history since the
+    stream's start."""
 
     def __init__(self, sample_rate_hz, dc_window_s=3.0, kernel_width=5, outlier_z=None, outlier_window_s=3.0):
         step_ms = 1000.0 / sample_rate_hz
@@ -266,12 +267,12 @@ class ReferencePreprocessor:
         self._outlier_z = outlier_z
         self._raw = np.empty((2, 0))
         self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
-        self._carry = (np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
-        self._n_left = 0
+        # every sample pushed: t, the rows ac_red, ac_ir, dc_red, dc_ir, and the flags
+        self._t, self._acdc, self._outlier = np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool)
+        self._released = 0
         self.last_dc_ir = None
 
     def push(self, cols):
-        t, acdc, outlier = self._carry
         if cols.shape[1]:
             raw = cols[1:]
             hist = np.concatenate((self._raw, raw), axis=1)
@@ -284,19 +285,17 @@ class ReferencePreprocessor:
             else:
                 med, mad = self._gate.push(ac[1])
                 flags = (mad > 0) & (np.abs(ac[1] - med) > self._outlier_z * MAD_SIGMA * mad)
-            t = np.concatenate((t, cols[0]))
-            acdc = np.concatenate((acdc, np.concatenate((ac, dc))), axis=1)
-            outlier = np.concatenate((outlier, flags))
-        left, half = self._n_left, self._half
-        stop = len(t) - half
-        if stop <= left:
-            self._carry = (t, acdc, outlier)
-            return AcBlock(t[:0], *np.empty((4, 0)), outlier[:0])
-        ac = centered_mean(acdc[:2], half, left, stop) if half else acdc[:2, left:stop]
-        keep_from = max(0, stop - half)
-        self._carry = (t[keep_from:], acdc[:, keep_from:], outlier[keep_from:])
-        self._n_left = stop - keep_from
-        return AcBlock(t[left:stop], ac[0], ac[1], acdc[2, left:stop], acdc[3, left:stop], outlier[left:stop])
+            self._t = np.concatenate((self._t, cols[0]))
+            self._acdc = np.concatenate((self._acdc, np.concatenate((ac, dc))), axis=1)
+            self._outlier = np.concatenate((self._outlier, flags))
+        start, half = self._released, self._half
+        stop = len(self._t) - half
+        if stop <= start:
+            return AcBlock(self._t[:0], *np.empty((4, 0)), self._outlier[:0])
+        t, acdc, outlier = self._t, self._acdc, self._outlier
+        ac = centered_mean(acdc[:2], half, start, stop) if half else acdc[:2, start:stop]
+        self._released = stop
+        return AcBlock(t[start:stop], ac[0], ac[1], acdc[2, start:stop], acdc[3, start:stop], outlier[start:stop])
 
 
 SPIKED = inject_artifacts(
@@ -361,12 +360,8 @@ class TestStreamingPreprocessor:
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.one_of(st.integers(0, 250), st.integers(0, 4096)), min_size=1, max_size=30))
     def test_chunking_invariance(self, outlier_z, smooth_kernel, sizes):
-        """Any chunking releases the same columns as one whole push.
-
-        Bit-identical, except that the smoothed AC columns come from one
-        cumsum per push, so they may differ from the whole push in the
-        last bits.
-        """
+        """Any chunking releases the same columns as one whole push, bit
+        for bit."""
         config = PipelineConfig(smooth_kernel=smooth_kernel, outlier_z=outlier_z)
         whole_pre = StreamingPreprocessor(config)
         whole = whole_pre.push(frame_columns(SPIKED))
@@ -379,10 +374,7 @@ class TestStreamingPreprocessor:
         blocks.append(pre.push(frame_columns(SPIKED[pos:])))
         for name in COLUMNS:
             got = np.concatenate([getattr(b, name) for b in blocks])
-            if smooth_kernel > 1 and name.startswith("ac_"):
-                np.testing.assert_allclose(got, getattr(whole, name), rtol=0, atol=1e-8)
-            else:
-                assert np.array_equal(got, getattr(whole, name)), name
+            assert np.array_equal(got, getattr(whole, name)), name
         assert pre.last_dc_ir == whole_pre.last_dc_ir
 
     @settings(max_examples=150, deadline=None)

@@ -195,7 +195,9 @@ emotion_payloads = st.builds(
 class TestRawEncoding:
     @settings(max_examples=500, deadline=None)
     @given(seq=st.integers(0, (1 << 63) - 1), frame=frames)
-    def test_matches_json_dumps(self, seq, frame):
+    def test_matches_json_dumps(self, tmp_path_factory, seq, frame):
+        """The raw line the writer appends for a one-frame block (every raw
+        line is written from a block) is the one ``json.dumps`` gives."""
         body = {
             "seq": seq,
             "kind": "raw",
@@ -205,7 +207,11 @@ class TestRawEncoding:
             "temp": frame.temperature_c,
         }
         expected = json.dumps(body, separators=(",", ":"), allow_nan=False)
-        assert _record_json(seq, frame) == expected
+        path = tmp_path_factory.getbasetemp() / "raw_encoding.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer._seq = seq  # the number the next record gets
+            writer.append_record(FrameBlock.from_frames([frame]))
+        assert path.read_text(encoding="utf-8").splitlines()[1] == expected
 
     @settings(max_examples=50, deadline=None)
     @given(drawn=st.lists(frames | vitals_payloads | emotion_payloads, max_size=40), split=st.integers(0, 40))

@@ -485,13 +485,12 @@ class TestProcessTick:
 def _pipeline_state(pipeline):
     """Everything a pipeline carries from one tick to the next, comparable with ==."""
     pre, gate = pipeline.preprocessor, pipeline.preprocessor._gate
+    means = [mean for mean in (pre._dc, pre._smooth) if mean is not None]
     return (
         pipeline.detector,
-        [column.tolist() for column in pre._carry],
-        pre._n_left,
+        [column.tolist() for column in pre._held],
         pre.last_dc_ir,
-        pre._csum.tolist(),
-        pre._seen,
+        [(mean._csum.tolist(), mean._seen) for mean in means],
         None if gate is None else (list(gate._fifo), gate._sorted, gate._j, gate._n),
         pipeline.ratio_window.tolist(),
         pipeline.last_frame,
@@ -574,7 +573,8 @@ class TestTicks:
         assert _pipeline_state(batched) == _pipeline_state(one_at_a_time)
 
     def test_a_tick_of_many_frames_is_a_batch_of_its_own(self, monkeypatch):
-        """The padded layout never holds ticks times a long tick's frames."""
+        """A batch is cut before a tick that would take it past the frame
+        bound, so a tick longer than the bound is a batch of its own."""
         frames, _ = generate(SynthProfile(true_bpm=80.0, seed=5), 30.0, 100.0)
         block = FrameBlock.from_frames(frames)
         ticks = [block[:10], block[10:20], block[20:2500], block[2500:2510], block[2510:]]
@@ -588,8 +588,8 @@ class TestTicks:
         one_at_a_time = VitalsPipeline()
         want = [one_at_a_time.tick(tick) for tick in ticks]
         monkeypatch.setattr(StreamingPreprocessor, "push_ticks", spy)
-        monkeypatch.setattr("pawpulse.vitals._BATCH_CELLS", 1000)
+        monkeypatch.setattr("pawpulse.vitals._BATCH_FRAMES", 1000)
         sizes.clear()
         assert list(VitalsPipeline().ticks(ticks)) == want
-        # 3 x 2,481 cells would pass 1,000, and so would 2 x 2,481
+        # 20 + 2,480 frames would pass 1,000, and so would 2,480 + 10
         assert sizes == [2, 1, 2]
