@@ -148,7 +148,8 @@ def cmd_simulate(args) -> int:
             noise_std_counts=args.noise_std,
             seed=args.seed,
         )
-        frames, truth = generate(profile, args.seconds, args.fs, coeffs=config.coeffs)
+        # at the rate a session header states and process assumes
+        frames, truth = generate(profile, args.seconds, config.sample_rate_hz, coeffs=config.coeffs)
     except ConfigError as exc:
         raise UsageError(str(exc))
     if args.format == "wire":
@@ -417,11 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a synthetic stream with ground truth")
+    sim = sub.add_parser("simulate", help="generate a synthetic stream with ground truth at the config's sample_rate_hz")
     sim.add_argument("--bpm", type=float, default=80.0, help="true heart rate [30, 220]")
     sim.add_argument("--spo2", type=float, default=97.0, help="true SpO2 percent [70, 100]")
     sim.add_argument("--seconds", type=float, default=30.0)
-    sim.add_argument("--fs", type=float, default=100.0, help="sample rate in Hz")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--dc-ir", type=float, default=80_000.0, dest="dc_ir")
     sim.add_argument("--ac-fraction", type=float, default=0.03, dest="ac_fraction")

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -617,8 +616,7 @@ def tick_records(
     last_temp = None
     for group in tick_groups(blocks, config.tick_interval_ms):
         # the ticks an input block completes go through the pipeline together
-        chunks, batch = itertools.tee(group)
-        for chunk, estimate in zip(chunks, pipeline.ticks(batch)):
+        for chunk, estimate in zip(group, pipeline.ticks(group)):
             last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
             emotion = None
             if _assessed(estimate):

@@ -316,33 +316,29 @@ def tick_chunks(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[Fram
     return chain.from_iterable(tick_groups(blocks, interval_ms))
 
 
-def tick_groups(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[Iterator[FrameBlock]]:
+def tick_groups(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[list[FrameBlock]]:
     """``tick_chunks``' ticks in groups, one per block of ``blocks``: the
-    ticks that the block's frames complete, lazily, then one more group
-    for the tick that the end of the stream completes. Use each group up
-    before asking for the next, which pulls the next block."""
+    ticks that the block's frames complete, then one more group for the
+    tick that the end of the stream completes."""
     held: list[FrameBlock] = []  # the open tick's frames, a piece per block
     end_ms = interval_ms  # where the open tick ends
-
-    def completed(block: FrameBlock) -> Iterator[FrameBlock]:
-        nonlocal held, end_ms
+    for block in blocks:
         t = block.cols[0]
+        group: list[FrameBlock] = []
         start = 0
         # a binary search, so stop never falls as end_ms grows, even where t is out of order
         while (stop := int(t.searchsorted(end_ms))) < len(t):
             if stop > start:
                 held.append(block[start:stop])
-            yield FrameBlock.concat(held)
+            group.append(FrameBlock.concat(held))
             held = []
             start = stop
             end_ms += interval_ms
         if start < len(t):
             held.append(block[start:])
-
-    for block in blocks:
-        yield completed(block)
+        yield group
     if held:
-        yield iter((FrameBlock.concat(held),))
+        yield [FrameBlock.concat(held)]
 
 
 #: The column that closes ``VitalsPipeline``'s ratio window: a timestamp
@@ -434,16 +430,14 @@ class VitalsPipeline:
         if not blocks:
             return
         whole = FrameBlock.concat(blocks)
-        bad = first_invalid(whole, self.last_frame)
-        good = bisect_right(ends, bad) if bad < len(whole) else len(ends)
-        if good == len(ends):
-            yield from self._advance(whole, ends)
-            return
+        # the ticks whose frames all come before the first invalid one: all when there is none
+        good = bisect_right(ends, first_invalid(whole, self.last_frame))
         start = ends[good - 1] if good else 0
         if good:
             yield from self._advance(whole[:start], ends[:good])
-        # the tick's frames, marked as the concatenation is
-        validate_block(whole[start : ends[good]], self.last_frame)
+        if good < len(ends):
+            # the tick's frames, marked as the concatenation is
+            validate_block(whole[start : ends[good]], self.last_frame)
 
     def _advance(self, whole: FrameBlock, ends: list[int]) -> list[VitalsEstimate]:
         """Run each stage once over the valid ticks whose frames are

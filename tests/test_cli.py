@@ -80,6 +80,24 @@ class TestSimulate:
         first = out.read_text().splitlines()[0]
         assert json.loads(first)["format"] == 2
 
+    def test_sample_rate_comes_from_the_config(self, tmp_path, capsys):
+        # the frames and the session header state one rate
+        out = tmp_path / "s.ndjson"
+        code = run_cli(
+            "simulate", "--set", "sample_rate_hz=50", "--seconds", "20", "--format", "session",
+            "--out", str(out),
+        )
+        assert code == 0
+        header, *records = out.read_text().splitlines()
+        assert '"sample_rate_hz":50.0,' in header
+        assert [json.loads(line)["t"] for line in records] == list(range(0, 20_000, 20))
+        capsys.readouterr()
+        assert run_cli("simulate", "--fs", "50", "--out", str(tmp_path / "fs.bin")) == 2
+        assert "unrecognized arguments: --fs 50" in capsys.readouterr().err
+        assert run_cli("simulate", "--set", "sample_rate_hz=0", "--out", str(tmp_path / "zero.bin")) == 3
+        assert capsys.readouterr().err == "error: sample_rate_hz must be positive\n"
+        assert not (tmp_path / "fs.bin").exists() and not (tmp_path / "zero.bin").exists()
+
     def test_session_to_stdout_refused_before_generating(self, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the stream was built before the refusal")
@@ -826,7 +844,7 @@ def test_operator_file_errors_name_their_line(tmp_path, capsys, flag, text, code
         ("--bpm", "500", "true_bpm 500.0 outside [30, 220]"),
         ("--spo2", "50", "true_spo2_pct 50.0 outside [70, 100]"),
         ("--seconds", "0", "duration_s and fs_hz must be positive"),
-        ("--fs", "2000", "fs_hz above 1000 would collide millisecond timestamps"),
+        ("--set", "sample_rate_hz=2000", "fs_hz above 1000 would collide millisecond timestamps"),
         ("--seed", "-1", "seed must be >= 0"),
     ],
 )
