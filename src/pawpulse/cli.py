@@ -124,9 +124,7 @@ def render_tick_line(est, assessment: EmotionAssessment | None) -> str:
 def _truth_json(truth, profile: SynthProfile) -> str:
     return json.dumps(
         {
-            "true_bpm": profile.true_bpm
-            if isinstance(profile.true_bpm, (int, float))
-            else [list(seg) for seg in profile.true_bpm],
+            "true_bpm": profile.true_bpm,  # --bpm is one number, never a schedule
             "true_spo2_pct": profile.true_spo2_pct,
             "beat_times_ms": list(truth.beat_times_ms),
             "spo2_schedule": [list(entry) for entry in truth.spo2_schedule],

@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    TIMESTAMP_MAX,
     BeatEvent,
     CalibrationCoeffs,
     ContactState,
@@ -321,19 +322,19 @@ def tick_groups(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[list
     ticks that the block's frames complete, then one more group for the
     tick that the end of the stream completes."""
     held: list[FrameBlock] = []  # the open tick's frames, a piece per block
-    end_ms = interval_ms  # where the open tick ends
+    last_ms = interval_ms - 1  # the open tick's last ms, capped at TIMESTAMP_MAX so that numpy compares int64s
     for block in blocks:
         t = block.cols[0]
         group: list[FrameBlock] = []
         start = 0
-        # a binary search, so stop never falls as end_ms grows, even where t is out of order
-        while (stop := int(t.searchsorted(end_ms))) < len(t):
+        # a binary search, so stop never falls as last_ms grows, even where t is out of order
+        while (stop := int(t.searchsorted(last_ms, "right"))) < len(t):
             if stop > start:
                 held.append(block[start:stop])
             group.append(FrameBlock.concat(held))
             held = []
             start = stop
-            end_ms += interval_ms
+            last_ms = min(last_ms + interval_ms, TIMESTAMP_MAX)
         if start < len(t):
             held.append(block[start:])
         yield group
@@ -343,12 +344,7 @@ def tick_groups(blocks: Iterable[FrameBlock], interval_ms: int) -> Iterator[list
 
 #: The column that closes ``VitalsPipeline``'s ratio window: a timestamp
 #: past every cutoff, and nothing to sum.
-_CLOSING_FRAME = np.array([[np.iinfo(np.int64).max], [0], [0]], dtype=np.int64)
-
-
-def _as_block(frames: Sequence[SampleFrame]) -> FrameBlock:
-    """``frames`` as a ``FrameBlock``: itself when it is one."""
-    return frames if type(frames) is FrameBlock else FrameBlock.from_frames(frames)
+_CLOSING_FRAME = np.array([[TIMESTAMP_MAX], [0], [0]], dtype=np.int64)
 
 
 #: The most frames a batch of ticks may hold, unless it is one tick.
@@ -376,13 +372,13 @@ class VitalsPipeline:
         self.tick_index = 0
         self.last_frame: SampleFrame | None = None
 
-    def tick(self, frames: Sequence[SampleFrame]) -> VitalsEstimate:
-        """Advance the pipeline by one tick over the frames that arrived.
+    def tick(self, block: FrameBlock) -> VitalsEstimate:
+        """Advance the pipeline by one tick over the frames that arrived,
+        a ``FrameBlock`` (``FrameBlock.from_frames`` makes one of rows).
 
-        ``frames`` is a ``FrameBlock`` or a list of frames. Checks them
-        all with ``validate_block`` against the last frame of the tick
-        before, so a tick that raises leaves the pipeline as it was; a
-        block from ``resync`` or ``replay`` (``fields_checked``) is
+        Checks them all with ``validate_block`` against the last frame of
+        the tick before, so a tick that raises leaves the pipeline as it
+        was; a block from ``resync`` or ``replay`` (``fields_checked``) is
         checked for order alone, as its fields were checked there. Then
         runs preprocessing, beat detection, the valid-range gate, the
         rolling average, and the ratio -> SpO2 -> clamp chain. When the IR
@@ -390,32 +386,26 @@ class VitalsPipeline:
         with absent vitals. Deterministic for identical inputs. ``ticks``
         of one block.
         """
-        block = _as_block(frames)
         validate_block(block, self.last_frame)
         return self._advance(block, [len(block)])[0]
 
-    def ticks(self, blocks: Iterable[Sequence[SampleFrame]]) -> Iterator[VitalsEstimate]:
-        """``tick`` on each of ``blocks`` in turn, in batches: yields one
-        estimate per block and leaves the pipeline bit for bit as those
-        calls would.
+    def ticks(self, blocks: Iterable[FrameBlock]) -> Iterator[VitalsEstimate]:
+        """``tick`` on each ``FrameBlock`` of ``blocks`` in turn, in batches:
+        yields one estimate per block and leaves the pipeline bit for bit
+        as those calls would.
 
         Each stage runs once per batch over all its frames, so a batch
         pays numpy's per-call cost once rather than once per tick. A
         batch is cut before a block that would take it past
         ``_BATCH_FRAMES`` frames, so a block longer than that is a batch
-        of its own. When a block fails conversion or validation, the
-        estimates of the blocks before it are yielded, then its own error
-        is raised, with the pipeline as it was after the last of them. A
-        batch is computed when its first estimate is asked for.
+        of its own. When a block fails validation, the estimates of the
+        blocks before it are yielded, then its own error is raised, with
+        the pipeline as it was after the last of them. A batch is computed
+        when its first estimate is asked for.
         """
         batch: list[FrameBlock] = []
         ends: list[int] = []
-        for frames in blocks:
-            try:
-                block = _as_block(frames)
-            except Exception:
-                yield from self._batch(batch, ends)  # the ticks before it, then its error
-                raise
+        for block in blocks:
             if batch and ends[-1] + len(block) > _BATCH_FRAMES:
                 yield from self._batch(batch, ends)
                 batch, ends = [], []
@@ -491,7 +481,7 @@ class VitalsPipeline:
         self.tick_index += n_ticks
         return estimates
 
-    def run(self, frames: Sequence[SampleFrame]) -> list[VitalsEstimate]:
-        """Process a whole stream, a ``FrameBlock`` or a list of frames (made
-        one block, once): ``ticks`` over its ``tick_chunks``."""
-        return list(self.ticks(tick_chunks([_as_block(frames)], self.config.tick_interval_ms)))
+    def run(self, block: FrameBlock) -> list[VitalsEstimate]:
+        """Process a whole stream, given as one ``FrameBlock``: ``ticks``
+        over its ``tick_chunks``."""
+        return list(self.ticks(tick_chunks([block], self.config.tick_interval_ms)))

@@ -32,6 +32,7 @@ import binascii
 import math
 import struct
 from itertools import chain, repeat
+from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,7 +148,9 @@ class FrameBlock(Sequence[SampleFrame]):
     ``cols`` is the read-only int64 ``(3, n)`` array of ``timestamp_ms``,
     ``red`` and ``ir``, ``temps`` the read-only object array of the
     ``temperature_c`` values (None where a frame has none). Slicing gives
-    a block; rows are built only when indexed or iterated.
+    a block; rows are built only when indexed or iterated. The constructor
+    takes integer columns as int64 (an unsigned value past int64 wraps to a
+    negative one) and refuses others, as ``validate_frame`` refuses their rows.
 
     ``fields_checked`` is true when every frame is known to pass
     ``validate_frame``'s checks of its own fields (not its order), so
@@ -160,17 +163,21 @@ class FrameBlock(Sequence[SampleFrame]):
     __slots__ = ("cols", "temps", "_fields_checked")
 
     def __init__(self, cols: np.ndarray, temps: np.ndarray):
-        cols.flags.writeable = temps.flags.writeable = False
-        self.cols = cols
-        self.temps = temps
-        self._fields_checked = False
+        if cols.dtype.kind not in "iu":
+            raise RangeError(f"frame columns must hold integers, not {cols.dtype}")
+        self._set(cols.astype(np.int64, copy=False), temps, False)
 
     @classmethod
     def _checked(cls, cols: np.ndarray, temps: np.ndarray, checked: bool = True) -> "FrameBlock":
-        """A block of frames whose fields are known to pass ``validate_frame``."""
-        block = cls(cols, temps)
-        block._fields_checked = checked
+        """A block of int64 columns, marked ``checked``: by default, of frames
+        whose fields are known to pass ``validate_frame``."""
+        block = cls.__new__(cls)
+        block._set(cols, temps, checked)
         return block
+
+    def _set(self, cols: np.ndarray, temps: np.ndarray, checked: bool) -> None:
+        cols.flags.writeable = temps.flags.writeable = False
+        self.cols, self.temps, self._fields_checked = cols, temps, checked
 
     @property
     def fields_checked(self) -> bool:
@@ -275,20 +282,21 @@ def _unfit(block: FrameBlock) -> np.ndarray:
     """Which frames of ``block`` fail ``validate_frame``'s checks of their own fields."""
     # negative values wrap to huge unsigned ones
     bad = (block.cols.view(np.uint64) > _COLUMN_MAX).any(axis=0)
-    absent = block.temps.tolist().count(None)
-    if absent < len(bad):
-        try:
-            temps = block.temps.astype(float)  # None and NaN become NaN, which fails both
-        except OverflowError:  # an int beyond any float, and so beyond the wire range
-            temps = np.array(
-                [math.inf if type(x) is int and abs(x) > FLOAT_MAX else x for x in block.temps.tolist()],
-                dtype=float,
-            )
-        unfit = ~((temps >= TEMP_MIN_C) & (temps < TEMP_MAX_C))
-        if absent:
-            unfit &= np.not_equal(block.temps, None)  # a frame without one is fine
-        bad |= unfit
+    temps = block.temps.tolist()
+    if temps.count(None) < len(temps):
+        values = np.array([x if type(x) is float else _temperature_value(x) for x in temps], dtype=float)
+        bad |= ~((values >= TEMP_MIN_C) & (values < TEMP_MAX_C))  # NaN fails both
     return bad
+
+
+def _temperature_value(temp) -> float:
+    """A temperature that is not a float as ``_unfit`` compares it: 0.0 for None, which
+    passes; inf for an int beyond any float; NaN for a type that ``validate_frame`` refuses."""
+    if type(temp) is int:
+        return math.inf if abs(temp) > FLOAT_MAX else temp
+    if isinstance(temp, Real) and not isinstance(temp, bool):
+        return float(temp)
+    return 0.0 if temp is None else math.nan
 
 
 def _crc_tables():

@@ -233,7 +233,7 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
             stored_vitals.append(record)
     from pawpulse.session import config_from_dict
 
-    recomputed = VitalsPipeline(config_from_dict(header["config"])).run(stored_raw)
+    recomputed = VitalsPipeline(config_from_dict(header["config"])).run(FrameBlock.from_frames(stored_raw))
     assert recomputed == stored_vitals  # dataclass equality: exact floats
 
     # byte-level: re-serializing recomputed estimates matches the stored lines

@@ -739,6 +739,21 @@ def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
     assert f"error: line {lineno}: timestamp_ms=100000000000000000000 does not fit 64 bits" in result.stderr
 
 
+def test_frame_at_the_int64_edge_is_in_its_own_tick(tmp_path, capsys):
+    """A last frame at 2**63 - 1 ms, with ticks of 2**62 ms, belongs to the
+    tick that ends at 2**63 ms: two status lines, not three."""
+    session = tmp_path / "s.ndjson"
+    assert run_cli("simulate", "--seconds", "2", "--noise-std", "30", "--seed", "3",
+                   "--format", "session", "--out", str(session)) == 0
+    text = session.read_text()
+    assert text.count('"t":1990,') == 1
+    session.write_text(text.replace('"t":1990,', f'"t":{2**63 - 1},'))
+    capsys.readouterr()
+    assert run_cli("process", "--in", str(session), "--set", f"tick_interval_ms={2**62}") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["t=4611686018427387.904s", "t=9223372036854775.808s"]
+
+
 def test_raw_run_between_vitals_and_emotion_makes_the_emotion_stray(tmp_path, capsys):
     """A raw record between a tick's vitals and emotion records unplaces
     the emotion record, for --verify and report alike."""

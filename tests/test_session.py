@@ -730,7 +730,7 @@ class TestPipelineReplayDeterminism:
         stored_raw = [record for record in flat(replay(path)) if type(record) is SampleFrame]
         stored_vitals = [record for record in replay(path) if type(record) is VitalsEstimate]
         assert stored_raw == list(frames)
-        recomputed = VitalsPipeline(config).run(stored_raw)
+        recomputed = VitalsPipeline(config).run(FrameBlock.from_frames(stored_raw))
         assert recomputed == stored_vitals == estimates
 
     def test_identical_files_identical_summaries(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -447,16 +449,55 @@ column_frames = st.builds(
 )
 
 
+#: Temperatures of every type a block built from arrays may hold, refused
+#: by ``validate_frame`` or not.
+array_temperatures = st.sampled_from(
+    [True, False, "38.5", b"38.5", Decimal("38.5"), 38.5j, np.bool_(True), np.float64(38.5),
+     np.float32(math.nan), np.int64(38), Fraction(77, 2), 10**400, -(10**400)]
+) | column_frames.map(lambda frame: frame.temperature_c)
+
+
+def check(block, prev):
+    """``validate_block``'s error (type and message), or None."""
+    try:
+        validate_block(block, prev)
+    except (RangeError, OrderError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestValidateBlock:
     @settings(max_examples=500, deadline=None)
     @given(frames=st.lists(column_frames, max_size=8), prev=st.none() | column_frames)
     def test_agrees_with_validate_frame(self, frames, prev):
-        try:
-            validate_block(FrameBlock.from_frames(frames), prev)
-            got = None
-        except (RangeError, OrderError) as exc:
-            got = type(exc), str(exc)
-        assert got == first_error(frames, prev)
+        assert check(FrameBlock.from_frames(frames), prev) == first_error(frames, prev)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        frames=st.lists(column_frames, max_size=8),
+        temps=st.lists(array_temperatures, min_size=8, max_size=8),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint32, np.float64]),
+        prev=st.none() | column_frames,
+    )
+    def test_a_block_built_from_arrays_agrees_with_validate_frame(self, frames, temps, dtype, prev):
+        """The constructor takes columns of any integer dtype and the
+        temperatures as given; ``validate_block`` then refuses what
+        ``validate_frame`` refuses in the rows. Float columns are refused
+        at construction: ``validate_frame`` refuses every row of them."""
+        # unsigned columns hold a negative value as a large one
+        cols = np.array([[f.timestamp_ms for f in frames], [f.red for f in frames], [f.ir for f in frames]])
+        cols = cols.reshape(3, len(frames)).astype(dtype)
+        column_temps = np.empty(len(frames), dtype=object)
+        column_temps[:] = temps[: len(frames)]
+        rows = [SampleFrame(*values, temp) for *values, temp in zip(*cols.tolist(), temps)]
+        if dtype is np.float64:
+            with pytest.raises(RangeError, match="frame columns must hold integers, not float64"):
+                FrameBlock(cols, column_temps)
+            assert not rows or first_error(rows, prev)[1].startswith("timestamp_ms=")
+            return
+        block = FrameBlock(cols, column_temps)
+        assert block.cols.dtype == np.int64 and list(block) == rows
+        assert check(block, prev) == first_error(rows, prev)
 
     def test_wire_temperature_limits(self):
         for temp in (-3276.8, 3276.7):
