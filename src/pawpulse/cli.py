@@ -5,7 +5,8 @@ Every subcommand is deterministic given its inputs, flags and seed.
 Exit codes:
     0   success
     2   usage error (bad flag, unknown config key, malformed pairs file,
-        a file that cannot be opened or created)
+        a file that cannot be opened or created, ``-`` for a path that
+        is not ``--in`` or ``--out``)
     3   data error (decode failures, empty session, verify mismatch)
 """
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .session import (
 )
 from .synth import SynthProfile, generate
 from .vitals import fit_calibration, fit_residual_rms, tick_time_ms
-from .wire import SYNC, FrameBlock, encode_frame, resync
+from .wire import FrameBlock, encode_frame, resync
 
 
 class UsageError(Exception):
@@ -56,6 +57,13 @@ def _read_operator_file(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _refuse_dash(flag: str, path: str | None) -> None:
+    """``-`` names stdin or stdout, and only to ``--in`` and ``--out``:
+    ``flag`` given ``-`` is refused, not written as a file named ``-``."""
+    if path == "-":
+        raise UsageError(f"{flag} needs a real path")
 
 
 def _parse_config_value(key: str, raw: str):
@@ -136,6 +144,7 @@ def _truth_json(truth, profile: SynthProfile) -> str:
 def cmd_simulate(args) -> int:
     if args.format == "session" and args.out == "-":  # refused before anything is generated
         raise UsageError("--format session needs a real --out path")
+    _refuse_dash("--truth", args.truth)
     config = build_config(args.config, args.set or [])
     try:
         profile = SynthProfile(
@@ -171,15 +180,14 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
-def _load_blocks(args) -> list[FrameBlock]:
-    """The input's frames in the blocks read: one for wire bytes, one per run of raw session lines."""
-    source = io.BytesIO(sys.stdin.buffer.read()) if args.in_path == "-" else open(args.in_path, "rb")
+def _load_blocks(path: str) -> list[FrameBlock]:
+    """The frames at ``path`` (``-``: stdin) in the blocks read. A session begins ``{"``
+    and gives one per run of raw lines; any other input is wire bytes, in one block."""
+    source = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
     with source:
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "wire" if source.read(2) == SYNC else "session"
-            source.seek(0)
-        if fmt == "session":
+        is_session = source.read(2) == b'{"'
+        source.seek(0)
+        if is_session:
             with open_session(source) as text:
                 return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []
@@ -214,9 +222,10 @@ def _joined(blocks: list[FrameBlock]) -> Iterator[FrameBlock]:
 
 
 def cmd_process(args) -> int:
+    _refuse_dash("--session-out", args.session_out)
     config = build_config(args.config, args.set or [])
     rule_table = RuleTable.parse(_read_operator_file(args.rules)) if args.rules else DEFAULT_RULE_TABLE
-    blocks = _load_blocks(args)
+    blocks = _load_blocks(args.in_path)
     if not any(blocks):
         raise EmptySessionError("input contains no frames")
 
@@ -295,6 +304,7 @@ def _parse_pairs_file(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_calibrate(args) -> int:
+    _refuse_dash("--write-config", args.write_config)
     pairs = _parse_pairs_file(args.pairs)
     try:
         coeffs = fit_calibration(pairs)
@@ -430,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sim)
 
     proc = sub.add_parser("process", help="run the vitals pipeline over a frame stream")
-    proc.add_argument("--in", dest="in_path", required=True, help="input path, or - for stdin")
-    proc.add_argument("--format", choices=("auto", "wire", "session"), default="auto")
+    proc.add_argument("--in", dest="in_path", required=True,
+                      help="input path, or - for stdin: a session if it starts with {\", else wire bytes")
     proc.add_argument("--session-out", dest="session_out", help="write a session file")
     proc.add_argument("--rules", help="emotion rule-table file")
     proc.add_argument("--start-utc", dest="start_utc", help="wall-clock session start for the header")

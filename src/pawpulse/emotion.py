@@ -59,7 +59,7 @@ class Band:
 
 @dataclass(frozen=True)
 class VitalsBands:
-    """Discretization bands for BPM, SpO2 and (optionally) temperature.
+    """Discretization bands for BPM, SpO2 and temperature.
 
     Bands in each list must be contiguous, ascending and run from -inf to
     +inf: the validity gate bounds a value, the bands only cut it.
@@ -67,7 +67,7 @@ class VitalsBands:
 
     bpm_bands: tuple[Band, ...]
     spo2_bands: tuple[Band, ...]
-    temp_bands: tuple[Band, ...] | None = None
+    temp_bands: tuple[Band, ...]
 
     def __post_init__(self):
         for name, bands in (
@@ -75,8 +75,6 @@ class VitalsBands:
             ("spo2_bands", self.spo2_bands),
             ("temp_bands", self.temp_bands),
         ):
-            if bands is None:
-                continue
             if not bands:
                 raise ConfigError(f"{name} must not be empty")
             if bands[0].lower != -math.inf or bands[-1].upper != math.inf:
@@ -222,16 +220,8 @@ def discretize(
     if not all(math.isfinite(x) for x in (vitals.bpm_avg, temperature_c) if x is not None):
         raise RangeError(f"no band holds bpm {vitals.bpm_avg} or temperature {temperature_c}")
     bpm_label = _band_label(vitals.bpm_avg, bands.bpm_bands)
-    spo2_label = (
-        _band_label(vitals.spo2_pct, bands.spo2_bands)
-        if vitals.spo2_pct is not None
-        else None
-    )
-    temp_label = (
-        _band_label(temperature_c, bands.temp_bands)
-        if temperature_c is not None and bands.temp_bands is not None
-        else None
-    )
+    spo2_label = None if vitals.spo2_pct is None else _band_label(vitals.spo2_pct, bands.spo2_bands)
+    temp_label = None if temperature_c is None else _band_label(temperature_c, bands.temp_bands)
     return bpm_label, spo2_label, temp_label
 
 
@@ -305,9 +295,7 @@ def audit_coverage(
     count how many classify as Boundary."""
     bpm_labels = [band.label for band in bands.bpm_bands]
     spo2_labels = [band.label for band in bands.spo2_bands]
-    temp_labels: list[str | None] = [None]
-    if bands.temp_bands is not None:
-        temp_labels += [band.label for band in bands.temp_bands]
+    temp_labels = [None, *(band.label for band in bands.temp_bands)]
     total = 0
     boundary = 0
     for bpm in bpm_labels:

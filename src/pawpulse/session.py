@@ -236,19 +236,19 @@ class SessionWriter:
     written: the file then ends with whole records, possibly followed by
     one cut line that ``replay`` reports after yielding all before it.
 
-    A record is its payload: a ``SampleFrame``, ``VitalsEstimate`` or
-    ``TickEmotion``; a ``FrameBlock`` appends one raw record per frame,
-    in one call. The writer numbers the records it writes 0, 1, 2, ...
-    in the order they are appended. It refuses raw frames that
-    ``validate_frame`` rejects against the last raw frame written
-    (RangeError, OrderError), as ``replay`` would (with ``validate_block``,
-    so the frames of a ``fields_checked`` block only for their order), and any other type
-    (TypeError). It refuses, with TypeError or ValueError, a vitals number
-    or temperature that is not a finite number equal to a float, a ``t``
-    that is not an int and a rule id that is not ``R<n>``. A refused
-    record, or block, writes nothing and uses up no number. A ``start_utc``
-    that is not a string or None is refused (TypeError) before the file
-    is created.
+    A record is its payload: a ``VitalsEstimate`` or ``TickEmotion``; a
+    ``FrameBlock`` appends one raw record per frame, in one call. The
+    writer numbers the records it writes 0, 1, 2, ... in the order they
+    are appended. It refuses raw frames that ``validate_frame`` rejects
+    against the last raw frame written (RangeError, OrderError), as
+    ``replay`` would (with ``validate_block``, so the frames of a
+    ``fields_checked`` block only for their order), and any other type,
+    a lone ``SampleFrame`` among them (TypeError). It refuses, with
+    TypeError or ValueError, a vitals number or temperature that is not a
+    finite number equal to a float, a ``t`` that is not an int and a rule
+    id that is not ``R<n>``. A refused record, or block, writes nothing
+    and uses up no number. A ``start_utc`` that is not a string or None
+    is refused (TypeError) before the file is created.
     """
 
     def __init__(
@@ -262,9 +262,7 @@ class SessionWriter:
         self._fh.write(header + "\n")
         self._fh.flush()
 
-    def append_record(self, record: SampleFrame | VitalsEstimate | TickEmotion | FrameBlock) -> None:
-        if type(record) is SampleFrame:
-            record = FrameBlock.from_frames((record,))
+    def append_record(self, record: FrameBlock | VitalsEstimate | TickEmotion) -> None:
         if type(record) is not FrameBlock:
             self._fh.write(_record_json(self._seq, record) + "\n")
             self._seq += 1

@@ -198,6 +198,54 @@ class TestProcess:
         assert from_stdin == from_path
         assert len(from_stdin.splitlines()) == 6
 
+    def test_capture_that_starts_mid_frame_is_read(self, tmp_path, capsys, monkeypatch):
+        """A serial capture seldom starts on a frame: its bytes up to the
+        first sync are skipped, from a path or from stdin."""
+        path = simulate_file(tmp_path, seconds=6.0, noise_std=30.0)
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(path.read_bytes()[7:])
+        capsys.readouterr()
+        assert run_cli("process", "--in", str(cut)) == 0
+        from_path = capsys.readouterr()
+        assert len(from_path.out.splitlines()) == 6
+        assert from_path.err == "warning: skipped 11 bytes at offset 0\nwarning: 11 bytes total were not decodable\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(cut.read_bytes())))
+        assert run_cli("process", "--in", "-") == 0
+        assert capsys.readouterr() == from_path
+
+    def test_input_that_starts_with_brace_quote_is_a_session(self, tmp_path, capsys):
+        """Every session starts ``{"``; wire bytes that do are read as one
+        and refused, and are read as wire bytes with one byte cut."""
+        wire = simulate_file(tmp_path, seconds=3.0).read_bytes()
+        braced = tmp_path / "braced.bin"
+        braced.write_bytes(b'{"' + wire)
+        capsys.readouterr()
+        assert run_cli("process", "--in", str(braced)) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: line 1: ") and out == ""
+        braced.write_bytes(b'"' + wire)
+        assert run_cli("process", "--in", str(braced)) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 3 and err.startswith("warning: skipped 1 bytes at offset 0\n")
+
+    def test_empty_input_has_no_frames(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert run_cli("process", "--in", str(empty)) == 3
+        assert capsys.readouterr() == ("", "error: input contains no frames\n")
+
+    def test_format_is_worked_out_not_given(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, seconds=2.0)
+        capsys.readouterr()
+        assert run_cli("process", "--format", "wire", "--in", str(path)) == 2
+        assert "unrecognized arguments: --format wire" in capsys.readouterr().err
+
+    def test_set_without_equals_is_usage_error(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, seconds=2.0)
+        capsys.readouterr()
+        assert run_cli("process", "--in", str(path), "--set", "outlier_z") == 2
+        assert capsys.readouterr() == ("", "error: --set expects key=value, got 'outlier_z'\n")
+
     def test_printed_ticks_are_in_the_session(self, tmp_path, monkeypatch):
         path = simulate_file(tmp_path, seconds=5.0)
         session = tmp_path / "s.ndjson"
@@ -486,10 +534,16 @@ def test_malformed_record_is_data_error(tmp_path, capsys, command, kind, edit, m
     assert out == ""
 
 
-SESSION_READERS = [["report"], ["replay"], ["replay", "--verify"], ["process", "--format", "session"]]
+#: The commands that read a session; process tells one by its first two bytes.
+SESSION_READERS = [["report"], ["replay"], ["replay", "--verify"], ["process"]]
 
 
-@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+def reader_id(command):
+    """A test id: process's cases keep the name they had when a flag chose its reader."""
+    return "process --format session" if command == ["process"] else " ".join(command)
+
+
+@pytest.mark.parametrize("command", SESSION_READERS, ids=reader_id)
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -518,7 +572,7 @@ def test_bad_header_is_data_error(tmp_path, capsys, command, edit, message):
 def test_wire_input_without_frames_is_data_error(tmp_path, capsys):
     path = tmp_path / "noise.bin"
     path.write_bytes(np.random.default_rng(0).bytes(500))
-    assert run_cli("process", "--format", "wire", "--in", str(path)) == 3
+    assert run_cli("process", "--in", str(path)) == 3
     out, err = capsys.readouterr()
     assert err.endswith("warning: 500 bytes total were not decodable\nerror: input contains no frames\n")
     assert out == ""
@@ -534,7 +588,7 @@ def test_verify_without_raw_records_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no raw records to replay\n"
 
 
-@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize("command", SESSION_READERS, ids=reader_id)
 @pytest.mark.parametrize("kind", ["header", "vitals"])
 def test_byte_that_is_not_utf8_is_data_error(tmp_path, capsys, command, kind):
     session = processed_session(tmp_path)
@@ -628,7 +682,7 @@ def temperature_session(tmp_path_factory):
     return session.read_text(), folder
 
 
-@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize("command", SESSION_READERS, ids=reader_id)
 @pytest.mark.parametrize(
     "edit",
     [
@@ -667,7 +721,7 @@ def header_session(tmp_path_factory):
     return header_line, body, folder
 
 
-@pytest.mark.parametrize("command", SESSION_READERS, ids=" ".join)
+@pytest.mark.parametrize("command", SESSION_READERS, ids=reader_id)
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -710,15 +764,15 @@ def test_crlf_session_on_stdin_is_rejected_as_from_a_path(temperature_session, c
     session = folder / "crlf.ndjson"
     session.write_bytes(crlf)
     capsys.readouterr()
-    assert run_cli("process", "--format", "session", "--in", str(session)) == 3
+    assert run_cli("process", "--in", str(session)) == 3
     from_path = capsys.readouterr()
     assert from_path.err == "error: line 1: header not spelled as written\n" and from_path.out == ""
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(crlf)))
-    assert run_cli("process", "--format", "session", "--in", "-") == 3
+    assert run_cli("process", "--in", "-") == 3
     assert capsys.readouterr() == from_path
 
 
-@pytest.mark.parametrize("command", [["replay", "--verify"], ["process", "--format", "session"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["replay", "--verify"], ["process"]], ids=reader_id)
 def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
     path = simulate_file(tmp_path, seconds=3.0)
     session = tmp_path / "s.ndjson"
@@ -785,7 +839,6 @@ def test_raw_run_between_vitals_and_emotion_makes_the_emotion_stray(tmp_path, ca
         ["replay", "--in", "{missing}", "--verify"],
         ["report", "--in", "{missing}"],
         ["process", "--in", "{missing}"],
-        ["process", "--in", "{missing}", "--format", "session"],
         ["process", "--in", "{wire}", "--session-out", "{missing}"],
         ["process", "--in", "{wire}", "--rules", "{missing}"],
         ["process", "--in", "{wire}", "--config", "{missing}"],
@@ -806,6 +859,31 @@ def test_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--session-out", ["process", "--in", "{missing}"]),
+        ("--truth", ["simulate", "--seconds", "14400", "--out", "{out}"]),
+        ("--write-config", ["calibrate", "--pairs", "{missing}"]),
+    ],
+    ids=["process", "simulate", "calibrate"],
+)
+def test_dash_for_a_file_written_is_usage_error(tmp_path, capsys, monkeypatch, flag, argv):
+    """``-`` is stdin or stdout only to --in and --out: for a file that
+    another flag names, it is refused before anything is read, generated
+    or fitted, and no file named ``-`` is made."""
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for name in ("build_config", "generate", "fit_calibration"):
+        monkeypatch.setattr(f"pawpulse.cli.{name}", never)
+    monkeypatch.chdir(tmp_path)
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "x.bin")}
+    assert run_cli(*(a.format(**paths) for a in argv), flag, "-") == 2
+    assert capsys.readouterr() == ("", f"error: {flag} needs a real path\n")
+    assert os.listdir(tmp_path) == []
 
 
 OPERATOR_FILE_FLAGS = {
@@ -1014,6 +1092,14 @@ def test_times_are_exact_seconds(tick_ms, seconds):
     assert render_tick_line(VitalsEstimate(tick_ms, ContactState.NO_CONTACT), None) == f"t={seconds}s no contact"
     contact = VitalsEstimate(tick_ms, ContactState.CONTACT, 80.0, 80.0, 97.0)
     assert f"0s .. {seconds}s, contact uptime" in _render_svg_report(summarize([contact]), [contact])
+
+
+def test_svg_of_contact_ticks_without_spo2_draws_the_unit_axis():
+    """With no SpO2 on any tick, the SpO2 panel has no range of its own."""
+    ticks = [VitalsEstimate(1000 * k, ContactState.CONTACT, 80.0, 80.0 + k, None) for k in (1, 2)]
+    svg = _render_svg_report(summarize(ticks), ticks)
+    assert "SpO2 (%) [0.0, 1.0]  mean=-</text>" in svg and "BPM (avg) [81.0, 82.0]" in svg
+    assert svg.count('<path d=""') == 1
 
 
 class TestReport:

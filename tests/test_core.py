@@ -9,6 +9,7 @@ from pawpulse.core import (
     FLOAT_MAX,
     TEMP_MAX_C,
     TEMP_MIN_C,
+    BeatEvent,
     CalibrationCoeffs,
     ContactState,
     PipelineConfig,
@@ -92,6 +93,16 @@ class TestValidateFrame:
     def test_non_finite_temperature_rejected(self, temp):
         with pytest.raises(RangeError, match="not a finite number"):
             validate_frame(SampleFrame(timestamp_ms=0, red=0, ir=0, temperature_c=temp))
+
+
+class TestBeatEvent:
+    @pytest.mark.parametrize("delta_t_s", [0, -0.5])
+    def test_interval_that_is_not_positive_rejected(self, delta_t_s):
+        with pytest.raises(RangeError, match="delta_t_s must be positive"):
+            BeatEvent(beat_time_ms=1000, delta_t_s=delta_t_s)
+
+    def test_first_beat_has_no_interval(self):
+        assert BeatEvent(beat_time_ms=0).delta_t_s is None
 
 
 class TestVitalsEstimate:

@@ -43,6 +43,7 @@ class TestBands:
             VitalsBands(
                 bpm_bands=(Band("a", -math.inf, 60.0), Band("b", 70.0, math.inf)),
                 spo2_bands=(Band("x", -math.inf, math.inf),),
+                temp_bands=DEFAULT_BANDS.temp_bands,
             )
 
     def test_inverted_band_rejected(self):
@@ -50,6 +51,7 @@ class TestBands:
             VitalsBands(
                 bpm_bands=(Band("a", -math.inf, 60.0), Band("b", 60.0, 30.0), Band("c", 30.0, math.inf)),
                 spo2_bands=(Band("x", -math.inf, math.inf),),
+                temp_bands=DEFAULT_BANDS.temp_bands,
             )
 
     @pytest.mark.parametrize("lower,upper", [(30.0, math.inf), (-math.inf, 220.0), (0.0, 100.0)])
@@ -58,7 +60,12 @@ class TestBands:
             VitalsBands(
                 bpm_bands=(Band("a", -math.inf, math.inf),),
                 spo2_bands=(Band("x", lower, upper),),
+                temp_bands=DEFAULT_BANDS.temp_bands,
             )
+
+    def test_empty_band_list_rejected(self):
+        with pytest.raises(ConfigError, match="temp_bands must not be empty"):
+            VitalsBands(bpm_bands=DEFAULT_BANDS.bpm_bands, spo2_bands=DEFAULT_BANDS.spo2_bands, temp_bands=())
 
 
 class TestDiscretize:
@@ -119,6 +126,11 @@ class TestClassify:
         assert result.state is EmotionState.STRESSED
         assert result.certainty is Certainty.BOUNDARY
         assert set(result.fired_rules) == {"R1", "R2"}
+
+    @pytest.mark.parametrize("rules", [(), []], ids=["tuple", "list"])
+    def test_empty_rules_rejected(self, rules):
+        with pytest.raises(ConfigError, match="rule table is empty"):
+            classify(("normal", "normal", None), rules)
 
     def test_no_match_falls_back_to_alert_boundary(self):
         rules = (Rule("R1", "low", "low", "low", EmotionState.CALM),)
@@ -219,6 +231,10 @@ class TestRuleParsing:
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
             parse_rule_table("# nothing here\n")
+
+    def test_table_that_is_not_text_rejected(self):
+        with pytest.raises(ConfigError, match="rule table is not text: None"):
+            parse_rule_table(None)
 
 
 class TestCoverageAudit:

@@ -44,6 +44,11 @@ def raw(t, red=100, ir=200, temp=None):
     return SampleFrame(t, red, ir, temp)
 
 
+def block(*frames):
+    """The frames as one block: the writer appends raw frames in blocks."""
+    return FrameBlock.from_frames(frames)
+
+
 def vit(t, contact=ContactState.CONTACT, bpm=80.0, avg=80.0, spo2=97.0):
     if contact is ContactState.NO_CONTACT:
         return VitalsEstimate(tick_time_ms=t, contact=contact)
@@ -67,6 +72,15 @@ def flat(records):
     return out
 
 
+def blocked(records):
+    """The records with each run of raw frames joined into a block, as
+    ``replay`` yields them and the writer takes them."""
+    out = []
+    for raw_run, group in itertools.groupby(records, key=lambda r: type(r) is SampleFrame):
+        out += [FrameBlock.from_frames(group)] if raw_run else list(group)
+    return out
+
+
 def stored_seqs(path):
     return [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:]]
 
@@ -76,21 +90,21 @@ class TestWriter:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(1000):
-                writer.append_record(raw(i * 10))
+                writer.append_record(block(raw(i * 10)))
         assert len(flat(replay(path))) == 1000
 
     def test_first_record_seq_zero(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), raw(10), vit(1000), emo(1000), raw(1010)):
+            for record in (block(raw(0), raw(10)), vit(1000), emo(1000), block(raw(1010))):
                 writer.append_record(record)
         assert stored_seqs(path) == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("bad", [None, "raw", {"t": 10}, (10, 1, 2, None)])
+    @pytest.mark.parametrize("bad", [None, "raw", {"t": 10}, (10, 1, 2, None), raw(10)])
     def test_non_record_is_refused(self, tmp_path, bad):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
             writer.flush()
             size = path.stat().st_size
             with pytest.raises(TypeError, match="not a session record"):
@@ -111,17 +125,17 @@ class TestWriter:
         ],
     )
     @pytest.mark.parametrize(
-        "wrap", [lambda bad: bad, lambda bad: FrameBlock.from_frames([raw(15), bad])], ids=["frame", "block"]
+        "wrap", [block, lambda bad: block(raw(15), bad)], ids=["frame", "block"]
     )
     def test_record_replay_would_reject_is_refused(self, tmp_path, bad, error, wrap):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
-            writer.append_record(raw(10))
+            writer.append_record(block(raw(0)))
+            writer.append_record(block(raw(10)))
             writer.append_record(vit(1000))  # order is checked against raw frames only
             with pytest.raises(error):
                 writer.append_record(wrap(bad))  # a block is refused whole
-            writer.append_record(raw(20))  # the writer carries on after a refusal
+            writer.append_record(block(raw(20)))  # the writer carries on after a refusal
         assert flat(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
         assert stored_seqs(path) == [0, 1, 2, 3]  # the refused frame used up no number
 
@@ -163,7 +177,7 @@ class TestWriter:
     def test_flush_hands_lines_to_the_file(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
             writer.append_record(vit(1000))
             writer.flush()
             assert flat(replay(path)) == [raw(0), vit(1000)]
@@ -226,13 +240,11 @@ class TestRawEncoding:
                     continue
                 record = record._replace(timestamp_ms=times.pop())
             records.append(record)
-        with SessionWriter(path, PipelineConfig()) as writer:
-            for record in records:
-                writer.append_record(record)
         # one block per run of raw records, every other payload as written
-        expected = []
-        for raw_run, group in itertools.groupby(records, key=lambda r: type(r) is SampleFrame):
-            expected += [FrameBlock.from_frames(group)] if raw_run else list(group)
+        expected = blocked(records)
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in expected:
+                writer.append_record(record)
         assert list(replay(path)) == expected
         # each run written again as two adjacent blocks, either maybe empty
         block_path = path.with_name("block.ndjson")
@@ -256,7 +268,7 @@ class TestReplay:
             vit(2000, contact=ContactState.NO_CONTACT),
         ]
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in records:
+            for record in blocked(records):
                 writer.append_record(record)
         assert flat(replay(path)) == records
 
@@ -290,7 +302,7 @@ class TestReplay:
                 certainty = Certainty.BOUNDARY if rng.integers(0, 2) else Certainty.DECIDED
                 records.append(emo(t, state, certainty))
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in records:
+            for record in blocked(records):
                 writer.append_record(record)
         assert flat(replay(path)) == records
 
@@ -298,7 +310,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i * 10))
+                writer.append_record(block(raw(i * 10)))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":5,"kind":"raw","t":50,"red"')  # partial write
         collected = []
@@ -311,7 +323,7 @@ class TestReplay:
     def test_bad_record_fields(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":1,"kind":"raw","t":10}\n')  # missing channels
         with pytest.raises(SessionParseError):
@@ -322,7 +334,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i * 10))
+                writer.append_record(block(raw(i * 10)))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f'{{"seq":{bad_seq},"kind":"raw","t":50,"red":1,"ir":2,"temp":null}}\n')
         collected = []
@@ -351,7 +363,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
-                writer.append_record(raw(i * 10))
+                writer.append_record(block(raw(i * 10)))
             writer.append_record(vit(1000))  # order is checked against raw frames only
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f'{{"seq":6,"kind":"raw",{bad},"temp":null}}\n')
@@ -366,7 +378,7 @@ class TestReplay:
     def test_unknown_key_rejected(self, tmp_path, kind):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), vit(1000), emo(1000)):
+            for record in (block(raw(0)), vit(1000), emo(1000)):
                 writer.append_record(record)
         lines = path.read_text().splitlines()
         lineno = 2 + ["raw", "vitals", "emotion"].index(kind)
@@ -401,7 +413,7 @@ class TestReplay:
     def test_malformed_record_rejected(self, tmp_path, line):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(SessionParseError) as err:
@@ -424,7 +436,7 @@ class TestReplay:
         verify cannot pass on it."""
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), vit(1000, spo2=97.1), emo(1000)):
+            for record in (block(raw(0)), vit(1000, spo2=97.1), emo(1000)):
                 writer.append_record(record)
         text = path.read_text()
         assert text.count(old) == 1
@@ -464,7 +476,7 @@ class TestReplay:
     def test_a_line_ending_in_crlf_is_an_error(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), vit(1000), emo(1000)):
+            for record in (block(raw(0)), vit(1000), emo(1000)):
                 writer.append_record(record)
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\r\n".join(lines))
@@ -483,7 +495,7 @@ class TestReplay:
     def test_a_record_line_without_its_newline_is_an_error(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), vit(1000)):
+            for record in (block(raw(0)), vit(1000)):
                 writer.append_record(record)
         path.write_bytes(path.read_bytes()[:-1])
         collected, exc = read_until_error(path)
@@ -494,7 +506,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         records = [raw(0, temp=38.5), raw(10), vit(1000), emo(1000)]
         with SessionWriter(path, PipelineConfig(), start_utc="2026-08-08T00:00:00Z") as writer:
-            for record in records:
+            for record in blocked(records):
                 writer.append_record(record)
         text = path.read_text()
         assert read_header(io.StringIO(text)) == read_header(path)
@@ -537,7 +549,7 @@ class TestReplay:
     def test_header_config_is_checked(self, tmp_path, edit, message):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
         header_line, body = path.read_text().split("\n", 1)
         header = json.loads(header_line)
         edit(header)
@@ -559,7 +571,7 @@ class TestReplay:
         config = PipelineConfig(sample_rate_hz=100, coeffs=CalibrationCoeffs(110, 25), outlier_z=5)
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, config) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
         assert '"sample_rate_hz":100,' in path.read_text()
         assert read_header(path).config == config
         assert flat(replay(path)) == [raw(0)]
@@ -657,7 +669,7 @@ class TestSummarize:
     def test_no_vitals_is_empty(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            writer.append_record(raw(0))
+            writer.append_record(block(raw(0)))
         with pytest.raises(EmptySessionError):
             summarize(path)
 
@@ -665,7 +677,7 @@ class TestSummarize:
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(6):
-                writer.append_record(raw(i * 1000))
+                writer.append_record(block(raw(i * 1000)))
                 writer.append_record(vit((i + 1) * 1000, avg=70.0 + i))
                 writer.append_record(emo((i + 1) * 1000))
         kept = [r for r in replay(path) if type(r) is not FrameBlock]
@@ -721,8 +733,7 @@ class TestPipelineReplayDeterminism:
         pipeline = VitalsPipeline(config)
         estimates = []
         with SessionWriter(path, config) as writer:
-            for frame in frames:
-                writer.append_record(frame)
+            writer.append_record(frames)
             for estimate in pipeline.run(frames):
                 estimates.append(estimate)
                 writer.append_record(estimate)
@@ -869,7 +880,7 @@ class TestRawRuns:
         path = tmp_path / "s.ndjson"
         records = [raw(0, temp=38.5), raw(10), raw(20, temp=37), vit(1000), emo(1000), raw(30), vit(2000)]
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in records:
+            for record in blocked(records):
                 writer.append_record(record)
         got = list(replay(path))
         assert [type(r) for r in got] == [FrameBlock, VitalsEstimate, TickEmotion, FrameBlock, VitalsEstimate]
@@ -1209,7 +1220,7 @@ class TestSpellings:
         """The edits that once verified: each is an error on its line."""
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
-            for record in (raw(0), raw(10, temp=38.5), raw(20), vit(1000)):
+            for record in (block(raw(0), raw(10, temp=38.5), raw(20)), vit(1000)):
                 writer.append_record(record)
         text = path.read_text()
         assert text.count(old) == 1

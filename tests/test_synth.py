@@ -133,6 +133,11 @@ class TestProfileValidation:
         with pytest.raises(ConfigError, match="^need at most 500 samples"):
             generate(SynthProfile(), 5.01, 100.0)
 
+    def test_spo2_the_coeffs_cannot_reach_rejected(self):
+        # a = 95 puts 97% at a ratio of -2/17: no red DC makes that
+        with pytest.raises(ConfigError, match="maps to non-positive ratio"):
+            generate(SynthProfile(true_spo2_pct=97.0), 1.0, 100.0, coeffs=CalibrationCoeffs(a=95.0, b=17.0))
+
     def test_fs_too_high_for_ms_timestamps(self):
         with pytest.raises(ConfigError):
             generate(SynthProfile(), 1.0, 2000.0)

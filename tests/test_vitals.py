@@ -35,6 +35,7 @@ from pawpulse.vitals import (
     compute_ratio,
     detect_beats,
     fit_calibration,
+    fit_residual_rms,
     instantaneous_bpm,
     rolling_average_bpm,
     spo2_estimate,
@@ -207,6 +208,9 @@ class TestFitCalibration:
     def test_unphysical_slope_rejected(self):
         with pytest.raises(ConfigError):
             fit_calibration([(0.5, 85.0), (1.0, 97.5)])  # spo2 rising with ratio
+
+    def test_residual_rms_of_no_pairs_is_zero(self):
+        assert fit_residual_rms([], CalibrationCoeffs(a=110.0, b=25.0)) == 0.0
 
     def test_noisy_recovery_matches_independent_ols(self):
         rng = np.random.default_rng(7)
