@@ -28,6 +28,7 @@ from .errors import (
     EmptySessionError,
     InsufficientDataError,
     PawpulseError,
+    SessionParseError,
 )
 from .session import (
     SessionSummary,
@@ -180,14 +181,31 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
+def _head(source) -> bytes:
+    """The first two bytes of the binary stream ``source``, which is left at
+    its start: ``{"`` begins every session."""
+    head = source.read(2)
+    source.seek(0)
+    return head
+
+
+def _open_stored_session(path: str):
+    """``open_session`` of ``path``, refused at once when it holds bytes that
+    do not begin ``{"`` (an empty file is left to the header check)."""
+    source = open(path, "rb")
+    head = _head(source)
+    if head and head != b'{"':
+        source.close()
+        raise SessionParseError(1, f'{path} is not a session, which begins {{"; process reads wire bytes')
+    return open_session(source)
+
+
 def _load_blocks(path: str) -> list[FrameBlock]:
     """The frames at ``path`` (``-``: stdin) in the blocks read. A session begins ``{"``
     and gives one per run of raw lines; any other input is wire bytes, in one block."""
     source = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
     with source:
-        is_session = source.read(2) == b'{"'
-        source.seek(0)
-        if is_session:
+        if _head(source) == b'{"':
             with open_session(source) as text:
                 return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []
@@ -261,7 +279,7 @@ def _describe(record) -> str:
 
 
 def cmd_replay(args) -> int:
-    with open_session(args.in_path) as fh:
+    with _open_stored_session(args.in_path) as fh:
         header = read_header(fh)
         stored = list(replay(fh, header))
     for estimate, assessment in tick_assessments(stored):
@@ -384,13 +402,14 @@ def cmd_report(args) -> int:
     # sees the raw blocks too, which decide where emotion records belong
     vitals: list[VitalsEstimate] = []
 
-    def records():
-        for record in replay(args.in_path):
+    def records(text):
+        for record in replay(text):
             if type(record) is VitalsEstimate:
                 vitals.append(record)
             yield record
 
-    summary = summarize(records())
+    with _open_stored_session(args.in_path) as text:
+        summary = summarize(records(text))
     if args.format == "text":
         output = _render_text_report(summary)
     else:

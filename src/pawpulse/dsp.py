@@ -32,7 +32,7 @@ MAD_SIGMA = 1.4826
 _GATE_WINDOW_S = 3.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class AcBlock:
     """Consecutive samples split into pulsatile (ac) and baseline (dc) parts.
 
@@ -70,8 +70,9 @@ def _window_samples(window_s: float, step_ms: float) -> int:
 
 
 class _RunningMedianMad:
-    """Median and MAD of the last ``width`` values pushed, one pair per
-    value; the window expands during warm-up as the DC window does.
+    """Outlier flags against the median and MAD of the last ``width``
+    values pushed, one flag per value; the window expands during warm-up
+    as the DC window does.
 
     The window is carried across pushes as a FIFO and a sorted copy, so a
     value costs one insertion and one deletion, and how the values were
@@ -79,6 +80,21 @@ class _RunningMedianMad:
     deviations fall to the median and rise after it, so the k + 1
     smallest, for k = (n - 1) // 2, are a run ``window[p : p + k + 1]``;
     ``p`` is found by walking from the previous value's.
+
+    Most values are decided without that walk. Take the run of k + 1
+    values at the carried ``p``, stale or not, and the smaller of its
+    larger end's deviation and its neighbours' smaller one. No k + 1
+    values all deviate by less: those outside the run deviate at least as
+    much as its neighbours, and the run's largest deviation is an end's.
+    So that smaller one is at most the (k + 1)-th smallest deviation, and
+    at most the MAD (for even n, the mean of that deviation and the
+    next). Computed deviations are monotone along the list, as rounding
+    is, so this holds on them too, and a value within ``threshold`` times
+    the bound of the median is not flagged (a stale run's bound can be
+    negative, which decides no value off the median). A value the bound
+    cannot decide walks ``p`` and forms the MAD; the walk ends at a run
+    of the k + 1 smallest deviations from any start. How many values the
+    bound decides changes no flag.
     """
 
     def __init__(self, width: int):
@@ -90,12 +106,14 @@ class _RunningMedianMad:
         self._j = 1  # p + 1; valid for every later window, as n never falls
         self._n = 0  # len(self._fifo)
 
-    def push(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def push(self, x: np.ndarray, threshold: float) -> np.ndarray:
+        """The flags of ``x``: a value is flagged when its window's MAD is
+        positive and the value lies more than ``threshold * MAD`` from the
+        window's median."""
         fifo, s, j, n, width = self._fifo, self._sorted, self._j, self._n, self._width
         popleft, append = fifo.popleft, fifo.append
-        meds, mads = [], []
-        add_med, add_mad = meds.append, mads.append
-        for value in x.tolist():
+        flagged = []
+        for i, value in enumerate(x.tolist()):
             if n == width:
                 del s[bisect_left(s, popleft())]
             else:
@@ -104,6 +122,13 @@ class _RunningMedianMad:
             insort(s, value)
             k = (n - 1) // 2
             med = (s[k + 1] + s[n // 2 + 1]) / 2
+            dev = value - med if value > med else med - value
+            # within threshold times the bound from the run at the carried
+            # j: its neighbours' deviations, and its larger end's
+            if threshold * (med - s[j - 1]) >= dev <= threshold * (s[j + k + 1] - med) and (
+                threshold * (med - s[j]) >= dev or threshold * (s[j + k] - med) >= dev
+            ):
+                continue
             while s[j + k] - med > med - s[j - 1]:
                 j -= 1
             while med - s[j] > s[j + k + 1] - med:
@@ -115,10 +140,12 @@ class _RunningMedianMad:
             if not n & 1:
                 lo, hi = med - s[j - 1], s[j + k + 1] - med
                 mad = (mad + (hi if hi < lo else lo)) / 2
-            add_med(med)
-            add_mad(mad)
+            if mad > 0 and dev > threshold * mad:
+                flagged.append(i)
         self._j, self._n = j, n
-        return np.array(meds), np.array(mads)
+        flags = np.zeros(len(x), dtype=bool)
+        flags[flagged] = True
+        return flags
 
 
 def contact_state(dc_ir: float, threshold: float) -> ContactState:
@@ -186,7 +213,8 @@ class StreamingPreprocessor:
     def __init__(self, config: PipelineConfig):
         step_ms = 1000.0 / config.sample_rate_hz
         self._half = config.smooth_kernel // 2
-        self._outlier_z = config.outlier_z
+        # the flag threshold in MADs, the product the gate compares with
+        self._threshold = None if config.outlier_z is None else config.outlier_z * MAD_SIGMA
         self._dc = _RunningMean(_window_samples(config.dc_window_s, step_ms), np.int64)
         self._smooth = _RunningMean(config.smooth_kernel, np.float64) if self._half else None
         self._gate = None if config.outlier_z is None else _RunningMedianMad(_window_samples(_GATE_WINDOW_S, step_ms))
@@ -242,5 +270,4 @@ class StreamingPreprocessor:
     def _flag(self, ac_ir: np.ndarray) -> np.ndarray:
         if self._gate is None:
             return np.zeros(len(ac_ir), dtype=bool)
-        med, mad = self._gate.push(ac_ir)
-        return (mad > 0) & (np.abs(ac_ir - med) > self._outlier_z * MAD_SIGMA * mad)
+        return self._gate.push(ac_ir, self._threshold)

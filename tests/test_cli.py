@@ -578,6 +578,28 @@ def test_wire_input_without_frames_is_data_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["replay"], ["replay", "--verify"], ["report"], ["report", "--format", "svg"]])
+@pytest.mark.parametrize("head", [b"", b"{"], ids=["wire", "brace"])
+def test_wire_bytes_given_to_a_session_reader_are_named(tmp_path, capsys, command, head):
+    """Input that does not begin ``{"`` is refused as not a session before
+    any of it is decoded, and the refusal points at ``process``."""
+    wire = tmp_path / "rt.bin"
+    wire.write_bytes(head + simulate_file(tmp_path, seconds=3.0).read_bytes())
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(wire)) == 3
+    out, err = capsys.readouterr()
+    assert err == f'error: line 1: {wire} is not a session, which begins {{"; process reads wire bytes\n'
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["replay"], ["report"]])
+def test_empty_input_to_a_session_reader_is_a_missing_header(tmp_path, capsys, command):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_bytes(b"")
+    assert run_cli(*command, "--in", str(empty)) == 3
+    assert capsys.readouterr().err == "error: line 1: missing header line\n"
+
+
 def test_verify_without_raw_records_is_data_error(tmp_path, capsys):
     session = processed_session(tmp_path)
     lines = session.read_text().splitlines(keepends=True)

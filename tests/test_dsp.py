@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pawpulse.core import ConfigError, ContactState, PipelineConfig, SampleFrame
 from pawpulse.dsp import (
@@ -164,23 +165,49 @@ class TestRejectOutliers:
             push_all(frames_from([1000] * 10), outlier_z=0.0)
 
 
-def pushed_median_mad(x, width, sizes):
-    """Median and MAD of the running gate, ``x`` pushed in chunks of ``sizes``
-    and then the rest in one push."""
+def reference_flags(x, width, threshold, start=0):
+    """The flag of each ``x[i]``, ``i >= start``, from ``np.median`` of its
+    window ``x[max(0, i - width + 1) : i + 1]``: the window's MAD is
+    positive and ``|x[i] - median| > threshold * MAD``."""
+    x = np.asarray(x, dtype=float)
+    flags = np.empty(len(x) - start, dtype=bool)
+    for i in range(start, min(width - 1, len(x))):  # warm-up: windows shorter than width
+        window = x[: i + 1]
+        med = np.median(window)
+        mad = np.median(np.abs(window - med))
+        flags[i - start] = mad > 0 and abs(x[i] - med) > threshold * mad
+    # full windows, a bounded number of rows at a time: row r of the view
+    # is x[r : r + width], the window of i = r + width - 1
+    windows = sliding_window_view(x, width) if len(x) >= width else None
+    for a in range(max(start, width - 1), len(x), 2048):
+        b = min(a + 2048, len(x))
+        rows = windows[a - width + 1 : b - width + 1]
+        med = np.median(rows, axis=1)
+        mad = np.median(np.abs(rows - med[:, None]), axis=1)
+        flags[a - start : b - start] = (mad > 0) & (np.abs(x[a:b] - med) > threshold * mad)
+    return flags
+
+
+def pushed_flags(x, width, threshold, sizes):
+    """The running gate's flags, ``x`` pushed in chunks of ``sizes`` and
+    then the rest in one push."""
     gate = _RunningMedianMad(width)
     bounds = np.cumsum([0, *sizes])
-    parts = [gate.push(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    parts.append(gate.push(x[bounds[-1] :]))
-    return np.concatenate([m for m, _ in parts]), np.concatenate([d for _, d in parts])
+    parts = [gate.push(x[a:b], threshold) for a, b in zip(bounds[:-1], bounds[1:])]
+    parts.append(gate.push(x[bounds[-1] :], threshold))
+    return np.concatenate(parts)
 
 
-def assert_matches_loop_reference(x, width, med, mad):
-    assert len(med) == len(mad) == len(x)
-    for i in range(len(x)):
-        window = x[max(0, i - width + 1) : i + 1]
-        want = np.median(window)
-        assert med[i] == want, i
-        assert mad[i] == np.median(np.abs(window - want)), i
+def is_nearest_run(window, p):
+    """Whether ``sorted(window)[p : p + k + 1]``, k = (n - 1) // 2, are
+    k + 1 values of least deviation from the window's median."""
+    s = np.sort(window)
+    k = (len(s) - 1) // 2
+    dev = np.abs(s - np.median(s))
+    return np.array_equal(np.sort(dev[p : p + k + 1]), np.sort(dev)[: k + 1])
+
+
+THRESHOLDS = [0.0, 1.0, MAD_SIGMA, 3.0, 5 * MAD_SIGMA, 20.0]
 
 
 class TestRunningMedianMad:
@@ -188,10 +215,21 @@ class TestRunningMedianMad:
     def test_matches_loop_reference(self, width, start):
         x = np.random.default_rng(width).normal(0, 10, 60)
         x[20] = 1e4
-        med, mad = pushed_median_mad(x, width, [start])
-        assert_matches_loop_reference(x, width, med, mad)
+        for threshold in THRESHOLDS:
+            flags = pushed_flags(x, width, threshold, [start])
+            assert np.array_equal(flags, reference_flags(x, width, threshold)), threshold
+            assert width == 1 or flags[20]
 
-    @settings(max_examples=150, deadline=None)
+    def test_value_on_the_boundary_is_not_flagged(self):
+        """The comparison is strict: a value exactly ``threshold`` MADs
+        from the median is not flagged, and one just past it is."""
+        # window [0, 0, 1, 1, 2] + the new value: median 1, MAD 1
+        for value, flagged in [(4.0, False), (np.nextafter(4.0, 5.0), True), (-2.0, False), (np.nextafter(-2.0, -3.0), True)]:
+            x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 1.0, value])
+            assert reference_flags(x, 7, 3.0)[-1] == flagged
+            assert pushed_flags(x, 7, 3.0, [])[-1] == flagged
+
+    @settings(max_examples=300, deadline=None)
     @given(
         width=st.integers(1, 40),
         data=st.one_of(
@@ -199,16 +237,45 @@ class TestRunningMedianMad:
             st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 120)).map(
                 lambda a: np.random.default_rng(a[0]).normal(0, 10, a[1]).tolist()
             ),
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 120)).map(
+                lambda a: (10 * np.random.default_rng(a[0]).standard_cauchy(a[1])).tolist()
+            ),
         ),
+        threshold=st.sampled_from(THRESHOLDS),
         sizes=st.lists(st.integers(0, 50), max_size=12),
     )
-    def test_matches_loop_reference_in_any_chunking(self, width, data, sizes):
-        """Exact against the per-window loop on integer values (ties) and
-        Gaussian ones, through warm-up, however the values are split into
-        pushes (empty ones, and ones longer than the window, included)."""
+    def test_matches_loop_reference_in_any_chunking(self, width, data, threshold, sizes):
+        """Exact against the per-window loop on integer values (ties, and
+        values exactly on the threshold), Gaussian ones and Cauchy-tailed
+        ones, through warm-up, at every threshold, however the values are
+        split into pushes (empty ones, and ones longer than the window,
+        included)."""
         x = np.array(data, dtype=float)
-        med, mad = pushed_median_mad(x, width, sizes)
-        assert_matches_loop_reference(x, width, med, mad)
+        assert np.array_equal(pushed_flags(x, width, threshold, sizes), reference_flags(x, width, threshold))
+
+    def test_stale_run_settles_a_ramp_and_the_walk_recovers(self):
+        """On a slow concave ramp the median moves with every value, and the
+        bound decides them from the run the warm-up left, though that run
+        is no longer the values nearest the median; two spikes after it
+        walk from the stale run to the nearest one. Pushed whole or one
+        value at a time, the flags are the reference's."""
+        width, threshold = 51, 5 * MAD_SIGMA
+        ramp = 100 * np.sqrt(np.arange(300.0))
+        x = np.concatenate((ramp, ramp[-1] + [5e3, -5e3]))
+        want = reference_flags(x, width, threshold)
+        assert want.tolist() == [False] * 300 + [True, True]
+        assert np.array_equal(_RunningMedianMad(width).push(x, threshold), want)
+        gate = _RunningMedianMad(width)
+        flags, stale = [], []
+        for i in range(len(x)):
+            flags.append(gate.push(x[i : i + 1], threshold)[0])
+            if i >= width - 1 and not is_nearest_run(x[i - width + 1 : i + 1], gate._j - 1):
+                stale.append(i)
+        assert flags == want.tolist()
+        # every full ramp window settles from a stale run, which the
+        # spikes' walk puts right
+        assert stale == list(range(width - 1, 300))
+        assert len(set(np.median(x[i - width + 1 : i + 1]) for i in stale)) == len(stale)
 
 
 class TestContactState:
@@ -258,7 +325,8 @@ class ReferencePreprocessor:
     """``StreamingPreprocessor`` as it was before it carried its window
     sums: each push re-sums the carried raw history for the DC, and
     smooths from the prefix sums of the whole AC history since the
-    stream's start."""
+    stream's start. Its flags are ``reference_flags`` of the whole AC IR
+    history, not the running gate's."""
 
     def __init__(self, sample_rate_hz, dc_window_s=3.0, kernel_width=5, outlier_z=None, outlier_window_s=3.0):
         step_ms = 1000.0 / sample_rate_hz
@@ -266,7 +334,7 @@ class ReferencePreprocessor:
         self._half = kernel_width // 2
         self._outlier_z = outlier_z
         self._raw = np.empty((2, 0))
-        self._gate = None if outlier_z is None else _RunningMedianMad(_window_samples(outlier_window_s, step_ms))
+        self._gate_width = _window_samples(outlier_window_s, step_ms)
         # every sample pushed: t, the rows ac_red, ac_ir, dc_red, dc_ir, and the flags
         self._t, self._acdc, self._outlier = np.empty(0, dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool)
         self._released = 0
@@ -280,13 +348,13 @@ class ReferencePreprocessor:
             self._raw = hist[:, max(0, hist.shape[1] - (self._dc_width - 1)) :]
             self.last_dc_ir = float(dc[1, -1])
             ac = raw - dc
-            if self._gate is None:
-                flags = np.zeros(raw.shape[1], dtype=bool)
-            else:
-                med, mad = self._gate.push(ac[1])
-                flags = (mad > 0) & (np.abs(ac[1] - med) > self._outlier_z * MAD_SIGMA * mad)
+            seen = len(self._t)
             self._t = np.concatenate((self._t, cols[0]))
             self._acdc = np.concatenate((self._acdc, np.concatenate((ac, dc))), axis=1)
+            if self._outlier_z is None:
+                flags = np.zeros(raw.shape[1], dtype=bool)
+            else:
+                flags = reference_flags(self._acdc[1], self._gate_width, self._outlier_z * MAD_SIGMA, seen)
             self._outlier = np.concatenate((self._outlier, flags))
         start, half = self._released, self._half
         stop = len(self._t) - half
