@@ -30,12 +30,10 @@ from .emotion import (
 from .synth import ArtifactKind, GroundTruth, SynthProfile, generate, inject_artifacts
 from .vitals import (
     BeatDetectorState,
-    RatioWindow,
     VitalsPipeline,
     accept_bpm,
     beat_interval,
     clamp_spo2,
-    compute_ratio,
     detect_beats,
     fit_calibration,
     instantaneous_bpm,
@@ -61,7 +59,6 @@ __all__ = [
     "FrameBlock",
     "GroundTruth",
     "PipelineConfig",
-    "RatioWindow",
     "SampleFrame",
     "SynthProfile",
     "VitalsBands",
@@ -72,7 +69,6 @@ __all__ = [
     "beat_interval",
     "clamp_spo2",
     "classify",
-    "compute_ratio",
     "contact_state",
     "decode_frame",
     "detect_beats",

@@ -181,31 +181,32 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
-def _head(source) -> bytes:
-    """The first two bytes of the binary stream ``source``, which is left at
-    its start: ``{"`` begins every session."""
+def _open_in(path: str):
+    """The binary stream at ``path`` (``-``: stdin, read whole) and its first
+    two bytes; the stream is left at its start. ``{"`` begins every session."""
+    source = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
     head = source.read(2)
     source.seek(0)
-    return head
+    return source, head
 
 
 def _open_stored_session(path: str):
-    """``open_session`` of ``path``, refused at once when it holds bytes that
-    do not begin ``{"`` (an empty file is left to the header check)."""
-    source = open(path, "rb")
-    head = _head(source)
+    """``open_session`` of ``_open_in(path)``, refused at once when it holds
+    bytes that do not begin ``{"`` (an empty input is left to the header check)."""
+    source, head = _open_in(path)
     if head and head != b'{"':
         source.close()
-        raise SessionParseError(1, f'{path} is not a session, which begins {{"; process reads wire bytes')
+        name = "stdin" if path == "-" else path
+        raise SessionParseError(1, f'{name} is not a session, which begins {{"; process reads wire bytes')
     return open_session(source)
 
 
 def _load_blocks(path: str) -> list[FrameBlock]:
-    """The frames at ``path`` (``-``: stdin) in the blocks read. A session begins ``{"``
+    """The frames of ``_open_in(path)`` in the blocks read. A session begins ``{"``
     and gives one per run of raw lines; any other input is wire bytes, in one block."""
-    source = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
+    source, head = _open_in(path)
     with source:
-        if _head(source) == b'{"':
+        if head == b'{"':
             with open_session(source) as text:
                 return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(proc)
 
     rep = sub.add_parser("replay", help="print a stored session; --verify recomputes every record")
-    rep.add_argument("--in", dest="in_path", required=True)
+    rep.add_argument("--in", dest="in_path", required=True, help="session path, or - for stdin")
     rep.add_argument("--verify", action="store_true", help="recompute every record from the raw records and compare")
 
     cal = sub.add_parser("calibrate", help="least-squares fit of the SpO2 line from (ratio, spo2) pairs")
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(cal)
 
     rpt = sub.add_parser("report", help="summarize a session as text or SVG")
-    rpt.add_argument("--in", dest="in_path", required=True)
+    rpt.add_argument("--in", dest="in_path", required=True, help="session path, or - for stdin")
     rpt.add_argument("--format", choices=("text", "svg"), default="text")
     rpt.add_argument("--out", help="output path (default: stdout)")
     return parser

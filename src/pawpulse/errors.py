@@ -25,14 +25,6 @@ class DomainError(PawpulseError, ValueError):
     """A formula argument is outside the formula's domain."""
 
 
-class EmptyWindowError(PawpulseError, ValueError):
-    """A ratio window contains no samples."""
-
-
-class DivisionGuardError(PawpulseError, ZeroDivisionError):
-    """The IR mean is zero, so the red/IR ratio is undefined."""
-
-
 class DegenerateFitError(PawpulseError, ValueError):
     """Calibration data does not determine a line (all ratios equal)."""
 

@@ -57,7 +57,6 @@ import functools
 import io
 import json
 import math
-import os
 import re
 import typing
 from collections import Counter
@@ -296,9 +295,6 @@ class SessionWriter:
         self.close()
 
 
-_PATH_TYPES = (str, bytes, os.PathLike)
-
-
 def _not_utf8(lineno: int, undecodable: re.Match) -> SessionParseError:
     byte = ord(undecodable.group()) - 0xDC00
     return SessionParseError(lineno, f"byte 0x{byte:02x} is not UTF-8")
@@ -340,46 +336,18 @@ def _header_from_line(line: str) -> SessionHeader:
 
 
 def open_session(source):
-    """A session path, or a binary stream, opened as text for ``read_header``
-    and ``replay``: bytes that are not UTF-8 reach them escaped, and they
-    report the line they are on; lines end at LF alone and reach them
-    untranslated. Closing the text stream closes ``source``."""
-    binary = open(source, "rb") if isinstance(source, _PATH_TYPES) else source
-    return io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="\n")
+    """A binary stream, such as ``open(path, "rb")``, as text for
+    ``read_header`` and ``replay``: bytes that are not UTF-8 reach them
+    escaped, and they report the line they are on; lines end at LF alone
+    and reach them untranslated. Closing the text stream closes ``source``."""
+    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
 def read_header(source) -> SessionHeader:
-    """The checked header of a session path, or of an open text stream
-    positioned at the session's first line (that line is consumed)."""
-    if isinstance(source, _PATH_TYPES):
-        with open_session(source) as fh:
-            return _header_from_line(fh.readline())
+    """The checked header of a session, read from ``source``, a text stream
+    from ``open_session`` positioned at the session's first line (that
+    line is consumed)."""
     return _header_from_line(source.readline())
-
-
-def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-    """Yield the records in stored order: one read-only ``FrameBlock`` per
-    run of consecutive raw records, and each vitals and emotion payload.
-
-    ``source`` is a session path, or an open text stream positioned at
-    the session's first line, whose header line is checked as
-    ``read_header`` checks it; or, with ``header`` given, a stream from
-    which ``read_header`` has just read ``header``. A stream opened as
-    ``open_session`` opens one gets a byte that is not UTF-8, and a CR,
-    reported on its line. Raises SessionParseError (carrying the 1-based
-    line number) at the first line that is not a record spelled as
-    ``SessionWriter`` writes it, or holds a raw frame that
-    ``validate_frame`` rejects against the previous raw frame or a vitals
-    record that ``VitalsEstimate`` rejects; and SeqError naming the line
-    at the first ``seq`` that is not the record's number, 0, 1, 2, ... in
-    stored order. Everything before that line is yielded first: the
-    records, and the frames of its run as one block.
-    """
-    if isinstance(source, _PATH_TYPES):
-        with open_session(source) as fh:
-            yield from _replay_stream(fh, None)
-    else:
-        yield from _replay_stream(source, header)
 
 
 def _line_regex(template: str, wrap: str, *fields: str) -> str:
@@ -440,13 +408,29 @@ def _ints(match: re.Match, count: int, lineno: int) -> list[int]:
         raise _not_spelled(lineno) from None
 
 
-def _replay_stream(fh, header: SessionHeader | None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
+    """Yield the records in stored order: one read-only ``FrameBlock`` per
+    run of consecutive raw records, and each vitals and emotion payload.
+
+    ``source`` is a text stream from ``open_session`` positioned at the
+    session's first line, whose header line is checked as ``read_header``
+    checks it; or, with ``header`` given, one from which ``read_header``
+    has just read ``header``. A byte that is not UTF-8, and a CR, are
+    reported on their line. Raises SessionParseError (carrying the 1-based
+    line number) at the first line that is not a record spelled as
+    ``SessionWriter`` writes it, or holds a raw frame that
+    ``validate_frame`` rejects against the previous raw frame or a vitals
+    record that ``VitalsEstimate`` rejects; and SeqError naming the line
+    at the first ``seq`` that is not the record's number, 0, 1, 2, ... in
+    stored order. Everything before that line is yielded first: the
+    records, and the frames of its run as one block.
+    """
     if header is None:
-        _header_from_line(fh.readline())
+        read_header(source)
     reader = _Reader()
     tail = ""
     while True:
-        chunk = fh.read(_CHUNK)
+        chunk = source.read(_CHUNK)
         text = tail + chunk
         if chunk:  # the last line may go on in the next read
             cut = text.rfind("\n") + 1
@@ -638,19 +622,17 @@ def tick_assessments(records) -> Iterator[tuple[VitalsEstimate, EmotionAssessmen
         yield pending, None
 
 
-def summarize(source) -> SessionSummary:
+def summarize(records) -> SessionSummary:
     """Deterministic statistics over a session's Contact ticks.
 
-    ``source`` is a session path, or the session's records as ``replay``
-    yields them, read in one pass; the raw blocks are only passed over.
+    ``records`` are a session's records as ``replay`` yields them, read
+    in one pass; the raw blocks are only passed over.
     Raises EmptySessionError when there are no vitals records or no
     Contact ticks. The emotion histogram buckets every vitals tick by
     its assessment (``tick_assessments``), under ``"none"`` for a tick
     without one.
     """
-    if isinstance(source, _PATH_TYPES):
-        source = replay(source)
-    ticks = list(tick_assessments(source))
+    ticks = list(tick_assessments(records))
     vitals = [estimate for estimate, _ in ticks]
     counts = dict(Counter("none" if assessment is None else assessment.state.value for _, assessment in ticks))
     if not vitals:

@@ -42,14 +42,7 @@ from .core import (
     VitalsEstimate,
 )
 from .dsp import AcBlock, StreamingPreprocessor, contact_state
-from .errors import (
-    DegenerateFitError,
-    DivisionGuardError,
-    DomainError,
-    EmptyWindowError,
-    InsufficientDataError,
-    OrderError,
-)
+from .errors import DegenerateFitError, DomainError, InsufficientDataError, OrderError
 from .wire import FrameBlock, first_invalid, validate_block
 
 
@@ -213,42 +206,6 @@ def rolling_average_bpm(state: BeatDetectorState) -> float | None:
     if not state.recent_bpm:
         return None
     return sum(state.recent_bpm) / len(state.recent_bpm)
-
-
-@dataclass(frozen=True)
-class RatioWindow:
-    """Mean raw red/IR levels over a trailing window."""
-
-    window_ms: int
-    mean_red: float
-    mean_ir: float
-    sample_count: int
-
-    @classmethod
-    def from_frames(
-        cls, frames: Sequence[SampleFrame], window_ms: int, end_ms: int | None = None
-    ) -> "RatioWindow":
-        if end_ms is None:
-            end_ms = frames[-1].timestamp_ms if frames else 0
-        chosen = [f for f in frames if end_ms - window_ms < f.timestamp_ms <= end_ms]
-        if not chosen:
-            return cls(window_ms=window_ms, mean_red=0.0, mean_ir=0.0, sample_count=0)
-        n = len(chosen)
-        return cls(
-            window_ms=window_ms,
-            mean_red=sum(f.red for f in chosen) / n,
-            mean_ir=sum(f.ir for f in chosen) / n,
-            sample_count=n,
-        )
-
-
-def compute_ratio(window: RatioWindow) -> float:
-    """Raw red/IR mean ratio over the window."""
-    if window.sample_count == 0:
-        raise EmptyWindowError("ratio window holds no samples")
-    if window.mean_ir == 0:
-        raise DivisionGuardError("mean IR is zero, ratio undefined")
-    return window.mean_red / window.mean_ir
 
 
 def spo2_estimate(ratio: float, coeffs: CalibrationCoeffs) -> float:

@@ -31,7 +31,7 @@ from pawpulse.emotion import (
     classify,
 )
 from pawpulse.errors import RangeError, WireError
-from pawpulse.session import replay
+from pawpulse.session import open_session, replay
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import (
     BeatDetectorState,
@@ -226,11 +226,12 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     header = json.loads(session.read_text().splitlines()[0])
     stored_raw = []
     stored_vitals = []
-    for record in replay(session):
-        if type(record) is FrameBlock:
-            stored_raw.extend(record)
-        elif type(record) is VitalsEstimate:
-            stored_vitals.append(record)
+    with open_session(open(session, "rb")) as text:
+        for record in replay(text):
+            if type(record) is FrameBlock:
+                stored_raw.extend(record)
+            elif type(record) is VitalsEstimate:
+                stored_vitals.append(record)
     from pawpulse.session import config_from_dict
 
     recomputed = VitalsPipeline(config_from_dict(header["config"])).run(FrameBlock.from_frames(stored_raw))

@@ -592,6 +592,25 @@ def test_wire_bytes_given_to_a_session_reader_are_named(tmp_path, capsys, comman
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["replay"], ["replay", "--verify"], ["report"], ["report", "--format", "svg"]])
+def test_session_on_stdin_reads_as_from_its_path(tmp_path, capsys, monkeypatch, command):
+    """``--in -`` is stdin to a session reader too: a session there gives,
+    byte for byte, what its path gives, and wire bytes there are refused
+    as stdin, not as a file named ``-``."""
+    session = processed_session(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 0
+    from_path = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(session.read_bytes())))
+    assert run_cli(*command, "--in", "-") == 0
+    assert capsys.readouterr() == from_path
+    wire = simulate_file(tmp_path, "wire.bin", seconds=3.0).read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(wire)))
+    capsys.readouterr()
+    assert run_cli(*command, "--in", "-") == 3
+    assert capsys.readouterr() == ("", 'error: line 1: stdin is not a session, which begins {"; process reads wire bytes\n')
+
+
 @pytest.mark.parametrize("command", [["replay"], ["report"]])
 def test_empty_input_to_a_session_reader_is_a_missing_header(tmp_path, capsys, command):
     empty = tmp_path / "empty.ndjson"

@@ -23,6 +23,7 @@ from pawpulse.core import (
 from pawpulse.emotion import DEFAULT_RULE_TABLE, Certainty, EmotionAssessment, EmotionState
 from pawpulse.errors import ConfigError, EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
+    SessionHeader,
     SessionWriter,
     TickEmotion,
     _CHUNK,
@@ -81,6 +82,17 @@ def blocked(records):
     return out
 
 
+def opened(path):
+    """The session file at ``path``, opened as ``open_session`` opens a stream."""
+    return open_session(open(path, "rb"))
+
+
+def replayed(path):
+    """``replay`` of the session file at ``path``, closed once read to its end."""
+    with opened(path) as text:
+        yield from replay(text)
+
+
 def stored_seqs(path):
     return [json.loads(line)["seq"] for line in path.read_text().splitlines()[1:]]
 
@@ -91,7 +103,7 @@ class TestWriter:
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(1000):
                 writer.append_record(block(raw(i * 10)))
-        assert len(flat(replay(path))) == 1000
+        assert len(flat(replayed(path))) == 1000
 
     def test_first_record_seq_zero(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -136,7 +148,7 @@ class TestWriter:
             with pytest.raises(error):
                 writer.append_record(wrap(bad))  # a block is refused whole
             writer.append_record(block(raw(20)))  # the writer carries on after a refusal
-        assert flat(replay(path)) == [raw(0), raw(10), vit(1000), raw(20)]
+        assert flat(replayed(path)) == [raw(0), raw(10), vit(1000), raw(20)]
         assert stored_seqs(path) == [0, 1, 2, 3]  # the refused frame used up no number
 
     @pytest.mark.parametrize(
@@ -160,7 +172,7 @@ class TestWriter:
             with pytest.raises(error):
                 writer.append_record(bad)
             writer.append_record(vit(2000))
-        assert flat(replay(path)) == [vit(1000), vit(2000)]
+        assert flat(replayed(path)) == [vit(1000), vit(2000)]
 
     @pytest.mark.parametrize("rule_id", ["R0", "R01", "r1", "R1 ", "R", "", 'R1"', "Rule1", 1, None])
     def test_rule_id_other_than_r_n_is_refused(self, tmp_path, rule_id):
@@ -171,7 +183,7 @@ class TestWriter:
             with pytest.raises((TypeError, ValueError)):
                 writer.append_record(bad)
             writer.append_record(emo(1000))
-        assert flat(replay(path)) == [emo(1000)]
+        assert flat(replayed(path)) == [emo(1000)]
         assert stored_seqs(path) == [0]
 
     def test_flush_hands_lines_to_the_file(self, tmp_path):
@@ -180,7 +192,7 @@ class TestWriter:
             writer.append_record(block(raw(0)))
             writer.append_record(vit(1000))
             writer.flush()
-            assert flat(replay(path)) == [raw(0), vit(1000)]
+            assert flat(replayed(path)) == [raw(0), vit(1000)]
 
 
 # Raw frames as validate_frame accepts them: 18-bit channels, uint32
@@ -245,7 +257,7 @@ class TestRawEncoding:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in expected:
                 writer.append_record(record)
-        assert list(replay(path)) == expected
+        assert list(replayed(path)) == expected
         # each run written again as two adjacent blocks, either maybe empty
         block_path = path.with_name("block.ndjson")
         with SessionWriter(block_path, PipelineConfig()) as writer:
@@ -270,7 +282,7 @@ class TestReplay:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in blocked(records):
                 writer.append_record(record)
-        assert flat(replay(path)) == records
+        assert flat(replayed(path)) == records
 
     def test_randomized_lossless(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -304,7 +316,7 @@ class TestReplay:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in blocked(records):
                 writer.append_record(record)
-        assert flat(replay(path)) == records
+        assert flat(replayed(path)) == records
 
     def test_truncated_final_line(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -315,7 +327,7 @@ class TestReplay:
             fh.write('{"seq":5,"kind":"raw","t":50,"red"')  # partial write
         collected = []
         with pytest.raises(SessionParseError) as err:
-            for record in replay(path):
+            for record in replayed(path):
                 collected.append(record)
         assert len(flat(collected)) == 5
         assert err.value.line == 7  # header + 5 records + the bad line
@@ -327,7 +339,7 @@ class TestReplay:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":1,"kind":"raw","t":10}\n')  # missing channels
         with pytest.raises(SessionParseError):
-            list(replay(path))
+            list(replayed(path))
 
     @pytest.mark.parametrize("bad_seq", [4, 2])
     def test_non_increasing_seq_rejected(self, tmp_path, bad_seq):
@@ -339,7 +351,7 @@ class TestReplay:
             fh.write(f'{{"seq":{bad_seq},"kind":"raw","t":50,"red":1,"ir":2,"temp":null}}\n')
         collected = []
         with pytest.raises(SeqError, match="line 7"):
-            for record in replay(path):
+            for record in replayed(path):
                 collected.append(record)
         assert len(flat(collected)) == 5
 
@@ -349,7 +361,7 @@ class TestReplay:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"seq":"0","kind":"raw","t":0,"red":1,"ir":2,"temp":null}\n')
         with pytest.raises(SessionParseError):
-            list(replay(path))
+            list(replayed(path))
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -369,7 +381,7 @@ class TestReplay:
             fh.write(f'{{"seq":6,"kind":"raw",{bad},"temp":null}}\n')
         collected = []
         with pytest.raises(SessionParseError, match=f"line 8: {message}") as err:
-            for record in replay(path):
+            for record in replayed(path):
                 collected.append(record)
         assert len(flat(collected)) == 6
         assert err.value.line == 8
@@ -385,7 +397,7 @@ class TestReplay:
         lines[lineno - 1] = lines[lineno - 1][:-1] + ',"evil":1}'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SessionParseError, match=f"line {lineno}: record not spelled as written"):
-            list(replay(path))
+            list(replayed(path))
 
     @pytest.mark.parametrize(
         "line",
@@ -417,7 +429,7 @@ class TestReplay:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(SessionParseError) as err:
-            list(replay(path))
+            list(replayed(path))
         assert err.value.line == 3
 
     @pytest.mark.parametrize(
@@ -443,7 +455,7 @@ class TestReplay:
         path.write_text(text.replace(old, new))
         collected = []
         with pytest.raises(SessionParseError, match="record not spelled as written") as err:
-            for record in replay(path):
+            for record in replayed(path):
                 collected.append(record)
         lineno = 4 if "rules" in old or "state" in old else 3
         assert err.value.line == lineno
@@ -455,14 +467,14 @@ class TestReplay:
             writer.append_record(vit(1000, bpm=80, avg=None, spo2=0))
         line = '{"seq":0,"kind":"vitals","t":1000,"contact":"contact","bpm":%s,"bpm_avg":null,"spo2":%s}\n'
         assert path.read_text().split("\n", 1)[1] == line % ("80.0", "0.0")
-        got = list(replay(path))
+        got = list(replayed(path))
         assert got == [vit(1000, bpm=80.0, avg=None, spo2=0.0)]
         assert type(got[0].bpm_instant) is float and type(got[0].spo2_pct) is float
         # an int spelling is not the writer's
         for bpm, spo2 in (("80", "0.0"), ("80.0", "0")):
             session_with_lines(path, [line[:-1] % (bpm, spo2)])
             with pytest.raises(SessionParseError, match="line 2: record not spelled as written"):
-                list(replay(path))
+                list(replayed(path))
 
     @pytest.mark.parametrize("extra", ["", " ", "\r", '{"seq":1,"kind":"raw","t":10,"red":1,"ir":2,"temp":null} x'])
     @pytest.mark.parametrize("after", ["raw", "vitals"])
@@ -502,15 +514,15 @@ class TestReplay:
         assert type(exc) is SessionParseError and str(exc) == "line 3: record not spelled as written"
         assert flat(collected) == [raw(0)]
 
-    def test_text_stream_reads_as_path(self, tmp_path):
+    def test_text_streams_read_alike(self, tmp_path):
         path = tmp_path / "s.ndjson"
         records = [raw(0, temp=38.5), raw(10), vit(1000), emo(1000)]
         with SessionWriter(path, PipelineConfig(), start_utc="2026-08-08T00:00:00Z") as writer:
             for record in blocked(records):
                 writer.append_record(record)
         text = path.read_text()
-        assert read_header(io.StringIO(text)) == read_header(path)
-        assert flat(replay(io.StringIO(text))) == flat(replay(path)) == records
+        assert read_header(io.StringIO(text)) == SessionHeader("2026-08-08T00:00:00Z", PipelineConfig(), DEFAULT_RULE_TABLE)
+        assert flat(replay(io.StringIO(text))) == records
         with open(path, encoding="utf-8") as fh:
             assert flat(replay(fh)) == records
 
@@ -554,9 +566,9 @@ class TestReplay:
         header = json.loads(header_line)
         edit(header)
         path.write_text(json.dumps(header) + "\n" + body)
-        for read in (read_header, lambda p: list(replay(p))):
-            with pytest.raises(SessionParseError, match=f"line 1: .*{message}") as err:
-                read(path)
+        for read in (read_header, lambda text: list(replay(text))):
+            with opened(path) as text, pytest.raises(SessionParseError, match=f"line 1: .*{message}") as err:
+                read(text)
             assert err.value.line == 1
 
     def test_header_config_accepts_ints_for_floats(self, tmp_path):
@@ -565,7 +577,8 @@ class TestReplay:
         header = json.loads(path.read_text())
         header["config"].update(sample_rate_hz=100, coeff_a=110, outlier_z=5)
         path.write_text(json.dumps(header, separators=(",", ":")) + "\n")
-        assert read_header(path).config == PipelineConfig(outlier_z=5.0)
+        with opened(path) as text:
+            assert read_header(text).config == PipelineConfig(outlier_z=5.0)
 
     def test_writer_ints_for_floats_read_back(self, tmp_path):
         config = PipelineConfig(sample_rate_hz=100, coeffs=CalibrationCoeffs(110, 25), outlier_z=5)
@@ -573,8 +586,9 @@ class TestReplay:
         with SessionWriter(path, config) as writer:
             writer.append_record(block(raw(0)))
         assert '"sample_rate_hz":100,' in path.read_text()
-        assert read_header(path).config == config
-        assert flat(replay(path)) == [raw(0)]
+        with opened(path) as text:
+            assert read_header(text).config == config
+        assert flat(replayed(path)) == [raw(0)]
 
     @pytest.mark.parametrize("start_utc", [5, b"2026-08-08", {"x": [1]}])
     def test_writer_refuses_a_start_utc_that_is_not_a_string(self, tmp_path, start_utc):
@@ -587,7 +601,8 @@ class TestReplay:
         config = PipelineConfig(bpm_valid_max=200.0, outlier_z=6.0)
         path = tmp_path / "s.ndjson"
         SessionWriter(path, config, start_utc="2026-08-08T00:00:00Z").close()
-        header = read_header(path)
+        with opened(path) as text:
+            header = read_header(text)
         assert header.start_utc == "2026-08-08T00:00:00Z"
         assert header.config == config
 
@@ -641,7 +656,8 @@ def test_every_config_that_constructs_round_trips(tmp_path_factory, view, spoile
         return  # not filtered out: refusing is this property's other outcome
     path = tmp_path_factory.getbasetemp() / "config_round_trip.ndjson"
     SessionWriter(path, config).close()
-    back = read_header(path).config
+    with opened(path) as text:
+        back = read_header(text).config
     assert back == config
     assert list(map(type, config_to_dict(back).values())) == list(map(type, config_to_dict(config).values()))
 
@@ -652,7 +668,7 @@ class TestSummarize:
         with SessionWriter(path, PipelineConfig()) as writer:
             for i in range(5):
                 writer.append_record(vit((i + 1) * 1000, bpm=80.0, avg=80.0, spo2=97.0))
-        summary = summarize(path)
+        summary = summarize(replayed(path))
         assert summary.bpm_mean == summary.bpm_min == summary.bpm_max == 80.0
         assert summary.contact_uptime == 1.0
         assert summary.duration_s == 5.0
@@ -664,14 +680,14 @@ class TestSummarize:
             for i in range(3):
                 writer.append_record(vit((i + 1) * 1000, contact=ContactState.NO_CONTACT))
         with pytest.raises(EmptySessionError):
-            summarize(path)
+            summarize(replayed(path))
 
     def test_no_vitals_is_empty(self, tmp_path):
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             writer.append_record(block(raw(0)))
         with pytest.raises(EmptySessionError):
-            summarize(path)
+            summarize(replayed(path))
 
     def test_records_and_path_agree(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -680,8 +696,8 @@ class TestSummarize:
                 writer.append_record(block(raw(i * 1000)))
                 writer.append_record(vit((i + 1) * 1000, avg=70.0 + i))
                 writer.append_record(emo((i + 1) * 1000))
-        kept = [r for r in replay(path) if type(r) is not FrameBlock]
-        assert summarize(kept) == summarize(replay(path)) == summarize(path)
+        kept = [r for r in replayed(path) if type(r) is not FrameBlock]
+        assert summarize(kept) == summarize(replayed(path))
         assert summarize(kept).emotion_counts == {"Calm": 6}
 
     def test_matches_brute_force(self, tmp_path):
@@ -701,7 +717,7 @@ class TestSummarize:
                     )
                 payloads.append(record)
                 writer.append_record(record)
-        summary = summarize(path)
+        summary = summarize(replayed(path))
         contact = [p for p in payloads if p.contact is ContactState.CONTACT]
         bpms = [p.bpm_avg for p in contact]
         assert summary.bpm_mean == sum(bpms) / len(bpms)
@@ -718,7 +734,7 @@ class TestSummarize:
             writer.append_record(vit(2000))
             writer.append_record(emo(2000, EmotionState.ALERT))
             writer.append_record(vit(3000, contact=ContactState.NO_CONTACT))
-        summary = summarize(path)
+        summary = summarize(replayed(path))
         assert summary.emotion_counts == {"Calm": 1, "Alert": 1, "none": 1}
         assert sum(summary.emotion_counts.values()) == 3
 
@@ -738,8 +754,8 @@ class TestPipelineReplayDeterminism:
                 estimates.append(estimate)
                 writer.append_record(estimate)
 
-        stored_raw = [record for record in flat(replay(path)) if type(record) is SampleFrame]
-        stored_vitals = [record for record in replay(path) if type(record) is VitalsEstimate]
+        stored_raw = [record for record in flat(replayed(path)) if type(record) is SampleFrame]
+        stored_vitals = [record for record in replayed(path) if type(record) is VitalsEstimate]
         assert stored_raw == list(frames)
         recomputed = VitalsPipeline(config).run(FrameBlock.from_frames(stored_raw))
         assert recomputed == stored_vitals == estimates
@@ -753,7 +769,7 @@ class TestPipelineReplayDeterminism:
                 for estimate in VitalsPipeline(config).run(frames):
                     writer.append_record(estimate)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert summarize(paths[0]) == summarize(paths[1])
+        assert summarize(replayed(paths[0])) == summarize(replayed(paths[1]))
 
 
 #: A stream whose temperature comes and goes, and the records of its ticks
@@ -823,7 +839,7 @@ def read_until_error(path):
     """What replay yields before it raises, and what it raises (or None)."""
     collected = []
     try:
-        for record in replay(path):
+        for record in replayed(path):
             collected.append(record)
     except (SessionParseError, SeqError) as exc:
         return collected, exc
@@ -882,7 +898,7 @@ class TestRawRuns:
         with SessionWriter(path, PipelineConfig()) as writer:
             for record in blocked(records):
                 writer.append_record(record)
-        got = list(replay(path))
+        got = list(replayed(path))
         assert [type(r) for r in got] == [FrameBlock, VitalsEstimate, TickEmotion, FrameBlock, VitalsEstimate]
         assert list(got[0]) == records[:3] and list(got[3]) == [raw(30)]
         assert '"temp":37.0}' in path.read_text()  # an int temperature is written and read as a float
@@ -910,7 +926,7 @@ class TestRawRuns:
         frames = [raw(10**18 + 5, temp=38.5), raw((1 << 63) - 1)]
         with SessionWriter(path, PipelineConfig()) as writer:
             writer.append_record(FrameBlock.from_frames(frames))
-        assert flat(replay(path)) == frames
+        assert flat(replayed(path)) == frames
 
     def test_a_run_longer_than_a_read_is_one_block(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -919,7 +935,7 @@ class TestRawRuns:
             writer.append_record(FrameBlock.from_frames(frames))
             writer.append_record(vit(50_000))
         assert path.stat().st_size > 4 * _CHUNK
-        got = list(replay(path))
+        got = list(replayed(path))
         assert [type(r) for r in got] == [FrameBlock, VitalsEstimate]
         assert list(got[0]) == frames
 
@@ -939,7 +955,7 @@ class TestRawRuns:
                 return call(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        records = list(replay(path))
+        records = list(replayed(path))
         assert [type(r) for r in records] == [FrameBlock, VitalsEstimate] * 30
         assert calls == {"first_invalid": 1, "fromstring": 1}
 
@@ -1043,11 +1059,12 @@ class TestRawRuns:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
                 writer.append_record(emo(estimate.tick_time_ms))
-        header = read_header(source)
         copy = tmp_path / "b.ndjson"
-        with SessionWriter(copy, header.config, header.start_utc) as writer:
-            for record in replay(source):
-                writer.append_record(record)
+        with opened(source) as text:
+            header = read_header(text)
+            with SessionWriter(copy, header.config, header.start_utc) as writer:
+                for record in replay(text, header):
+                    writer.append_record(record)
         assert copy.read_bytes() == source.read_bytes()
 
 

@@ -9,7 +9,7 @@ from pawpulse import synth
 from pawpulse.core import ADC_MAX, DEFAULT_COEFFS, CalibrationCoeffs, SampleFrame, validate_frame
 from pawpulse.errors import ConfigError, RangeError
 from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
-from pawpulse.vitals import RatioWindow, clamp_spo2, compute_ratio, spo2_estimate
+from pawpulse.vitals import clamp_spo2, spo2_estimate
 from pawpulse.wire import FrameBlock
 
 
@@ -66,14 +66,19 @@ def test_bpm_schedule():
     assert np.all(np.abs(late - 500.0) <= 1.0)
 
 
+def mean_ratio(frames, end_ms, window_ms=1000):
+    """Mean red over mean IR of the frames in ``(end_ms - window_ms, end_ms]``."""
+    window = [f for f in frames if end_ms - window_ms < f.timestamp_ms <= end_ms]
+    return np.mean([f.red for f in window]) / np.mean([f.ir for f in window])
+
+
 @pytest.mark.parametrize("spo2", [90.0, 95.0, 99.0])
 def test_oracle_spo2_consistency(spo2):
     """Ratio + calibration applied to a noiseless window recovers the truth."""
     profile = SynthProfile(true_bpm=80.0, true_spo2_pct=spo2, noise_std_counts=0.0, seed=0)
     frames, _ = generate(profile, 10.0, 100.0)
     for end in (3000, 6000, 9999):
-        window = RatioWindow.from_frames(frames, window_ms=1000, end_ms=end)
-        estimate = clamp_spo2(spo2_estimate(compute_ratio(window), DEFAULT_COEFFS))
+        estimate = clamp_spo2(spo2_estimate(mean_ratio(frames, end), DEFAULT_COEFFS))
         assert estimate == pytest.approx(spo2, abs=0.5)
 
 
@@ -81,8 +86,7 @@ def test_oracle_consistency_with_custom_coeffs():
     coeffs = CalibrationCoeffs(a=104.0, b=17.0)
     profile = SynthProfile(true_bpm=70.0, true_spo2_pct=93.0, noise_std_counts=0.0, seed=0)
     frames, _ = generate(profile, 6.0, 100.0, coeffs=coeffs)
-    window = RatioWindow.from_frames(frames, window_ms=1000, end_ms=5000)
-    estimate = clamp_spo2(spo2_estimate(compute_ratio(window), coeffs))
+    estimate = clamp_spo2(spo2_estimate(mean_ratio(frames, 5000), coeffs))
     assert estimate == pytest.approx(93.0, abs=0.5)
 
 
@@ -92,8 +96,7 @@ def test_explicit_dc_red_overrides_derivation():
     frames, _ = generate(profile, 5.0, 100.0)
     red_mean = np.mean([f.red for f in frames])
     assert red_mean == pytest.approx(40_000.0, rel=0.05)
-    window = RatioWindow.from_frames(frames, window_ms=1000, end_ms=4000)
-    assert compute_ratio(window) == pytest.approx(0.5, abs=0.01)
+    assert mean_ratio(frames, 4000) == pytest.approx(0.5, abs=0.01)
 
 
 class TestProfileValidation:

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pawpulse.core import (
     ADC_MAX,
+    DEFAULT_COEFFS,
     TIMESTAMP_MAX,
     CalibrationCoeffs,
     ContactState,
@@ -17,22 +19,18 @@ from pawpulse.dsp import AcBlock, StreamingPreprocessor
 from pawpulse.errors import (
     ConfigError,
     DegenerateFitError,
-    DivisionGuardError,
     DomainError,
-    EmptyWindowError,
     InsufficientDataError,
     OrderError,
     RangeError,
 )
-from pawpulse.synth import SynthProfile, generate
+from pawpulse.synth import ArtifactKind, SynthProfile, generate, inject_artifacts
 from pawpulse.vitals import (
     BeatDetectorState,
-    RatioWindow,
     VitalsPipeline,
     accept_bpm,
     beat_interval,
     clamp_spo2,
-    compute_ratio,
     detect_beats,
     fit_calibration,
     fit_residual_rms,
@@ -129,31 +127,37 @@ class TestRollingAverage:
             assert abs(rolling_average_bpm(state) - brute) < 1e-12
 
 
+def spo2_series(frames, **config):
+    """The SpO2 of each tick of ``VitalsPipeline.run`` over ``frames``."""
+    return [est.spo2_pct for est in VitalsPipeline(PipelineConfig(**config)).run(FrameBlock.from_frames(frames))]
+
+
 class TestRatio:
+    """The window mean ratio, through ``VitalsPipeline``."""
+
     def test_simple_division(self):
-        window = RatioWindow(window_ms=1000, mean_red=30_000.0, mean_ir=60_000.0, sample_count=10)
-        assert compute_ratio(window) == 0.5
+        frames = [SampleFrame(t, 30_000, 60_000) for t in range(0, 3000, 10)]
+        assert spo2_series(frames) == [clamp_spo2(spo2_estimate(0.5, DEFAULT_COEFFS))] * 3
 
     def test_equal_channels(self):
-        window = RatioWindow(window_ms=1000, mean_red=5.0, mean_ir=5.0, sample_count=1)
-        assert compute_ratio(window) == 1.0
+        frames = [SampleFrame(t, 5, 5) for t in range(0, 2000, 10)]
+        assert spo2_series(frames, contact_ir_threshold=0) == [clamp_spo2(spo2_estimate(1.0, DEFAULT_COEFFS))] * 2
 
     def test_zero_ir_guarded(self):
-        window = RatioWindow(window_ms=1000, mean_red=5.0, mean_ir=0.0, sample_count=3)
-        with pytest.raises(DivisionGuardError):
-            compute_ratio(window)
+        frames = [SampleFrame(t, 5, 0) for t in range(0, 3000, 10)]
+        assert spo2_series(frames, contact_ir_threshold=0) == [None] * 3
 
     def test_empty_window_guarded(self):
-        window = RatioWindow(window_ms=1000, mean_red=0.0, mean_ir=0.0, sample_count=0)
-        with pytest.raises(EmptyWindowError):
-            compute_ratio(window)
+        # no frame in the 500 ms before the ticks at 1000 and 2000 ms; one before 3000 ms
+        frames = [SampleFrame(t, 5, 5) for t in [*range(0, 400, 10), 2600]]
+        want = [None, None, clamp_spo2(spo2_estimate(1.0, DEFAULT_COEFFS))]
+        assert spo2_series(frames, contact_ir_threshold=0, ratio_window_ms=500) == want
 
     def test_from_frames_trailing_window(self):
         frames = [SampleFrame(t, 100 + t, 200 + t) for t in range(0, 3000, 500)]
-        window = RatioWindow.from_frames(frames, window_ms=1000, end_ms=2500)
-        # frames at 2000 and 2500 fall in (1500, 2500]
-        assert window.sample_count == 2
-        assert window.mean_red == pytest.approx((2100 + 2600) / 2)
+        # the tick at 3000 ms holds the frames at 2000 and 2500 in (1500, 3000]
+        last = spo2_series(frames, contact_ir_threshold=0, ratio_window_ms=1500)[-1]
+        assert last == clamp_spo2(spo2_estimate(((2100 + 2600) / 2) / ((2200 + 2700) / 2), DEFAULT_COEFFS))
 
 
 class TestSpo2:
@@ -412,17 +416,40 @@ class TestProcessTick:
         got += [tampered.tick(chunk) for chunk in chunks[3:]]
         assert got == want
 
-    def test_spo2_matches_ratio_window_reference(self):
-        """The carried window's integer sums give exactly the SpO2 that
-        ``RatioWindow.from_frames`` over the whole stream gives."""
-        config = PipelineConfig(ratio_window_ms=1500, tick_interval_ms=400)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window_ms=st.integers(1, 3000),
+        interval_ms=st.integers(50, 2000),
+        groups=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        dropout=st.none() | st.tuples(st.integers(0, 2900), st.integers(1, 3000)),  # inside the 6 s stream
+    )
+    # an empty window (no 100 Hz frame in 5 ms), and one inside a dropout, whose IR sum is 0
+    @example(window_ms=5, interval_ms=1000, groups=[1], dropout=None)
+    @example(window_ms=500, interval_ms=1000, groups=[2, 1], dropout=(1000, 2000))
+    def test_spo2_is_the_window_mean_ratio(self, window_ms, interval_ms, groups, dropout):
+        """A Contact tick's SpO2 is ``clamp_spo2(spo2_estimate(mean red /
+        mean IR))`` over the frames that arrived in ``(t - w, t]``, exactly,
+        or None when none did or their IR sum is 0; however the ticks are
+        grouped into ``tick`` and ``ticks`` calls. Every tick is in Contact:
+        a dropout's too, under a contact threshold of 0, with an IR of 0."""
+        config = PipelineConfig(
+            ratio_window_ms=window_ms, tick_interval_ms=interval_ms, contact_ir_threshold=0 if dropout else 50_000
+        )
         frames, _ = generate(SynthProfile(true_bpm=80.0, true_spo2_pct=93.0, seed=6), 6.0, 100.0)
-        estimates = VitalsPipeline(config).run(frames)
+        if dropout:
+            frames = inject_artifacts(frames, ArtifactKind.DROPOUT, *dropout)
+        chunks = list(tick_chunks([frames], interval_ms))
+        pipeline, estimates, sizes = VitalsPipeline(config), [], itertools.cycle(groups)
+        while len(estimates) < len(chunks):
+            group = chunks[len(estimates) : len(estimates) + next(sizes)]
+            estimates += [pipeline.tick(group[0])] if len(group) == 1 else pipeline.ticks(group)
+        rows = list(frames)
         for est in estimates:
-            arrived = [f for f in frames if f.timestamp_ms < est.tick_time_ms]
-            window = RatioWindow.from_frames(arrived, config.ratio_window_ms, end_ms=est.tick_time_ms)
-            want = clamp_spo2(spo2_estimate(compute_ratio(window), config.coeffs))
-            assert est.spo2_pct == want
+            t = est.tick_time_ms
+            window = [f for f in rows if t - window_ms < f.timestamp_ms < t]  # arrived: before t
+            sum_red, sum_ir, n = sum(f.red for f in window), sum(f.ir for f in window), len(window)
+            want = clamp_spo2(spo2_estimate((sum_red / n) / (sum_ir / n), config.coeffs)) if n and sum_ir else None
+            assert est.contact is ContactState.CONTACT and est.spo2_pct == want
 
     def test_oracle_90bpm_tick10(self):
         frames, _ = generate(SynthProfile(true_bpm=90.0, seed=1), 10.0, 100.0)
