@@ -40,7 +40,7 @@ from .vitals import (
     rolling_average_bpm,
     spo2_estimate,
 )
-from .wire import FrameBlock, decode_frame, encode_frame, resync, validate_block
+from .wire import FrameBlock, encode_frame, resync, validate_block
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "clamp_spo2",
     "classify",
     "contact_state",
-    "decode_frame",
     "detect_beats",
     "discretize",
     "encode_frame",

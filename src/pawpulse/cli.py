@@ -181,20 +181,40 @@ def cmd_simulate(args) -> int:
 # -- process ------------------------------------------------------------------
 
 
-def _open_in(path: str):
-    """The binary stream at ``path`` (``-``: stdin, read whole) and its first
-    two bytes; the stream is left at its start. ``{"`` begins every session."""
-    source = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
-    head = source.read(2)
-    source.seek(0)
-    return source, head
+class _Input(io.BufferedIOBase):
+    """The binary stream at ``path`` (``-``: stdin, left open on close), from its
+    start; ``head`` is its first two bytes, read at once. ``{"`` begins every session."""
+
+    def __init__(self, path: str):
+        self._owned = False  # till the file is open: close runs after a failed open too
+        self._source = sys.stdin.buffer if path == "-" else open(path, "rb")
+        self._owned = path != "-"
+        self.head = self._unread = self._source.read(2)
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int | None = -1) -> bytes:
+        """What is left of ``head``, then the rest: ``size`` bytes in all, or all there are."""
+        if size is None or size < 0:
+            unread, self._unread = self._unread, b""
+            return unread + self._source.read()
+        unread, self._unread = self._unread[:size], self._unread[size:]
+        return unread + self._source.read(size - len(unread))
+
+    read1 = read  # what TextIOWrapper calls; a read of all it asks for is one too
+
+    def close(self) -> None:
+        if self._owned and not self.closed:
+            self._source.close()
+        super().close()
 
 
 def _open_stored_session(path: str):
-    """``open_session`` of ``_open_in(path)``, refused at once when it holds
+    """``open_session`` of ``_Input(path)``, refused at once when it holds
     bytes that do not begin ``{"`` (an empty input is left to the header check)."""
-    source, head = _open_in(path)
-    if head and head != b'{"':
+    source = _Input(path)
+    if source.head and source.head != b'{"':
         source.close()
         name = "stdin" if path == "-" else path
         raise SessionParseError(1, f'{name} is not a session, which begins {{"; process reads wire bytes')
@@ -202,11 +222,10 @@ def _open_stored_session(path: str):
 
 
 def _load_blocks(path: str) -> list[FrameBlock]:
-    """The frames of ``_open_in(path)`` in the blocks read. A session begins ``{"``
+    """The frames of ``_Input(path)`` in the blocks read. A session begins ``{"``
     and gives one per run of raw lines; any other input is wire bytes, in one block."""
-    source, head = _open_in(path)
-    with source:
-        if head == b'{"':
+    with _Input(path) as source:
+        if source.head == b'{"':
             with open_session(source) as text:
                 return [record for record in replay(text) if type(record) is FrameBlock]
         runs: list[tuple[int, int]] = []

@@ -37,26 +37,6 @@ class MissingVitalsError(PawpulseError, ValueError):
     """Vitals lack the fields needed for emotion discretization."""
 
 
-class WireError(PawpulseError, ValueError):
-    """Base class for wire-format decode failures."""
-
-
-class BadSyncError(WireError):
-    """Frame does not start with the sync pattern."""
-
-
-class BadVersionError(WireError):
-    """Frame carries an unsupported protocol version."""
-
-
-class BadCrcError(WireError):
-    """Frame checksum mismatch."""
-
-
-class TruncatedError(WireError):
-    """Not enough bytes for a complete frame."""
-
-
 class SeqError(PawpulseError, ValueError):
     """Session record sequence numbers are not 0, 1, 2, ... in stored order."""
 

@@ -47,13 +47,7 @@ from .core import (
     check_frame_types,
     validate_frame,
 )
-from .errors import (
-    BadCrcError,
-    BadSyncError,
-    BadVersionError,
-    RangeError,
-    TruncatedError,
-)
+from .errors import RangeError
 
 SYNC = b"\xa5\x5a"
 VERSION = 0x01
@@ -91,51 +85,7 @@ def encode_frame(frame: SampleFrame) -> bytes:
     return SYNC + body + struct.pack("<H", crc16_ccitt_false(body))
 
 
-# everything after the sync pattern: version, flags, timestamp, red, ir,
-# [temperature,] crc
-_FRAME = struct.Struct("<BBIIIH")
-_FRAME_TEMP = struct.Struct("<BBIIIhH")
-_FIXED_LEN = 2 + _FRAME.size
-_TEMP_LEN = 2 + _FRAME_TEMP.size
-
-
-def decode_frame(data: bytes, offset: int = 0) -> tuple[SampleFrame, int]:
-    """Decode one frame starting at ``offset``.
-
-    Returns the frame and the number of bytes consumed. Raises
-    BadSyncError, BadVersionError, BadCrcError, TruncatedError or
-    RangeError; the CRC guarantees any single-byte corruption is caught
-    rather than decoded into a silently different frame.
-    """
-    data = memoryview(data)
-    have = len(data) - offset
-    if have < 4:
-        raise TruncatedError(f"need at least 4 bytes, have {max(0, have)}")
-    if data[offset : offset + 2] != SYNC:
-        raise BadSyncError(
-            f"expected sync {SYNC.hex()} at offset {offset}, got {bytes(data[offset : offset + 2]).hex()}"
-        )
-    version = data[offset + 2]
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version 0x{version:02x}")
-    if data[offset + 3] & FLAG_TEMPERATURE:
-        size = _TEMP_LEN
-        if have < size:
-            raise TruncatedError(f"frame needs {size} bytes, have {have}")
-        _, _, timestamp_ms, red, ir, deci, crc_stored = _FRAME_TEMP.unpack_from(data, offset + 2)
-        temperature_c = deci / 10.0
-    else:
-        size = _FIXED_LEN
-        if have < size:
-            raise TruncatedError(f"frame needs {size} bytes, have {have}")
-        _, _, timestamp_ms, red, ir, crc_stored = _FRAME.unpack_from(data, offset + 2)
-        temperature_c = None
-    crc_actual = crc16_ccitt_false(data[offset + 2 : offset + size - 2])
-    if crc_stored != crc_actual:
-        raise BadCrcError(f"crc mismatch: stored 0x{crc_stored:04x}, computed 0x{crc_actual:04x}")
-    if red > ADC_MAX or ir > ADC_MAX:
-        raise RangeError(f"decoded channel exceeds 18 bits: red={red} ir={ir}")
-    return SampleFrame(timestamp_ms, red, ir, temperature_c), size
+_FIXED_LEN, _TEMP_LEN = 18, 20  # the bytes of a frame without and with temperature
 
 
 #: The most rows ``FrameBlock`` iteration builds at once.
@@ -334,7 +284,9 @@ _FLAG_BIT = bytes(b & FLAG_TEMPERATURE for b in range(256))  # a flags byte -> i
 
 
 def _frames_at(data: bytes):
-    """Every offset of ``data`` where ``decode_frame`` would succeed.
+    """Every offset of ``data`` where a frame decodes: sync, version 0x01, all
+    of the frame (20 bytes with the flags' temperature bit, else 18; other
+    flag bits are ignored), its CRC matching and red and ir within 18 bits.
 
     Returns, one entry per such frame: its offset, its end and its bytes
     as a row of ``(m, 5)`` little-endian uint32 words (header, timestamp,

@@ -30,7 +30,6 @@ from pawpulse.emotion import (
     audit_coverage,
     classify,
 )
-from pawpulse.errors import RangeError, WireError
 from pawpulse.session import open_session, replay
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import (
@@ -44,7 +43,7 @@ from pawpulse.vitals import (
     rolling_average_bpm,
     spo2_estimate,
 )
-from pawpulse.wire import FrameBlock, decode_frame, encode_frame, resync
+from pawpulse.wire import FrameBlock, encode_frame, resync
 
 
 def _report(number: int, label: str) -> None:
@@ -174,17 +173,18 @@ def test_criterion_7_wire_robustness():
     irs = rng.integers(0, ADC_MAX + 1, size=100_000)
     temp_mask = rng.integers(0, 2, size=100_000)
     temps = rng.integers(-400, 500, size=100_000)
+    frames = []
     for i in range(100_000):
-        frame = SampleFrame(
+        frames.append(SampleFrame(
             timestamp_ms=int(timestamps[i]),
             red=int(reds[i]),
             ir=int(irs[i]),
             temperature_c=(int(temps[i]) / 10.0) if temp_mask[i] else None,
-        )
-        decoded, _ = decode_frame(encode_frame(frame))
-        assert decoded == frame
+        ))
+    decoded, skipped = resync(b"".join(map(encode_frame, frames)))
+    assert list(decoded) == frames and skipped == 0
 
-    # every single-byte corruption is detected
+    # every single-byte corruption is detected: resync decodes no frame
     for frame in (
         SampleFrame(123_456, 54_321, 99_999),
         SampleFrame(777, 111, 222, temperature_c=38.9),
@@ -197,11 +197,9 @@ def test_criterion_7_wire_robustness():
                     continue
                 corrupted = bytearray(raw)
                 corrupted[pos] = value
-                try:
-                    decoded, _ = decode_frame(bytes(corrupted))
-                except (WireError, RangeError):
-                    continue
-                pytest.fail(f"corruption at byte {pos} -> silently decoded {decoded}")
+                decoded, skipped = resync(bytes(corrupted))
+                if len(decoded) or skipped != len(raw):
+                    pytest.fail(f"corruption at byte {pos} -> silently decoded {list(decoded)}")
 
     # resync recovers all complete frames after arbitrary garbage prefixes
     frames = [SampleFrame(i * 10 + 1, i, 2 * i) for i in range(100)]

@@ -611,6 +611,39 @@ def test_session_on_stdin_reads_as_from_its_path(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr() == ("", 'error: line 1: stdin is not a session, which begins {"; process reads wire bytes\n')
 
 
+class PipeStdin(io.BytesIO):
+    """A binary stdin that is read as a pipe is, at most ``PIPE_READ``
+    bytes a call, and refuses to be read whole."""
+
+    PIPE_READ = 4096
+
+    def read(self, size=-1):
+        return self.read1(size)
+
+    def read1(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("stdin read whole")
+        return super().read1(min(size, self.PIPE_READ))
+
+
+@pytest.mark.parametrize("command", [["replay"], ["replay", "--verify"], ["report"], ["process"]])
+def test_session_on_stdin_is_streamed(tmp_path, capsys, monkeypatch, command):
+    """A session on stdin is read a piece at a time, as from its path: it
+    gives the path's output, is never read whole and is left open."""
+    wire = simulate_file(tmp_path, seconds=30.0, noise_std=30.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(wire), "--session-out", str(session)) == 0
+    assert session.stat().st_size > 3 * 65536  # more than one read of the session reader
+    capsys.readouterr()
+    assert run_cli(*command, "--in", str(session)) == 0
+    from_path = capsys.readouterr()
+    stdin = PipeStdin(session.read_bytes())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    assert run_cli(*command, "--in", "-") == 0
+    assert capsys.readouterr() == from_path
+    assert not stdin.closed and stdin.tell() == session.stat().st_size
+
+
 @pytest.mark.parametrize("command", [["replay"], ["report"]])
 def test_empty_input_to_a_session_reader_is_a_missing_header(tmp_path, capsys, command):
     empty = tmp_path / "empty.ndjson"

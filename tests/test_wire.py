@@ -1,4 +1,6 @@
+import binascii
 import math
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,21 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawpulse.core import ADC_MAX, SampleFrame, validate_frame
-from pawpulse.errors import (
-    BadCrcError,
-    BadSyncError,
-    BadVersionError,
-    OrderError,
-    RangeError,
-    TruncatedError,
-    WireError,
-)
+from pawpulse.errors import OrderError, RangeError
 from pawpulse.wire import (
     SYNC,
     FrameBlock,
     _by_stride,
     crc16_ccitt_false,
-    decode_frame,
     encode_frame,
     first_invalid,
     resync,
@@ -97,46 +90,81 @@ class TestEncode:
         assert encode_frame(frame) == encode_frame(frame)
 
 
+def decode_one(data: bytes, pos: int = 0) -> tuple[SampleFrame, int] | None:
+    """The frame that starts at ``pos`` of ``data`` and its size, or None
+    where none decodes: sync, version 1, the whole frame present (20 bytes
+    with the flags' temperature bit, else 18), its CRC matching and both
+    channels within 18 bits. Built from ``struct`` and ``crc_hqx`` alone,
+    as the reference that ``resync`` is checked against."""
+    if data[pos : pos + 3] != b"\xa5\x5a\x01" or len(data) < pos + 4:
+        return None
+    with_temp = data[pos + 3] & 1
+    raw = data[pos : pos + (20 if with_temp else 18)]
+    if len(raw) < (20 if with_temp else 18):
+        return None
+    (crc,) = struct.unpack_from("<H", raw, len(raw) - 2)
+    timestamp_ms, red, ir = struct.unpack_from("<III", raw, 4)
+    if binascii.crc_hqx(bytes(raw[2:-2]), 0xFFFF) != crc or red > ADC_MAX or ir > ADC_MAX:
+        return None
+    temperature_c = struct.unpack_from("<h", raw, 16)[0] / 10 if with_temp else None
+    return SampleFrame(timestamp_ms, red, ir, temperature_c), len(raw)
+
+
+def scan(data: bytes) -> tuple[list[SampleFrame], int, list[tuple[int, int]]]:
+    """``resync``'s frames, skipped count and skip runs of ``data``."""
+    runs = []
+    frames, skipped = resync(data, on_skip=lambda off, n: runs.append((off, n)))
+    return list(frames), skipped, runs
+
+
+def no_frame(data: bytes) -> tuple[list[SampleFrame], int, list[tuple[int, int]]]:
+    """What ``scan`` gives for input in which no frame decodes: one skip
+    run over all of it."""
+    return [], len(data), [(0, len(data))] if data else []
+
+
 class TestDecode:
+    """A lone frame through ``resync``: decoded whole, or not at all."""
+
     def test_round_trip_simple(self):
         frame = SampleFrame(timestamp_ms=42, red=100, ir=200)
-        decoded, consumed = decode_frame(encode_frame(frame))
-        assert decoded == frame
-        assert consumed == 18
+        raw = encode_frame(frame)
+        assert scan(raw) == ([frame], 0, [])
+        assert decode_one(raw) == (frame, 18)
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(11)
+        frames = []
         for _ in range(2000):
             frame = random_frame(rng)
             validate_frame(frame)
-            decoded, _ = decode_frame(encode_frame(frame))
-            assert decoded == frame
+            raw = encode_frame(frame)
+            assert scan(raw) == ([frame], 0, [])
+            assert decode_one(raw) == (frame, len(raw))
+            frames.append(frame)
+        assert scan(b"".join(map(encode_frame, frames))) == (frames, 0, [])
 
     def test_bad_sync(self):
         raw = bytearray(encode_frame(SampleFrame(0, 1, 2)))
         raw[0] = 0x00
-        with pytest.raises(BadSyncError):
-            decode_frame(bytes(raw))
+        assert scan(bytes(raw)) == no_frame(raw)
 
     def test_bad_version(self):
         raw = bytearray(encode_frame(SampleFrame(0, 1, 2)))
         raw[2] = 0x02
-        with pytest.raises(BadVersionError):
-            decode_frame(bytes(raw))
+        assert scan(bytes(raw)) == no_frame(raw)
 
     def test_truncated(self):
         raw = encode_frame(SampleFrame(0, 1, 2))
         for cut in (0, 1, 3, 10, 17):
-            with pytest.raises((TruncatedError, BadSyncError)):
-                decode_frame(raw[:cut])
+            assert scan(raw[:cut]) == no_frame(raw[:cut])
 
     def test_payload_byte_flip_is_bad_crc(self):
         raw = encode_frame(SampleFrame(timestamp_ms=99, red=1234, ir=4321))
         for pos in range(4, 16):
             corrupted = bytearray(raw)
             corrupted[pos] ^= 0x40
-            with pytest.raises(BadCrcError):
-                decode_frame(bytes(corrupted))
+            assert scan(bytes(corrupted)) == no_frame(corrupted)
 
     def test_every_single_bit_flip_detected(self):
         frame = SampleFrame(timestamp_ms=777, red=111, ir=222, temperature_c=38.1)
@@ -145,13 +173,52 @@ class TestDecode:
             for bit in range(8):
                 corrupted = bytearray(raw)
                 corrupted[pos] ^= 1 << bit
-                with pytest.raises((WireError, RangeError)):
-                    decode_frame(bytes(corrupted))
+                assert scan(bytes(corrupted)) == no_frame(corrupted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frame=st.builds(
+            SampleFrame,
+            timestamp_ms=st.integers(0, 2**32 - 1) | st.sampled_from([0x5AA5, 0xA55A5AA5, 0x5AA55AA5]),
+            red=st.integers(0, ADC_MAX),
+            ir=st.integers(0, ADC_MAX),
+            temperature_c=st.none() | st.integers(-32768, 32767).map(lambda d: d / 10),
+        ),
+        pos=st.integers(0, 19),
+        delta=st.integers(1, 255),
+    )
+    def test_any_single_byte_change_decodes_no_frame(self, frame, pos, delta):
+        """Any one byte of a frame set to any other value: no frame, except
+        where the flags byte loses the temperature bit. The frame's first
+        18 bytes then read as a frame without a temperature, which decodes
+        when its CRC equals the temperature field (1 body in 65,536)."""
+        raw = bytearray(encode_frame(frame))
+        pos %= len(raw)
+        raw[pos] = (raw[pos] + delta) % 256
+        if pos == 3 and frame.temperature_c is not None and not raw[3] & 1:
+            short = decode_one(raw)
+            want = ([short[0]], 2, [(18, 2)]) if short else no_frame(raw)
+            assert short is None or short[0] == frame._replace(temperature_c=None)
+            assert scan(bytes(raw)) == want
+        else:
+            assert scan(bytes(raw)) == no_frame(raw)
+
+    def test_a_flags_byte_that_drops_the_temperature_can_decode(self):
+        """The one single-byte change the CRC cannot catch: a frame whose
+        temperature field holds the CRC of its first 16 bytes with the
+        temperature bit cleared reads, so changed, as the frame without its
+        temperature, and its last two bytes are skipped."""
+        body = struct.pack("<BBIII", 1, 0, 1000, 12345, 23456)
+        (deci,) = struct.unpack("<h", struct.pack("<H", binascii.crc_hqx(body, 0xFFFF)))
+        frame = SampleFrame(1000, 12345, 23456, deci / 10)
+        raw = bytearray(encode_frame(frame))
+        raw[3] = 0x00
+        assert scan(bytes(raw)) == ([frame._replace(temperature_c=None)], 2, [(18, 2)])
 
 
 def resync_reference(data: bytes, on_skip=None) -> tuple[list[SampleFrame], int]:
-    """The byte-at-a-time scan ``resync`` replaced: try a decode at every
-    0xA5 byte, skip one byte on any failure."""
+    """The byte-at-a-time scan ``resync`` replaced: try ``decode_one`` at
+    every 0xA5 byte, skip one byte where no frame decodes."""
     frames: list[SampleFrame] = []
     skipped = 0
     run_start = None
@@ -165,21 +232,15 @@ def resync_reference(data: bytes, on_skip=None) -> tuple[list[SampleFrame], int]
         run_start = None
 
     while pos < end:
-        if data[pos] != SYNC[0]:
-            skipped += 1
-            run_start = pos if run_start is None else run_start
-            pos += 1
-            continue
-        try:
-            frame, consumed = decode_frame(data, pos)
-        except (WireError, RangeError):
+        found = decode_one(data, pos) if data[pos] == SYNC[0] else None
+        if found is None:
             skipped += 1
             run_start = pos if run_start is None else run_start
             pos += 1
             continue
         _flush_run(pos)
-        frames.append(frame)
-        pos += consumed
+        frames.append(found[0])
+        pos += found[1]
     _flush_run(end)
     return frames, skipped
 
@@ -318,12 +379,12 @@ class TestResync:
         outer = encode_frame(SampleFrame(int.from_bytes(b"\xa5\x5a\x01\x00", "little"), 7, 9))
         inner_body = outer[6:] + b"\x00\x00"
         blob = outer + inner_body[-2:] + crc16_ccitt_false(inner_body).to_bytes(2, "little")
-        assert decode_frame(blob, 4)[1] == 18  # the hidden frame is valid
+        assert decode_one(blob, 4)[1] == 18  # the hidden frame is valid
         last = SampleFrame(50, 1, 2)
         blob += encode_frame(last)
         runs = []
         decoded, skipped = resync(blob, on_skip=lambda off, n: runs.append((off, n)))
-        assert list(decoded) == [decode_frame(blob)[0], last]
+        assert list(decoded) == [decode_one(blob)[0], last]
         assert (skipped, runs) == (4, [(18, 4)])
         assert (list(decoded), skipped) == resync_reference(blob)
 
@@ -337,7 +398,7 @@ class TestResync:
             if raw[-cut:] == bytes(cut)
         )
         assert resync(raw[:-cut])[1] == 18 - cut
-        assert list(resync(raw[:-cut] + raw)[0]) == [decode_frame(raw)[0]]
+        assert list(resync(raw[:-cut] + raw)[0]) == [decode_one(raw)[0]]
 
     @pytest.mark.parametrize("odd", ["sizes", "flags", "temperature-flag", "range", "crc", "version"])
     def test_whole_frame_streams_with_one_odd_frame(self, odd):
@@ -388,7 +449,7 @@ class TestResync:
         hidden = hiding_frame(SampleFrame(7, 9, 11, temp), at, blob[3 * size : 3 * size + 4])
         blob[3 * size - at : 4 * size - at] = hidden
         assert _by_stride(bytes(blob)) is None  # the candidate search decides
-        want = frames[:2] + [decode_frame(hidden)[0]] + frames[4:]
+        want = frames[:2] + [decode_one(hidden)[0]] + frames[4:]
         assert same_as_reference(bytes(blob)) == (want, size, [(2 * size, size - at), (4 * size - at, at)])
 
     def test_frame_hidden_from_the_flags_byte_of_a_failed_frame(self):
@@ -401,7 +462,7 @@ class TestResync:
         blob = bytearray(b"".join(map(encode_frame, frames)))
         blob[43:61] = hidden  # frame 2 is 40-59
         assert _by_stride(bytes(blob)) is None
-        want = frames[:2] + [decode_frame(hidden)[0]] + frames[4:]
+        want = frames[:2] + [decode_one(hidden)[0]] + frames[4:]
         assert same_as_reference(bytes(blob)) == (want, 22, [(40, 3), (61, 19)])
 
     def test_sync_byte_at_the_end_of_a_failed_last_frame(self):
@@ -502,7 +563,7 @@ class TestValidateBlock:
     def test_wire_temperature_limits(self):
         for temp in (-3276.8, 3276.7):
             frame = SampleFrame(0, 0, 0, temp)
-            assert decode_frame(encode_frame(frame))[0] == frame
+            assert scan(encode_frame(frame)) == ([frame], 0, [])
             validate_block(FrameBlock.from_frames([frame]))
         for temp in (-3276.9, 3276.8):
             with pytest.raises(RangeError, match="outside wire range"):
@@ -661,6 +722,7 @@ class TestCrossModuleRoundTrip:
     def test_validated_frames_survive_the_wire(self):
         rng = np.random.default_rng(23)
         prev = None
+        frames = []
         for _ in range(500):
             frame = random_frame(rng)
             frame = SampleFrame(
@@ -670,6 +732,7 @@ class TestCrossModuleRoundTrip:
                 temperature_c=frame.temperature_c,
             )
             validate_frame(frame, prev=prev)
-            decoded, _ = decode_frame(encode_frame(frame))
-            assert decoded == frame
+            frames.append(frame)
+            assert scan(encode_frame(frame)) == ([frame], 0, [])
             prev = frame
+        assert scan(b"".join(map(encode_frame, frames))) == (frames, 0, [])
