@@ -4,6 +4,8 @@ Every subcommand is deterministic given its inputs, flags and seed.
 
 Exit codes:
     0   success
+    1   stdout closed by its reader (``| head``); nothing is printed, and a
+        session being written ends at the last tick flushed
     2   usage error (bad flag, unknown config key, malformed pairs file,
         a file that cannot be opened or created, ``-`` for a path that
         is not ``--in`` or ``--out``)
@@ -17,6 +19,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 from typing import Iterator
 
@@ -143,8 +146,6 @@ def _truth_json(truth, profile: SynthProfile) -> str:
 
 
 def cmd_simulate(args) -> int:
-    if args.format == "session" and args.out == "-":  # refused before anything is generated
-        raise UsageError("--format session needs a real --out path")
     _refuse_dash("--truth", args.truth)
     config = build_config(args.config, args.set or [])
     try:
@@ -160,15 +161,11 @@ def cmd_simulate(args) -> int:
         frames, truth = generate(profile, args.seconds, config.sample_rate_hz, coeffs=config.coeffs)
     except ConfigError as exc:
         raise UsageError(str(exc))
-    if args.format == "wire":
-        if args.out == "-":
-            sys.stdout.buffer.writelines(map(encode_frame, frames))
-        else:
-            with open(args.out, "wb") as fh:
-                fh.writelines(map(encode_frame, frames))
+    if args.out == "-":
+        sys.stdout.buffer.writelines(map(encode_frame, frames))
     else:
-        with SessionWriter(args.out, config) as writer:
-            writer.append_record(frames)
+        with open(args.out, "wb") as fh:
+            fh.writelines(map(encode_frame, frames))
     truth_path = args.truth
     if truth_path is None and args.out != "-":
         truth_path = args.out + ".truth.json"
@@ -301,9 +298,13 @@ def _describe(record) -> str:
 def cmd_replay(args) -> int:
     with _open_stored_session(args.in_path) as fh:
         header = read_header(fh)
-        stored = list(replay(fh, header))
-    for estimate, assessment in tick_assessments(stored):
-        print(render_tick_line(estimate, assessment))
+        records = replay(fh, header)
+        if args.verify:
+            records = stored = list(records)
+        # printed once the file is read: a bad line prints no tick first
+        lines = [render_tick_line(*tick) for tick in tick_assessments(records)]
+    for line in lines:
+        print(line)
     if not args.verify:
         return 0
 
@@ -473,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dc-ir", type=float, default=80_000.0, dest="dc_ir")
     sim.add_argument("--ac-fraction", type=float, default=0.03, dest="ac_fraction")
     sim.add_argument("--noise-std", type=float, default=0.0, dest="noise_std")
-    sim.add_argument("--format", choices=("wire", "session"), default="wire")
-    sim.add_argument("--out", required=True, help="output path, or - for stdout (wire only)")
+    sim.add_argument("--out", required=True, help="path for the wire bytes, or - for stdout")
     sim.add_argument("--truth", help="ground-truth sidecar path (default: <out>.truth.json)")
     _add_config_flags(sim)
 
@@ -509,7 +509,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         # looked up per call, so that a wrapped cmd_* is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a reader gone before the last write is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (``| head``): stop quietly, and point stdout
+        # at os.devnull so that the flush at exit finds no pipe to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from pawpulse.cli import UsageError, _render_svg_report, build_config, main, ren
 from pawpulse.core import CONFIG_TYPES, CalibrationCoeffs, ContactState, PipelineConfig, VitalsEstimate
 from pawpulse.session import config_to_dict, summarize
 from pawpulse.synth import SynthProfile, generate
-from pawpulse.wire import encode_frame
+from pawpulse.wire import encode_frame, resync
 
 
 def run_cli(*argv):
@@ -70,27 +70,14 @@ class TestSimulate:
         expected = int(30.0 * 90.0 / 60.0)
         assert abs(len(truth["beat_times_ms"]) - expected) <= 1
 
-    def test_session_format_output(self, tmp_path):
-        out = tmp_path / "frames.ndjson"
-        code = run_cli(
-            "simulate", "--bpm", "80", "--seconds", "5", "--format", "session",
-            "--out", str(out),
-        )
-        assert code == 0
-        first = out.read_text().splitlines()[0]
-        assert json.loads(first)["format"] == 2
-
     def test_sample_rate_comes_from_the_config(self, tmp_path, capsys):
-        # the frames and the session header state one rate
-        out = tmp_path / "s.ndjson"
-        code = run_cli(
-            "simulate", "--set", "sample_rate_hz=50", "--seconds", "20", "--format", "session",
-            "--out", str(out),
-        )
+        # the frames are stamped at the config's rate
+        out = tmp_path / "s.bin"
+        code = run_cli("simulate", "--set", "sample_rate_hz=50", "--seconds", "20", "--out", str(out))
         assert code == 0
-        header, *records = out.read_text().splitlines()
-        assert '"sample_rate_hz":50.0,' in header
-        assert [json.loads(line)["t"] for line in records] == list(range(0, 20_000, 20))
+        frames, skipped = resync(out.read_bytes())
+        assert skipped == 0
+        assert frames.cols[0].tolist() == list(range(0, 20_000, 20))
         capsys.readouterr()
         assert run_cli("simulate", "--fs", "50", "--out", str(tmp_path / "fs.bin")) == 2
         assert "unrecognized arguments: --fs 50" in capsys.readouterr().err
@@ -98,16 +85,12 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: sample_rate_hz must be positive\n"
         assert not (tmp_path / "fs.bin").exists() and not (tmp_path / "zero.bin").exists()
 
-    def test_session_to_stdout_refused_before_generating(self, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("the stream was built before the refusal")
-
-        monkeypatch.setattr("pawpulse.cli.generate", never)
-        monkeypatch.setattr("pawpulse.cli.SynthProfile", never)
-        code = run_cli("simulate", "--seconds", "14400", "--format", "session", "--out", "-")
-        assert code == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: --format session needs a real --out path\n")
+    def test_writes_wire_bytes_only(self, tmp_path, capsys):
+        # a session is what process writes: simulate has no --format
+        out = tmp_path / "x.ndjson"
+        assert run_cli("simulate", "--format", "session", "--out", str(out)) == 2
+        assert "unrecognized arguments: --format session" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run_cli(
@@ -176,10 +159,9 @@ class TestProcess:
 
     def test_session_format_input(self, tmp_path, capsys):
         src = tmp_path / "frames.ndjson"
-        assert run_cli(
-            "simulate", "--bpm", "90", "--seconds", "6", "--format", "session",
-            "--out", str(src),
-        ) == 0
+        wire = simulate_file(tmp_path, bpm=90.0, seconds=6.0)
+        assert run_cli("process", "--in", str(wire), "--session-out", str(src)) == 0
+        capsys.readouterr()
         code = run_cli("process", "--in", str(src))
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
@@ -870,9 +852,9 @@ def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
 def test_frame_at_the_int64_edge_is_in_its_own_tick(tmp_path, capsys):
     """A last frame at 2**63 - 1 ms, with ticks of 2**62 ms, belongs to the
     tick that ends at 2**63 ms: two status lines, not three."""
+    wire = simulate_file(tmp_path, seconds=2.0, noise_std=30.0, seed=3)
     session = tmp_path / "s.ndjson"
-    assert run_cli("simulate", "--seconds", "2", "--noise-std", "30", "--seed", "3",
-                   "--format", "session", "--out", str(session)) == 0
+    assert run_cli("process", "--in", str(wire), "--session-out", str(session)) == 0
     text = session.read_text()
     assert text.count('"t":1990,') == 1
     session.write_text(text.replace('"t":1990,', f'"t":{2**63 - 1},'))
@@ -1236,6 +1218,31 @@ def test_report_and_replay_print_pinned_bytes(tmp_path, capsys):
     assert digests == PINNED_SHA256
 
 
+@pytest.mark.parametrize("seconds", [3.0, 300.0, None], ids=["process-at-flush", "process-at-print", "simulate"])
+def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, seconds):
+    """A reader that goes away (``| head``) ends the command with exit 1 and
+    nothing on stderr, whether a print or the last flush finds it gone, and
+    stdout then closes without error. ``process`` runs on ``seconds`` of
+    wire bytes (None: ``simulate --out -`` runs); the session it was writing
+    ends at the last tick flushed, and verifies."""
+    session = tmp_path / "s.ndjson"
+    if seconds is None:
+        argv = ["simulate", "--seconds", "600", "--out", "-"]
+    else:
+        argv = ["process", "--in", str(simulate_file(tmp_path, seconds=seconds)), "--session-out", str(session)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = io.TextIOWrapper(open(write_end, "wb"))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = run_cli(*argv)
+    stdout.close()
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (1, "")
+    if seconds is not None:
+        assert run_cli("replay", "--in", str(session), "--verify") == 0
+        assert capsys.readouterr().out.endswith(" ticks reproduced exactly)\n")
+
+
 class TestEntryPointAndFuzz:
     def test_subcommand_runs_the_cmd_function_of_the_moment(self, tmp_path, monkeypatch, capsys):
         """The parser is built once, and each call runs whatever function
@@ -1244,7 +1251,8 @@ class TestEntryPointAndFuzz:
         from pawpulse import cli
 
         session = tmp_path / "s.ndjson"
-        assert run_cli("simulate", "--seconds", "2", "--format", "session", "--out", str(session)) == 0
+        wire = simulate_file(tmp_path, seconds=2.0)
+        assert run_cli("process", "--in", str(wire), "--session-out", str(session)) == 0
         assert run_cli("replay", "--in", str(session)) == 0
         calls = []
         replay = cli.cmd_replay
