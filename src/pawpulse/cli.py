@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import CONFIG_TYPES, ContactState, PipelineConfig, VitalsEstimate, operator_lines
 from .emotion import DEFAULT_RULE_TABLE, EmotionAssessment, RuleTable
@@ -39,7 +39,6 @@ from .session import (
     config_from_dict,
     config_to_dict,
     open_session,
-    read_header,
     replay,
     summarize,
     tick_assessments,
@@ -238,9 +237,9 @@ def _load_blocks(path: str) -> list[FrameBlock]:
 _JOINED_FRAMES = 4096
 
 
-def _joined(blocks: list[FrameBlock]) -> Iterator[FrameBlock]:
-    """``blocks`` joined in order into blocks of ``_JOINED_FRAMES`` frames
-    or more (the last may hold fewer), one at a time. ``tick_records``
+def _joined(blocks: Iterable[FrameBlock]) -> Iterator[FrameBlock]:
+    """``blocks``, read one at a time, joined in order into blocks of
+    ``_JOINED_FRAMES`` frames or more (the last may hold fewer). ``tick_records``
     batches the ticks that a block completes, and a session holds a block
     per tick, while one copy of the whole stream would double its frames
     in memory; a block that is long enough is passed on as it is."""
@@ -296,33 +295,40 @@ def _describe(record) -> str:
 
 
 def cmd_replay(args) -> int:
+    first, kinds = [], set()  # with --verify: the first (recomputed, stored) pair that differs; the stored types
+
+    def stored(pairs):
+        for fresh, kept in pairs:
+            if fresh != kept and not first:
+                first.append((fresh, kept))
+            if kept is not None:
+                kinds.add(type(kept))
+                yield kept
+
     with _open_stored_session(args.in_path) as fh:
-        header = read_header(fh)
-        records = replay(fh, header)
+        records = replay(fh)
+        header = next(records)
         if args.verify:
-            records = stored = list(records)
+            # one pass: each raw block is recomputed as it is read, and each
+            # record that process writes is compared with the stored one in step
+            records, raw = itertools.tee(records)
+            ticks = tick_records(_joined(r for r in raw if type(r) is FrameBlock), header.config, header.rule_table.rules)
+            recomputed = (record for tick in ticks for record in tick if record)  # no empty block, no absent emotion
+            records = stored(itertools.zip_longest(recomputed, records))
         # printed once the file is read: a bad line prints no tick first
         lines = [render_tick_line(*tick) for tick in tick_assessments(records)]
     for line in lines:
         print(line)
     if not args.verify:
         return 0
-
-    blocks = [record for record in stored if type(record) is FrameBlock]
-    if not blocks:
+    if FrameBlock not in kinds:
         raise EmptySessionError("no raw records to replay")
-    config = header.config
-    ticks = tick_records(_joined(blocks), config, header.rule_table.rules)
-    # the records process writes: no empty block and no absent emotion;
-    # the first pair that differs names the earlier tick of the two
-    recomputed = (record for tick in ticks for record in tick if record)
-    for fresh, kept in itertools.zip_longest(recomputed, stored):
-        if fresh != kept:
-            t = min(_tick_ms(record, config.tick_interval_ms) for record in (fresh, kept) if record is not None)
-            print(f"verify: MISMATCH at t={t}ms: recomputed {_describe(fresh)}, stored {_describe(kept)}", file=sys.stderr)
-            return 3
-    n_ticks = sum(type(record) is VitalsEstimate for record in stored)
-    print(f"verify: OK ({n_ticks} ticks reproduced exactly)")
+    if first:
+        # the first pair that differs names the earlier tick of the two
+        t = min(_tick_ms(record, header.config.tick_interval_ms) for record in first[0] if record is not None)
+        print(f"verify: MISMATCH at t={t}ms: recomputed {_describe(first[0][0])}, stored {_describe(first[0][1])}", file=sys.stderr)
+        return 3
+    print(f"verify: OK ({len(lines)} ticks reproduced exactly)")
     return 0
 
 

@@ -37,10 +37,6 @@ class MissingVitalsError(PawpulseError, ValueError):
     """Vitals lack the fields needed for emotion discretization."""
 
 
-class SeqError(PawpulseError, ValueError):
-    """Session record sequence numbers are not 0, 1, 2, ... in stored order."""
-
-
 class SessionParseError(PawpulseError, ValueError):
     """A session file line could not be parsed.
 
@@ -50,6 +46,10 @@ class SessionParseError(PawpulseError, ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class SeqError(SessionParseError):
+    """Session record sequence numbers are not 0, 1, 2, ... in stored order."""
 
 
 class EmptySessionError(PawpulseError, ValueError):

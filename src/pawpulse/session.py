@@ -4,7 +4,8 @@ A session file is UTF-8 text: one header line, then one record per
 line; every line ends with LF alone. Timestamps are session-relative
 (start = 0); the wall-clock start, when known, lives once in the header.
 
-Header line, written by ``_header_json`` and read with ``json``::
+Header line, written by ``_header_json``; ``replay`` reads it with ``json``
+and yields it first, as a ``SessionHeader``, then the records::
 
     {"format":2,"start_utc":<iso string or null>,"config":{...},"rules":"<rule-table text>"}
 
@@ -337,17 +338,10 @@ def _header_from_line(line: str) -> SessionHeader:
 
 def open_session(source):
     """A binary stream, such as ``open(path, "rb")``, as text for
-    ``read_header`` and ``replay``: bytes that are not UTF-8 reach them
-    escaped, and they report the line they are on; lines end at LF alone
-    and reach them untranslated. Closing the text stream closes ``source``."""
+    ``replay``: bytes that are not UTF-8 reach it escaped, and it reports
+    the line they are on; lines end at LF alone and reach it untranslated.
+    Closing the text stream closes ``source``."""
     return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="\n")
-
-
-def read_header(source) -> SessionHeader:
-    """The checked header of a session, read from ``source``, a text stream
-    from ``open_session`` positioned at the session's first line (that
-    line is consumed)."""
-    return _header_from_line(source.readline())
 
 
 def _line_regex(template: str, wrap: str, *fields: str) -> str:
@@ -408,25 +402,24 @@ def _ints(match: re.Match, count: int, lineno: int) -> list[int]:
         raise _not_spelled(lineno) from None
 
 
-def replay(source, header: SessionHeader | None = None) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-    """Yield the records in stored order: one read-only ``FrameBlock`` per
-    run of consecutive raw records, and each vitals and emotion payload.
+def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | TickEmotion]:
+    """Yield the checked header as a ``SessionHeader``, then the records in
+    stored order: one read-only ``FrameBlock`` per run of consecutive raw
+    records, and each vitals and emotion payload.
 
     ``source`` is a text stream from ``open_session`` positioned at the
-    session's first line, whose header line is checked as ``read_header``
-    checks it; or, with ``header`` given, one from which ``read_header``
-    has just read ``header``. A byte that is not UTF-8, and a CR, are
-    reported on their line. Raises SessionParseError (carrying the 1-based
-    line number) at the first line that is not a record spelled as
-    ``SessionWriter`` writes it, or holds a raw frame that
-    ``validate_frame`` rejects against the previous raw frame or a vitals
-    record that ``VitalsEstimate`` rejects; and SeqError naming the line
-    at the first ``seq`` that is not the record's number, 0, 1, 2, ... in
-    stored order. Everything before that line is yielded first: the
-    records, and the frames of its run as one block.
+    session's first line. A byte that is not UTF-8, and a CR, are reported
+    on their line. Raises SessionParseError (carrying the 1-based line
+    number) at a header line that is not one the writer writes, and at the
+    first line that is not a record spelled as ``SessionWriter`` writes it,
+    or holds a raw frame that ``validate_frame`` rejects against the
+    previous raw frame or a vitals record that ``VitalsEstimate`` rejects,
+    and SeqError, a SessionParseError too, at the first ``seq`` that is not
+    the record's number, 0, 1, 2, ... in stored order. Everything before
+    that line is yielded first: the header, the records, and the frames of
+    its run as one block.
     """
-    if header is None:
-        read_header(source)
+    yield _header_from_line(source.readline())
     reader = _Reader()
     tail = ""
     while True:
@@ -558,9 +551,9 @@ class _Reader:
     def _check_seq(self, seq: int, lineno: int) -> None:
         due = lineno - 2  # every line before it is a record
         if 0 < due and seq < due:
-            raise SeqError(f"line {lineno}: seq {seq} not greater than previous {due - 1}")
+            raise SeqError(lineno, f"seq {seq} not greater than previous {due - 1}")
         if seq != due:
-            raise SeqError(f"line {lineno}: seq {seq} where {due} was due")
+            raise SeqError(lineno, f"seq {seq} where {due} was due")
 
     def _check_alone(self, line: str, lineno: int) -> None:
         """Raise the error of a raw record line that a run check found bad."""
@@ -626,7 +619,7 @@ def summarize(records) -> SessionSummary:
     """Deterministic statistics over a session's Contact ticks.
 
     ``records`` are a session's records as ``replay`` yields them, read
-    in one pass; the raw blocks are only passed over.
+    in one pass; the header and the raw blocks are only passed over.
     Raises EmptySessionError when there are no vitals records or no
     Contact ticks. The emotion histogram buckets every vitals tick by
     its assessment (``tick_assessments``), under ``"none"`` for a tick

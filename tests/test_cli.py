@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -420,6 +421,25 @@ class TestReplayCommand:
         assert err == f"error: line {len(lines)}: seq {seq + 10} where {seq} was due\n"
         assert out == ""
 
+    def test_verify_memory_does_not_grow_with_the_session(self, tmp_path, capsys):
+        """``replay --verify`` reads a session once, recomputing as it reads:
+        its peak traced memory on a 20 min session is at most 1.3x its peak
+        on a 5 min one."""
+        peaks = []
+        for minutes in (5, 20):
+            path = simulate_file(tmp_path, f"{minutes}.bin", seconds=60.0 * minutes, noise_std=30.0, seed=3)
+            session = tmp_path / f"{minutes}.ndjson"
+            assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert run_cli("replay", "--in", str(session), "--verify") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr().out.endswith(f"verify: OK ({minutes * 60} ticks reproduced exactly)\n")
+        assert peaks[1] <= 1.3 * peaks[0], peaks
+
     def test_each_header_and_rule_table_is_parsed_once(self, tmp_path, capsys, monkeypatch):
         calls = Counter()
         for module, name in (
@@ -642,6 +662,23 @@ def test_verify_without_raw_records_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("replay", "--in", str(session), "--verify") == 3
     assert capsys.readouterr().err == "error: no raw records to replay\n"
+
+
+def test_verify_prints_no_tick_before_a_bad_line_past_its_first_joined_block(tmp_path, capsys):
+    """``replay --verify`` recomputes ticks while it reads the session; a bad
+    line some 49 ticks in, past the first 4,096 frames, still prints no tick."""
+    path = simulate_file(tmp_path, seconds=60.0, noise_std=30.0)
+    session = tmp_path / "s.ndjson"
+    assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
+    lines = session.read_text().splitlines(keepends=True)
+    assert '"kind":"raw"' in lines[4999]
+    lines[4999] = re.sub('"t":[0-9]+', '"t":0', lines[4999])
+    session.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("replay", "--in", str(session), "--verify") == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("error: line 5000: timestamp 0 not after predecessor ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", SESSION_READERS, ids=reader_id)

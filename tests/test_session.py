@@ -31,7 +31,6 @@ from pawpulse.session import (
     config_from_dict,
     config_to_dict,
     open_session,
-    read_header,
     replay,
     summarize,
     tick_records,
@@ -87,10 +86,15 @@ def opened(path):
     return open_session(open(path, "rb"))
 
 
+def records_of(text):
+    """What ``replay`` yields from ``text`` after the header."""
+    return itertools.islice(replay(text), 1, None)
+
+
 def replayed(path):
-    """``replay`` of the session file at ``path``, closed once read to its end."""
+    """The records of the session file at ``path``, closed once read to its end."""
     with opened(path) as text:
-        yield from replay(text)
+        yield from records_of(text)
 
 
 def stored_seqs(path):
@@ -521,10 +525,11 @@ class TestReplay:
             for record in blocked(records):
                 writer.append_record(record)
         text = path.read_text()
-        assert read_header(io.StringIO(text)) == SessionHeader("2026-08-08T00:00:00Z", PipelineConfig(), DEFAULT_RULE_TABLE)
-        assert flat(replay(io.StringIO(text))) == records
+        read = replay(io.StringIO(text))
+        assert next(read) == SessionHeader("2026-08-08T00:00:00Z", PipelineConfig(), DEFAULT_RULE_TABLE)
+        assert flat(read) == records
         with open(path, encoding="utf-8") as fh:
-            assert flat(replay(fh)) == records
+            assert flat(records_of(fh)) == records
 
     @pytest.mark.parametrize(
         "text,message",
@@ -538,7 +543,7 @@ class TestReplay:
     )
     def test_replay_checks_header(self, text, message):
         with pytest.raises(SessionParseError, match=f"line 1: {message}"):
-            list(replay(io.StringIO(text)))
+            next(replay(io.StringIO(text)))
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -566,10 +571,9 @@ class TestReplay:
         header = json.loads(header_line)
         edit(header)
         path.write_text(json.dumps(header) + "\n" + body)
-        for read in (read_header, lambda text: list(replay(text))):
-            with opened(path) as text, pytest.raises(SessionParseError, match=f"line 1: .*{message}") as err:
-                read(text)
-            assert err.value.line == 1
+        with opened(path) as text, pytest.raises(SessionParseError, match=f"line 1: .*{message}") as err:
+            next(replay(text))
+        assert err.value.line == 1
 
     def test_header_config_accepts_ints_for_floats(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -578,7 +582,7 @@ class TestReplay:
         header["config"].update(sample_rate_hz=100, coeff_a=110, outlier_z=5)
         path.write_text(json.dumps(header, separators=(",", ":")) + "\n")
         with opened(path) as text:
-            assert read_header(text).config == PipelineConfig(outlier_z=5.0)
+            assert next(replay(text)).config == PipelineConfig(outlier_z=5.0)
 
     def test_writer_ints_for_floats_read_back(self, tmp_path):
         config = PipelineConfig(sample_rate_hz=100, coeffs=CalibrationCoeffs(110, 25), outlier_z=5)
@@ -587,7 +591,7 @@ class TestReplay:
             writer.append_record(block(raw(0)))
         assert '"sample_rate_hz":100,' in path.read_text()
         with opened(path) as text:
-            assert read_header(text).config == config
+            assert next(replay(text)).config == config
         assert flat(replayed(path)) == [raw(0)]
 
     @pytest.mark.parametrize("start_utc", [5, b"2026-08-08", {"x": [1]}])
@@ -602,7 +606,7 @@ class TestReplay:
         path = tmp_path / "s.ndjson"
         SessionWriter(path, config, start_utc="2026-08-08T00:00:00Z").close()
         with opened(path) as text:
-            header = read_header(text)
+            header = next(replay(text))
         assert header.start_utc == "2026-08-08T00:00:00Z"
         assert header.config == config
 
@@ -657,7 +661,7 @@ def test_every_config_that_constructs_round_trips(tmp_path_factory, view, spoile
     path = tmp_path_factory.getbasetemp() / "config_round_trip.ndjson"
     SessionWriter(path, config).close()
     with opened(path) as text:
-        back = read_header(text).config
+        back = next(replay(text)).config
     assert back == config
     assert list(map(type, config_to_dict(back).values())) == list(map(type, config_to_dict(config).values()))
 
@@ -841,7 +845,7 @@ def read_until_error(path):
     try:
         for record in replayed(path):
             collected.append(record)
-    except (SessionParseError, SeqError) as exc:
+    except SessionParseError as exc:
         return collected, exc
     return collected, None
 
@@ -880,7 +884,7 @@ def test_replay_blocks_check_as_their_frames_do(items, shift):
         lines.append(_record_json(seq, vit(1000 * seq)) if item is None else canonical_raw(seq, item[0], item[1], 2, item[2]))
     blocks = []
     try:
-        for record in replay(io.StringIO("".join(line + "\n" for line in lines))):
+        for record in records_of(io.StringIO("".join(line + "\n" for line in lines))):
             if type(record) is FrameBlock:
                 blocks.append(record)
     except SessionParseError:
@@ -1022,8 +1026,7 @@ class TestRawRuns:
         collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", lines))
         assert type(exc) is error
         assert re.fullmatch(f"line {lineno}: " + message.format(prev=seq - 1, due=seq), str(exc))
-        if error is SessionParseError:
-            assert exc.line == lineno
+        assert exc.line == lineno
         # the records before the bad line, its run's good prefix as one block
         kinds = [FrameBlock] if where == "mid-run" else [FrameBlock, VitalsEstimate]
         assert [type(r) for r in collected] == kinds
@@ -1034,6 +1037,15 @@ class TestRawRuns:
         collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", [first]))
         assert collected == []
         assert type(exc) is SeqError and str(exc) == "line 2: seq 1 where 0 was due"
+
+    @pytest.mark.parametrize("kind", ["raw", "vitals"])
+    def test_a_misnumbered_record_is_a_parse_error_on_its_line(self, tmp_path, kind):
+        second = canonical_raw(2, 10, 1, 2) if kind == "raw" else _record_json(2, vit(1000))
+        path = session_with_lines(tmp_path / "s.ndjson", [canonical_raw(0, 0, 1, 2), second])
+        with pytest.raises(SeqError) as err:
+            list(replayed(path))
+        assert err.value.line == 3
+        assert isinstance(err.value, SessionParseError) and str(err.value) == "line 3: seq 2 where 1 was due"
 
     @pytest.mark.parametrize("bad_line", [5, 4000], ids=["first-read", "later-read"])
     def test_a_byte_that_is_not_utf8_is_reported_on_its_line(self, tmp_path, bad_line):
@@ -1061,9 +1073,10 @@ class TestRawRuns:
                 writer.append_record(emo(estimate.tick_time_ms))
         copy = tmp_path / "b.ndjson"
         with opened(source) as text:
-            header = read_header(text)
-            with SessionWriter(copy, header.config, header.start_utc) as writer:
-                for record in replay(text, header):
+            records = replay(text)
+            header = next(records)
+            with SessionWriter(copy, header.config, header.start_utc, header.rule_table) as writer:
+                for record in records:
                     writer.append_record(record)
         assert copy.read_bytes() == source.read_bytes()
 
@@ -1116,9 +1129,9 @@ def read_bytes(data):
     type, message and line of what it raises (or None)."""
     collected = []
     try:
-        for record in replay(open_session(io.BytesIO(data))):
+        for record in records_of(open_session(io.BytesIO(data))):
             collected.append(record)
-    except (SessionParseError, SeqError) as exc:
+    except SessionParseError as exc:
         return collected, (type(exc), str(exc), getattr(exc, "line", None))
     return collected, None
 
