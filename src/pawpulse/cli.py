@@ -8,12 +8,16 @@ Exit codes:
         session being written ends at the last tick flushed
     2   usage error (bad flag, unknown config key, malformed pairs file,
         a file that cannot be opened or created, ``-`` for a path that
-        is not ``--in`` or ``--out``)
-    3   data error (decode failures, empty session, verify mismatch)
+        is not ``--in`` or ``--out``, a ``--session-out`` that is the file
+        ``process`` reads)
+    3   data error (decode failures, empty session, verify mismatch);
+        ``process`` has printed and recorded the ticks before its first bad
+        input, a wire frame or a session line alike
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import io
@@ -200,6 +204,12 @@ class _Input(io.BufferedIOBase):
 
     read1 = read  # what TextIOWrapper calls; a read of all it asks for is one too
 
+    def is_file(self, path: str) -> bool:
+        """Whether ``path`` names the file read, through any path or link or as stdin."""
+        with contextlib.suppress(OSError):  # no file at path, or an input that is no file
+            return os.path.samestat(os.fstat(self._source.fileno()), os.stat(path))
+        return False
+
     def close(self) -> None:
         if self._owned and not self.closed:
             self._source.close()
@@ -217,20 +227,24 @@ def _open_stored_session(path: str):
     return open_session(source)
 
 
-def _load_blocks(path: str) -> list[FrameBlock]:
-    """The frames of ``_Input(path)`` in the blocks read. A session begins ``{"``
-    and gives one per run of raw lines; any other input is wire bytes, in one block."""
-    with _Input(path) as source:
-        if source.head == b'{"':
-            with open_session(source) as text:
-                return [record for record in replay(text) if type(record) is FrameBlock]
-        runs: list[tuple[int, int]] = []
-        frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
+def _raw_blocks(records) -> Iterator[FrameBlock]:
+    """The raw blocks of a session's records, as ``replay`` yields them."""
+    return (record for record in records if type(record) is FrameBlock)
+
+
+def _input_blocks(source: _Input) -> Iterator[FrameBlock]:
+    """The frames of ``source`` in the blocks read. A session begins ``{"``
+    and gives one per run of raw lines, read as they are asked for; any
+    other input is wire bytes, read whole and given as one block."""
+    if source.head == b'{"':
+        return _raw_blocks(replay(open_session(source)))
+    runs: list[tuple[int, int]] = []
+    frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
     for off, length in runs:
         print(f"warning: skipped {length} bytes at offset {off}", file=sys.stderr)
     if skipped:
         print(f"warning: {skipped} bytes total were not decodable", file=sys.stderr)
-    return [frames]
+    return iter([frames])
 
 
 #: The fewest frames ``_joined`` puts in a block.
@@ -242,15 +256,21 @@ def _joined(blocks: Iterable[FrameBlock]) -> Iterator[FrameBlock]:
     ``_JOINED_FRAMES`` frames or more (the last may hold fewer). ``tick_records``
     batches the ticks that a block completes, and a session holds a block
     per tick, while one copy of the whole stream would double its frames
-    in memory; a block that is long enough is passed on as it is."""
+    in memory; a block that is long enough is passed on as it is. A
+    ``PawpulseError`` from ``blocks`` comes after the frames read before it."""
     piece: list[FrameBlock] = []
     size = 0
-    for block in blocks:
-        piece.append(block)
-        size += len(block)
-        if size >= _JOINED_FRAMES:
+    try:
+        for block in blocks:
+            piece.append(block)
+            size += len(block)
+            if size >= _JOINED_FRAMES:
+                yield FrameBlock.concat(piece)
+                piece, size = [], 0
+    except PawpulseError:
+        if piece:
             yield FrameBlock.concat(piece)
-            piece, size = [], 0
+        raise
     if piece:
         yield FrameBlock.concat(piece)
 
@@ -259,13 +279,16 @@ def cmd_process(args) -> int:
     _refuse_dash("--session-out", args.session_out)
     config = build_config(args.config, args.set or [])
     rule_table = RuleTable.parse(_read_operator_file(args.rules)) if args.rules else DEFAULT_RULE_TABLE
-    blocks = _load_blocks(args.in_path)
-    if not any(blocks):
-        raise EmptySessionError("input contains no frames")
-
-    writer = SessionWriter(args.session_out, config, args.start_utc, rule_table) if args.session_out else None
-    try:
-        for chunk, estimate, emotion in tick_records(_joined(blocks), config, rule_table.rules):
+    with contextlib.ExitStack() as stack:
+        source = stack.enter_context(_Input(args.in_path))
+        if args.session_out and source.is_file(args.session_out):  # before SessionWriter cuts it short
+            raise UsageError(f"--session-out {args.session_out} is the file that --in reads")
+        blocks = _input_blocks(source)
+        first = next((block for block in blocks if len(block)), None)
+        if first is None:
+            raise EmptySessionError("input contains no frames")
+        writer = stack.enter_context(SessionWriter(args.session_out, config, args.start_utc, rule_table)) if args.session_out else None
+        for chunk, estimate, emotion in tick_records(_joined(itertools.chain([first], blocks)), config, rule_table.rules):
             if writer:
                 writer.append_record(chunk)
                 writer.append_record(estimate)
@@ -274,9 +297,6 @@ def cmd_process(args) -> int:
                 # every tick whose status line is printed is in the file
                 writer.flush()
             print(render_tick_line(estimate, emotion and emotion.assessment))
-    finally:
-        if writer:
-            writer.close()
     return 0
 
 
@@ -312,7 +332,7 @@ def cmd_replay(args) -> int:
             # one pass: each raw block is recomputed as it is read, and each
             # record that process writes is compared with the stored one in step
             records, raw = itertools.tee(records)
-            ticks = tick_records(_joined(r for r in raw if type(r) is FrameBlock), header.config, header.rule_table.rules)
+            ticks = tick_records(_joined(_raw_blocks(raw)), header.config, header.rule_table.rules)
             recomputed = (record for tick in ticks for record in tick if record)  # no empty block, no absent emotion
             records = stored(itertools.zip_longest(recomputed, records))
         # printed once the file is read: a bad line prints no tick first

@@ -14,7 +14,8 @@ through ``cli.main``, once by path and once by ``--in -``:
   ``LINES_PER_FRAME`` stdout lines per input frame, plus ``LINES_EXTRA``;
   ``report`` prints at most ``REPORT_LINES``;
 - ``replay --verify`` passes every session that ``process`` wrote with
-  exit 0.
+  exit 0, and ``process`` on that session prints, byte for byte, what it
+  printed from the wire bytes, with nothing on stderr.
 
 Work is bounded by counting lines, not by a wall-clock budget.
 """
@@ -95,6 +96,10 @@ def check_stream(folder: Path, wire: bytes, n_frames: int) -> None:
         assert run([*argv, "--in", "-"], stored) == result
         if argv == ["replay", "--verify"] and by_path[0] == 0:
             assert result[0] == 0, result
+    if by_path[0] == 0:
+        reread = run(["process", "--in", str(session)])
+        assert reread == (0, by_path[1], ""), reread
+        assert run(["process", "--in", "-"], stored) == reread
 
 
 #: Channel values: the 18-bit edges, or any between.
