@@ -32,19 +32,25 @@ temperature or BPM given as the int 37 is written ``37.0`` and read back
 as the float 37.0. A fired rule is named by its ``R<n>`` id from
 ``parse_rule_table``. ``SessionWriter`` fills the templates in and
 refuses a record that reading would reject or read back as another
-value. ``replay`` matches each line against patterns built from the same
-templates and writes each number back to check it, so a line is a record
-only if it is, byte for byte, the writer's line for that record; any
-other line, a blank one or one ending in CR LF among them, is an error
-on its line. The file is read ``_CHUNK`` characters at a time. The raw
-lines of a read are parsed together, straight into int64 columns, and
-checked at once: their ``seq`` values against their line numbers, then
-``first_invalid`` against the last raw frame before them. Each run of
-raw lines is yielded as one block, however the reads fall. At the first
-bad line ``replay`` yields what comes before it (its run's good prefix
-as one block) and raises the error that line gives when read by itself.
-Each block it yields is marked ``fields_checked``, so the tick and the
-writer check only its order.
+value. ``replay`` matches the lines against one pattern built from the
+same templates and writes each number back to check it, so a line is a
+record only if it is, byte for byte, the writer's line for that record;
+any other line, a blank one or one ending in CR LF among them, is an
+error on its line. The file is read ``_CHUNK`` characters at a time; the
+reads of a line still without its LF are kept and joined once, when it
+ends. The pattern tiles each read from its start, one match per run of
+raw lines and per vitals or emotion line, and the first place it does not
+match is the read's first bad line. The raw lines of a read are parsed
+together, straight into int64 columns, and checked at once: their
+``seq`` values against their line numbers, then ``first_invalid``
+against the last raw frame before them. Their temperatures are all null
+exactly when that parse finds four numbers a line, so a run without
+temperature is parsed once. Each run of raw lines is yielded as one
+block, however the reads fall. At the first bad line ``replay`` yields
+what comes before it (its run's good prefix as one block) and raises the
+error that line gives when read by itself. Each block it yields is
+marked ``fields_checked``, so the tick and the writer check only its
+order.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -140,8 +146,10 @@ _RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
 _VITALS_JSON = '{"seq":%d,"kind":"vitals","t":%d,"contact":"%s","bpm":%s,"bpm_avg":%s,"spo2":%s}'
 _EMOTION_JSON = '{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s","rules":[%s]}'
 _RAW_LINE = _RAW_JSON + "\n"
+#: A raw line without temperature, four ``%d`` fields.
+_RAW_NULL_LINE = _RAW_LINE.replace("%s", "null")
 #: Raw lines the writer fills in with one ``%``, which takes a tuple of five
-#: fields per line.
+#: fields per line, or four without temperatures.
 _PIECE = 4096
 #: A rule id as ``parse_rule_table`` numbers the rules.
 _RULE_ID = re.compile("R[1-9][0-9]*")
@@ -272,12 +280,14 @@ class SessionWriter:
             for at in range(0, len(record), _PIECE):
                 t, red, ir = record.cols[:, at : at + _PIECE].tolist()
                 k = len(t)
-                fields = [None] * (5 * k)  # each line's five fields in turn
-                fields[::5] = range(self._seq + at, self._seq + at + k)
-                fields[1::5], fields[2::5], fields[3::5] = t, red, ir
                 piece = temps[at : at + k]
-                fields[4::5] = ["null"] * k if piece.count(None) == k else map(_number_json, piece)
-                pieces.append(_RAW_LINE * k % tuple(fields))
+                line, width = (_RAW_NULL_LINE, 4) if piece.count(None) == k else (_RAW_LINE, 5)
+                fields = [None] * (width * k)  # each line's fields in turn
+                fields[::width] = range(self._seq + at, self._seq + at + k)
+                fields[1::width], fields[2::width], fields[3::width] = t, red, ir
+                if width == 5:
+                    fields[4::5] = map(_number_json, piece)
+                pieces.append(line * k % tuple(fields))
             self._fh.writelines(pieces)
             self._last_raw = record[-1]
             self._seq += len(record)
@@ -355,24 +365,30 @@ def _one_of(enum) -> str:
 
 
 #: What ``%d`` writes; the writer writes no negative ``seq`` and no raw
-#: frame with a negative field.
+#: frame with a negative field. ``_UINT`` is ``0|[1-9][0-9]*`` before the
+#: ``,`` that follows each use, in one repeat rather than a branch.
 _INT = "0|-?[1-9][0-9]*"
-_UINT = "0|[1-9][0-9]*"
+_UINT = "(?!0[0-9])[0-9]+"
 #: null or a decimal number; ``_number_value`` tells whether ``_number_json`` writes it.
 _NUMBER = r"null|-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 _RULES = '(?:"{0}"(?:,"{0}")*)?'.format(_RULE_ID.pattern)
-_RAW_FIELDS = (_UINT, _UINT, _UINT, _UINT, _NUMBER)
-#: Each kind's record line, its fields as groups.
-_RAW_RECORD = re.compile(_line_regex(_RAW_JSON, "(%s)", *_RAW_FIELDS))
-_VITALS_RECORD = re.compile(_line_regex(_VITALS_JSON, "(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER))
-_EMOTION_RECORD = re.compile(_line_regex(_EMOTION_JSON, "(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES))
-#: A run of raw record lines from the start of a line, without groups, which
-#: would slow the scan.
-_RAW_RUN = re.compile("^(?:%s)+" % _line_regex(_RAW_JSON, "(?:%s)", *_RAW_FIELDS), re.MULTILINE)
-#: The temperature of each line of such a run.
+#: One match from a line start: a run of raw record lines, without groups,
+#: which would slow the scan; or a vitals line, its fields groups 1-6; or an
+#: emotion line, its fields groups 7-11.
+_LINE = re.compile("(?:%s)+|%s|%s" % (
+    _line_regex(_RAW_JSON, "(?:%s)", _UINT, _UINT, _UINT, _UINT, _NUMBER),
+    _line_regex(_VITALS_JSON, "(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER),
+    _line_regex(_EMOTION_JSON, "(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES),
+))
+_VITALS_FIELDS = 6
+_CONTACTS = {member.value: member for member in ContactState}
+_STATES = {member.value: member for member in EmotionState}
+_CERTAINTIES = {member.value: member for member in Certainty}
+#: The temperature of each line of a raw run.
 _TEMP = re.compile(r'"temp":([^}]*)')
-#: A byte -> itself if a digit, else a space: a run without its
-#: temperatures is then its four integers per line, blank-separated.
+#: A byte -> itself if a digit, else a space: a raw run is then its four
+#: integers per line, blank-separated, and one more number or more for each
+#: temperature that is not null.
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
 #: Characters read at a time; a run may span reads.
 _CHUNK = 1 << 16
@@ -394,10 +410,10 @@ def _not_spelled(lineno: int) -> SessionParseError:
     return SessionParseError(lineno, "record not spelled as written")
 
 
-def _ints(match: re.Match, count: int, lineno: int) -> list[int]:
-    """The first ``count`` fields of a record line, which ``%d`` fills."""
+def _ints(texts, lineno: int) -> list[int]:
+    """The decimal integers ``texts``, fields that ``%d`` fills."""
     try:
-        return [int(text) for text in match.groups()[:count]]
+        return [int(text) for text in texts]
     except ValueError:  # past the conversion limit, which ``%d`` does not write
         raise _not_spelled(lineno) from None
 
@@ -421,13 +437,15 @@ def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | Tic
     """
     yield _header_from_line(source.readline())
     reader = _Reader()
-    tail = ""
+    unfinished: list[str] = []  # the reads of a line that has no LF yet
     while True:
         chunk = source.read(_CHUNK)
-        text = tail + chunk
-        if chunk:  # the last line may go on in the next read
-            cut = text.rfind("\n") + 1
-            text, tail = text[:cut], text[cut:]
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:  # joined once, when the line ends
+            unfinished.append(chunk)
+            continue
+        text = "".join([*unfinished, chunk[:cut]])
+        unfinished = [chunk[cut:]]
         # the writer writes ASCII; isascii() is a flag test, a search is not
         undecodable = None if text.isascii() else _UNDECODABLE.search(text)
         if undecodable:  # read up to its line, then report it
@@ -446,13 +464,18 @@ class _Reader:
     raw frame read and the open run, the checked blocks of a run that
     reached the end of the last read and may go on in the next.
 
-    The raw lines of a read are parsed together into one ``(n, 4)`` int64
-    ``(seq, t, red, ir)`` array and checked at once: ``seq`` against the
-    line number (the record on line L is numbered L - 2 while every line
-    before it is a record), then ``first_invalid`` against the last raw
-    frame. An integer past int64 reads as negative and a respelled
-    temperature as NaN, which they reject. The first bad line in line
-    order is read again, exactly, for its error.
+    ``_LINE`` tiles a read, one match per run of raw lines and per vitals
+    or emotion line, up to the first line it does not match. The raw lines
+    of a read are parsed together into one ``(n, 4)`` int64 ``(seq, t,
+    red, ir)`` array and checked at once: ``seq`` against the line number
+    (the record on line L is numbered L - 2 while every line before it is
+    a record), then ``first_invalid`` against the last raw frame. When
+    their last line's temperature is null they are parsed as they are
+    first: their temperatures are all null exactly when that gives four
+    numbers a line. Otherwise the temperatures are taken out and read
+    first. An integer past int64 reads as negative and a respelled
+    temperature as NaN, which they reject. The first bad raw line is read
+    again, by itself, for its error.
     """
 
     def __init__(self):
@@ -463,42 +486,58 @@ class _Reader:
     def read(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
         """Yield the records of ``text``, whole lines, in line order, each
         run as one block; a run that reaches the end of ``text`` stays open."""
-        spans = [match.span() for match in _RAW_RUN.finditer(text)]
-        counts = [text.count("\n", start, end) for start, end in spans]
-        block, bad = self._check_runs(text, spans, counts) if spans else (None, 0)
-        row = pos = 0
-        for (start, end), n in zip(spans, counts):
-            if start > pos:
-                yield from self.other_lines(text[pos:start])
+        matches, runs, counts, gaps = [], [], [], []
+        gap = pos = 0  # gap: the vitals and emotion lines since the last run
+        while match := _LINE.match(text, pos):
+            matches.append(match)
+            if match.lastindex is None:  # a run of raw lines
+                runs.append(match[0])
+                counts.append(runs[-1].count("\n"))
+                gaps.append(gap)
+                gap = 0
+            else:
+                gap += 1
+            pos = match.end()
+        block, bad = self._check_runs("".join(runs), counts, gaps) if runs else (None, 0)
+        row = 0
+        run_counts = iter(counts)
+        for match in matches:
+            if match.lastindex is not None:
+                yield from self.close_run()
+                yield self._record(match)
+                self.lineno += 1
+                continue
+            n = next(run_counts)
             if row + n > bad:  # the first bad raw line is in this run
                 if bad > row:
                     self.open_run.append(block[row:bad])
                 yield from self.close_run()
                 self.lineno += bad - row
-                self._check_alone(text[start:end].split("\n")[bad - row] + "\n", self.lineno)
+                self._check_alone(match[0].split("\n")[bad - row])
             self.open_run.append(block[row : row + n])
             self.lineno += n
             row += n
-            pos = end
         if pos < len(text):
-            yield from self.other_lines(text[pos:])
+            yield from self.close_run()
+            raise _not_spelled(self.lineno)
 
-    def _check_runs(self, text: str, spans: list, counts: list[int]) -> tuple[FrameBlock, int]:
-        """The raw lines of the runs at ``spans`` as one marked block, and
-        the index of the first bad one (the block's length if none); the
-        last raw frame becomes the one before it."""
-        runs = "".join([text[start:end] for start, end in spans])
+    def _check_runs(self, runs: str, counts: list[int], gaps: list[int]) -> tuple[FrameBlock, int]:
+        """The raw lines of ``runs``, ``counts`` lines a run, after ``gaps``
+        other lines each, as one marked block, and the index of the first
+        bad one (the block's length if none); the last raw frame becomes the
+        one before it."""
         n = sum(counts)
         temps = np.empty(n, dtype=object)  # all None
-        if runs.count('"temp":null}') != n:
-            temps[:] = list(map(_number_value, _TEMP.findall(runs)))
-            runs = _TEMP.sub("", runs)
         # as uint64, which saturates, so that a value past int64 reads as negative
-        numbers = np.fromstring(runs.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+        numbers = None
+        if runs.endswith('"temp":null}\n'):
+            numbers = np.fromstring(runs.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+        if numbers is None or numbers.size != 4 * n:  # a temperature has a digit, null none
+            temps[:] = list(map(_number_value, _TEMP.findall(runs)))
+            numbers = np.fromstring(_TEMP.sub("", runs).encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
         rows = numbers.view(np.int64).reshape(n, 4)
         # a row's due seq is its line number - 2: the lines before this read,
-        # the rows before it and the other lines before its run (gaps)
-        gaps = [text.count("\n", end, start) for (_, end), (start, _) in zip([(0, 0), *spans], spans)]
+        # the rows before it and the vitals and emotion lines before its run
         due = np.arange(self.lineno - 2, self.lineno - 2 + n) + np.repeat(np.cumsum(gaps), counts)
         block = FrameBlock(rows[:, 1:].T.copy(), temps)
         bad = first_invalid(block, self.last_raw)
@@ -515,38 +554,26 @@ class _Reader:
             run, self.open_run = self.open_run, []
             yield FrameBlock.concat(run)
 
-    def other_lines(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-        """Close the run, then read the lines of ``text`` one at a time."""
-        yield from self.close_run()
-        lines = text.split("\n")
-        last = lines.pop()  # empty, unless text is the end of a file without a newline
-        for line in lines:
-            yield self._record(line + "\n")
-            self.lineno += 1
-        if last:
-            raise _not_spelled(self.lineno)
-
-    def _record(self, line: str) -> VitalsEstimate | TickEmotion:
-        """The payload of a vitals or emotion line, or the line's error."""
+    def _record(self, match: re.Match) -> VitalsEstimate | TickEmotion:
+        """The payload of a vitals or emotion line's ``_LINE`` match, or the
+        line's error."""
         lineno = self.lineno
-        match = _VITALS_RECORD.fullmatch(line) or _EMOTION_RECORD.fullmatch(line)
-        if match is None:  # a raw line spelled as written starts a run
-            raise _not_spelled(lineno)
-        seq, t = _ints(match, 2, lineno)
-        if match.re is _VITALS_RECORD:
-            numbers = [_number_value(text) for text in match.groups()[3:]]
+        if match.lastindex == _VITALS_FIELDS:
+            seq, t, contact, *fields = match.groups()[:_VITALS_FIELDS]
+            seq, t = _ints((seq, t), lineno)
+            numbers = [_number_value(text) for text in fields]
             if any(x != x for x in numbers):  # NaN: not spelled as written
                 raise _not_spelled(lineno)
             self._check_seq(seq, lineno)
             try:
-                record = VitalsEstimate(t, ContactState(match[3]), *numbers)
+                return VitalsEstimate(t, _CONTACTS[contact], *numbers)
             except RangeError as exc:
                 raise SessionParseError(lineno, f"bad record: {exc}") from exc
-        else:
-            self._check_seq(seq, lineno)
-            rules = tuple(_RULE_ID.findall(match[5]))
-            record = TickEmotion(t, EmotionAssessment(EmotionState(match[3]), Certainty(match[4]), rules))
-        return record
+        seq, t, state, certainty, rules = match.groups()[_VITALS_FIELDS:]
+        seq, t = _ints((seq, t), lineno)
+        self._check_seq(seq, lineno)
+        assessment = EmotionAssessment(_STATES[state], _CERTAINTIES[certainty], tuple(_RULE_ID.findall(rules)))
+        return TickEmotion(t, assessment)
 
     def _check_seq(self, seq: int, lineno: int) -> None:
         due = lineno - 2  # every line before it is a record
@@ -555,13 +582,15 @@ class _Reader:
         if seq != due:
             raise SeqError(lineno, f"seq {seq} where {due} was due")
 
-    def _check_alone(self, line: str, lineno: int) -> None:
-        """Raise the error of a raw record line that a run check found bad."""
-        match = _RAW_RECORD.fullmatch(line)
-        temp = _number_value(match[5])
+    def _check_alone(self, line: str) -> None:
+        """Raise the error of a raw record line, less its LF, that a run
+        check found bad."""
+        lineno = self.lineno
+        temp_field = _TEMP.search(line)
+        temp = _number_value(temp_field[1])
         if temp != temp:  # NaN: not spelled as written
             raise _not_spelled(lineno)
-        seq, t, red, ir = _ints(match, 4, lineno)
+        seq, t, red, ir = _ints(line[: temp_field.start()].encode().translate(_DIGITS_ONLY).split(), lineno)
         self._check_seq(seq, lineno)
         frame = SampleFrame(t, red, ir, temp)
         try:

@@ -1003,6 +1003,25 @@ def test_raw_timestamp_beyond_int64_is_data_error(tmp_path, command):
     assert f"error: line {lineno}: timestamp_ms=100000000000000000000 does not fit 64 bits" in result.stderr
 
 
+def test_a_long_line_is_read_in_linear_time(tmp_path):
+    """The reads of an unfinished line are joined once, when it ends: read
+    64 characters at a time, a second line of 4 Mi characters ends in its
+    error well inside the timeout. Joined to each read in turn, it would
+    copy about 10**11 characters."""
+    session = tmp_path / "s.ndjson"
+    session_module.SessionWriter(session, PipelineConfig()).close()
+    with open(session, "a", encoding="utf-8") as fh:
+        fh.write("x" * (4 << 20))
+    package_root = str(Path(pawpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from pawpulse import cli, session; session._CHUNK = 64; sys.exit(cli.main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "replay", "--in", str(session)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: line 2: record not spelled as written\n")
+
+
 def test_frame_at_the_int64_edge_is_in_its_own_tick(tmp_path, capsys):
     """A last frame at 2**63 - 1 ms, with ticks of 2**62 ms, belongs to the
     tick that ends at 2**63 ms: two status lines, not three."""

@@ -1032,6 +1032,54 @@ class TestRawRuns:
         assert [type(r) for r in collected] == kinds
         assert list(collected[0]) == [raw(10 * k, 1, 2) for k in range(5)]
 
+    @pytest.mark.parametrize("zero", ["07", "00"])
+    @pytest.mark.parametrize("kind,key", [("raw", "seq"), ("raw", "t"), ("raw", "red"), ("raw", "ir"), ("vitals", "seq"), ("emotion", "seq")])
+    def test_a_leading_zero_is_not_spelled_as_written(self, tmp_path, kind, key, zero):
+        """``%d`` writes no leading zero: one in an integer of a raw line
+        inside a run, or in the ``seq`` of a vitals or emotion line, is an
+        error on its line, after the records before it."""
+        lines = [canonical_raw(seq, 10 * seq, 1, 2) for seq in range(5)]
+        line = canonical_raw(5, 50, 1, 2) if kind == "raw" else _record_json(5, vit(1000) if kind == "vitals" else emo(1000))
+        lines.append(re.sub(f'"{key}":[0-9]+', f'"{key}":{zero}', line, count=1))
+        assert lines[-1] != line
+        lines += [canonical_raw(6, 60, 1, 2), canonical_raw(7, 70, 1, 2)]
+        collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", lines))
+        assert type(exc) is SessionParseError and str(exc) == "line 7: record not spelled as written"
+        assert [type(r) for r in collected] == [FrameBlock]
+        assert list(collected[0]) == [raw(10 * seq, 1, 2) for seq in range(5)]
+
+    def test_a_respelled_number_is_reported_before_a_wrong_seq(self, tmp_path):
+        line = _record_json(9, vit(1000, spo2=97.1))
+        assert '"spo2":97.1}' in line
+        path = session_with_lines(tmp_path / "s.ndjson", [canonical_raw(0, 0, 1, 2), line.replace("97.1}", "97.10}")])
+        collected, exc = read_until_error(path)
+        assert type(exc) is SessionParseError and str(exc) == "line 3: record not spelled as written"
+        assert flat(collected) == [raw(0, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[[38.5, None, None]], [[None, None, 38.5]], [[38.5, None], [None, None]], [[None, None], [None, -0.0]]],
+        ids=["first-of-run", "last-of-run", "earlier-run", "last-run"],
+    )
+    def test_runs_with_temperatures_on_some_lines_read_them(self, tmp_path, runs):
+        """The runs of a read with a temperature on some lines only, the
+        last line null and an earlier one not, or the reverse."""
+        path = tmp_path / "s.ndjson"
+        records, t = [], 0
+        for temps in runs:
+            for temp in temps:
+                records.append(raw(t, temp=temp))
+                t += 10
+            records.append(vit(t))
+        with SessionWriter(path, PipelineConfig()) as writer:
+            for record in blocked(records):
+                writer.append_record(record)
+        got = flat(replayed(path))
+        assert got == records
+        assert [type(r.temperature_c) for r in got if type(r) is SampleFrame] == [
+            type(r.temperature_c) for r in records if type(r) is SampleFrame
+        ]
+
     @pytest.mark.parametrize("first", [canonical_raw(1, 0, 1, 2), _record_json(1, vit(1000))], ids=["raw", "vitals"])
     def test_numbering_starts_at_0(self, tmp_path, first):
         collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", [first]))
