@@ -42,7 +42,6 @@ from .session import (
     SessionWriter,
     config_from_dict,
     config_to_dict,
-    open_session,
     replay,
     summarize,
     tick_assessments,
@@ -183,16 +182,14 @@ def cmd_simulate(args) -> int:
 
 class _Input(io.BufferedIOBase):
     """The binary stream at ``path`` (``-``: stdin, left open on close), from its
-    start; ``head`` is its first two bytes, read at once. ``{"`` begins every session."""
+    start, as ``replay`` and ``resync`` read it; ``head`` is its first two
+    bytes, read at once. ``{"`` begins every session."""
 
     def __init__(self, path: str):
         self._owned = False  # till the file is open: close runs after a failed open too
         self._source = sys.stdin.buffer if path == "-" else open(path, "rb")
         self._owned = path != "-"
         self.head = self._unread = self._source.read(2)
-
-    def readable(self) -> bool:
-        return True
 
     def read(self, size: int | None = -1) -> bytes:
         """What is left of ``head``, then the rest: ``size`` bytes in all, or all there are."""
@@ -201,8 +198,6 @@ class _Input(io.BufferedIOBase):
             return unread + self._source.read()
         unread, self._unread = self._unread[:size], self._unread[size:]
         return unread + self._source.read(size - len(unread))
-
-    read1 = read  # what TextIOWrapper calls; a read of all it asks for is one too
 
     def is_file(self, path: str) -> bool:
         """Whether ``path`` names the file read, through any path or link or as stdin."""
@@ -216,15 +211,15 @@ class _Input(io.BufferedIOBase):
         super().close()
 
 
-def _open_stored_session(path: str):
-    """``open_session`` of ``_Input(path)``, refused at once when it holds
-    bytes that do not begin ``{"`` (an empty input is left to the header check)."""
+def _open_stored_session(path: str) -> _Input:
+    """``_Input(path)``, for ``replay``, refused at once when it holds bytes
+    that do not begin ``{"`` (an empty input is left to the header check)."""
     source = _Input(path)
     if source.head and source.head != b'{"':
         source.close()
         name = "stdin" if path == "-" else path
         raise SessionParseError(1, f'{name} is not a session, which begins {{"; process reads wire bytes')
-    return open_session(source)
+    return source
 
 
 def _raw_blocks(records) -> Iterator[FrameBlock]:
@@ -237,7 +232,7 @@ def _input_blocks(source: _Input) -> Iterator[FrameBlock]:
     and gives one per run of raw lines, read as they are asked for; any
     other input is wire bytes, read whole and given as one block."""
     if source.head == b'{"':
-        return _raw_blocks(replay(open_session(source)))
+        return _raw_blocks(replay(source))
     runs: list[tuple[int, int]] = []
     frames, skipped = resync(source.read(), on_skip=lambda off, length: runs.append((off, length)))
     for off, length in runs:
@@ -449,14 +444,14 @@ def cmd_report(args) -> int:
     # sees the raw blocks too, which decide where emotion records belong
     vitals: list[VitalsEstimate] = []
 
-    def records(text):
-        for record in replay(text):
+    def records(source):
+        for record in replay(source):
             if type(record) is VitalsEstimate:
                 vitals.append(record)
             yield record
 
-    with _open_stored_session(args.in_path) as text:
-        summary = summarize(records(text))
+    with _open_stored_session(args.in_path) as source:
+        summary = summarize(records(source))
     if args.format == "text":
         output = _render_text_report(summary)
     else:

@@ -1,8 +1,9 @@
 """Session persistence: newline-delimited JSON records with replay.
 
-A session file is UTF-8 text: one header line, then one record per
-line; every line ends with LF alone. Timestamps are session-relative
-(start = 0); the wall-clock start, when known, lives once in the header.
+A session file is UTF-8 text, and ASCII as written: one header line,
+then one record per line; every line ends with LF alone. Timestamps are
+session-relative (start = 0); the wall-clock start, when known, lives
+once in the header.
 
 Header line, written by ``_header_json``; ``replay`` reads it with ``json``
 and yields it first, as a ``SessionHeader``, then the records::
@@ -36,21 +37,23 @@ value. ``replay`` matches the lines against one pattern built from the
 same templates and writes each number back to check it, so a line is a
 record only if it is, byte for byte, the writer's line for that record;
 any other line, a blank one or one ending in CR LF among them, is an
-error on its line. The file is read ``_CHUNK`` characters at a time; the
-reads of a line still without its LF are kept and joined once, when it
-ends. The pattern tiles each read from its start, one match per run of
-raw lines and per vitals or emotion line, and the first place it does not
-match is the read's first bad line. The raw lines of a read are parsed
-together, straight into int64 columns, and checked at once: their
-``seq`` values against their line numbers, then ``first_invalid``
-against the last raw frame before them. Their temperatures are all null
-exactly when that parse finds four numbers a line, so a run without
-temperature is parsed once. Each run of raw lines is yielded as one
-block, however the reads fall. At the first bad line ``replay`` yields
-what comes before it (its run's good prefix as one block) and raises the
-error that line gives when read by itself. Each block it yields is
-marked ``fields_checked``, so the tick and the writer check only its
-order.
+error on its line. ``replay`` reads a binary stream ``_CHUNK`` bytes at
+a time, the header line through the same reads; a line still without its
+LF is kept till it ends, a record line up to ``_LINE_MAX`` bytes, the
+longest that the writer writes. The pattern, in bytes, tiles each read
+from its start, one match per run of raw lines and per vitals or emotion
+line, and the first place it does not match is the read's first bad
+line, decoded only to find a byte that is not UTF-8. The raw lines of a
+read are parsed together, straight into int64 columns, and checked at
+once: their ``seq`` values against their line numbers, then
+``first_invalid`` against the last raw frame before them. Their
+temperatures are all null exactly when that parse finds four numbers a
+line, so a run without temperature is parsed once. Each run of raw lines
+is yielded as one block, however the reads fall. At the first bad line
+``replay`` yields what comes before it (its run's good prefix as one
+block) and raises the error that line gives when read by itself. Each
+block it yields is marked ``fields_checked``, so the tick and the writer
+check only its order.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
@@ -60,8 +63,8 @@ written, and every tick already printed is in the file.
 """
 from __future__ import annotations
 
+import codecs
 import functools
-import io
 import json
 import math
 import re
@@ -254,7 +257,8 @@ class SessionWriter:
     a lone ``SampleFrame`` among them (TypeError). It refuses, with
     TypeError or ValueError, a vitals number or temperature that is not a
     finite number equal to a float, a ``t`` that is not an int and a rule
-    id that is not ``R<n>``. A refused record, or block, writes nothing
+    id that is not ``R<n>``, and with ValueError a record line longer than
+    ``_LINE_MAX`` bytes. A refused record, or block, writes nothing
     and uses up no number. A ``start_utc`` that is not a string or None
     is refused (TypeError) before the file is created.
     """
@@ -272,7 +276,10 @@ class SessionWriter:
 
     def append_record(self, record: FrameBlock | VitalsEstimate | TickEmotion) -> None:
         if type(record) is not FrameBlock:
-            self._fh.write(_record_json(self._seq, record) + "\n")
+            line = _record_json(self._seq, record) + "\n"
+            if len(line) > _LINE_MAX:  # ASCII: a character a byte
+                raise ValueError(f"record line of {len(line)} bytes, past {_LINE_MAX}")
+            self._fh.write(line)
             self._seq += 1
         elif len(validate_block(record, self._last_raw)):
             temps = record.temps.tolist()
@@ -346,14 +353,6 @@ def _header_from_line(line: str) -> SessionHeader:
     return SessionHeader(start_utc, config, rule_table)
 
 
-def open_session(source):
-    """A binary stream, such as ``open(path, "rb")``, as text for
-    ``replay``: bytes that are not UTF-8 reach it escaped, and it reports
-    the line they are on; lines end at LF alone and reach it untranslated.
-    Closing the text stream closes ``source``."""
-    return io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="\n")
-
-
 def _line_regex(template: str, wrap: str, *fields: str) -> str:
     """A regex of the lines that ``template`` gives, LF included: its
     ``%`` fields in turn are the regexes of ``fields``, each in ``wrap``."""
@@ -372,42 +371,51 @@ _UINT = "(?!0[0-9])[0-9]+"
 #: null or a decimal number; ``_number_value`` tells whether ``_number_json`` writes it.
 _NUMBER = r"null|-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 _RULES = '(?:"{0}"(?:,"{0}")*)?'.format(_RULE_ID.pattern)
-#: One match from a line start: a run of raw record lines, without groups,
-#: which would slow the scan; or a vitals line, its fields groups 1-6; or an
-#: emotion line, its fields groups 7-11.
-_LINE = re.compile("(?:%s)+|%s|%s" % (
+#: One match from a line start, in the bytes read: a run of raw record lines,
+#: without groups, which would slow the scan; or a vitals line, its fields
+#: groups 1-6; or an emotion line, its fields groups 7-11.
+_LINE = re.compile(("(?:%s)+|%s|%s" % (
     _line_regex(_RAW_JSON, "(?:%s)", _UINT, _UINT, _UINT, _UINT, _NUMBER),
     _line_regex(_VITALS_JSON, "(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER),
     _line_regex(_EMOTION_JSON, "(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES),
-))
+)).encode())
 _VITALS_FIELDS = 6
-_CONTACTS = {member.value: member for member in ContactState}
-_STATES = {member.value: member for member in EmotionState}
-_CERTAINTIES = {member.value: member for member in Certainty}
+_CONTACTS = {member.value.encode(): member for member in ContactState}
+_STATES = {member.value.encode(): member for member in EmotionState}
+_CERTAINTIES = {member.value.encode(): member for member in Certainty}
 #: The temperature of each line of a raw run.
-_TEMP = re.compile(r'"temp":([^}]*)')
+_TEMP = re.compile(rb'"temp":([^}]*)')
 #: A byte -> itself if a digit, else a space: a raw run is then its four
 #: integers per line, blank-separated, and one more number or more for each
 #: temperature that is not null.
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
-#: Characters read at a time; a run may span reads.
+#: Bytes read at a time; a run may span reads. At most ``_LINE_MAX``, so that
+#: only a line that spans reads can be too long.
 _CHUNK = 1 << 16
+#: The longest record line, LF included: the writer writes none longer, and
+#: ``replay`` reports a longer one once it has read ``_LINE_MAX`` bytes of it.
+_LINE_MAX = 1 << 20
 #: What ``errors="surrogateescape"`` makes of a byte that is not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @functools.lru_cache(maxsize=4096)  # temperatures and BPM values repeat
-def _number_value(text: str) -> float | None:
+def _number_value(text: bytes) -> float | None:
     """The number that ``_number_json`` writes as ``text``, a ``_NUMBER``
     match: None for ``null``, and NaN when it writes no number so."""
-    if text == "null":
+    if text == b"null":
         return None
     value = float(text)
-    return value if float.__repr__(value) == text else math.nan
+    return value if b"%r" % value == text else math.nan
 
 
-def _not_spelled(lineno: int) -> SessionParseError:
-    return SessionParseError(lineno, "record not spelled as written")
+def _line_error(lineno: int, line: bytes = b"", final: bool = True) -> SessionParseError:
+    """The error of a bad record line: its first byte that is not UTF-8,
+    else that it is not spelled as written. ``final=False`` takes the first
+    bytes of a longer line, whose last character they may cut."""
+    text = "" if line.isascii() else codecs.getincrementaldecoder("utf-8")("surrogateescape").decode(line, final)
+    undecodable = _UNDECODABLE.search(text)
+    return _not_utf8(lineno, undecodable) if undecodable else SessionParseError(lineno, "record not spelled as written")
 
 
 def _ints(texts, lineno: int) -> list[int]:
@@ -415,7 +423,7 @@ def _ints(texts, lineno: int) -> list[int]:
     try:
         return [int(text) for text in texts]
     except ValueError:  # past the conversion limit, which ``%d`` does not write
-        raise _not_spelled(lineno) from None
+        raise _line_error(lineno) from None
 
 
 def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | TickEmotion]:
@@ -423,49 +431,48 @@ def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | Tic
     stored order: one read-only ``FrameBlock`` per run of consecutive raw
     records, and each vitals and emotion payload.
 
-    ``source`` is a text stream from ``open_session`` positioned at the
-    session's first line. A byte that is not UTF-8, and a CR, are reported
+    ``source`` is a binary stream, such as ``open(path, "rb")``, at the
+    session's first byte. A byte that is not UTF-8, and a CR, are reported
     on their line. Raises SessionParseError (carrying the 1-based line
     number) at a header line that is not one the writer writes, and at the
     first line that is not a record spelled as ``SessionWriter`` writes it,
-    or holds a raw frame that ``validate_frame`` rejects against the
-    previous raw frame or a vitals record that ``VitalsEstimate`` rejects,
-    and SeqError, a SessionParseError too, at the first ``seq`` that is not
-    the record's number, 0, 1, 2, ... in stored order. Everything before
-    that line is yielded first: the header, the records, and the frames of
-    its run as one block.
+    is longer than ``_LINE_MAX`` bytes, or holds a raw frame that
+    ``validate_frame`` rejects against the previous raw frame or a vitals
+    record that ``VitalsEstimate`` rejects, and SeqError, a
+    SessionParseError too, at the first ``seq`` that is not the record's
+    number, 0, 1, 2, ... in stored order. Everything before that line is
+    yielded first: the header, the records, and the frames of its run as one
+    block.
     """
-    yield _header_from_line(source.readline())
     reader = _Reader()
-    unfinished: list[str] = []  # the reads of a line that has no LF yet
+    unfinished = bytearray()  # a line that has no LF yet
     while True:
         chunk = source.read(_CHUNK)
-        cut = chunk.rfind("\n") + 1
-        if chunk and not cut:  # joined once, when the line ends
-            unfinished.append(chunk)
-            continue
-        text = "".join([*unfinished, chunk[:cut]])
-        unfinished = [chunk[cut:]]
-        # the writer writes ASCII; isascii() is a flag test, a search is not
-        undecodable = None if text.isascii() else _UNDECODABLE.search(text)
-        if undecodable:  # read up to its line, then report it
-            text = text[: text.rfind("\n", 0, undecodable.start()) + 1]
-        yield from reader.read(text)
-        if undecodable:
+        cut = chunk.rfind(b"\n") + 1
+        # a record line left unfinished, as far as this read has it
+        if reader.lineno > 1 and len(unfinished) + (chunk.find(b"\n") if cut else len(chunk)) >= _LINE_MAX:
             yield from reader.close_run()
-            raise _not_utf8(reader.lineno, undecodable)
+            raise _line_error(reader.lineno, (unfinished + chunk)[:_LINE_MAX], final=False)
+        if chunk and not cut:
+            unfinished += chunk
+            continue
+        data = b"".join((unfinished, chunk[:cut]))
+        unfinished = bytearray(chunk[cut:])  # before the read: a long line is held once
+        yield from reader.read(data)
         if not chunk:
             break
     yield from reader.close_run()
 
 
 class _Reader:
-    """``replay`` between two reads: the number of the next line, the last
-    raw frame read and the open run, the checked blocks of a run that
-    reached the end of the last read and may go on in the next.
+    """``replay`` between two reads: the number of the next line (1, the
+    header's, till it is read), the last raw frame read and the open run,
+    the checked blocks of a run that reached the end of the last read and
+    may go on in the next.
 
-    ``_LINE`` tiles a read, one match per run of raw lines and per vitals
-    or emotion line, up to the first line it does not match. The raw lines
+    ``_LINE`` tiles a read's bytes, one match per run of raw lines and per
+    vitals or emotion line, up to the first line it does not match, whose
+    error names a byte in it that is not UTF-8, if any. The raw lines
     of a read are parsed together into one ``(n, 4)`` int64 ``(seq, t,
     red, ir)`` array and checked at once: ``seq`` against the line number
     (the record on line L is numbered L - 2 while every line before it is
@@ -479,26 +486,31 @@ class _Reader:
     """
 
     def __init__(self):
-        self.lineno = 2
+        self.lineno = 1
         self.last_raw: SampleFrame | None = None
         self.open_run: list[FrameBlock] = []
 
-    def read(self, text: str) -> Iterator[FrameBlock | VitalsEstimate | TickEmotion]:
-        """Yield the records of ``text``, whole lines, in line order, each
-        run as one block; a run that reaches the end of ``text`` stays open."""
+    def read(self, text: bytes) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | TickEmotion]:
+        """Yield the header, if ``text`` begins the session, then the records
+        of ``text``, whole lines, in line order, each run as one block; a run
+        that reaches the end of ``text`` stays open."""
         matches, runs, counts, gaps = [], [], [], []
         gap = pos = 0  # gap: the vitals and emotion lines since the last run
+        if self.lineno == 1:
+            pos = text.find(b"\n") + 1 or len(text)
+            yield _header_from_line(text[:pos].decode("utf-8", "surrogateescape"))
+            self.lineno = 2
         while match := _LINE.match(text, pos):
             matches.append(match)
             if match.lastindex is None:  # a run of raw lines
                 runs.append(match[0])
-                counts.append(runs[-1].count("\n"))
+                counts.append(runs[-1].count(b"\n"))
                 gaps.append(gap)
                 gap = 0
             else:
                 gap += 1
             pos = match.end()
-        block, bad = self._check_runs("".join(runs), counts, gaps) if runs else (None, 0)
+        block, bad = self._check_runs(b"".join(runs), counts, gaps) if runs else (None, 0)
         row = 0
         run_counts = iter(counts)
         for match in matches:
@@ -513,15 +525,15 @@ class _Reader:
                     self.open_run.append(block[row:bad])
                 yield from self.close_run()
                 self.lineno += bad - row
-                self._check_alone(match[0].split("\n")[bad - row])
+                self._check_alone(match[0].split(b"\n")[bad - row])
             self.open_run.append(block[row : row + n])
             self.lineno += n
             row += n
         if pos < len(text):
             yield from self.close_run()
-            raise _not_spelled(self.lineno)
+            raise _line_error(self.lineno, text[pos : text.find(b"\n", pos) + 1 or None])
 
-    def _check_runs(self, runs: str, counts: list[int], gaps: list[int]) -> tuple[FrameBlock, int]:
+    def _check_runs(self, runs: bytes, counts: list[int], gaps: list[int]) -> tuple[FrameBlock, int]:
         """The raw lines of ``runs``, ``counts`` lines a run, after ``gaps``
         other lines each, as one marked block, and the index of the first
         bad one (the block's length if none); the last raw frame becomes the
@@ -530,11 +542,11 @@ class _Reader:
         temps = np.empty(n, dtype=object)  # all None
         # as uint64, which saturates, so that a value past int64 reads as negative
         numbers = None
-        if runs.endswith('"temp":null}\n'):
-            numbers = np.fromstring(runs.encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+        if runs.endswith(b'"temp":null}\n'):
+            numbers = np.fromstring(runs.translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
         if numbers is None or numbers.size != 4 * n:  # a temperature has a digit, null none
             temps[:] = list(map(_number_value, _TEMP.findall(runs)))
-            numbers = np.fromstring(_TEMP.sub("", runs).encode().translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+            numbers = np.fromstring(_TEMP.sub(b"", runs).translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
         rows = numbers.view(np.int64).reshape(n, 4)
         # a row's due seq is its line number - 2: the lines before this read,
         # the rows before it and the vitals and emotion lines before its run
@@ -563,7 +575,7 @@ class _Reader:
             seq, t = _ints((seq, t), lineno)
             numbers = [_number_value(text) for text in fields]
             if any(x != x for x in numbers):  # NaN: not spelled as written
-                raise _not_spelled(lineno)
+                raise _line_error(lineno)
             self._check_seq(seq, lineno)
             try:
                 return VitalsEstimate(t, _CONTACTS[contact], *numbers)
@@ -572,7 +584,7 @@ class _Reader:
         seq, t, state, certainty, rules = match.groups()[_VITALS_FIELDS:]
         seq, t = _ints((seq, t), lineno)
         self._check_seq(seq, lineno)
-        assessment = EmotionAssessment(_STATES[state], _CERTAINTIES[certainty], tuple(_RULE_ID.findall(rules)))
+        assessment = EmotionAssessment(_STATES[state], _CERTAINTIES[certainty], tuple(_RULE_ID.findall(rules.decode())))
         return TickEmotion(t, assessment)
 
     def _check_seq(self, seq: int, lineno: int) -> None:
@@ -582,15 +594,15 @@ class _Reader:
         if seq != due:
             raise SeqError(lineno, f"seq {seq} where {due} was due")
 
-    def _check_alone(self, line: str) -> None:
+    def _check_alone(self, line: bytes) -> None:
         """Raise the error of a raw record line, less its LF, that a run
         check found bad."""
         lineno = self.lineno
         temp_field = _TEMP.search(line)
         temp = _number_value(temp_field[1])
         if temp != temp:  # NaN: not spelled as written
-            raise _not_spelled(lineno)
-        seq, t, red, ir = _ints(line[: temp_field.start()].encode().translate(_DIGITS_ONLY).split(), lineno)
+            raise _line_error(lineno)
+        seq, t, red, ir = _ints(line[: temp_field.start()].translate(_DIGITS_ONLY).split(), lineno)
         self._check_seq(seq, lineno)
         frame = SampleFrame(t, red, ir, temp)
         try:

@@ -30,7 +30,7 @@ from pawpulse.emotion import (
     audit_coverage,
     classify,
 )
-from pawpulse.session import open_session, replay
+from pawpulse.session import replay
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import (
     BeatDetectorState,
@@ -224,8 +224,8 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     header = json.loads(session.read_text().splitlines()[0])
     stored_raw = []
     stored_vitals = []
-    with open_session(open(session, "rb")) as text:
-        for record in replay(text):
+    with open(session, "rb") as fh:
+        for record in replay(fh):
             if type(record) is FrameBlock:
                 stored_raw.extend(record)
             elif type(record) is VitalsEstimate:

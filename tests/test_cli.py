@@ -562,7 +562,7 @@ def status_before_line(text, lineno):
     The other session readers print nothing."""
     lines = text.split("\n")[1 : lineno - 1]
     last_t = max((json.loads(line)["t"] for line in lines if '"kind":"raw"' in line), default=0)
-    ticks = session_module.tick_assessments(session_module.replay(io.StringIO(text)))
+    ticks = session_module.tick_assessments(session_module.replay(io.BytesIO(text.encode())))
     return "".join(render_tick_line(*tick) + "\n" for tick in itertools.islice(ticks, last_t // 1000))
 
 
@@ -1020,6 +1020,34 @@ def test_a_long_line_is_read_in_linear_time(tmp_path):
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: line 2: record not spelled as written\n")
+
+
+def test_a_long_line_is_read_in_bounded_memory(tmp_path):
+    """Reading a second line stops at ``_LINE_MAX`` bytes: in one child
+    process, peak memory after a line of 64 Mi characters without its LF
+    stays within 8 MB of the peak after one of 1 Mi."""
+    paths = []
+    for name, mebibytes in (("short", 1), ("long", 64)):
+        path = tmp_path / f"{name}.ndjson"
+        session_module.SessionWriter(path, PipelineConfig()).close()
+        with open(path, "ab") as fh:
+            for _ in range(mebibytes):
+                fh.write(b"x" * (1 << 20))
+        paths.append(str(path))
+    package_root = str(Path(pawpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import resource, sys\n"
+        "from pawpulse import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    code = cli.main(['replay', '--in', path])\n"
+        "    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+    )
+    result = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env, timeout=60)
+    assert result.stderr == "error: line 2: record not spelled as written\n" * 2
+    (short_code, short_peak), (long_code, long_peak) = (map(int, line.split()) for line in result.stdout.splitlines())
+    assert short_code == long_code == 3
+    assert long_peak - short_peak < 8 * 1000, (short_peak, long_peak)
 
 
 def test_frame_at_the_int64_edge_is_in_its_own_tick(tmp_path, capsys):

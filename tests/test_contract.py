@@ -167,16 +167,21 @@ NUMBER_VALUE = st.one_of(
     st.sampled_from(["-0", "1e5", "0.0", "-0.0", "38.50", "1e-05", "null", "true"]),
     st.integers(1 << 63, 1 << 80).map(str),
 )
-#: Bytes a character edit puts in; no digit goes in by insertion, which could
-#: make a far frame of a raw ``t``.
-INSERTED = b'"-.:,{}[] \r\t\xffenulx'
-REPLACING = INSERTED + b"0123456789"
+#: What a character edit puts in: one byte, or a character's bytes, or bytes
+#: that are not UTF-8 (a lead byte alone, a continuation byte alone, an
+#: encoded surrogate, a lead byte cut off by an LF). No digit goes in by
+#: insertion, which could make a far frame of a raw ``t``.
+INSERTED = [bytes([byte]) for byte in b'"-.:,{}[] \r\t\xffenulx'] + [
+    "é".encode(), "€".encode(), "🐕".encode(), b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xc3\n",
+]
+REPLACING = INSERTED + [bytes([digit]) for digit in b"0123456789"]
 
 
 def edit_session(draw, data: bytes) -> bytes:
-    """``data`` with one drawn edit: a character replaced, inserted or
-    deleted; a line duplicated, swapped with the next or blanked; a number
-    set to a ``NUMBER_VALUE``; or the file cut at a byte."""
+    """``data`` with one drawn edit: a character inserted, put in place of
+    as many bytes, or a byte deleted; a line duplicated, swapped with the
+    next or blanked; a number set to a ``NUMBER_VALUE``; or the file cut at
+    a byte."""
     kind = draw(st.sampled_from(["character", "line", "number", "cut"]))
     if kind == "cut":
         return data[: draw(st.integers(0, len(data) - 1))]
@@ -185,8 +190,8 @@ def edit_session(draw, data: bytes) -> bytes:
         how = draw(st.sampled_from(["replace", "insert", "delete"]))
         if how == "delete":
             return data[:at] + data[at + 1 :]
-        byte = bytes([draw(st.sampled_from(REPLACING if how == "replace" else INSERTED))])
-        return data[:at] + byte + data[at + (how == "replace") :]
+        piece = draw(st.sampled_from(REPLACING if how == "replace" else INSERTED))
+        return data[:at] + piece + data[at + len(piece) * (how == "replace") :]
     if kind == "number":
         numbers = list(SESSION_NUMBER.finditer(data))
         number = numbers[draw(st.integers(0, len(numbers) - 1))]

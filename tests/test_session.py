@@ -1,16 +1,21 @@
+import functools
 import io
 import itertools
 import re
 import json
 import math
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawpulse import cli
 from pawpulse import session as session_module
 from pawpulse.core import (
     ADC_MAX,
@@ -27,17 +32,17 @@ from pawpulse.session import (
     SessionWriter,
     TickEmotion,
     _CHUNK,
+    _LINE_MAX,
     _record_json,
     config_from_dict,
     config_to_dict,
-    open_session,
     replay,
     summarize,
     tick_records,
 )
 from pawpulse.synth import SynthProfile, generate
 from pawpulse.vitals import VitalsPipeline, tick_chunks
-from pawpulse.wire import FrameBlock, validate_block
+from pawpulse.wire import FrameBlock, encode_frame, validate_block
 
 
 def raw(t, red=100, ir=200, temp=None):
@@ -82,8 +87,8 @@ def blocked(records):
 
 
 def opened(path):
-    """The session file at ``path``, opened as ``open_session`` opens a stream."""
-    return open_session(open(path, "rb"))
+    """The session file at ``path``, opened as ``replay`` reads it."""
+    return open(path, "rb")
 
 
 def records_of(text):
@@ -189,6 +194,38 @@ class TestWriter:
             writer.append_record(emo(1000))
         assert flat(replayed(path)) == [emo(1000)]
         assert stored_seqs(path) == [0]
+
+    def test_a_record_line_past_the_bound_is_refused(self, tmp_path):
+        """The longest emotion line the writer writes is ``_LINE_MAX`` bytes,
+        LF included, and reads back; one byte more is refused, writes nothing
+        and uses up no number."""
+
+        def line_of(rule_ids):
+            return TickEmotion(1000, EmotionAssessment(EmotionState.CALM, Certainty.DECIDED, tuple(rule_ids)))
+
+        # n ids of "R1", 5 bytes each with the quotes and a comma (less one for
+        # the first), and, to reach the bound exactly, k of them "R11"
+        n, k = divmod(_LINE_MAX - len(_record_json(0, line_of(()))), 5)
+        longest = line_of(["R11"] * k + ["R1"] * (n - k))
+        assert len(_record_json(0, longest)) + 1 == _LINE_MAX
+        too_long = line_of(["R11"] * (k + 1) + ["R1"] * (n - k - 1))
+        path = tmp_path / "s.ndjson"
+        with SessionWriter(path, PipelineConfig()) as writer:
+            writer.append_record(longest)
+            writer.flush()
+            size = path.stat().st_size
+            with pytest.raises(ValueError, match=f"record line of {_LINE_MAX + 1} bytes"):
+                writer.append_record(too_long)
+            writer.flush()
+            assert path.stat().st_size == size
+            writer.append_record(vit(2000))
+        assert flat(replayed(path)) == [longest, vit(2000)]
+        assert stored_seqs(path) == [0, 1]
+        with open(path, "a", encoding="utf-8") as fh:  # as reading takes it, by hand
+            fh.write(_record_json(2, too_long) + "\n")
+        collected, exc = read_until_error(path)
+        assert type(exc) is SessionParseError and str(exc) == "line 4: record not spelled as written"
+        assert flat(collected) == [longest, vit(2000)]
 
     def test_flush_hands_lines_to_the_file(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -518,18 +555,25 @@ class TestReplay:
         assert type(exc) is SessionParseError and str(exc) == "line 3: record not spelled as written"
         assert flat(collected) == [raw(0)]
 
-    def test_text_streams_read_alike(self, tmp_path):
+    def test_binary_streams_read_alike(self, tmp_path):
+        """A file, an ``io.BytesIO`` and a stream whose reads come back short
+        give the same header and records."""
         path = tmp_path / "s.ndjson"
         records = [raw(0, temp=38.5), raw(10), vit(1000), emo(1000)]
         with SessionWriter(path, PipelineConfig(), start_utc="2026-08-08T00:00:00Z") as writer:
             for record in blocked(records):
                 writer.append_record(record)
-        text = path.read_text()
-        read = replay(io.StringIO(text))
-        assert next(read) == SessionHeader("2026-08-08T00:00:00Z", PipelineConfig(), DEFAULT_RULE_TABLE)
-        assert flat(read) == records
-        with open(path, encoding="utf-8") as fh:
-            assert flat(records_of(fh)) == records
+        data = path.read_bytes()
+
+        class ShortReads(io.BytesIO):
+            def read(self, size=-1):
+                return super().read(min(size, 5))
+
+        with open(path, "rb") as fh:
+            for stream in (fh, io.BytesIO(data), ShortReads(data)):
+                read = replay(stream)
+                assert next(read) == SessionHeader("2026-08-08T00:00:00Z", PipelineConfig(), DEFAULT_RULE_TABLE)
+                assert flat(read) == records
 
     @pytest.mark.parametrize(
         "text,message",
@@ -543,7 +587,7 @@ class TestReplay:
     )
     def test_replay_checks_header(self, text, message):
         with pytest.raises(SessionParseError, match=f"line 1: {message}"):
-            next(replay(io.StringIO(text)))
+            next(replay(io.BytesIO(text.encode())))
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -884,7 +928,7 @@ def test_replay_blocks_check_as_their_frames_do(items, shift):
         lines.append(_record_json(seq, vit(1000 * seq)) if item is None else canonical_raw(seq, item[0], item[1], 2, item[2]))
     blocks = []
     try:
-        for record in records_of(io.StringIO("".join(line + "\n" for line in lines))):
+        for record in records_of(io.BytesIO("".join(line + "\n" for line in lines).encode())):
             if type(record) is FrameBlock:
                 blocks.append(record)
     except SessionParseError:
@@ -1177,7 +1221,7 @@ def read_bytes(data):
     type, message and line of what it raises (or None)."""
     collected = []
     try:
-        for record in records_of(open_session(io.BytesIO(data))):
+        for record in records_of(io.BytesIO(data)):
             collected.append(record)
     except SessionParseError as exc:
         return collected, (type(exc), str(exc), getattr(exc, "line", None))
@@ -1200,6 +1244,66 @@ def test_reading_does_not_depend_on_where_the_reads_fall(items, bad, where):
         for size in range(1, min(4096, records_size + 1) + 1):
             patch.setattr(session_module, "_CHUNK", size)
             assert read_bytes(data) == expected, size
+
+
+@functools.cache
+def processed_session() -> bytes:
+    """The session that ``process`` writes of 3 s of a 100 Hz oracle stream."""
+    with tempfile.TemporaryDirectory() as folder:
+        wire, session = Path(folder) / "in.bin", Path(folder) / "s.ndjson"
+        block, _ = generate(SynthProfile(true_bpm=80.0, noise_std_counts=30.0, seed=3), 3.0, 100.0)
+        wire.write_bytes(b"".join(map(encode_frame, block)))
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["process", "--in", str(wire), "--session-out", str(session)]) == 0
+        return session.read_bytes()
+
+
+#: Characters and bytes that the writer never writes: UTF-8 of two, three and
+#: four bytes, a lead byte alone, a continuation byte alone, an encoded
+#: surrogate, a lead byte cut off by an LF, and a CR.
+NOT_WRITTEN = ["é".encode(), "€".encode(), "🐕".encode(), b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xc3\n", b"\r"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(piece=st.sampled_from(NOT_WRITTEN), where=st.integers(0, 1 << 20), replace=st.booleans())
+def test_reading_bytes_the_writer_never_writes_does_not_depend_on_the_reads(piece, where, replace):
+    """A session that ``process`` wrote, with ``piece`` inserted at a drawn
+    offset or in place of the bytes there, reads alike 7 and 65,536 bytes at
+    a time: the same records, and the same error type, message and line."""
+    data = processed_session()
+    at = where % len(data)
+    data = data[:at] + piece + data[at + len(piece) * replace :]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "_CHUNK", 7)
+        small = read_bytes(data)
+        patch.setattr(session_module, "_CHUNK", 1 << 16)
+        assert read_bytes(data) == small
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (b"x" * (2 * _LINE_MAX), "record not spelled as written"),
+        (b"x" * (_LINE_MAX - 1) + b"\xff", "byte 0xff is not UTF-8"),
+        (b"x" * _LINE_MAX + b"\xff", "record not spelled as written"),
+        (b"x" + "é".encode() * _LINE_MAX, "record not spelled as written"),  # the bound cuts an é
+        (b"x" * (_LINE_MAX - 2) + b"\xff\n", "byte 0xff is not UTF-8"),
+        (b"x" * _LINE_MAX + b"\xff\n", "record not spelled as written"),
+    ],
+    ids=["no-lf", "bad-byte-inside", "bad-byte-past", "cut-character", "at-bound", "past-bound"],
+)
+@pytest.mark.parametrize("size", [4093, 1 << 16])
+def test_a_line_is_read_up_to_the_bound(tmp_path, line, message, size, monkeypatch):
+    """A record line is read up to ``_LINE_MAX`` bytes: its error is that of
+    those bytes, however the reads fall, and a character cut at the bound is
+    not a byte that is not UTF-8."""
+    path = session_with_lines(tmp_path / "s.ndjson", [canonical_raw(0, 0, 1, 2)])
+    with open(path, "ab") as fh:
+        fh.write(line)
+    monkeypatch.setattr(session_module, "_CHUNK", size)
+    collected, exc = read_until_error(path)
+    assert type(exc) is SessionParseError and str(exc) == f"line 3: {message}"
+    assert flat(collected) == [raw(0, 1, 2)]
 
 
 # A raw record's fields with values near and past the limits that reading
