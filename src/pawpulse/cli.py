@@ -291,7 +291,7 @@ def cmd_process(args) -> int:
                     writer.append_record(emotion)
                 # every tick whose status line is printed is in the file
                 writer.flush()
-            print(render_tick_line(estimate, emotion and emotion.assessment))
+            sys.stdout.write(render_tick_line(estimate, emotion and emotion.assessment) + "\n")
     return 0
 
 

@@ -30,6 +30,8 @@ MAD_SIGMA = 1.4826
 
 #: Seconds of unsmoothed AC IR behind the outlier gate's median and MAD.
 _GATE_WINDOW_S = 3.0
+#: Columns a ``_RunningMean`` keeps for its pushes beyond its window, at least.
+_MEAN_SPARE = 4096
 
 
 @dataclass(eq=False, slots=True)
@@ -163,25 +165,50 @@ class _RunningMean:
     sequential ``np.add.accumulate``. So every prefix sum, and with it
     every mean, is the same however the values were split into pushes.
     With an int64 ``dtype`` the sums of integer values are exact.
+
+    The sums are carried in a buffer with at least ``width`` columns to
+    spare, and a push writes its sums after the carried ones, in place.
+    When the buffer is full its last ``width`` sums are copied to its
+    front, a range they do not overlap, so a push costs O(new values);
+    a push longer than the room left is taken in pieces.
     """
 
     def __init__(self, width: int, dtype: type):
         self._width = width
-        self._csum = np.zeros((2, width), dtype=dtype)
+        self._sums = np.zeros((2, width + max(width, _MEAN_SPARE)), dtype=dtype)
+        self._end = width  # the carried sums are _sums[:, _end - width : _end]
         self._seen = 0  # values pushed, counted up to width
 
     def push(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write the means ending at each column of ``x``, a ``(2, n)``
         array, into ``out``, a ``(2, n)`` float array (``x`` may be ``out``)."""
-        width, n, seen = self._width, x.shape[1], self._seen
-        # the carried sums, then the running sums on from the last of them
-        csum = np.concatenate((self._csum, x), axis=1)
-        np.add.accumulate(csum[:, width - 1 :], axis=1, out=csum[:, width - 1 :])
-        self._csum = csum[:, n:]
-        self._seen = min(seen + n, width)
+        width, sums, end, seen = self._width, self._sums, self._end, self._seen
+        n = x.shape[1]
+        if end + n > sums.shape[1]:
+            self._push_pieces(x, out)
+            return
+        # the last carried sum, then the running sums on from it
+        run = sums[:, end - 1 : end + n]
+        run[:, 1:] = x
+        np.add.accumulate(run, axis=1, out=run)
+        self._end, self._seen = end + n, min(seen + n, width)
         count = width if seen == width else np.minimum(np.arange(seen + 1, seen + n + 1), width)
-        np.subtract(csum[:, width:], csum[:, :n], out=out)  # window sums; int64 ones, below 2**53, are exact as floats
+        # window sums; int64 ones, below 2**53, are exact as floats
+        np.subtract(sums[:, end : end + n], sums[:, end - width : end - width + n], out=out)
         np.divide(out, count, out=out)
+
+    def _push_pieces(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``push`` for more columns than the buffer has left: each piece
+        fills it, and its last ``width`` sums then move to its front."""
+        width, sums = self._width, self._sums
+        at = 0
+        while at < x.shape[1]:
+            if self._end == sums.shape[1]:
+                sums[:, :width] = sums[:, -width:]
+                self._end = width
+            stop = at + sums.shape[1] - self._end
+            self.push(x[:, at:stop], out[:, at:stop])
+            at = stop
 
 
 class StreamingPreprocessor:

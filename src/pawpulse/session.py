@@ -1,9 +1,10 @@
 """Session persistence: newline-delimited JSON records with replay.
 
 A session file is UTF-8 text, and ASCII as written: one header line,
-then one record per line; every line ends with LF alone. Timestamps are
-session-relative (start = 0); the wall-clock start, when known, lives
-once in the header.
+then one record per line; every line ends with LF alone and holds at
+most ``_LINE_MAX`` bytes (1 MiB), LF included. It is written and read as
+bytes. Timestamps are session-relative (start = 0); the wall-clock
+start, when known, lives once in the header.
 
 Header line, written by ``_header_json``; ``replay`` reads it with ``json``
 and yields it first, as a ``SessionHeader``, then the records::
@@ -19,9 +20,9 @@ string or null. A format-1 header has no ``rules`` key and reads as
 ``_header_json`` writes for what was read, LF included: its key order,
 compact separators and no other key.
 
-Each kind's record line is defined by its ``%`` template, ``_RAW_JSON``,
-``_VITALS_JSON`` or ``_EMOTION_JSON`` (``seq`` numbers the records 0, 1,
-2, ... across all kinds)::
+Each kind's record line is defined by its bytes ``%`` template,
+``_RAW_JSON``, ``_VITALS_JSON`` or ``_EMOTION_JSON`` (``seq`` numbers the
+records 0, 1, 2, ... across all kinds)::
 
     {"seq":n,"kind":"raw","t":ms,"red":int,"ir":int,"temp":x}
     {"seq":n,"kind":"vitals","t":ms,"contact":"...","bpm":x,"bpm_avg":x,"spo2":x}
@@ -39,11 +40,11 @@ record only if it is, byte for byte, the writer's line for that record;
 any other line, a blank one or one ending in CR LF among them, is an
 error on its line. ``replay`` reads a binary stream ``_CHUNK`` bytes at
 a time, the header line through the same reads; a line still without its
-LF is kept till it ends, a record line up to ``_LINE_MAX`` bytes, the
-longest that the writer writes. The pattern, in bytes, tiles each read
-from its start, one match per run of raw lines and per vitals or emotion
-line, and the first place it does not match is the read's first bad
-line, decoded only to find a byte that is not UTF-8. The raw lines of a
+LF is kept till it ends, up to ``_LINE_MAX`` bytes, the longest that the
+writer writes. The pattern tiles each read from its start, one match per
+run of raw lines and per vitals or emotion line, and the first place it
+does not match is the read's first bad line, decoded only to find a byte
+that is not UTF-8. The raw lines of a
 read are parsed together, straight into int64 columns, and checked at
 once: their ``seq`` values against their line numbers, then
 ``first_invalid`` against the last raw frame before them. Their
@@ -57,7 +58,8 @@ check only its order.
 
 Crash contract: records are written a tick at a time. ``SessionWriter``
 buffers the lines it is given and ``SessionWriter.flush`` hands them to
-the operating system; the CLI flushes once per tick, before it prints
+the operating system, in one write when they come to at most
+``_LINE_MAX`` bytes; the CLI flushes once per tick, before it prints
 that tick's status line. A crash therefore loses at most the tick being
 written, and every tick already printed is in the file.
 """
@@ -145,20 +147,22 @@ class SessionSummary:
 
 #: Each kind's record line, less its LF: the writer fills these in, and the
 #: reader's patterns are built from them.
-_RAW_JSON = '{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
-_VITALS_JSON = '{"seq":%d,"kind":"vitals","t":%d,"contact":"%s","bpm":%s,"bpm_avg":%s,"spo2":%s}'
-_EMOTION_JSON = '{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s","rules":[%s]}'
-_RAW_LINE = _RAW_JSON + "\n"
+_RAW_JSON = b'{"seq":%d,"kind":"raw","t":%d,"red":%d,"ir":%d,"temp":%s}'
+_VITALS_JSON = b'{"seq":%d,"kind":"vitals","t":%d,"contact":"%s","bpm":%s,"bpm_avg":%s,"spo2":%s}'
+_EMOTION_JSON = b'{"seq":%d,"kind":"emotion","t":%d,"state":"%s","certainty":"%s","rules":[%s]}'
+_RAW_LINE = _RAW_JSON + b"\n"
 #: A raw line without temperature, four ``%d`` fields.
-_RAW_NULL_LINE = _RAW_LINE.replace("%s", "null")
+_RAW_NULL_LINE = _RAW_LINE.replace(b"%s", b"null")
 #: Raw lines the writer fills in with one ``%``, which takes a tuple of five
 #: fields per line, or four without temperatures.
 _PIECE = 4096
 #: A rule id as ``parse_rule_table`` numbers the rules.
 _RULE_ID = re.compile("R[1-9][0-9]*")
+#: Each contact, emotion state and certainty as its record field spells it.
+_SPELLED = {member: member.value.encode() for enum in (ContactState, EmotionState, Certainty) for member in enum}
 
 
-def _number_json(x) -> str:
+def _number_json(x) -> bytes:
     """A vitals number or a temperature as its record field: ``null`` for
     None, else the ``repr`` of the float that ``x`` equals.
 
@@ -166,15 +170,15 @@ def _number_json(x) -> str:
     neither), and ValueError when it is not finite or no float equals it.
     """
     if x is None:
-        return "null"
+        return b"null"
     if type(x) is bool or not isinstance(x, (int, float)):
         raise TypeError(f"{x!r} is not a number")
     if not -FLOAT_MAX <= x <= FLOAT_MAX or float(x) != x:
         raise ValueError(f"{x!r} is not a finite float")
-    return float.__repr__(float(x))
+    return b"%r" % float(x)
 
 
-def _record_json(seq: int, payload: VitalsEstimate | TickEmotion) -> str:
+def _record_json(seq: int, payload: VitalsEstimate | TickEmotion) -> bytes:
     """The record line, without its LF, for ``payload`` numbered ``seq``.
     Raw lines are written from blocks (``SessionWriter.append_record``).
 
@@ -190,13 +194,13 @@ def _record_json(seq: int, payload: VitalsEstimate | TickEmotion) -> str:
         raise TypeError(f"t must be an integer, got {t!r}")
     if kind is VitalsEstimate:
         numbers = map(_number_json, (payload.bpm_instant, payload.bpm_avg, payload.spo2_pct))
-        return _VITALS_JSON % (seq, t, payload.contact.value, *numbers)
+        return _VITALS_JSON % (seq, t, _SPELLED[payload.contact], *numbers)
     assessment = payload.assessment
     rule_ids = assessment.fired_rules
     if not all(map(_RULE_ID.fullmatch, rule_ids)):  # a TypeError for a non-string
         raise ValueError(f"rule ids {rule_ids!r} are not all R<n>")
-    rules = ",".join(f'"{rule_id}"' for rule_id in rule_ids)
-    return _EMOTION_JSON % (seq, t, assessment.state.value, assessment.certainty.value, rules)
+    rules = ",".join(f'"{rule_id}"' for rule_id in rule_ids).encode()  # ASCII, as R<n> is
+    return _EMOTION_JSON % (seq, t, _SPELLED[assessment.state], _SPELLED[assessment.certainty], rules)
 
 
 def _header_json(version: int, start_utc: str | None, config: PipelineConfig, rule_table: RuleTable) -> str:
@@ -238,14 +242,18 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 class SessionWriter:
-    """Appends records to a session file; one writer per file.
+    """Appends records to a session file, written as bytes; one writer per
+    file.
 
     ``append_record`` only buffers its line; ``flush`` is the durability
     point, which hands every buffered line to the operating system (no
-    fsync). The CLI flushes once per tick, after the tick's raw, vitals
-    and emotion records, so a crash loses at most the tick being
-    written: the file then ends with whole records, possibly followed by
-    one cut line that ``replay`` reports after yielding all before it.
+    fsync). The buffer holds ``_LINE_MAX`` bytes, so lines appended since
+    the last flush that come to no more than that reach the file in one
+    write, at ``flush``, and none of them before it. The CLI flushes once
+    per tick, after the tick's raw, vitals and emotion records, so a
+    crash loses at most the tick being written: the file then ends with
+    whole records, possibly followed by one cut line that ``replay``
+    reports after yielding all before it.
 
     A record is its payload: a ``VitalsEstimate`` or ``TickEmotion``; a
     ``FrameBlock`` appends one raw record per frame, in one call. The
@@ -260,24 +268,29 @@ class SessionWriter:
     id that is not ``R<n>``, and with ValueError a record line longer than
     ``_LINE_MAX`` bytes. A refused record, or block, writes nothing
     and uses up no number. A ``start_utc`` that is not a string or None
-    is refused (TypeError) before the file is created.
+    is refused (TypeError) before the file is created, and so is a header
+    line longer than ``_LINE_MAX`` bytes, LF included (ConfigError): its
+    rules text or ``start_utc`` is too long to read back.
     """
 
     def __init__(
         self, path, config: PipelineConfig, start_utc: str | None = None, rule_table: RuleTable = DEFAULT_RULE_TABLE
     ):
-        # the text of a RuleTable parses, as reading requires
-        header = _header_json(FORMAT_VERSION, start_utc, config, rule_table)
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        # the text of a RuleTable parses, as reading requires; json.dumps
+        # escapes every character past ASCII, so a character is a byte
+        header = (_header_json(FORMAT_VERSION, start_utc, config, rule_table) + "\n").encode()
+        if len(header) > _LINE_MAX:
+            raise ConfigError(f"header line of {len(header)} bytes, past {_LINE_MAX}: rules text or start_utc too long")
+        self._fh = open(path, "wb", buffering=_LINE_MAX)
         self._seq = 0
         self._last_raw: SampleFrame | None = None
-        self._fh.write(header + "\n")
+        self._fh.write(header)
         self._fh.flush()
 
     def append_record(self, record: FrameBlock | VitalsEstimate | TickEmotion) -> None:
         if type(record) is not FrameBlock:
-            line = _record_json(self._seq, record) + "\n"
-            if len(line) > _LINE_MAX:  # ASCII: a character a byte
+            line = _record_json(self._seq, record) + b"\n"
+            if len(line) > _LINE_MAX:
                 raise ValueError(f"record line of {len(line)} bytes, past {_LINE_MAX}")
             self._fh.write(line)
             self._seq += 1
@@ -353,36 +366,36 @@ def _header_from_line(line: str) -> SessionHeader:
     return SessionHeader(start_utc, config, rule_table)
 
 
-def _line_regex(template: str, wrap: str, *fields: str) -> str:
+def _line_regex(template: bytes, wrap: bytes, *fields: bytes) -> bytes:
     """A regex of the lines that ``template`` gives, LF included: its
     ``%`` fields in turn are the regexes of ``fields``, each in ``wrap``."""
-    return re.escape(template + "\n").replace("%d", "%s") % tuple(wrap % field for field in fields)
+    return re.escape(template + b"\n").replace(b"%d", b"%s") % tuple(wrap % field for field in fields)
 
 
-def _one_of(enum) -> str:
-    return "|".join(re.escape(member.value) for member in enum)
+def _one_of(enum) -> bytes:
+    return b"|".join(re.escape(_SPELLED[member]) for member in enum)
 
 
 #: What ``%d`` writes; the writer writes no negative ``seq`` and no raw
 #: frame with a negative field. ``_UINT`` is ``0|[1-9][0-9]*`` before the
 #: ``,`` that follows each use, in one repeat rather than a branch.
-_INT = "0|-?[1-9][0-9]*"
-_UINT = "(?!0[0-9])[0-9]+"
+_INT = b"0|-?[1-9][0-9]*"
+_UINT = b"(?!0[0-9])[0-9]+"
 #: null or a decimal number; ``_number_value`` tells whether ``_number_json`` writes it.
-_NUMBER = r"null|-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
-_RULES = '(?:"{0}"(?:,"{0}")*)?'.format(_RULE_ID.pattern)
+_NUMBER = rb"null|-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_RULES = b'(?:"%s"(?:,"%s")*)?' % ((_RULE_ID.pattern.encode(),) * 2)
 #: One match from a line start, in the bytes read: a run of raw record lines,
 #: without groups, which would slow the scan; or a vitals line, its fields
 #: groups 1-6; or an emotion line, its fields groups 7-11.
-_LINE = re.compile(("(?:%s)+|%s|%s" % (
-    _line_regex(_RAW_JSON, "(?:%s)", _UINT, _UINT, _UINT, _UINT, _NUMBER),
-    _line_regex(_VITALS_JSON, "(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER),
-    _line_regex(_EMOTION_JSON, "(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES),
-)).encode())
+_LINE = re.compile(b"(?:%s)+|%s|%s" % (
+    _line_regex(_RAW_JSON, b"(?:%s)", _UINT, _UINT, _UINT, _UINT, _NUMBER),
+    _line_regex(_VITALS_JSON, b"(%s)", _UINT, _INT, _one_of(ContactState), _NUMBER, _NUMBER, _NUMBER),
+    _line_regex(_EMOTION_JSON, b"(%s)", _UINT, _INT, _one_of(EmotionState), _one_of(Certainty), _RULES),
+))
 _VITALS_FIELDS = 6
-_CONTACTS = {member.value.encode(): member for member in ContactState}
-_STATES = {member.value.encode(): member for member in EmotionState}
-_CERTAINTIES = {member.value.encode(): member for member in Certainty}
+_CONTACTS = {_SPELLED[member]: member for member in ContactState}
+_STATES = {_SPELLED[member]: member for member in EmotionState}
+_CERTAINTIES = {_SPELLED[member]: member for member in Certainty}
 #: The temperature of each line of a raw run.
 _TEMP = re.compile(rb'"temp":([^}]*)')
 #: A byte -> itself if a digit, else a space: a raw run is then its four
@@ -392,8 +405,9 @@ _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
 #: Bytes read at a time; a run may span reads. At most ``_LINE_MAX``, so that
 #: only a line that spans reads can be too long.
 _CHUNK = 1 << 16
-#: The longest record line, LF included: the writer writes none longer, and
-#: ``replay`` reports a longer one once it has read ``_LINE_MAX`` bytes of it.
+#: The longest line, LF included, header or record: the writer writes none
+#: longer, and ``replay`` reports a longer one once it has read ``_LINE_MAX``
+#: bytes of it.
 _LINE_MAX = 1 << 20
 #: What ``errors="surrogateescape"`` makes of a byte that is not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -410,12 +424,15 @@ def _number_value(text: bytes) -> float | None:
 
 
 def _line_error(lineno: int, line: bytes = b"", final: bool = True) -> SessionParseError:
-    """The error of a bad record line: its first byte that is not UTF-8,
-    else that it is not spelled as written. ``final=False`` takes the first
-    bytes of a longer line, whose last character they may cut."""
+    """The error of a bad line, a record's or (on line 1) the header's: its
+    first byte that is not UTF-8, else that it is not spelled as written.
+    ``final=False`` takes the first bytes of a longer line, whose last
+    character they may cut."""
     text = "" if line.isascii() else codecs.getincrementaldecoder("utf-8")("surrogateescape").decode(line, final)
     undecodable = _UNDECODABLE.search(text)
-    return _not_utf8(lineno, undecodable) if undecodable else SessionParseError(lineno, "record not spelled as written")
+    if undecodable:
+        return _not_utf8(lineno, undecodable)
+    return SessionParseError(lineno, f"{'header' if lineno == 1 else 'record'} not spelled as written")
 
 
 def _ints(texts, lineno: int) -> list[int]:
@@ -434,9 +451,9 @@ def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | Tic
     ``source`` is a binary stream, such as ``open(path, "rb")``, at the
     session's first byte. A byte that is not UTF-8, and a CR, are reported
     on their line. Raises SessionParseError (carrying the 1-based line
-    number) at a header line that is not one the writer writes, and at the
-    first line that is not a record spelled as ``SessionWriter`` writes it,
-    is longer than ``_LINE_MAX`` bytes, or holds a raw frame that
+    number) at a line longer than ``_LINE_MAX`` bytes, at a header line
+    that is not one the writer writes, and at the first line that is not
+    a record spelled as ``SessionWriter`` writes it, or holds a raw frame that
     ``validate_frame`` rejects against the previous raw frame or a vitals
     record that ``VitalsEstimate`` rejects, and SeqError, a
     SessionParseError too, at the first ``seq`` that is not the record's
@@ -449,8 +466,8 @@ def replay(source) -> Iterator[SessionHeader | FrameBlock | VitalsEstimate | Tic
     while True:
         chunk = source.read(_CHUNK)
         cut = chunk.rfind(b"\n") + 1
-        # a record line left unfinished, as far as this read has it
-        if reader.lineno > 1 and len(unfinished) + (chunk.find(b"\n") if cut else len(chunk)) >= _LINE_MAX:
+        # the line left unfinished, as far as this read has it
+        if len(unfinished) + (chunk.find(b"\n") if cut else len(chunk)) >= _LINE_MAX:
             yield from reader.close_run()
             raise _line_error(reader.lineno, (unfinished + chunk)[:_LINE_MAX], final=False)
         if chunk and not cut:
@@ -633,7 +650,9 @@ def tick_records(
     for group in tick_groups(blocks, config.tick_interval_ms):
         # the ticks an input block completes go through the pipeline together
         for chunk, estimate in zip(group, pipeline.ticks(group)):
-            last_temp = next((t for t in reversed(chunk.temps.tolist()) if t is not None), last_temp)
+            temps = chunk.temps.tolist()
+            if temps.count(None) < len(temps):
+                last_temp = next(t for t in reversed(temps) if t is not None)
             emotion = None
             if _assessed(estimate):
                 labels = discretize(estimate, DEFAULT_BANDS, temperature_c=last_temp)

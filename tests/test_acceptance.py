@@ -244,7 +244,7 @@ def test_criterion_8_replay_determinism(tmp_path, capsys):
     reserialized = []
     seq_by_line = [json.loads(line)["seq"] for line in stored_lines]
     for seq, estimate in zip(seq_by_line, recomputed):
-        reserialized.append(_record_json(seq, estimate))
+        reserialized.append(_record_json(seq, estimate).decode())
     assert reserialized == stored_lines
 
     # report output is byte-identical across runs

@@ -270,6 +270,20 @@ class TestProcess:
         assert run_cli("process", "--in", str(path), "--session-out", str(session)) == 0
         assert [(vitals, raw) for _, vitals, raw in seen] == [(k, 100 * k) for k in range(1, 6)]
 
+    def test_each_status_line_is_one_write(self, tmp_path, monkeypatch):
+        """``process`` hands each status line to stdout with its LF, in one write."""
+        path = simulate_file(tmp_path, seconds=5.0)
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert run_cli("process", "--in", str(path), "--session-out", str(tmp_path / "s.ndjson")) == 0
+        assert len(writes) == 5 and all(text.endswith("\n") and text.count("\n") == 1 for text in writes), writes
+
     def test_session_memory_does_not_grow_with_the_session(self, sessions_by_minutes, capsys):
         """``process`` reads a session once, ticking as it reads: its peak
         traced memory on a 20 min session is at most 1.3x its peak on a 5
@@ -1022,15 +1036,15 @@ def test_a_long_line_is_read_in_linear_time(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: line 2: record not spelled as written\n")
 
 
-def test_a_long_line_is_read_in_bounded_memory(tmp_path):
-    """Reading a second line stops at ``_LINE_MAX`` bytes: in one child
-    process, peak memory after a line of 64 Mi characters without its LF
-    stays within 8 MB of the peak after one of 1 Mi."""
+def replay_peaks(tmp_path, head):
+    """``replay`` in one child process on ``head`` and then 1 Mi or 64 Mi
+    characters without a LF: its stderr, and each exit code and peak
+    memory (KiB) after it."""
     paths = []
     for name, mebibytes in (("short", 1), ("long", 64)):
         path = tmp_path / f"{name}.ndjson"
-        session_module.SessionWriter(path, PipelineConfig()).close()
-        with open(path, "ab") as fh:
+        with open(path, "wb") as fh:
+            fh.write(head)
             for _ in range(mebibytes):
                 fh.write(b"x" * (1 << 20))
         paths.append(str(path))
@@ -1044,8 +1058,25 @@ def test_a_long_line_is_read_in_bounded_memory(tmp_path):
         "    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
     )
     result = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env, timeout=60)
-    assert result.stderr == "error: line 2: record not spelled as written\n" * 2
-    (short_code, short_peak), (long_code, long_peak) = (map(int, line.split()) for line in result.stdout.splitlines())
+    return result.stderr, [tuple(map(int, line.split())) for line in result.stdout.splitlines()]
+
+
+def test_a_long_line_is_read_in_bounded_memory(tmp_path):
+    """Reading a second line stops at ``_LINE_MAX`` bytes: in one child
+    process, peak memory after a line of 64 Mi characters without its LF
+    stays within 8 MB of the peak after one of 1 Mi."""
+    header = tmp_path / "header.ndjson"
+    session_module.SessionWriter(header, PipelineConfig()).close()
+    stderr, ((short_code, short_peak), (long_code, long_peak)) = replay_peaks(tmp_path, header.read_bytes())
+    assert stderr == "error: line 2: record not spelled as written\n" * 2
+    assert short_code == long_code == 3
+    assert long_peak - short_peak < 8 * 1000, (short_peak, long_peak)
+
+
+def test_a_long_header_is_read_in_bounded_memory(tmp_path):
+    """So does reading the header line, which is an error on line 1."""
+    stderr, ((short_code, short_peak), (long_code, long_peak)) = replay_peaks(tmp_path, b'{"format":2,"start_utc":"')
+    assert stderr == "error: line 1: header not spelled as written\n" * 2
     assert short_code == long_code == 3
     assert long_peak - short_peak < 8 * 1000, (short_peak, long_peak)
 

@@ -251,6 +251,28 @@ def test_replay_from_stdin_gives_what_its_path_gives(tmp_path):
     assert run(["replay", "--in", "-"], session.read_bytes()) == by_path
 
 
+@pytest.mark.parametrize("flag", ["--rules", "--start-utc"])
+def test_a_header_past_the_line_bound_is_refused_as_bad_rules_are(tmp_path, flag):
+    """A ``--rules`` file or ``--start-utc`` that would make a header line
+    longer than a session line may be (1 MiB) ends ``process`` as a
+    malformed ``--rules`` file does: exit 3, one error line, no traceback,
+    no status line and no session file."""
+    (tmp_path / "in.bin").write_bytes(b"".join(oracle_frames(2.0)))
+    session = tmp_path / "s.ndjson"
+    argv = ["process", "--in", str(tmp_path / "in.bin"), "--session-out", str(session)]
+    (tmp_path / "bad.txt").write_text("*,* => Calm\n")
+    malformed = run([*argv, "--rules", str(tmp_path / "bad.txt")])
+    if flag == "--rules":
+        (tmp_path / "long.txt").write_text("# " + "x" * (1 << 20) + "\n*,*,* => Calm\n")
+        result = run([*argv, "--rules", str(tmp_path / "long.txt")])
+    else:
+        result = run([*argv, "--start-utc", "x" * (1 << 20)])
+    check(result, 0)
+    assert result[0] == malformed[0] == 3 and len(result[2].splitlines()) == 1, result[2]
+    assert "header line of" in result[2]
+    assert not session.exists()
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one far frame opens a tick for every tick before it (ROADMAP item 5)")
 def test_one_far_frame_keeps_the_contract(tmp_path):
     # 10 s at 100 Hz, then one valid frame at t = 10**8 ms: 100,001 status lines today

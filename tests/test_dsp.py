@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pawpulse import dsp
 from pawpulse.core import ConfigError, ContactState, PipelineConfig, SampleFrame
 from pawpulse.dsp import (
     MAD_SIGMA,
     AcBlock,
     StreamingPreprocessor,
+    _RunningMean,
     _RunningMedianMad,
     _window_samples,
     contact_state,
@@ -296,6 +300,58 @@ class TestContactState:
             if previous is ContactState.CONTACT:
                 assert state is ContactState.CONTACT
             previous = state
+
+
+class TestRunningMean:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 12),
+        spare=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 60), max_size=12),
+        integer=st.booleans(),
+    )
+    def test_matches_one_accumulate_whatever_the_room(self, width, spare, seed, sizes, integer):
+        """However the values are split into pushes, and however few columns
+        the buffer has to spare, so that pushes fill it, wrap to its front
+        and split into pieces, the means are bit for bit those of one
+        accumulate over zeros and then the whole stream; float values are
+        pushed in place (``x`` is ``out``)."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        dtype = np.int64 if integer else np.float64
+        x = rng.integers(0, 1 << 18, size=(2, n)) if integer else rng.normal(0.0, 1e3, size=(2, n))
+        sums = np.add.accumulate(np.concatenate((np.zeros((2, width), dtype=dtype), x), axis=1), axis=1)
+        want = (sums[:, width:] - sums[:, :n]) / np.minimum(np.arange(1, n + 1), width)
+        got = np.empty((2, n)) if integer else x.copy()
+        with mock.patch.object(dsp, "_MEAN_SPARE", spare):
+            mean = _RunningMean(width, dtype)
+        pos = 0
+        for size in sizes:
+            piece = got[:, pos : pos + size]
+            mean.push(x[:, pos : pos + size] if integer else piece, piece)
+            pos += size
+        assert got.tobytes() == want.tobytes()
+
+    def test_pushes_at_a_wide_window_allocate_less_than_a_carry(self):
+        """At a window of 2**20 values, 20 pushes of 100 after the first
+        raise the traced peak by less than the carried prefix sums (16 MiB):
+        a push writes its sums in place and copies no carry."""
+        width = 1 << 20
+        mean = _RunningMean(width, np.int64)
+        x = np.full((2, 100), 1 << 17, dtype=np.int64)
+        out = np.empty((2, 100))
+        mean.push(x, out)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                mean.push(x, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tolist() == [[1 << 17] * 100] * 2
+        assert peak - base < 2 * width * 8
 
 
 def _prefix_sums(x):

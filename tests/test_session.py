@@ -25,7 +25,7 @@ from pawpulse.core import (
     SampleFrame,
     VitalsEstimate,
 )
-from pawpulse.emotion import DEFAULT_RULE_TABLE, Certainty, EmotionAssessment, EmotionState
+from pawpulse.emotion import DEFAULT_RULE_TABLE, Certainty, EmotionAssessment, EmotionState, RuleTable
 from pawpulse.errors import ConfigError, EmptySessionError, OrderError, RangeError, SeqError, SessionParseError
 from pawpulse.session import (
     SessionHeader,
@@ -205,9 +205,9 @@ class TestWriter:
 
         # n ids of "R1", 5 bytes each with the quotes and a comma (less one for
         # the first), and, to reach the bound exactly, k of them "R11"
-        n, k = divmod(_LINE_MAX - len(_record_json(0, line_of(()))), 5)
+        n, k = divmod(_LINE_MAX - len(record_line(0, line_of(()))), 5)
         longest = line_of(["R11"] * k + ["R1"] * (n - k))
-        assert len(_record_json(0, longest)) + 1 == _LINE_MAX
+        assert len(record_line(0, longest)) + 1 == _LINE_MAX
         too_long = line_of(["R11"] * (k + 1) + ["R1"] * (n - k - 1))
         path = tmp_path / "s.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
@@ -222,10 +222,34 @@ class TestWriter:
         assert flat(replayed(path)) == [longest, vit(2000)]
         assert stored_seqs(path) == [0, 1]
         with open(path, "a", encoding="utf-8") as fh:  # as reading takes it, by hand
-            fh.write(_record_json(2, too_long) + "\n")
+            fh.write(record_line(2, too_long) + "\n")
         collected, exc = read_until_error(path)
         assert type(exc) is SessionParseError and str(exc) == "line 4: record not spelled as written"
         assert flat(collected) == [longest, vit(2000)]
+
+    @pytest.mark.parametrize("field", ["rules", "start_utc"])
+    def test_a_header_line_past_the_bound_is_refused(self, tmp_path, field):
+        """The longest header line the writer writes is ``_LINE_MAX`` bytes,
+        LF included, and reads back; one byte more, from the rules text or
+        from ``start_utc``, is refused before the file is created."""
+
+        def header_of(pad):
+            if field == "rules":
+                return None, RuleTable.parse("# " + "x" * pad + "\n" + DEFAULT_RULE_TABLE.text)
+            return "x" * pad, DEFAULT_RULE_TABLE
+
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, PipelineConfig(), *header_of(0)).close()
+        pad = _LINE_MAX - path.stat().st_size
+        start_utc, rule_table = header_of(pad)
+        SessionWriter(path, PipelineConfig(), start_utc, rule_table).close()
+        assert path.stat().st_size == _LINE_MAX
+        with opened(path) as fh:
+            assert next(replay(fh)) == SessionHeader(start_utc, PipelineConfig(), rule_table)
+        path.unlink()
+        with pytest.raises(ConfigError, match=f"header line of {_LINE_MAX + 1} bytes"):
+            SessionWriter(path, PipelineConfig(), *header_of(pad + 1))
+        assert not path.exists()
 
     def test_flush_hands_lines_to_the_file(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -234,6 +258,20 @@ class TestWriter:
             writer.append_record(vit(1000))
             writer.flush()
             assert flat(replayed(path)) == [raw(0), vit(1000)]
+        # a tick of 200 frames and its vitals and emotion lines, 15.7 KB,
+        # reaches the file whole at its flush, and none of it before: twice
+        # what a buffer of 8 KiB holds
+        path = tmp_path / "tick.ndjson"
+        frames = [raw(1_000_000_000 + 10 * i, ADC_MAX - i, ADC_MAX - 2 * i, -12.5) for i in range(200)]
+        with SessionWriter(path, PipelineConfig()) as writer:
+            header_size = path.stat().st_size
+            writer.append_record(block(*frames))
+            writer.append_record(vit(1_000_002_000))
+            writer.append_record(emo(1_000_002_000))
+            assert path.stat().st_size == header_size
+            writer.flush()
+            assert path.stat().st_size - header_size > 2 * 8192 - 1024
+            assert flat(replayed(path)) == [*frames, vit(1_000_002_000), emo(1_000_002_000)]
 
 
 # Raw frames as validate_frame accepts them: 18-bit channels, uint32
@@ -261,24 +299,72 @@ emotion_payloads = st.builds(
 
 class TestRawEncoding:
     @settings(max_examples=500, deadline=None)
-    @given(seq=st.integers(0, (1 << 63) - 1), frame=frames)
-    def test_matches_json_dumps(self, tmp_path_factory, seq, frame):
-        """The raw line the writer appends for a one-frame block (every raw
-        line is written from a block) is the one ``json.dumps`` gives."""
-        body = {
-            "seq": seq,
-            "kind": "raw",
-            "t": frame.timestamp_ms,
-            "red": frame.red,
-            "ir": frame.ir,
-            "temp": frame.temperature_c,
-        }
-        expected = json.dumps(body, separators=(",", ":"), allow_nan=False)
-        path = tmp_path_factory.getbasetemp() / "raw_encoding.ndjson"
+    @given(seq=st.integers(0, (1 << 63) - 1), record=frames | vitals_payloads | emotion_payloads)
+    def test_matches_json_dumps(self, tmp_path_factory, seq, record):
+        """Each record line the writer appends, a raw one for a one-frame
+        block (every raw line is written from a block), a vitals or an
+        emotion one, is in bytes what ``json.dumps`` gives, LF included. A
+        vitals number is written as the float it equals."""
+        if type(record) is SampleFrame:
+            body = {
+                "seq": seq,
+                "kind": "raw",
+                "t": record.timestamp_ms,
+                "red": record.red,
+                "ir": record.ir,
+                "temp": record.temperature_c,
+            }
+            record = FrameBlock.from_frames([record])
+        elif type(record) is VitalsEstimate:
+            bpm, bpm_avg, spo2 = (None if x is None else float(x) for x in (record.bpm_instant, record.bpm_avg, record.spo2_pct))
+            body = {
+                "seq": seq,
+                "kind": "vitals",
+                "t": record.tick_time_ms,
+                "contact": record.contact.value,
+                "bpm": bpm,
+                "bpm_avg": bpm_avg,
+                "spo2": spo2,
+            }
+        else:
+            assessment = record.assessment
+            body = {
+                "seq": seq,
+                "kind": "emotion",
+                "t": record.tick_time_ms,
+                "state": assessment.state.value,
+                "certainty": assessment.certainty.value,
+                "rules": list(assessment.fired_rules),
+            }
+        expected = (json.dumps(body, separators=(",", ":"), allow_nan=False) + "\n").encode()
+        path = tmp_path_factory.getbasetemp() / "record_encoding.ndjson"
         with SessionWriter(path, PipelineConfig()) as writer:
             writer._seq = seq  # the number the next record gets
-            writer.append_record(FrameBlock.from_frames([frame]))
-        assert path.read_text(encoding="utf-8").splitlines()[1] == expected
+            writer.append_record(record)
+        assert path.read_bytes().splitlines(keepends=True)[1:] == [expected]
+
+    @pytest.mark.parametrize(
+        "start_utc, rules_text",
+        [
+            (None, DEFAULT_RULE_TABLE.text),
+            ("2026-08-08T00:00:00Z", DEFAULT_RULE_TABLE.text),
+            ("héllo 🐕\u2028", "# Café, Ünterhund: 🐕\n" + DEFAULT_RULE_TABLE.text),
+            ("", "*,*,* => Calm  # ruhig\r\n"),
+        ],
+        ids=["null", "iso", "non-ascii", "crlf-rules"],
+    )
+    def test_header_matches_json_dumps(self, tmp_path, start_utc, rules_text):
+        """The header line is in bytes what ``json.dumps`` gives, LF
+        included: ASCII, each character past it escaped."""
+        config = PipelineConfig(outlier_z=5.0)
+        body = {"format": 2, "start_utc": start_utc, "config": config_to_dict(config), "rules": rules_text}
+        expected = (json.dumps(body, separators=(",", ":"), allow_nan=False) + "\n").encode()
+        path = tmp_path / "s.ndjson"
+        SessionWriter(path, config, start_utc, RuleTable.parse(rules_text)).close()
+        assert path.read_bytes() == expected
+        assert expected.isascii()
+        with opened(path) as fh:
+            assert next(replay(fh)) == SessionHeader(start_utc, config, RuleTable.parse(rules_text))
 
     @settings(max_examples=50, deadline=None)
     @given(drawn=st.lists(frames | vitals_payloads | emotion_payloads, max_size=40), split=st.integers(0, 40))
@@ -520,7 +606,7 @@ class TestReplay:
     @pytest.mark.parametrize("extra", ["", " ", "\r", '{"seq":1,"kind":"raw","t":10,"red":1,"ir":2,"temp":null} x'])
     @pytest.mark.parametrize("after", ["raw", "vitals"])
     def test_a_blank_line_or_trailing_data_is_an_error(self, tmp_path, extra, after):
-        first = canonical_raw(0, 0, 1, 2) if after == "raw" else _record_json(0, vit(1000))
+        first = canonical_raw(0, 0, 1, 2) if after == "raw" else record_line(0, vit(1000))
         path = session_with_lines(tmp_path / "s.ndjson", [first, extra, canonical_raw(1, 10, 1, 2)])
         collected, exc = read_until_error(path)
         assert type(exc) is SessionParseError and str(exc) == "line 3: record not spelled as written"
@@ -870,6 +956,11 @@ def test_a_tick_record_is_yielded_after_the_blocks_tick_chunks_pulls_for_it(size
     assert len(want) == 32
 
 
+def record_line(seq, payload):
+    """A vitals or emotion record line, less its LF, as text."""
+    return _record_json(seq, payload).decode()
+
+
 def canonical_raw(seq, t, red, ir, temp=None):
     """A raw record line as the writer spells it, for any values."""
     temp = "null" if temp is None else repr(float(temp))
@@ -925,7 +1016,7 @@ def test_replay_blocks_check_as_their_frames_do(items, shift):
     at or after its first frame) as its frames in an unmarked block do."""
     lines = [_HEADER_LINE]
     for seq, item in enumerate(items):
-        lines.append(_record_json(seq, vit(1000 * seq)) if item is None else canonical_raw(seq, item[0], item[1], 2, item[2]))
+        lines.append(record_line(seq, vit(1000 * seq)) if item is None else canonical_raw(seq, item[0], item[1], 2, item[2]))
     blocks = []
     try:
         for record in records_of(io.BytesIO("".join(line + "\n" for line in lines).encode())):
@@ -1061,7 +1152,7 @@ class TestRawRuns:
     def test_error_inside_a_run(self, tmp_path, bad, error, message, where):
         lines = [canonical_raw(seq, 10 * seq, 1, 2) for seq in range(5)]
         if where == "run-start":
-            lines.append(_record_json(5, vit(1000)))
+            lines.append(record_line(5, vit(1000)))
         seq = len(lines)
         lines.append(bad(seq))
         if lines[-1].endswith("}"):  # a truncated line is the last
@@ -1083,7 +1174,7 @@ class TestRawRuns:
         inside a run, or in the ``seq`` of a vitals or emotion line, is an
         error on its line, after the records before it."""
         lines = [canonical_raw(seq, 10 * seq, 1, 2) for seq in range(5)]
-        line = canonical_raw(5, 50, 1, 2) if kind == "raw" else _record_json(5, vit(1000) if kind == "vitals" else emo(1000))
+        line = canonical_raw(5, 50, 1, 2) if kind == "raw" else record_line(5, vit(1000) if kind == "vitals" else emo(1000))
         lines.append(re.sub(f'"{key}":[0-9]+', f'"{key}":{zero}', line, count=1))
         assert lines[-1] != line
         lines += [canonical_raw(6, 60, 1, 2), canonical_raw(7, 70, 1, 2)]
@@ -1093,7 +1184,7 @@ class TestRawRuns:
         assert list(collected[0]) == [raw(10 * seq, 1, 2) for seq in range(5)]
 
     def test_a_respelled_number_is_reported_before_a_wrong_seq(self, tmp_path):
-        line = _record_json(9, vit(1000, spo2=97.1))
+        line = record_line(9, vit(1000, spo2=97.1))
         assert '"spo2":97.1}' in line
         path = session_with_lines(tmp_path / "s.ndjson", [canonical_raw(0, 0, 1, 2), line.replace("97.1}", "97.10}")])
         collected, exc = read_until_error(path)
@@ -1124,7 +1215,7 @@ class TestRawRuns:
             type(r.temperature_c) for r in records if type(r) is SampleFrame
         ]
 
-    @pytest.mark.parametrize("first", [canonical_raw(1, 0, 1, 2), _record_json(1, vit(1000))], ids=["raw", "vitals"])
+    @pytest.mark.parametrize("first", [canonical_raw(1, 0, 1, 2), record_line(1, vit(1000))], ids=["raw", "vitals"])
     def test_numbering_starts_at_0(self, tmp_path, first):
         collected, exc = read_until_error(session_with_lines(tmp_path / "s.ndjson", [first]))
         assert collected == []
@@ -1132,7 +1223,7 @@ class TestRawRuns:
 
     @pytest.mark.parametrize("kind", ["raw", "vitals"])
     def test_a_misnumbered_record_is_a_parse_error_on_its_line(self, tmp_path, kind):
-        second = canonical_raw(2, 10, 1, 2) if kind == "raw" else _record_json(2, vit(1000))
+        second = canonical_raw(2, 10, 1, 2) if kind == "raw" else record_line(2, vit(1000))
         path = session_with_lines(tmp_path / "s.ndjson", [canonical_raw(0, 0, 1, 2), second])
         with pytest.raises(SeqError) as err:
             list(replayed(path))
@@ -1188,7 +1279,7 @@ def _session_bytes(items, bad, where):
     lines, t = [], 0
     for item in items:
         if item in ("vitals", "emotion"):
-            lines.append(_record_json(len(lines), vit(t) if item == "vitals" else emo(t)))
+            lines.append(record_line(len(lines), vit(t) if item == "vitals" else emo(t)))
             continue
         count, warm = item
         for _ in range(count):
@@ -1306,6 +1397,26 @@ def test_a_line_is_read_up_to_the_bound(tmp_path, line, message, size, monkeypat
     assert flat(collected) == [raw(0, 1, 2)]
 
 
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (b"x" * (2 * _LINE_MAX), "header not spelled as written"),
+        (b"x" * (_LINE_MAX - 40) + b"\xff", "byte 0xff is not UTF-8"),
+        (b"x" * _LINE_MAX + b"\xff", "header not spelled as written"),
+        (b"x" * _LINE_MAX + b'"}\n', "header not spelled as written"),
+    ],
+    ids=["no-lf", "bad-byte-inside", "bad-byte-past", "past-bound"],
+)
+@pytest.mark.parametrize("size", [4093, 1 << 16])
+def test_a_header_is_read_up_to_the_bound(tail, message, size, monkeypatch):
+    """A header line is read up to ``_LINE_MAX`` bytes, as a record line is:
+    its error is that of those bytes, on line 1, however the reads fall."""
+    monkeypatch.setattr(session_module, "_CHUNK", size)
+    with pytest.raises(SessionParseError) as err:
+        next(replay(io.BytesIO(b'{"format":2,"start_utc":"' + tail)))
+    assert str(err.value) == f"line 1: {message}"
+
+
 # A raw record's fields with values near and past the limits that reading
 # enforces, written canonically or in other spellings: a line in another
 # spelling is an error on its line.
@@ -1366,7 +1477,7 @@ class TestSpellings:
         for i, row in enumerate(rows):
             if row == "vitals":
                 seq += 1
-                line = _record_json(seq, vit(1000 * i))
+                line = record_line(seq, vit(1000 * i))
                 canonical.append(line)
                 other.append(line)
                 continue

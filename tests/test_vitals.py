@@ -534,7 +534,7 @@ def _pipeline_state(pipeline):
         pipeline.detector,
         [column.tolist() for column in pre._held],
         pre.last_dc_ir,
-        [(mean._csum.tolist(), mean._seen) for mean in means],
+        [(mean._sums[:, mean._end - mean._width : mean._end].tolist(), mean._seen) for mean in means],
         None if gate is None else (list(gate._fifo), gate._sorted, gate._j, gate._n),
         pipeline.ratio_window.tolist(),
         pipeline.last_frame,
